@@ -25,6 +25,7 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/ast"
 	"repro/internal/dynenv"
 	"repro/internal/elab"
 	"repro/internal/env"
@@ -117,7 +118,14 @@ func Compile(name, source string, context *env.Env) (*Unit, error) {
 		}
 		return nil, ce
 	}
+	return CompileDecs(name, decs, context)
+}
 
+// CompileDecs is Compile on already parsed syntax — the declarations
+// dependency analysis parsed (depend.Info.Decs) — so a build parses
+// each changed source once. Elaboration only reads decs, so one parse
+// may be compiled any number of times, concurrently.
+func CompileDecs(name string, decs []ast.Dec, context *env.Env) (*Unit, error) {
 	res, eerrs := elab.ElabUnit(decs, context)
 	if len(eerrs) > 0 {
 		ce := &CompileError{Unit: name}

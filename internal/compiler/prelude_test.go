@@ -1,6 +1,9 @@
 package compiler
 
 import (
+	"bytes"
+	"io"
+	"sync"
 	"testing"
 
 	"repro/internal/interp"
@@ -38,6 +41,44 @@ func evalBool(t *testing.T, src string) bool {
 	s, _ := mustSession(t)
 	run(t, s, "t", src)
 	return interp.Truth(valueOf(t, s, "out"))
+}
+
+// TestPreludeSharedASTConcurrent bootstraps several sessions at once
+// from the one prelude parse: elaboration only reads the shared syntax
+// (run it under -race), and every session ends up with the same
+// prelude unit.
+func TestPreludeSharedASTConcurrent(t *testing.T) {
+	const n = 4
+	prelude := make([]*Unit, n)
+	errs := make([]error, n)
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			s, err := NewSession(io.Discard)
+			if err != nil {
+				errs[i] = err
+				return
+			}
+			prelude[i] = s.Units[0]
+			_, errs[i] = s.Run("t", `val out = length (List.concat [[1], [2, 3]])`)
+		}(i)
+	}
+	wg.Wait()
+	for i := 0; i < n; i++ {
+		if errs[i] != nil {
+			t.Fatalf("session %d: %v", i, errs[i])
+		}
+		if prelude[i].StatPid != prelude[0].StatPid || !bytes.Equal(prelude[i].CodeBytes, prelude[0].CodeBytes) {
+			t.Errorf("session %d: prelude unit differs from session 0's", i)
+		}
+	}
+	a, _ := preludeDecs()
+	b, _ := preludeDecs()
+	if len(a) == 0 || &a[0] != &b[0] {
+		t.Error("prelude parsed more than once")
+	}
 }
 
 func TestPreludeListFunctions(t *testing.T) {

@@ -3,11 +3,14 @@ package compiler
 import (
 	"fmt"
 	"io"
+	"sync"
 
+	"repro/internal/ast"
 	"repro/internal/basis"
 	"repro/internal/dynenv"
 	"repro/internal/env"
 	"repro/internal/interp"
+	"repro/internal/parser"
 	"repro/internal/pickle"
 )
 
@@ -49,11 +52,29 @@ func NewSessionWith(stdout io.Writer, engine interp.Engine) (*Session, error) {
 		s.Machine.Stdout = stdout
 	}
 	s.Index.AddEnv(s.Context)
-	if _, err := s.Run("$prelude", PreludeSource); err != nil {
+	decs, err := preludeDecs()
+	var u *Unit
+	if err == nil {
+		u, err = CompileDecs("$prelude", decs, s.Context)
+	}
+	if err == nil {
+		_, err = s.runUnit(u)
+	}
+	if err != nil {
 		return nil, fmt.Errorf("bootstrapping prelude: %v", err)
 	}
 	return s, nil
 }
+
+// preludeDecs parses the prelude once per process: every session
+// elaborates the same syntax, which elaboration only reads.
+var preludeDecs = sync.OnceValues(func() ([]ast.Dec, error) {
+	decs, errs := parser.Parse(PreludeSource)
+	if len(errs) > 0 {
+		return nil, errs[0]
+	}
+	return decs, nil
+})
 
 // Compile compiles a unit against the current context without
 // executing it or extending the session.
@@ -68,6 +89,11 @@ func (s *Session) Run(name, source string) (*Unit, error) {
 	if err != nil {
 		return nil, err
 	}
+	return s.runUnit(u)
+}
+
+// runUnit executes a compiled unit and extends the session with it.
+func (s *Session) runUnit(u *Unit) (*Unit, error) {
 	if err := Execute(s.Machine, u, s.Dyn); err != nil {
 		return nil, err
 	}

@@ -648,8 +648,17 @@ func (m *Manager) runUnit(t *unitTask, lane, gen int, bspan *obs.Span,
 	for _, de := range t.depEnvs {
 		de.CopyInto(layer)
 	}
+	// The scan phase parsed every changed source (depend.Info.Decs);
+	// only a recompile of an unchanged source, whose info came from the
+	// cache, parses here.
 	cspan := uspan.Child(obs.CatPhase, "compile")
-	u, err := compiler.Compile(name, t.source, layer)
+	var u *compiler.Unit
+	var err error
+	if t.info.Decs != nil {
+		u, err = compiler.CompileDecs(name, t.info.Decs, layer)
+	} else {
+		u, err = compiler.Compile(name, t.source, layer)
+	}
 	cspan.End()
 	buf.Add("time.compile_ns", int64(cspan.Duration()))
 	if err != nil {

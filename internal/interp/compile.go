@@ -13,11 +13,16 @@ package interp
 // section (binfile V2): per Var in DFS order, the uvarint pair
 // (depth delta, slot). Binder slots are recomputed from the term shape
 // itself at load, so warm builds rebuild the compiled form without
-// ever constructing an LVar scope map (see DESIGN.md §4j).
+// ever constructing an LVar scope map (see DESIGN.md §4j). A loaded
+// unit's nested functions are validated at load but built on their
+// first call ("Lazy function bodies", DESIGN.md §4j).
 
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
+	"sync"
+	"sync/atomic"
 
 	"repro/internal/lambda"
 )
@@ -108,15 +113,31 @@ type CompiledFn struct {
 	// byte what it was without the profiler.
 	ID  int32
 	tab *fnTable
+
+	// A function nested in a LoadFn unit is loaded without its body:
+	// pending stays set until the first application builds body from
+	// term and the section bytes [start, end), which LoadFn has already
+	// validated. nested counts the functions inside this one — their
+	// IDs follow this one's in DFS preorder — so that building this
+	// body links to their headers and skips their bytes.
+	pending    atomic.Bool
+	term       *lambda.Fn
+	start, end int32
+	nested     int32
 }
 
 // fnTable is the per-unit side table shared by every CompiledFn of one
 // compiled term: the unit name (set once, before execution, by
 // SetUnit) and each function's lexically enclosing function, indexed
-// by ID (-1 for the root).
+// by ID (-1 for the root). A LoadFn table also holds every function's
+// header, by ID, and the code section the pending bodies are read
+// from; mu serializes building them.
 type fnTable struct {
 	unit    string
 	parents []int32
+	fns     []*CompiledFn
+	section []byte
+	mu      sync.Mutex
 }
 
 // SetUnit records the owning unit's name on the whole compiled term.
@@ -240,9 +261,11 @@ func CompileFn(fn *lambda.Fn) (*CompiledFn, []byte, error) {
 // produced by CompileFn, skipping scope resolution entirely. Every
 // coordinate is validated against the frames the term itself declares,
 // and the section must be consumed exactly, so a corrupt or forged
-// section yields an error — never a mis-indexed frame.
+// section yields an error — never a mis-indexed frame. Only the root
+// body is built here: every nested function gets its header (ID,
+// parent, frame width, escape flag) and is built on its first call.
 func LoadFn(fn *lambda.Fn, section []byte) (*CompiledFn, error) {
-	c := &comp{in: section, tab: &fnTable{}}
+	c := &comp{in: section, lazy: true, tab: &fnTable{section: section}}
 	cf := c.fn(fn)
 	if c.err != nil {
 		return nil, c.err
@@ -288,6 +311,12 @@ type loc struct {
 // section, validating as it goes. Both modes share the one walk, so
 // slot allocation order — and therefore the meaning of every
 // coordinate — is identical by construction.
+//
+// The shape flag makes the same walk build nothing: it still reads
+// and validates every coordinate, allocates every slot and numbers
+// every function, but returns before each closure is built. LoadFn
+// walks nested functions that way, and forcing a pending function
+// later re-walks just its body in build mode.
 type comp struct {
 	resolve bool
 	scope   map[lambda.LVar]loc // resolve mode only
@@ -305,6 +334,17 @@ type comp struct {
 	tab   *fnTable
 	fnids []int32
 	fnOf  map[*lambda.Fn]*CompiledFn
+
+	// lazy (LoadFn) defers nested functions: they are walked in shape
+	// mode. forcing marks the walk of one pending body, in which each
+	// nested function is linked to its header (tab.fns[next]) and its
+	// bytes skipped.
+	lazy    bool
+	shape   bool
+	forcing bool
+	next    int32
+
+	hdrs []CompiledFn // newFn's current chunk
 }
 
 func (c *comp) fail(format string, args ...any) {
@@ -393,32 +433,107 @@ func (c *comp) unbind(lv lambda.LVar, old loc, had bool) {
 // slots, so resolve and decode mode agree on identities exactly as
 // they agree on coordinates.
 func (c *comp) fn(e *lambda.Fn) *CompiledFn {
+	if c.forcing {
+		f := c.tab.fns[c.next]
+		c.next += 1 + f.nested
+		c.pos = int(f.end)
+		return f
+	}
 	id := int32(len(c.tab.parents))
 	parent := int32(-1)
 	if len(c.fnids) > 0 {
 		parent = c.fnids[len(c.fnids)-1]
 	}
 	c.tab.parents = append(c.tab.parents, parent)
-	c.fnids = append(c.fnids, id)
-	c.nslots = append(c.nslots, 1)
-	c.escaped = append(c.escaped, false)
-	old, had := c.bind(e.Param, 0)
-	body := c.walk(e.Body)
-	c.unbind(e.Param, old, had)
-	f := &CompiledFn{
-		NSlots:  c.nslots[len(c.nslots)-1],
-		body:    body,
-		escapes: c.escaped[len(c.escaped)-1],
-		ID:      id,
-		tab:     c.tab,
+	f := c.newFn()
+	f.ID, f.tab = id, c.tab
+	deferred := c.lazy && parent >= 0
+	shape := c.shape
+	if c.lazy {
+		c.tab.fns = append(c.tab.fns, f)
 	}
-	c.nslots = c.nslots[:len(c.nslots)-1]
-	c.escaped = c.escaped[:len(c.escaped)-1]
+	if deferred {
+		c.shape = true
+		f.term, f.start = e, int32(c.pos)
+	}
+	c.fnids = append(c.fnids, id)
+	f.body, f.NSlots, f.escapes = c.frame(e)
 	c.fnids = c.fnids[:len(c.fnids)-1]
+	c.shape = shape
+	if deferred {
+		f.end = int32(c.pos)
+		f.nested = int32(len(c.tab.parents)) - 1 - id
+		f.pending.Store(true)
+	}
 	if c.fnOf != nil {
 		c.fnOf[e] = f
 	}
 	return f
+}
+
+// fnChunk is how many function headers newFn allocates at once.
+const fnChunk = 16
+
+// newFn returns a zeroed function header, carved from a chunk: one
+// allocation per fnChunk functions instead of one per function.
+func (c *comp) newFn() *CompiledFn {
+	if len(c.hdrs) == 0 {
+		c.hdrs = make([]CompiledFn, fnChunk)
+	}
+	f := &c.hdrs[0]
+	c.hdrs = c.hdrs[1:]
+	return f
+}
+
+// frame walks a function body in a fresh frame whose slot 0 holds the
+// parameter, returning the body's code (nil in shape mode), the
+// frame's width, and whether the frame escapes.
+func (c *comp) frame(e *lambda.Fn) (body cnode, nslots int, escapes bool) {
+	c.nslots = append(c.nslots, 1)
+	c.escaped = append(c.escaped, false)
+	old, had := c.bind(e.Param, 0)
+	body = c.walk(e.Body)
+	c.unbind(e.Param, old, had)
+	top := len(c.nslots) - 1
+	nslots, escapes = c.nslots[top], c.escaped[top]
+	c.nslots, c.escaped = c.nslots[:top], c.escaped[:top]
+	return body, nslots, escapes
+}
+
+// code returns f's body, building it first if f is still pending.
+func (f *CompiledFn) code(m *Machine) cnode {
+	if f.pending.Load() {
+		f.force(m)
+	}
+	return f.body
+}
+
+// force builds a pending function's body: the same walk LoadFn ran,
+// now in build mode over just this function's bytes. The enclosing
+// frames are given their final widths — LoadFn validated every
+// coordinate against the narrower widths of the definition point, so
+// the re-read cannot fail. The body is published by the release store
+// of pending, which the lock-free check in code pairs with; the table
+// lock makes concurrent first calls build it once.
+func (f *CompiledFn) force(m *Machine) {
+	t := f.tab
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if !f.pending.Load() {
+		return
+	}
+	c := &comp{in: t.section[:f.end], pos: int(f.start), tab: t, forcing: true, next: f.ID + 1}
+	for p := t.parents[f.ID]; p >= 0; p = t.parents[p] {
+		c.nslots = append(c.nslots, t.fns[p].NSlots)
+	}
+	slices.Reverse(c.nslots)
+	c.escaped = make([]bool, len(c.nslots))
+	body, _, _ := c.frame(f.term)
+	if c.err != nil || c.pos != int(f.end) {
+		m.crash("building function %d of %s: %v (at byte %d of %d)", f.ID, t.unit, c.err, c.pos, f.end)
+	}
+	f.body = body
+	f.pending.Store(false)
 }
 
 // markEscapes records that a closure is created at the current point:
@@ -430,6 +545,12 @@ func (c *comp) markEscapes() {
 }
 
 func (c *comp) walkAll(es []lambda.Exp) []cnode {
+	if c.shape {
+		for _, e := range es {
+			c.walk(e)
+		}
+		return nil
+	}
 	out := make([]cnode, len(es))
 	for i, e := range es {
 		out[i] = c.walk(e)
@@ -438,9 +559,20 @@ func (c *comp) walkAll(es []lambda.Exp) []cnode {
 }
 
 func (c *comp) walk(e lambda.Exp) cnode {
+	if c.shape {
+		switch e.(type) {
+		case *lambda.Int, *lambda.Word, *lambda.Real, *lambda.Str, *lambda.Char,
+			*lambda.NewExnTag, *lambda.Builtin:
+			// Leaves read no coordinate: nothing to validate.
+			return nil
+		}
+	}
 	switch e := e.(type) {
 	case *lambda.Var:
 		delta, slot := c.coord(e.LV)
+		if c.shape {
+			return nil
+		}
 		if delta <= 1 && slot < sharedSlots {
 			return slotReaders[delta][slot]
 		}
@@ -481,6 +613,9 @@ func (c *comp) walk(e lambda.Exp) cnode {
 			return unitConst
 		}
 		fields := c.walkAll(e.Fields)
+		if c.shape {
+			return nil
+		}
 		return func(m *Machine, fr *Frame) Value {
 			vs := make(RecordV, len(fields))
 			for i, f := range fields {
@@ -490,6 +625,9 @@ func (c *comp) walk(e lambda.Exp) cnode {
 		}
 	case *lambda.Select:
 		rec := c.walk(e.Rec)
+		if c.shape {
+			return nil
+		}
 		idx := e.Idx
 		return func(m *Machine, fr *Frame) Value {
 			v := rec(m, fr)
@@ -502,6 +640,9 @@ func (c *comp) walk(e lambda.Exp) cnode {
 	case *lambda.Fn:
 		c.markEscapes()
 		fn := c.fn(e)
+		if c.shape {
+			return nil
+		}
 		return func(m *Machine, fr *Frame) Value {
 			return &CompiledClosure{Fn: fn, Env: fr}
 		}
@@ -516,24 +657,37 @@ func (c *comp) walk(e lambda.Exp) cnode {
 			break
 		}
 		// A single function — every plain `fun` — is captured directly;
-		// only a mutually recursive group needs the list.
+		// only a mutually recursive group needs the list, and the shape
+		// walk keeps neither.
 		var single [1]slotFn
-		var group []slotFn
-		fns := single[:]
-		if len(e.Names) != 1 {
+		var group, fns []slotFn
+		switch {
+		case c.shape:
+		case len(e.Names) == 1:
+			fns = single[:]
+		default:
 			group = make([]slotFn, len(e.Names))
 			fns = group
 		}
 		saves := c.saves(len(e.Names))
 		for i, name := range e.Names {
-			fns[i].slot = c.alloc()
-			c.bindSaving(saves, i, name, fns[i].slot)
+			slot := c.alloc()
+			c.bindSaving(saves, i, name, slot)
+			if fns != nil {
+				fns[i].slot = slot
+			}
 		}
 		for i, fn := range e.Fns {
-			fns[i].fn = c.fn(fn)
+			f := c.fn(fn)
+			if fns != nil {
+				fns[i].fn = f
+			}
 		}
 		body := c.walk(e.Body)
 		c.restore(saves)
+		if c.shape {
+			return nil
+		}
 		if group == nil {
 			f := single[0]
 			return func(m *Machine, fr *Frame) Value {
@@ -578,6 +732,9 @@ func (c *comp) walk(e lambda.Exp) cnode {
 			old, had := c.bind(fn.Param, slot)
 			bodyc := c.walk(fn.Body)
 			c.unbind(fn.Param, old, had)
+			if c.shape {
+				return nil
+			}
 			return func(m *Machine, fr *Frame) Value {
 				fr.slots[slot] = argc(m, fr)
 				return bodyc(m, fr)
@@ -585,6 +742,9 @@ func (c *comp) walk(e lambda.Exp) cnode {
 		}
 		fnc := c.walk(e.Fn)
 		argc := c.walk(e.Arg)
+		if c.shape {
+			return nil
+		}
 		return func(m *Machine, fr *Frame) Value {
 			return m.apply(fnc(m, fr), argc(m, fr))
 		}
@@ -602,12 +762,18 @@ func (c *comp) walk(e lambda.Exp) cnode {
 		old, had := c.bind(e.LV, slot)
 		bodyc := c.walk(e.Body)
 		c.unbind(e.LV, old, had)
+		if c.shape {
+			return nil
+		}
 		return func(m *Machine, fr *Frame) Value {
 			fr.slots[slot] = bindc(m, fr)
 			return bodyc(m, fr)
 		}
 	case *lambda.Con:
 		if e.Arg == nil {
+			if c.shape {
+				return nil
+			}
 			// Nullary constructors are immutable and compared
 			// structurally, so one shared value is observationally
 			// identical to a fresh one per evaluation.
@@ -616,11 +782,17 @@ func (c *comp) walk(e lambda.Exp) cnode {
 		}
 		tag, name := e.Tag, e.Name
 		argc := c.walk(e.Arg)
+		if c.shape {
+			return nil
+		}
 		return func(m *Machine, fr *Frame) Value {
 			return &ConV{Tag: tag, Name: name, Arg: argc(m, fr)}
 		}
 	case *lambda.Decon:
 		ec := c.walk(e.Exp)
+		if c.shape {
+			return nil
+		}
 		return func(m *Machine, fr *Frame) Value {
 			v := ec(m, fr)
 			cv, ok := v.(*ConV)
@@ -640,6 +812,9 @@ func (c *comp) walk(e lambda.Exp) cnode {
 		if e.Arg != nil {
 			argc = c.walk(e.Arg)
 		}
+		if c.shape {
+			return nil
+		}
 		return func(m *Machine, fr *Frame) Value {
 			tv := tagc(m, fr)
 			t, ok := tv.(*ExnTag)
@@ -654,6 +829,9 @@ func (c *comp) walk(e lambda.Exp) cnode {
 		}
 	case *lambda.ExnDecon:
 		ec := c.walk(e.Exp)
+		if c.shape {
+			return nil
+		}
 		return func(m *Machine, fr *Frame) Value {
 			v := ec(m, fr)
 			ev, ok := v.(*ExnV)
@@ -666,6 +844,9 @@ func (c *comp) walk(e lambda.Exp) cnode {
 		condc := c.walk(e.Cond)
 		thenc := c.walk(e.Then)
 		elsec := c.walk(e.Else)
+		if c.shape {
+			return nil
+		}
 		return func(m *Machine, fr *Frame) Value {
 			if Truth(condc(m, fr)) {
 				return thenc(m, fr)
@@ -687,6 +868,9 @@ func (c *comp) walk(e lambda.Exp) cnode {
 		}
 	case *lambda.Raise:
 		ec := c.walk(e.Exp)
+		if c.shape {
+			return nil
+		}
 		return func(m *Machine, fr *Frame) Value {
 			v := ec(m, fr)
 			ev, ok := v.(*ExnV)
@@ -701,6 +885,9 @@ func (c *comp) walk(e lambda.Exp) cnode {
 		old, had := c.bind(e.Param, slot)
 		handlerc := c.walk(e.Handler)
 		c.unbind(e.Param, old, had)
+		if c.shape {
+			return nil
+		}
 		return func(m *Machine, fr *Frame) (result Value) {
 			caught := func() (packet *ExnV) {
 				defer func() {
@@ -813,15 +1000,21 @@ func (c *comp) restore(saves []scopeSave) {
 func (c *comp) peeledPrim(arg lambda.Exp, nlets int, op string, args []lambda.Exp, unary lambda.Exp) cnode {
 	saves := c.saves(nlets)
 	var pair [2]slotBind
-	var many []slotBind
-	dst := pair[:min(nlets, len(pair))]
-	if nlets > len(pair) {
+	var many, dst []slotBind
+	switch {
+	case c.shape:
+	case nlets <= len(pair):
+		dst = pair[:nlets]
+	default:
 		many = make([]slotBind, nlets)
 		dst = many
 	}
-	c.peelLets(arg, dst, saves)
+	c.peelLets(arg, nlets, dst, saves)
 	primc := c.etaPrim(op, args, unary)
 	c.restore(saves)
+	if c.shape {
+		return nil
+	}
 	switch nlets {
 	case 0:
 		return primc
@@ -847,13 +1040,17 @@ func (c *comp) peeledPrim(arg lambda.Exp, nlets int, op string, args []lambda.Ex
 	}
 }
 
-// peelLets compiles the first len(dst) Lets of the chain at arg into
-// dst, binding each in the current frame (see peeledPrim).
-func (c *comp) peelLets(arg lambda.Exp, dst []slotBind, saves []scopeSave) {
-	for i := range dst {
+// peelLets compiles the first n Lets of the chain at arg, binding each
+// in the current frame and recording it in dst unless dst is nil (the
+// shape walk; see peeledPrim).
+func (c *comp) peelLets(arg lambda.Exp, n int, dst []slotBind, saves []scopeSave) {
+	for i := 0; i < n; i++ {
 		l := arg.(*lambda.Let)
-		dst[i] = slotBind{bind: c.walk(l.Bind), slot: c.alloc()}
-		c.bindSaving(saves, i, l.LV, dst[i].slot)
+		b := slotBind{bind: c.walk(l.Bind), slot: c.alloc()}
+		c.bindSaving(saves, i, l.LV, b.slot)
+		if dst != nil {
+			dst[i] = b
+		}
 		arg = l.Body
 	}
 }
@@ -947,13 +1144,22 @@ func usesVar(e lambda.Exp, lv lambda.LVar) bool {
 
 func (c *comp) switchNode(e *lambda.Switch) cnode {
 	scrut := c.walk(e.Scrut)
-	bodies := make([]cnode, len(e.Cases))
+	var bodies []cnode
+	if !c.shape {
+		bodies = make([]cnode, len(e.Cases))
+	}
 	for i, cs := range e.Cases {
-		bodies[i] = c.walk(cs.Body)
+		b := c.walk(cs.Body)
+		if bodies != nil {
+			bodies[i] = b
+		}
 	}
 	var def cnode
 	if e.Default != nil {
 		def = c.walk(e.Default)
+	}
+	if c.shape {
+		return nil
 	}
 	cases := e.Cases
 	miss := func(m *Machine, fr *Frame) Value {
@@ -1047,6 +1253,9 @@ func (c *comp) switchNode(e *lambda.Switch) cnode {
 func (c *comp) prim(op string, es []lambda.Exp) cnode {
 	if len(es) == 2 {
 		a, b := c.walk(es[0]), c.walk(es[1])
+		if c.shape {
+			return nil
+		}
 		if f := binaryPrim(op, a, b); f != nil {
 			return f
 		}
@@ -1055,6 +1264,9 @@ func (c *comp) prim(op string, es []lambda.Exp) cnode {
 		}
 	}
 	args := c.walkAll(es)
+	if c.shape {
+		return nil
+	}
 	return func(m *Machine, fr *Frame) Value {
 		vs := make([]Value, len(args))
 		for i, a := range args {

@@ -349,7 +349,7 @@ func (m *Machine) apply(fn, arg Value) Value {
 				fr = newFrame(c.Env, cf.NSlots)
 			}
 			fr.slots[0] = arg
-			v := cf.body(m, fr)
+			v := cf.code(m)(m, fr)
 			fr.up = nil
 			for i := range fr.slots {
 				fr.slots[i] = nil
@@ -359,7 +359,7 @@ func (m *Machine) apply(fn, arg Value) Value {
 		}
 		fr := newFrame(c.Env, cf.NSlots)
 		fr.slots[0] = arg
-		return cf.body(m, fr)
+		return cf.code(m)(m, fr)
 	case *Closure:
 		return m.eval(c.Body, c.Env.Bind(c.Param, arg))
 	}

@@ -326,7 +326,7 @@ func (m *Machine) applyProf(fn, arg Value) Value {
 		}
 		fr := newFrame(c.Env, cf.NSlots)
 		fr.slots[0] = arg
-		return cf.body(m, fr)
+		return cf.code(m)(m, fr)
 	case *Closure:
 		if p.cur != nil {
 			if cf := p.reg.lookup(c.Body); cf != nil {
