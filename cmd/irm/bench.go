@@ -191,7 +191,7 @@ func cmdBench(args []string) {
 	lines := fs.Int("lines", 30, "approximate lines per unit")
 	seed := fs.Int64("seed", 1994, "workload generator seed")
 	policy := fs.String("policy", "cutoff", "recompilation policy: cutoff or timestamp")
-	jobs := fs.Int("j", 0, "parallel width to compare against -j1 (0 = one per core)")
+	jobs := fs.Int("j", 0, "parallel width to compare against -j1, at most GOMAXPROCS (0 = GOMAXPROCS)")
 	execFlag := fs.String("exec", "closure", "execution engine: closure (compiled) or tree (interpreter)")
 	fs.Parse(args)
 	engine, err := interp.ParseEngine(*execFlag)
@@ -216,6 +216,12 @@ func cmdBench(args []string) {
 	jn := *jobs
 	if jn <= 0 {
 		jn = runtime.GOMAXPROCS(0)
+	}
+	// A width above GOMAXPROCS measures scheduler overhead, not
+	// parallelism, and would be recorded as cold_speedup.
+	if jn > runtime.GOMAXPROCS(0) {
+		fmt.Fprintf(os.Stderr, "irm bench: -j %d is outside 1..GOMAXPROCS (%d)\n", jn, runtime.GOMAXPROCS(0))
+		os.Exit(2)
 	}
 	widths := []int{1}
 	if jn != 1 {

@@ -158,7 +158,7 @@ func runBins(paths []string, tracePath, report string, engine interp.Engine,
 		// should attribute those frames by name.
 		session.Machine.StartProfile(profPeriod)
 		for _, u := range session.Units {
-			session.Machine.ProfRegister(u.Name, u.Prog, u.Code)
+			session.Machine.ProfRegister(u.Name, u.Prog, u.Term())
 		}
 	}
 
@@ -236,10 +236,10 @@ func runBins(paths []string, tracePath, report string, engine interp.Engine,
 	if profileOut != "" {
 		b := prof.NewBuilder(engine.String(), session.Machine.ProfilePeriod())
 		for _, u := range session.Units {
-			b.AddUnit(u.Name, u.Code, u.Env, compiler.PreludeSource)
+			b.AddUnit(u.Name, u.Term(), u.Env, compiler.PreludeSource)
 		}
 		for _, u := range units {
-			b.AddUnit(u.Name, u.Code, u.Env, "")
+			b.AddUnit(u.Name, u.Term(), u.Env, "")
 		}
 		for _, up := range session.Machine.TakeUnitProfiles() {
 			b.Add(up)

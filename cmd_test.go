@@ -1,9 +1,12 @@
 package repro
 
 import (
+	"errors"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"runtime"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -190,6 +193,26 @@ func TestCommandLineTools(t *testing.T) {
 		out, err = runTool(t, tools["irm"], "", "collision")
 		if err != nil || !strings.Contains(out, "2^-103") {
 			t.Errorf("collision output: %v %q", err, out)
+		}
+	})
+
+	// A width above GOMAXPROCS would measure scheduler overhead on
+	// fewer cores and record it as cold_speedup: irm bench refuses it.
+	t.Run("irm-bench-width-above-gomaxprocs", func(t *testing.T) {
+		procs := runtime.GOMAXPROCS(0)
+		cmd := exec.Command(tools["irm"], "bench", "-out", filepath.Join(work, "bench.json"),
+			"-units", "2", "-lines", "5", "-j", strconv.Itoa(procs+1))
+		cmd.Env = append(os.Environ(), "GOMAXPROCS="+strconv.Itoa(procs))
+		out, err := cmd.CombinedOutput()
+		var ee *exec.ExitError
+		if !errors.As(err, &ee) || ee.ExitCode() != 2 {
+			t.Fatalf("irm bench -j %d: %v, want exit code 2\n%s", procs+1, err, out)
+		}
+		if want := "outside 1..GOMAXPROCS"; !strings.Contains(string(out), want) {
+			t.Errorf("irm bench output %q, want it to mention %q", out, want)
+		}
+		if _, err := os.Stat(filepath.Join(work, "bench.json")); !os.IsNotExist(err) {
+			t.Errorf("refused run wrote its output file (stat: %v)", err)
 		}
 	})
 

@@ -113,10 +113,12 @@ func TestBinfileGolden(t *testing.T) {
 }
 
 // TestSlabDecodedTermsRepickle loads every corpus unit back from its bin
-// — the term decoded from the Unpickler's slabs, the compiled form
-// rebuilt with shared leaf closures — and re-encodes it: the bytes must
-// equal the stored bin exactly, so the slab decoder reproduces every
-// node, field order and binder list the pickler wrote.
+// — the compiled form rebuilt with shared leaf closures from a scratch-
+// decoded term, the unit keeping only the term's bytes — and re-encodes
+// it through Unit.Term, which decodes the term into the unit's own
+// slab: the bytes must equal the stored bin exactly, so the slab
+// decoder reproduces every node, field order and binder list the
+// pickler wrote.
 func TestSlabDecodedTermsRepickle(t *testing.T) {
 	corpus := workload.GoldenCorpus()
 	names := make([]string, 0, len(corpus))
@@ -154,6 +156,10 @@ func TestSlabDecodedTermsRepickle(t *testing.T) {
 			e, err := store.Load(f.Name)
 			if err != nil || e == nil {
 				t.Fatalf("%s/%s: missing entry (%v)", pname, f.Name, err)
+			}
+			if u.Code != nil || u.Term() == nil {
+				t.Fatalf("%s/%s: loaded unit keeps a term (%v) or Term() cannot decode one",
+					pname, u.Name, u.Code != nil)
 			}
 			got, err := binfile.Encode(u)
 			if err != nil {

@@ -1,6 +1,9 @@
 package binfile
 
-import "testing"
+import (
+	"runtime"
+	"testing"
+)
 
 // allocUnitSource is a fixed unit for the load-path allocation ceiling:
 // a datatype, pattern matching, recursion, arithmetic and a functor-free
@@ -19,16 +22,19 @@ structure Alloc = struct
 end
 `
 
-// TestReadAllocCeiling pins the allocation count of a warm load of a
-// fixed unit: binfile.Read decodes the term from per-unit slabs,
-// builds the root body with shared leaf closures (DESIGN.md §4f) and
-// leaves every nested function to be built on its first call
-// (DESIGN.md §4j), so a regression to per-node allocation or to eager
-// function bodies shows here as a jump beyond the ceiling's headroom.
-// Allocation counts are deterministic; the ceiling sits about 15%
-// above the 220 measured with Go 1.24 (eager function bodies measured
-// 334, per-node allocation 825), leaving room for runtime differences
-// between Go releases, such as map internals.
+// TestReadAllocCeiling pins the allocation count and the allocated
+// bytes of a warm load of a fixed unit: binfile.Read decodes the term
+// into a pooled scratch slab that the next load reuses, builds the
+// root body with shared leaf closures (DESIGN.md §4f) and leaves every
+// nested function to be decoded and built on its first call (DESIGN.md
+// §4j), so a regression to per-node allocation, to kept terms or to
+// eager function bodies shows here as a jump beyond the ceilings'
+// headroom. Both ceilings sit about 15% above the values measured with
+// Go 1.24 on x86-64, leaving room for runtime differences between Go
+// releases, such as map internals: 191 allocations (220 with the term
+// kept in per-unit slabs, 334 with eager function bodies, 825 with
+// per-node allocation) and 10,296 bytes (25,612 with the term kept).
+// The bytes are read from runtime.MemStats over 20 warm loads.
 func TestReadAllocCeiling(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts differ under the race detector")
@@ -43,17 +49,27 @@ func TestReadAllocCeiling(t *testing.T) {
 		t.Fatal(err)
 	}
 	s2 := newSession(t)
-	if _, err := Read(data, s2.Index); err != nil {
-		t.Fatal(err)
-	}
-	got := testing.AllocsPerRun(20, func() {
+	read := func() {
 		if _, err := Read(data, s2.Index); err != nil {
 			t.Fatal(err)
 		}
-	})
-	t.Logf("binfile.Read: %.0f allocs per load", got)
-	const ceiling = 253
+	}
+	read()
+	got := testing.AllocsPerRun(20, read)
+	const runs = 20
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		read()
+	}
+	runtime.ReadMemStats(&after)
+	bytes := (after.TotalAlloc - before.TotalAlloc) / runs
+	t.Logf("binfile.Read: %.0f allocs and %d bytes per load", got, bytes)
+	const ceiling, bytesCeiling = 220, 11840
 	if got > ceiling {
 		t.Errorf("binfile.Read allocates %.0f times per load, ceiling %d", got, ceiling)
+	}
+	if bytes > bytesCeiling {
+		t.Errorf("binfile.Read allocates %d bytes per load, ceiling %d", bytes, bytesCeiling)
 	}
 }

@@ -83,9 +83,10 @@ func Write(w io.Writer, u *compiler.Unit) error {
 // layout is a pure function of the term, Encode's output is identical
 // whichever exec engine the build ran on.
 func Encode(u *compiler.Unit) ([]byte, error) {
+	term := u.Term()
 	code := u.CodeBytes
 	if code == nil {
-		_, cb, err := interp.CompileFn(u.Code)
+		_, cb, err := interp.CompileFn(term)
 		if err != nil {
 			return nil, fmt.Errorf("binfile: write %s: code generation: %v", u.Name, err)
 		}
@@ -102,7 +103,7 @@ func Encode(u *compiler.Unit) ([]byte, error) {
 		out = append(out, header...)
 		out = ep.AppendPermanent(out, u.StatPid)
 		lp := pickle.NewPickler(u.StatPid)
-		lp.Lambda(u.Code)
+		lp.Lambda(term)
 		if err := lp.Err(); err != nil {
 			return nil, fmt.Errorf("binfile: write %s: %v", u.Name, err)
 		}
@@ -111,7 +112,7 @@ func Encode(u *compiler.Unit) ([]byte, error) {
 	}
 
 	p.Env(u.Env)
-	p.Lambda(u.Code)
+	p.Lambda(term)
 	if err := p.Err(); err != nil {
 		return nil, fmt.Errorf("binfile: write %s: %v", u.Name, err)
 	}
@@ -175,12 +176,18 @@ func Read(data []byte, ix *pickle.Index) (*compiler.Unit, error) {
 // recompilation may change without moving the pid, is always decoded
 // from the bytes at hand.
 //
-// A V2 bin's code section is loaded into the unit's compiled form
-// (counter code.loads) with every coordinate validated against the
-// term; a section that fails validation (counter code.load_errors)
-// fails the read, which the store layer treats like any other corrupt
-// entry — quarantine and recompile. A V1 bin simply leaves Prog nil;
-// the exec phase compiles on demand.
+// The lambda segment is decoded in full, into a pickle.Scratch, so a
+// malformed term anywhere fails the read. A V2 bin's code section is
+// loaded into the unit's compiled form (counter code.loads) with every
+// coordinate validated against the term; a section that fails
+// validation (counter code.load_errors) fails the read, which the
+// store layer treats like any other corrupt entry — quarantine and
+// recompile. The unit keeps the segment's bytes (TermBytes), not the
+// term: its compiled form decodes each function's subtree again on
+// that function's first call, and Unit.Term decodes the whole term on
+// demand (DESIGN.md §4j, "Lazy terms"). Both slices alias data, which
+// must therefore not be modified once read. A V1 bin simply leaves
+// Prog nil; the exec phase compiles on demand.
 func ReadCached(data []byte, ix *pickle.Index, cache *pickle.EnvCache, rec obs.Recorder) (*compiler.Unit, error) {
 	version := magicVersion(data)
 	if version == 0 {
@@ -222,19 +229,24 @@ func ReadCached(data []byte, ix *pickle.Index, cache *pickle.EnvCache, rec obs.R
 		}
 	}
 
-	code := u.Lambda()
-	if err := u.Err(); err != nil {
+	// Nothing LoadFn builds keeps a node of the term, so the scratch is
+	// released on return.
+	sc := pickle.GetScratch()
+	defer sc.Release()
+	lam := stream[u.Pos():]
+	code, end, err := sc.Lambda(lam, 0)
+	if err != nil {
 		return nil, fmt.Errorf("binfile: read %s: %v", name, err)
 	}
 	fn, ok := code.(*lambda.Fn)
 	if !ok {
 		return nil, fmt.Errorf("binfile: read %s: code is not a function", name)
 	}
+	seg, rest := lam[:end:end], lam[end:]
 
 	var prog *interp.CompiledFn
 	var codeBytes []byte
 	if version >= 2 {
-		rest := stream[u.Pos():]
 		n, k := binary.Uvarint(rest)
 		if k <= 0 || uint64(len(rest)-k) != n {
 			obs.Count(rec, "code.load_errors", 1)
@@ -242,7 +254,7 @@ func ReadCached(data []byte, ix *pickle.Index, cache *pickle.EnvCache, rec obs.R
 		}
 		codeBytes = rest[k:]
 		var lerr error
-		prog, lerr = interp.LoadFn(fn, codeBytes)
+		prog, lerr = interp.LoadFn(fn, seg, codeBytes)
 		if lerr != nil {
 			obs.Count(rec, "code.load_errors", 1)
 			return nil, fmt.Errorf("binfile: read %s: %v", name, lerr)
@@ -254,12 +266,12 @@ func ReadCached(data []byte, ix *pickle.Index, cache *pickle.EnvCache, rec obs.R
 		Name:      name,
 		StatPid:   statPid,
 		Env:       envLayer,
-		Code:      fn,
 		Imports:   imports,
 		NumSlots:  numSlots,
 		Frag:      frag,
 		Prog:      prog,
 		CodeBytes: codeBytes,
+		TermBytes: seg,
 	}, nil
 }
 

@@ -33,9 +33,11 @@ func TestEncodeFusedMatchesLegacy(t *testing.T) {
 		t.Fatalf("fused encode: %v", err)
 	}
 
-	legacy := *u
-	legacy.EnvPickle = nil
-	slow, err := Encode(&legacy)
+	legacy := &compiler.Unit{
+		Name: u.Name, StatPid: u.StatPid, Env: u.Env, Code: u.Code,
+		Imports: u.Imports, NumSlots: u.NumSlots, CodeBytes: u.CodeBytes,
+	}
+	slow, err := Encode(legacy)
 	if err != nil {
 		t.Fatalf("legacy encode: %v", err)
 	}
@@ -77,7 +79,7 @@ func TestReadCachedHitSharesEnv(t *testing.T) {
 	if u1.Frag == nil || u1.Frag != u2.Frag {
 		t.Error("cache hit did not share the index fragment")
 	}
-	if u1.Code == u2.Code {
+	if u1.Prog == u2.Prog || u1.Term() == u2.Term() {
 		t.Error("code must be decoded fresh on every read, never cached")
 	}
 	if buf.Get("cache.env_misses") != 1 || buf.Get("cache.env_hits") != 1 {

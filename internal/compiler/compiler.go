@@ -23,6 +23,7 @@ package compiler
 import (
 	"fmt"
 	"strings"
+	"sync"
 	"time"
 
 	"repro/internal/ast"
@@ -49,7 +50,10 @@ type Unit struct {
 	// Env is the exported static environment (one layer; its parent is
 	// the compilation context and is not part of the unit).
 	Env *env.Env
-	// Code is the unit's closed code: λ(import-vector).(export-record).
+	// Code is the unit's closed code: λ(import-vector).(export-record),
+	// as Compile built it. A unit read from a bin leaves it nil and
+	// keeps the term's bytes instead (TermBytes); Term returns the code
+	// either way.
 	Code *lambda.Fn
 	// Imports lists the dynamic pids the code expects, in vector order.
 	Imports []pid.Pid
@@ -86,6 +90,34 @@ type Unit struct {
 	// CodeTime is the duration of the closure compilation inside
 	// Compile (counter code.compile_ns).
 	CodeTime time.Duration
+
+	// TermBytes is the bin file's lambda segment: the pickled Code of a
+	// unit read from a bin, validated at load. It aliases the bin
+	// buffer, as CodeBytes does, so keeping it costs nothing.
+	TermBytes []byte
+	termOnce  sync.Once
+	term      *lambda.Fn
+}
+
+// Term returns the unit's code: Code for a compiled unit, and for a
+// unit read from a bin the term decoded from TermBytes, once, on the
+// first call. Loading builds the compiled form without keeping a term
+// (DESIGN.md §4j, "Lazy terms"), so only the tree engine, the profiler
+// and re-encoding pay for one. It returns nil only for a unit that has
+// neither.
+func (u *Unit) Term() *lambda.Fn {
+	if u.Code != nil {
+		return u.Code
+	}
+	u.termOnce.Do(func() {
+		if u.TermBytes == nil {
+			return
+		}
+		// The segment decoded without error when the bin was read, so
+		// decoding the same bytes again cannot fail.
+		u.term, _ = pickle.DecodeTerm(u.TermBytes)
+	})
+	return u.term
 }
 
 // ExportPid returns the dynamic pid of export slot i (§5: "derived from
@@ -248,9 +280,9 @@ func ExecuteObserved(m *interp.Machine, u *Unit, dyn *dynenv.Env,
 // committer replays in commit order (DESIGN.md §4j).
 //
 // The apply sub-phase is where the machine's Engine matters: the tree
-// walker evaluates u.Code to a closure and applies it; the compiled
-// engine applies u.Prog directly (compiling it on demand when a V1 bin
-// left Prog nil — counter code.compiles).
+// walker evaluates u.Term() to a closure and applies it; the compiled
+// engine applies u.Prog directly (compiling it from u.Term() on demand
+// when a V1 bin left Prog nil — counter code.compiles).
 func ExecuteOn(m *interp.Machine, u *Unit, dyn dynenv.Target,
 	parent *obs.Span, rec obs.Recorder, lane int) error {
 
@@ -279,21 +311,22 @@ func ExecuteOn(m *interp.Machine, u *Unit, dyn dynenv.Target,
 	var result interp.Value
 	var err error
 	if m.Engine == interp.EngineTree {
+		code := u.Term()
 		if profiled {
 			// Register before the window opens so the unit's closures
 			// carry identities from their very first application.
-			m.ProfRegister(u.Name, u.Prog, u.Code)
+			m.ProfRegister(u.Name, u.Prog, code)
 			m.BeginUnitProfile(u.Name)
 		}
 		var closure interp.Value
-		closure, err = m.Eval(u.Code, nil)
+		closure, err = m.Eval(code, nil)
 		if err == nil {
 			result, err = m.Apply(closure, imports)
 		}
 	} else {
 		prog := u.Prog
 		if prog == nil {
-			prog, _, err = interp.CompileFn(u.Code)
+			prog, _, err = interp.CompileFn(u.Term())
 			obs.Count(rec, "code.compiles", 1)
 			if err == nil {
 				u.Prog = prog
@@ -301,7 +334,7 @@ func ExecuteOn(m *interp.Machine, u *Unit, dyn dynenv.Target,
 		}
 		if err == nil {
 			if profiled {
-				m.ProfRegister(u.Name, prog, u.Code)
+				m.ProfRegister(u.Name, prog, nil)
 				m.BeginUnitProfile(u.Name)
 			}
 			result, err = m.Apply(&interp.CompiledClosure{Fn: prog}, imports)

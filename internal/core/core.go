@@ -415,8 +415,8 @@ func (m *Manager) BuildUnder(parent *obs.Span, files []File) (*compiler.Session,
 		session.Machine.StartProfile(m.ProfilePeriod)
 		m.profB = prof.NewBuilder(m.Engine.String(), session.Machine.ProfilePeriod())
 		for _, u := range session.Units {
-			session.Machine.ProfRegister(u.Name, u.Prog, u.Code)
-			m.profB.AddUnit(u.Name, u.Code, u.Env, compiler.PreludeSource)
+			session.Machine.ProfRegister(u.Name, u.Prog, u.Term())
+			m.profB.AddUnit(u.Name, u.Term(), u.Env, compiler.PreludeSource)
 		}
 		defer func() {
 			m.Prof = m.profB.Finish()

@@ -25,6 +25,7 @@ import (
 	"sync/atomic"
 
 	"repro/internal/lambda"
+	"repro/internal/pickle"
 )
 
 // Engine selects the execution backend a Machine runs unit code with.
@@ -115,13 +116,14 @@ type CompiledFn struct {
 	tab *fnTable
 
 	// A function nested in a LoadFn unit is loaded without its body:
-	// pending stays set until the first application builds body from
-	// term and the section bytes [start, end), which LoadFn has already
-	// validated. nested counts the functions inside this one — their
-	// IDs follow this one's in DFS preorder — so that building this
-	// body links to their headers and skips their bytes.
+	// pending stays set until the first application decodes its term
+	// from byte at of the unit's lambda segment and builds body from it
+	// and the section bytes [start, end), all of which LoadFn has
+	// already validated. nested counts the functions inside this one —
+	// their IDs follow this one's in DFS preorder — so that building
+	// this body links to their headers and skips their bytes.
 	pending    atomic.Bool
-	term       *lambda.Fn
+	at         int32
 	start, end int32
 	nested     int32
 }
@@ -130,14 +132,17 @@ type CompiledFn struct {
 // compiled term: the unit name (set once, before execution, by
 // SetUnit) and each function's lexically enclosing function, indexed
 // by ID (-1 for the root). A LoadFn table also holds every function's
-// header, by ID, and the code section the pending bodies are read
-// from; mu serializes building them.
+// header, by ID, and the lambda segment and code section the pending
+// bodies are read from; mu serializes building them, and built counts
+// the bodies built so far.
 type fnTable struct {
 	unit    string
 	parents []int32
 	fns     []*CompiledFn
+	term    []byte
 	section []byte
 	mu      sync.Mutex
+	built   int
 }
 
 // SetUnit records the owning unit's name on the whole compiled term.
@@ -263,9 +268,13 @@ func CompileFn(fn *lambda.Fn) (*CompiledFn, []byte, error) {
 // and the section must be consumed exactly, so a corrupt or forged
 // section yields an error — never a mis-indexed frame. Only the root
 // body is built here: every nested function gets its header (ID,
-// parent, frame width, escape flag) and is built on its first call.
-func LoadFn(fn *lambda.Fn, section []byte) (*CompiledFn, error) {
-	c := &comp{in: section, lazy: true, tab: &fnTable{section: section}}
+// parent, frame width, escape flag, and the offset of its term in the
+// lambda segment term that fn was decoded from) and is built on its
+// first call, from its subtree decoded again. Nothing built keeps a
+// node of fn, so fn may be a pickle.Scratch term, released once
+// LoadFn returns (DESIGN.md §4j, "Lazy terms").
+func LoadFn(fn *lambda.Fn, term, section []byte) (*CompiledFn, error) {
+	c := &comp{in: section, lazy: true, tab: &fnTable{term: term, section: section}}
 	cf := c.fn(fn)
 	if c.err != nil {
 		return nil, c.err
@@ -454,7 +463,7 @@ func (c *comp) fn(e *lambda.Fn) *CompiledFn {
 	}
 	if deferred {
 		c.shape = true
-		f.term, f.start = e, int32(c.pos)
+		f.at, f.start = e.Pos, int32(c.pos)
 	}
 	c.fnids = append(c.fnids, id)
 	f.body, f.NSlots, f.escapes = c.frame(e)
@@ -508,13 +517,15 @@ func (f *CompiledFn) code(m *Machine) cnode {
 	return f.body
 }
 
-// force builds a pending function's body: the same walk LoadFn ran,
-// now in build mode over just this function's bytes. The enclosing
-// frames are given their final widths — LoadFn validated every
-// coordinate against the narrower widths of the definition point, so
-// the re-read cannot fail. The body is published by the release store
-// of pending, which the lock-free check in code pairs with; the table
-// lock makes concurrent first calls build it once.
+// force builds a pending function's body: it decodes the function's
+// subtree of the lambda segment into a scratch slab and runs the same
+// walk LoadFn ran, now in build mode over just this function's bytes.
+// The enclosing frames are given their final widths — LoadFn validated
+// the subtree and every coordinate against the narrower widths of the
+// definition point, so neither re-read can fail. The body is published
+// by the release store of pending, which the lock-free check in code
+// pairs with; the table lock makes concurrent first calls build it
+// once.
 func (f *CompiledFn) force(m *Machine) {
 	t := f.tab
 	t.mu.Lock()
@@ -522,19 +533,49 @@ func (f *CompiledFn) force(m *Machine) {
 	if !f.pending.Load() {
 		return
 	}
+	sc := pickle.GetScratch()
+	defer sc.Release()
+	term, _, err := f.decodeTerm(sc)
+	if err != nil {
+		m.crash("decoding function %d of %s: %v", f.ID, t.unit, err)
+	}
 	c := &comp{in: t.section[:f.end], pos: int(f.start), tab: t, forcing: true, next: f.ID + 1}
 	for p := t.parents[f.ID]; p >= 0; p = t.parents[p] {
 		c.nslots = append(c.nslots, t.fns[p].NSlots)
 	}
 	slices.Reverse(c.nslots)
 	c.escaped = make([]bool, len(c.nslots))
-	body, _, _ := c.frame(f.term)
+	body, _, _ := c.frame(term)
 	if c.err != nil || c.pos != int(f.end) {
 		m.crash("building function %d of %s: %v (at byte %d of %d)", f.ID, t.unit, c.err, c.pos, f.end)
 	}
 	f.body = body
+	t.built++
 	f.pending.Store(false)
 }
+
+// decodeTerm decodes a loaded function's term into sc, returning it
+// with the offset just past it in the lambda segment.
+func (f *CompiledFn) decodeTerm(sc *pickle.Scratch) (*lambda.Fn, int, error) {
+	e, end, err := sc.Lambda(f.tab.term, int(f.at))
+	if err != nil {
+		return nil, 0, err
+	}
+	fn, ok := e.(*lambda.Fn)
+	if !ok {
+		return nil, 0, fmt.Errorf("term at byte %d is %T, not a function", f.at, e)
+	}
+	return fn, end, nil
+}
+
+// LoadedFuncs returns every function header of a LoadFn program by ID,
+// the root first (nil for a CompileFn program). With Force it lets a
+// caller build every function of a loaded unit ahead of its first call.
+func LoadedFuncs(root *CompiledFn) []*CompiledFn { return root.tab.fns }
+
+// Force builds f's body now if it is still pending, exactly as its
+// first call would.
+func Force(m *Machine, f *CompiledFn) { f.code(m) }
 
 // markEscapes records that a closure is created at the current point:
 // its captured chain includes every open frame.
@@ -1161,88 +1202,104 @@ func (c *comp) switchNode(e *lambda.Switch) cnode {
 	if c.shape {
 		return nil
 	}
-	cases := e.Cases
 	miss := func(m *Machine, fr *Frame) Value {
 		if def == nil {
 			m.crash("non-exhaustive switch with no default")
 		}
 		return def(m, fr)
 	}
-	switch e.Kind {
+	// The closures copy out the case keys rather than keep e.Cases,
+	// whose bodies may be scratch nodes (LoadFn).
+	switch kind := e.Kind; kind {
 	case lambda.SwitchConTag:
+		tags := caseKeys(e.Cases, func(c *lambda.Case) int { return c.Tag })
 		return func(m *Machine, fr *Frame) Value {
 			v := scrut(m, fr)
 			cv, ok := v.(*ConV)
 			if !ok {
 				m.crash("switch on non-constructed value %s", String(v))
 			}
-			for i := range cases {
-				if cases[i].Tag == cv.Tag {
+			for i, tag := range tags {
+				if tag == cv.Tag {
 					return bodies[i](m, fr)
 				}
 			}
 			return miss(m, fr)
 		}
 	case lambda.SwitchInt:
+		keys := caseKeys(e.Cases, func(c *lambda.Case) int64 { return c.IntKey })
 		return func(m *Machine, fr *Frame) Value {
 			v := scrut(m, fr)
 			n, ok := v.(IntV)
 			if !ok {
 				m.crash("int switch on %s", String(v))
 			}
-			for i := range cases {
-				if cases[i].IntKey == int64(n) {
+			for i, k := range keys {
+				if k == int64(n) {
 					return bodies[i](m, fr)
 				}
 			}
 			return miss(m, fr)
 		}
 	case lambda.SwitchWord:
+		keys := caseKeys(e.Cases, func(c *lambda.Case) uint64 { return c.WordKey })
 		return func(m *Machine, fr *Frame) Value {
 			v := scrut(m, fr)
 			n, ok := v.(WordV)
 			if !ok {
 				m.crash("word switch on %s", String(v))
 			}
-			for i := range cases {
-				if cases[i].WordKey == uint64(n) {
+			for i, k := range keys {
+				if k == uint64(n) {
 					return bodies[i](m, fr)
 				}
 			}
 			return miss(m, fr)
 		}
 	case lambda.SwitchStr:
+		keys := caseKeys(e.Cases, func(c *lambda.Case) string { return c.StrKey })
 		return func(m *Machine, fr *Frame) Value {
 			v := scrut(m, fr)
 			s, ok := v.(StrV)
 			if !ok {
 				m.crash("string switch on %s", String(v))
 			}
-			for i := range cases {
-				if cases[i].StrKey == string(s) {
+			for i, k := range keys {
+				if k == string(s) {
 					return bodies[i](m, fr)
 				}
 			}
 			return miss(m, fr)
 		}
 	case lambda.SwitchChar:
+		keys := caseKeys(e.Cases, func(c *lambda.Case) string { return c.StrKey })
 		return func(m *Machine, fr *Frame) Value {
 			v := scrut(m, fr)
 			ch, ok := v.(CharV)
 			if !ok {
 				m.crash("char switch on %s", String(v))
 			}
-			for i := range cases {
-				if len(cases[i].StrKey) == 1 && cases[i].StrKey[0] == byte(ch) {
+			for i, k := range keys {
+				if len(k) == 1 && k[0] == byte(ch) {
 					return bodies[i](m, fr)
 				}
 			}
 			return miss(m, fr)
 		}
+	default:
+		return func(m *Machine, fr *Frame) Value {
+			return m.crash("unknown switch kind %d", kind)
+		}
 	}
-	return func(m *Machine, fr *Frame) Value {
-		return m.crash("unknown switch kind %d", e.Kind)
+}
+
+// caseKeys copies one key of each case.
+func caseKeys[K any](cases []lambda.Case, key func(*lambda.Case) K) []K {
+	out := make([]K, len(cases))
+	for i := range cases {
+		out[i] = key(&cases[i])
 	}
+	return out
 }
 
 // prim compiles a primitive application. The int fast paths inline the

@@ -55,8 +55,10 @@ func eagerByID(t *testing.T, code *lambda.Fn) (*interp.CompiledFn, []*interp.Com
 
 // TestLazyLoadMatchesEager forces every function of every golden-corpus
 // unit's LoadFn program and checks each header against CompileFn's:
-// frame width, escape flag, profiler ID and parent. A cold build (every
-// unit compiled eagerly) and a warm one (every unit loaded lazily) must
+// frame width, escape flag, profiler ID and parent. Each function's
+// term, decoded as its first call decodes it, must re-pickle to exactly
+// the bytes of its subtree in the bin. A cold build (every unit
+// compiled eagerly) and a warm one (every unit loaded lazily) must
 // print the same output and take the same number of steps.
 func TestLazyLoadMatchesEager(t *testing.T) {
 	corpus := workload.GoldenCorpus()
@@ -85,11 +87,14 @@ func TestLazyLoadMatchesEager(t *testing.T) {
 			if u.Name == "$prelude" {
 				continue
 			}
-			eager, byID := eagerByID(t, u.Code)
-			if _, sec, err := interp.CompileFn(u.Code); err != nil || !bytes.Equal(sec, u.CodeBytes) {
+			if u.Code != nil || u.TermBytes == nil {
+				t.Fatalf("%s/%s: loaded unit keeps a term (%v) or no term bytes", pname, u.Name, u.Code != nil)
+			}
+			eager, byID := eagerByID(t, u.Term())
+			if _, sec, err := interp.CompileFn(u.Term()); err != nil || !bytes.Equal(sec, u.CodeBytes) {
 				t.Fatalf("%s/%s: recompiled section differs from the bin's (%v)", pname, u.Name, err)
 			}
-			lazy, err := interp.LoadFn(u.Code, u.CodeBytes)
+			lazy, err := interp.LoadFn(u.Term(), u.TermBytes, u.CodeBytes)
 			if err != nil {
 				t.Fatalf("%s/%s: %v", pname, u.Name, err)
 			}
@@ -101,6 +106,17 @@ func TestLazyLoadMatchesEager(t *testing.T) {
 				if interp.Pending(f) != (id > 0) {
 					t.Errorf("%s/%s fn %d: pending=%v before any call", pname, u.Name, id, interp.Pending(f))
 				}
+				term, src, release, err := interp.DecodedTerm(f)
+				if err != nil {
+					t.Fatalf("%s/%s fn %d: decoding its term: %v", pname, u.Name, id, err)
+				}
+				p := pickle.NewPickler(u.StatPid)
+				p.Lambda(term)
+				if err := p.Err(); err != nil || !bytes.Equal(p.Bytes(), src) {
+					t.Errorf("%s/%s fn %d: first-call term re-pickles to %d bytes (%v), its subtree in the bin is %d",
+						pname, u.Name, id, len(p.Bytes()), err, len(src))
+				}
+				release()
 				interp.Force(m, f)
 				if interp.Pending(f) {
 					t.Errorf("%s/%s fn %d: still pending after forcing", pname, u.Name, id)
@@ -118,8 +134,9 @@ func TestLazyLoadMatchesEager(t *testing.T) {
 }
 
 // TestLazyFirstCallRace has 8 goroutines make the first call to the
-// same loaded, not yet built function at once: the body is built once
-// and published to all of them (run it under -race).
+// same loaded function at once, before its term has been decoded: the
+// term is decoded and the body built once and published to all of them
+// (run it under -race).
 func TestLazyFirstCallRace(t *testing.T) {
 	s1, err := compiler.NewSession(io.Discard)
 	if err != nil {
@@ -152,6 +169,10 @@ func TestLazyFirstCallRace(t *testing.T) {
 	if !ok || !interp.Pending(tri.Fn) {
 		t.Fatalf("export is %T (pending %v), want a closure over a pending function", v, ok && interp.Pending(tri.Fn))
 	}
+	if lu.Code != nil || interp.Builds(lu.Prog) != 0 {
+		t.Fatalf("before the first call: unit keeps a term %v, %d bodies built; want none",
+			lu.Code != nil, interp.Builds(lu.Prog))
+	}
 	const n = 8
 	start := make(chan struct{})
 	results := make([]interp.Value, n)
@@ -176,15 +197,21 @@ func TestLazyFirstCallRace(t *testing.T) {
 	if interp.Pending(tri.Fn) {
 		t.Error("function still pending after its first calls")
 	}
+	if got := interp.Builds(lu.Prog); got != 1 {
+		t.Errorf("%d bodies built by 8 concurrent first calls, want 1", got)
+	}
 }
 
-// TestForgedHelperRejectedAtLoad corrupts the code section inside a
-// generated unit's last hidden helper hN — a function nothing ever
-// applies — with an out-of-range slot, a delta deeper than the open
-// frames, and (separately) a section truncated by one byte. Each must
-// fail the bin read (counter code.load_errors), and a build over the
-// damaged store must recompile the unit before any unit executes:
-// rejection stays at load, not at a first call that never comes.
+// TestForgedHelperRejectedAtLoad corrupts a generated unit's last
+// hidden helper hN — a function nothing ever applies. In the code
+// section it forges an out-of-range slot and a delta deeper than the
+// open frames, and (separately) truncates the section by one byte
+// (counter code.load_errors). In the lambda segment it forges a bad
+// node tag and an element count past the end, and cuts the bin short
+// inside the helper's term (counter binfile.read_errors). Each must
+// fail the bin read, and a build over the damaged store must recompile
+// the unit before any unit executes: rejection stays at load, not at a
+// first call that never comes.
 func TestForgedHelperRejectedAtLoad(t *testing.T) {
 	p := workload.Generate(workload.Config{
 		Shape: workload.Chain, Units: 3, LinesPerUnit: 25, FunsPerUnit: 2,
@@ -243,9 +270,9 @@ func TestForgedHelperRejectedAtLoad(t *testing.T) {
 		t.Fatalf("helper body % x: no delta-0 coordinate", body)
 	}
 
-	patch := func(off int, b byte) []byte {
+	patch := func(off int, b ...byte) []byte {
 		bad := bytes.Clone(good)
-		bad[off] = b
+		copy(bad[off:], b)
 		return bad
 	}
 	n := len(u.CodeBytes)
@@ -253,13 +280,38 @@ func TestForgedHelperRejectedAtLoad(t *testing.T) {
 	truncated := binary.AppendUvarint(bytes.Clone(good[:sec-lenPrefix]), uint64(n-1))
 	truncated = append(truncated, good[sec:len(good)-1]...)
 
+	// The helper's term in the lambda segment, which ends where the
+	// code section's length prefix starts: its Fn tag, its parameter,
+	// then the first node of its body.
+	lam := sec - lenPrefix - len(u.TermBytes)
+	term, src, release, err := interp.DecodedTerm(helper)
+	if err != nil {
+		t.Fatal(err)
+	}
+	param := binary.PutVarint(make([]byte, binary.MaxVarintLen64), int64(term.Param))
+	release()
+	fnAt := lam + interp.TermAt(helper)
+	bodyAt := fnAt + 1 + param
+	if len(src) < 16 {
+		t.Fatalf("helper term % x: want a body of some size", src)
+	}
+	rec := pickle.NewPickler(u.StatPid)
+	rec.Lambda(&lambda.Record{})
+	recordTag := rec.Bytes()[0]
+	pastEnd := binary.AppendVarint([]byte{recordTag}, int64(len(good)))
+
+	const codeErr, readErr = "code.load_errors", "binfile.read_errors"
 	for _, tc := range []struct {
-		name string
-		bin  []byte
+		name    string
+		bin     []byte
+		counter string
 	}{
-		{"slot", patch(pair+1, 0x7f)},
-		{"delta", patch(pair, 0x7f)},
-		{"truncated", truncated},
+		{"slot", patch(pair+1, 0x7f), codeErr},
+		{"delta", patch(pair, 0x7f), codeErr},
+		{"truncated", truncated, codeErr},
+		{"lambda-tag", patch(bodyAt, 0x7f), readErr},
+		{"lambda-count", patch(bodyAt, pastEnd...), readErr},
+		{"lambda-cut", bytes.Clone(good[:fnAt+len(src)/2]), readErr},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			buf := obs.NewBuffer()
@@ -267,11 +319,13 @@ func TestForgedHelperRejectedAtLoad(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, err := binfile.ReadCachedObserved(tc.bin, pickle.NewOverlay(s.Index), nil, buf); err == nil {
-				t.Fatal("forged section loaded")
+			_, err = binfile.ReadCachedObserved(tc.bin, pickle.NewOverlay(s.Index), nil, buf)
+			if err == nil {
+				t.Fatal("forged bin loaded")
 			}
-			if got := buf.Get("code.load_errors"); got != 1 {
-				t.Errorf("code.load_errors = %d, want 1", got)
+			t.Logf("rejected: %v", err)
+			if got := buf.Get(tc.counter); got != 1 {
+				t.Errorf("%s = %d, want 1", tc.counter, got)
 			}
 
 			bad := *entry
@@ -283,8 +337,8 @@ func TestForgedHelperRejectedAtLoad(t *testing.T) {
 			if out != want {
 				t.Errorf("output %q, want %q", out, want)
 			}
-			if got := col.Counters()["code.load_errors"]; got != 1 {
-				t.Errorf("build counted code.load_errors = %d, want 1", got)
+			if got := col.Counters()[tc.counter]; got != 1 {
+				t.Errorf("build counted %s = %d, want 1", tc.counter, got)
 			}
 			for _, e := range m.Explains {
 				if e.Unit == name && (e.Action != obs.ActionCompiled || e.Reason != obs.ReasonBinUnreadable) {

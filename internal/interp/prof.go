@@ -197,8 +197,9 @@ func (m *Machine) ProfilePeriod() uint64 {
 // ProfRegister records a unit's function identities before it (or any
 // unit importing its closures) executes: the compiled form learns its
 // unit name, and under the tree engine the unit's term is indexed so
-// tree closures resolve to the same IDs. Idempotent per unit; a no-op
-// when profiling is disabled.
+// tree closures resolve to the same IDs (code, the unit's term, is
+// read only then and may be nil otherwise). Idempotent per unit; a
+// no-op when profiling is disabled.
 func (m *Machine) ProfRegister(unit string, prog *CompiledFn, code *lambda.Fn) {
 	if m.prof == nil {
 		return

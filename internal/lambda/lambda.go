@@ -6,7 +6,8 @@
 // gives it dynamic semantics.
 //
 // Concurrency: terms are immutable after construction and safe to
-// share across goroutines.
+// share across goroutines. The one exception is a term decoded into a
+// pickle.Scratch, whose nodes are reused once the scratch is released.
 package lambda
 
 import (
@@ -56,9 +57,14 @@ type Select struct {
 	Rec Exp
 }
 
-// Fn is a one-argument function.
+// Fn is a one-argument function. Pos is where a decoded Fn starts in
+// the lambda segment it was decoded from (internal/pickle), so a
+// loaded function can find its term again without keeping the node;
+// it is zero for a term the elaborator built, and pickling ignores it.
+// It sits in the padding after Param, so the node does not grow.
 type Fn struct {
 	Param LVar
+	Pos   int32
 	Body  Exp
 }
 

@@ -1,6 +1,9 @@
 package pickle
 
 import (
+	"fmt"
+	"sync"
+
 	"repro/internal/lambda"
 )
 
@@ -160,15 +163,16 @@ func (p *Pickler) Lambda(e lambda.Exp) {
 	}
 }
 
-// termSlab backs the nodes of the terms one Unpickler decodes. A bin's
+// termSlab backs the nodes of the terms one decoder reads. A bin's
 // lambda segment is a few thousand nodes; allocating each separately
 // made term decoding the largest source of allocations on a warm load
 // (DESIGN.md §4f). Instead the hot node kinds are carved from chunked
 // per-kind backing arrays, and Record fields, Prim arguments and Fix
 // binder lists from shared chunks. Every node of a chunk belongs to the
-// one unit this Unpickler reads, so a chunk lives exactly as long as
-// that unit's Code; per-Unpickler slabs mean concurrent decoders share
-// nothing.
+// one term this slab decodes: a kept slab's chunk lives exactly as long
+// as that term (interior pointers keep it, nothing else does), and a
+// Scratch's slab is rewound and reused once the term's reader is done
+// with it. A slab is never shared between decoders running at once.
 type termSlab struct {
 	vars    slab[lambda.Var]
 	ints    slab[lambda.Int]
@@ -187,37 +191,40 @@ type termSlab struct {
 	ops map[string]string
 }
 
-// Slab chunks grow geometrically from slabMinChunk to slabMaxChunk, so
-// a small unit wastes little and a large one allocates O(n/max) chunks.
-// The cap trades chunk count against the unused tail of each kind's
-// last chunk: on the benchmark's 80-unit project (about 6000 nodes per
-// unit over a dozen kinds) a cap of 1024 allocated 4.9 MB more per null
-// build than a cap of 128, which costs 1% more allocations. A run of
-// more than slabMaxRun expressions gets its own allocation.
+// Every chunk has slabChunk elements. The size trades chunk count
+// against the unused tail of each kind's last chunk, which a kept term
+// pays for: on the benchmark's 80-unit project (about 6000 nodes per
+// unit over a dozen kinds) keeping every term in 1024-element chunks
+// allocated 4.9 MB more per null build than 128 did. A run of more than
+// slabMaxRun expressions gets its own allocation, so any chunk can
+// serve any run.
 const (
-	slabMinChunk = 16
-	slabMaxChunk = 128
-	slabMaxRun   = 32
+	slabChunk  = 128
+	slabMaxRun = 32
 )
 
 // slab hands out elements of T from chunked backing arrays.
 type slab[T any] struct {
 	free []T
-	next int // length of the next chunk
+	// chunks are every chunk made, the first used of them handed out
+	// since the last rewind.
+	chunks [][]T
+	used   int
 }
 
-// refill starts a new chunk of at least n elements. limit bounds what
-// the rest of the stream can still use (every node costs at least one
-// byte), so a small term never gets a full-size chunk.
-func (s *slab[T]) refill(n, limit int) {
-	s.next = min(max(2*s.next, slabMinChunk), slabMaxChunk)
-	s.free = make([]T, max(n, min(s.next, limit)))
+// refill takes the next chunk, making one when all are in use.
+func (s *slab[T]) refill() {
+	if s.used == len(s.chunks) {
+		s.chunks = append(s.chunks, make([]T, slabChunk))
+	}
+	s.free = s.chunks[s.used]
+	s.used++
 }
 
 // new returns a pointer to a fresh zero T.
-func (s *slab[T]) new(limit int) *T {
+func (s *slab[T]) new() *T {
 	if len(s.free) == 0 {
-		s.refill(1, limit)
+		s.refill()
 	}
 	p := &s.free[0]
 	s.free = s.free[1:]
@@ -227,16 +234,111 @@ func (s *slab[T]) new(limit int) *T {
 // run returns n consecutive zero elements. The slice is capped with a
 // full slice expression, so an append by a later holder cannot spill
 // into a neighbour's elements.
-func (s *slab[T]) run(n, limit int) []T {
+func (s *slab[T]) run(n int) []T {
 	if n > slabMaxRun {
 		return make([]T, n)
 	}
 	if len(s.free) < n {
-		s.refill(n, limit)
+		s.refill()
 	}
 	out := s.free[:n:n]
 	s.free = s.free[n:]
 	return out
+}
+
+// inUse returns the chunks handed out since the last rewind.
+func (s *slab[T]) inUse() [][]T { return s.chunks[:s.used] }
+
+// rewind zeroes the chunks handed out and makes them available again.
+func (s *slab[T]) rewind() {
+	for _, c := range s.inUse() {
+		clear(c)
+	}
+	s.free, s.used = nil, 0
+}
+
+// rewind makes every chunk of the slab available again.
+func (sl *termSlab) rewind() {
+	sl.vars.rewind()
+	sl.ints.rewind()
+	sl.records.rewind()
+	sl.selects.rewind()
+	sl.fns.rewind()
+	sl.fixes.rewind()
+	sl.names.rewind()
+	sl.fnRefs.rewind()
+	sl.apps.rewind()
+	sl.lets.rewind()
+	sl.prims.rewind()
+	sl.exps.rewind()
+	// Operator names are immutable strings, so the intern map carries
+	// over; only a forged bin could grow it past the real primitives.
+	if len(sl.ops) > maxInternedOps {
+		sl.ops = nil
+	}
+}
+
+const maxInternedOps = 256
+
+// Scratch decodes lambda terms that are read once and dropped: a load
+// builds a unit's root body from the term and a first call builds one
+// function's body from its subtree, and neither keeps a node
+// (DESIGN.md §4j, "Lazy terms"). A Scratch comes from a process-wide
+// pool, so concurrent loads each hold their own, and its chunks are
+// reused by the next term once it is released. Every term a Scratch
+// decoded is invalid after Release.
+type Scratch struct {
+	u    Unpickler
+	slab termSlab
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(Scratch) }}
+
+// scratchReleased, when set (only by tests), is handed each scratch
+// slab on release in place of rewinding and pooling it.
+var scratchReleased func(*termSlab)
+
+// GetScratch takes a Scratch from the pool.
+func GetScratch() *Scratch { return scratchPool.Get().(*Scratch) }
+
+// Release returns s to the pool; the terms it decoded must no longer
+// be used.
+func (s *Scratch) Release() {
+	if scratchReleased != nil {
+		scratchReleased(&s.slab)
+		return
+	}
+	s.slab.rewind()
+	s.u = Unpickler{}
+	scratchPool.Put(s)
+}
+
+// Lambda decodes the term that starts at byte off of seg into s with
+// Unpickler.Lambda. It returns the term and the offset just past it;
+// every decoded Fn's Pos is its offset in seg.
+func (s *Scratch) Lambda(seg []byte, off int) (lambda.Exp, int, error) {
+	s.u = Unpickler{r: reader{data: seg, pos: off}, slab: &s.slab}
+	e := s.u.Lambda()
+	return e, s.u.r.pos, s.u.r.err
+}
+
+// DecodeTerm decodes a unit's whole lambda segment into a slab of its
+// own, for a reader that keeps the term (compiler.Unit.Term). The
+// segment must hold exactly one term, and that term must be a function.
+func DecodeTerm(seg []byte) (*lambda.Fn, error) {
+	u := NewUnpickler(seg, nil)
+	e := u.Lambda()
+	if err := u.Err(); err != nil {
+		return nil, err
+	}
+	if u.left() != 0 {
+		return nil, fmt.Errorf("pickle: %d bytes after the lambda term", u.left())
+	}
+	fn, ok := e.(*lambda.Fn)
+	if !ok {
+		return nil, fmt.Errorf("pickle: code is not a function")
+	}
+	return fn, nil
 }
 
 // left bounds how many more nodes the stream can hold.
@@ -254,7 +356,7 @@ func (u *Unpickler) count() int {
 	return n
 }
 
-// op reads a Prim operator name, interned per Unpickler.
+// op reads a Prim operator name, interned per slab.
 func (u *Unpickler) op() string {
 	b := u.r.stringBytes()
 	if s, ok := u.slab.ops[string(b)]; ok {
@@ -271,7 +373,7 @@ func (u *Unpickler) op() string {
 // exps decodes n expressions into a slab run; on a decode error the run
 // is cut to the elements actually decoded.
 func (u *Unpickler) exps(n int) []lambda.Exp {
-	out := u.slab.exps.run(n, u.left())
+	out := u.slab.exps.run(n)
 	for i := range out {
 		if u.r.err != nil {
 			return out[:i]
@@ -283,14 +385,18 @@ func (u *Unpickler) exps(n int) []lambda.Exp {
 
 // Lambda reads a lambda expression.
 func (u *Unpickler) Lambda() lambda.Exp {
-	sl := &u.slab
+	if u.slab == nil {
+		u.slab = new(termSlab)
+	}
+	sl := u.slab
+	at := u.r.pos
 	switch tag := u.r.byteVal(); tag {
 	case lVar:
-		v := sl.vars.new(u.left())
+		v := sl.vars.new()
 		v.LV = lambda.LVar(u.r.int())
 		return v
 	case lInt:
-		v := sl.ints.new(u.left())
+		v := sl.ints.new()
 		v.Val = u.r.varint()
 		return v
 	case lWord:
@@ -302,24 +408,25 @@ func (u *Unpickler) Lambda() lambda.Exp {
 	case lChar:
 		return &lambda.Char{Val: u.r.byteVal()}
 	case lRecord:
-		r := sl.records.new(u.left())
+		r := sl.records.new()
 		r.Fields = u.exps(u.count())
 		return r
 	case lSelect:
-		sel := sl.selects.new(u.left())
+		sel := sl.selects.new()
 		sel.Idx = u.r.int()
 		sel.Rec = u.Lambda()
 		return sel
 	case lFn:
-		f := sl.fns.new(u.left())
+		f := sl.fns.new()
 		f.Param = lambda.LVar(u.r.int())
+		f.Pos = int32(at)
 		f.Body = u.Lambda()
 		return f
 	case lFix:
-		fix := sl.fixes.new(u.left())
+		fix := sl.fixes.new()
 		n := u.count()
-		fix.Names = sl.names.run(n, u.left())
-		fix.Fns = sl.fnRefs.run(n, u.left())
+		fix.Names = sl.names.run(n)
+		fix.Fns = sl.fnRefs.run(n)
 		for i := range fix.Fns {
 			fix.Names[i] = lambda.LVar(u.r.int())
 			fn, ok := u.Lambda().(*lambda.Fn)
@@ -333,12 +440,12 @@ func (u *Unpickler) Lambda() lambda.Exp {
 		fix.Body = u.Lambda()
 		return fix
 	case lApp:
-		app := sl.apps.new(u.left())
+		app := sl.apps.new()
 		app.Fn = u.Lambda()
 		app.Arg = u.Lambda()
 		return app
 	case lLet:
-		l := sl.lets.new(u.left())
+		l := sl.lets.new()
 		l.LV = lambda.LVar(u.r.int())
 		l.Bind = u.Lambda()
 		l.Body = u.Lambda()
@@ -383,7 +490,7 @@ func (u *Unpickler) Lambda() lambda.Exp {
 		}
 		return sw
 	case lPrim:
-		pr := sl.prims.new(u.left())
+		pr := sl.prims.new()
 		pr.Op = u.op()
 		pr.Args = u.exps(u.count())
 		return pr

@@ -13,8 +13,8 @@ import (
 type Unpickler struct {
 	r     reader
 	index *Index
-	table []any // backref table, in registration order
-	slab  termSlab
+	table []any     // backref table, in registration order
+	slab  *termSlab // lambda nodes; made on the first Lambda call
 }
 
 // tableCapFor estimates the initial back-reference table size from the
