@@ -20,6 +20,7 @@ import (
 	"repro/internal/binfile"
 	"repro/internal/compiler"
 	"repro/internal/core"
+	"repro/internal/dynenv"
 	"repro/internal/elab"
 	"repro/internal/env"
 	"repro/internal/interp"
@@ -746,20 +747,10 @@ func BenchmarkPipelineRehydrate(b *testing.B) {
 
 // ---------------------------------------------------------------------
 // Compiled-execution engine (DESIGN.md §4j): hot apply and unit
-// execution on both engines. These three are in benchgate's gated set
-// (scripts/benchgate), so a PR that regresses the compiled engine's
-// apply or exec time fails CI.
+// execution, with the reference tree walker as the apply baseline.
+// These three are in benchgate's gated set (scripts/benchgate), so a
+// PR that regresses the compiled engine's apply or exec time fails CI.
 // ---------------------------------------------------------------------
-
-func newSessionOn(b *testing.B, engine interp.Engine) *compiler.Session {
-	b.Helper()
-	var sink bytes.Buffer
-	s, err := compiler.NewSessionWith(&sink, engine)
-	if err != nil {
-		b.Fatal(err)
-	}
-	return s
-}
 
 // applyHotSource is apply-dominated: fib 20 is ~10k two-argument-free
 // applications per execution, so the frame/slot machinery is the whole
@@ -769,11 +760,15 @@ fun fib n = if n < 2 then n else fib (n-1) + fib (n-2)
 val r = fib 20
 `
 
+// BenchmarkApplyHot runs the unit through the reference walker
+// (Machine.Eval, the "tree" case) and through its compiled form.
 func BenchmarkApplyHot(b *testing.B) {
-	for _, eng := range []interp.Engine{interp.EngineTree, interp.EngineClosure} {
-		eng := eng
-		b.Run(eng.String(), func(b *testing.B) {
-			s := newSessionOn(b, eng)
+	for _, c := range []struct {
+		name string
+		exec func(*interp.Machine, *compiler.Unit, *dynenv.Env) error
+	}{{"tree", execTree}, {"closure", compiler.Execute}} {
+		b.Run(c.name, func(b *testing.B) {
+			s := newSession(b)
 			u, err := s.Compile("bench", applyHotSource)
 			if err != nil {
 				b.Fatal(err)
@@ -781,7 +776,7 @@ func BenchmarkApplyHot(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				dyn := s.Dyn.Copy()
-				if err := compiler.Execute(s.Machine, u, dyn); err != nil {
+				if err := c.exec(s.Machine, u, dyn); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -789,9 +784,9 @@ func BenchmarkApplyHot(b *testing.B) {
 	}
 }
 
-// BenchmarkExecCold measures the compile-on-demand path: the unit
-// arrives without a compiled form (a V1 bin, or a hand-built unit), so
-// every execution pays slot resolution before running.
+// BenchmarkExecCold measures compiling and running: every iteration
+// resolves the unit's term to a fresh compiled form (interp.CompileFn)
+// and executes that, so it pays slot resolution before running.
 func BenchmarkExecCold(b *testing.B) {
 	s := newSession(b)
 	u, err := s.Compile("bench", applyHotSource)
@@ -800,7 +795,11 @@ func BenchmarkExecCold(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		u.Prog = nil
+		prog, _, err := interp.CompileFn(u.Code)
+		if err != nil {
+			b.Fatal(err)
+		}
+		u.Prog = prog
 		dyn := s.Dyn.Copy()
 		if err := compiler.Execute(s.Machine, u, dyn); err != nil {
 			b.Fatal(err)
@@ -809,7 +808,7 @@ func BenchmarkExecCold(b *testing.B) {
 }
 
 // BenchmarkExecWarm measures the steady state: the compiled form is
-// already on the unit (fresh compile or V2 bin load), so execution is
+// already on the unit (fresh compile or bin load), so execution is
 // pure closure running.
 func BenchmarkExecWarm(b *testing.B) {
 	s := newSession(b)

@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/interp"
 	"repro/internal/obs"
 	"repro/internal/pickle"
 	"repro/internal/workload"
@@ -22,9 +21,9 @@ import (
 // (rehydration speedup and hit rate of the pid-keyed EnvCache);
 // version 4 adds the provenance record (git commit, dirty flag, Go
 // version, GOMAXPROCS) so archived bench files say what produced them;
-// version 5 records the exec engine in the config and per-scenario
-// execution figures (exec wall time, peak exec parallelism) from the
-// compiled-execution engine's counters.
+// version 5 records the exec engine in the config (now always
+// "closure") and per-scenario execution figures (exec wall time, peak
+// exec parallelism) from the compiled-execution engine's counters.
 const BenchSchema = "irm-bench/5"
 
 // BenchFile is the machine-readable output of `irm bench`: the edit
@@ -79,7 +78,7 @@ type BenchConfig struct {
 	Shape        string `json:"shape"`
 	Seed         int64  `json:"seed"`
 	Policy       string `json:"policy"`
-	ExecEngine   string `json:"exec_engine"` // closure or tree (-exec)
+	ExecEngine   string `json:"exec_engine"` // always closure; kept for irm-bench/5
 }
 
 // BenchRun is the edit matrix at one scheduler width.
@@ -192,13 +191,7 @@ func cmdBench(args []string) {
 	seed := fs.Int64("seed", 1994, "workload generator seed")
 	policy := fs.String("policy", "cutoff", "recompilation policy: cutoff or timestamp")
 	jobs := fs.Int("j", 0, "parallel width to compare against -j1, at most GOMAXPROCS (0 = GOMAXPROCS)")
-	execFlag := fs.String("exec", "closure", "execution engine: closure (compiled) or tree (interpreter)")
 	fs.Parse(args)
-	engine, err := interp.ParseEngine(*execFlag)
-	if err != nil {
-		fatal(err)
-	}
-
 	cfg := workload.Config{
 		Shape: workload.Layered, Units: *units, LinesPerUnit: *lines,
 		FunsPerUnit: 4, FanIn: 3, LayerWidth: 6, Seed: *seed,
@@ -246,7 +239,7 @@ func cmdBench(args []string) {
 		Config: BenchConfig{
 			Units: cfg.Units, LinesPerUnit: cfg.LinesPerUnit,
 			Shape: cfg.Shape.String(), Seed: cfg.Seed, Policy: pol.String(),
-			ExecEngine: engine.String(),
+			ExecEngine: "closure",
 		},
 	}
 	coldWall := map[int]int64{}
@@ -264,7 +257,7 @@ func cmdBench(args []string) {
 			}
 			col := obs.New()
 			store.Obs = col
-			m := &core.Manager{Policy: pol, Store: store, Stdout: io.Discard, Obs: col, Jobs: w, Engine: engine}
+			m := &core.Manager{Policy: pol, Store: store, Stdout: io.Discard, Obs: col, Jobs: w}
 			var wall time.Duration
 			var buildErr error
 			allocs, allocBytes := memDelta(func() {

@@ -6,9 +6,8 @@
 //	irm build group.cm [-j n] [-store dir] [-policy cutoff|timestamp] [-v]
 //	          [-trace out.json] [-jsonl out.jsonl] [-explain] [-report text|json]
 //	          [-serve addr] [-history dir|off] [-daemon auto|off|require|socket]
-//	          [-exec closure|tree] [-profile base] [-profile-period n]
-//	irm profile group.cm [-j n] [-store dir] [-policy p] [-exec closure|tree]
-//	          [-n k] [-period n] [-o base]
+//	          [-profile base] [-profile-period n]
+//	irm profile group.cm [-j n] [-store dir] [-policy p] [-n k] [-period n] [-o base]
 //	irm daemon [-store dir] [-socket path] [-addr host:port] [-j n] [-policy p]
 //	          [-queue n] [-history dir|off] [-profile] [-profile-period n] [-v]
 //	irm watch group.cm [-j n] [-store dir] [-policy p] [-poll d] [-debounce d]
@@ -17,19 +16,13 @@
 //	irm history [-store dir | -dir ledgerdir] [-n k] [-window w] [-threshold t] [-since d]
 //	irm top [-store dir | -dir ledgerdir] [-by cost|exec|fn] [-n k] [-since d]
 //	irm gen [-dir d] [-units n] [-lines n] [-seed n] [-shape s]
-//	irm bench [-out BENCH_irm.json] [-units n] [-lines n] [-seed n] [-j n] [-exec closure|tree]
+//	irm bench [-out BENCH_irm.json] [-units n] [-lines n] [-seed n] [-j n]
 //	irm deps  group.cm
 //	irm collision [-pids n]
 //
 // -j sets the parallel scheduler's worker count (0, the default, means
 // one worker per core). Whatever -j, a build's outputs — bin files,
 // stats, explain records — are deterministic; see DESIGN.md §4e.
-//
-// -exec selects the execution engine: closure (default) runs units as
-// compiled Go closures with array-indexed variable frames, tree falls
-// back to the direct tree-walking interpreter. Both produce identical
-// bins, values, and output (DESIGN.md §4j); tree forces the in-process
-// build path, bypassing any running daemon.
 //
 // Profiling: -profile base turns on the deterministic SML-level
 // execution profiler (DESIGN.md §4k): one stack sample every
@@ -39,8 +32,8 @@
 // (pprof profile.proto — `go tool pprof base.pb`). `irm profile` is
 // the one-shot variant that prints the hot-function table to stdout.
 // Sampling is step-based, not wall-clock, so the same sources yield
-// byte-identical reports at any -j and under either -exec engine;
-// profiling never changes build outputs.
+// byte-identical reports at any -j; profiling never changes build
+// outputs.
 //
 // Telemetry: -trace writes the build's span tree as Chrome
 // trace_event JSON (load it in chrome://tracing or Perfetto), -jsonl
@@ -170,19 +163,17 @@ func usage() {
   irm build group.cm [-j n] [-store dir] [-policy cutoff|timestamp] [-v]
             [-trace out.json] [-jsonl out.jsonl] [-explain] [-report text|json]
             [-serve addr] [-history dir|off] [-daemon auto|off|require|socket]
-            [-exec closure|tree] [-profile base] [-profile-period n]
-  irm profile group.cm [-j n] [-store dir] [-policy p] [-exec closure|tree]
-            [-n k] [-period n] [-o base]
+            [-profile base] [-profile-period n]
+  irm profile group.cm [-j n] [-store dir] [-policy p] [-n k] [-period n] [-o base]
   irm daemon [-store dir] [-socket path] [-addr host:port] [-j n] [-policy p]
             [-queue n] [-history dir|off] [-profile] [-profile-period n] [-v]
   irm watch group.cm [-j n] [-store dir] [-policy p] [-poll d] [-debounce d]
-            [-serve addr] [-history dir|off] [-n k] [-drive k] [-report text|json]
-            [-exec closure|tree] [-v]
+            [-serve addr] [-history dir|off] [-n k] [-drive k] [-report text|json] [-v]
   irm serve [group.cm] [-addr host:port] [-store dir] [-policy p] [-j n] [-history dir|off]
   irm history [-store dir | -dir ledgerdir] [-n k] [-window w] [-threshold t] [-since d]
   irm top [-store dir | -dir ledgerdir] [-by cost|exec|fn] [-n k] [-since d]
   irm gen [-dir d] [-units n] [-lines n] [-seed n] [-shape s]
-  irm bench [-out BENCH_irm.json] [-units n] [-lines n] [-seed n] [-j n] [-exec closure|tree]
+  irm bench [-out BENCH_irm.json] [-units n] [-lines n] [-seed n] [-j n]
   irm deps  group.cm
   irm show  file.sml ...
   irm collision [-pids n]`)
@@ -202,7 +193,6 @@ func cmdBuild(args []string) {
 	serveAddr := fs.String("serve", "", "serve /metrics and /debug/pprof on this address while the build runs")
 	historyFlag := fs.String("history", "", "ledger directory ('' = beside the store, 'off' = disabled)")
 	daemonMode := fs.String("daemon", "auto", "daemon dispatch: auto, off, require, or a socket path")
-	execFlag := fs.String("exec", "closure", "execution engine: closure (compiled) or tree (interpreter)")
 	profileOut := fs.String("profile", "", "profile SML execution; write <base>.json, <base>.folded, <base>.pb")
 	profPeriod := fs.Uint64("profile-period", 0, "sampling period in interpreter steps (0 = default)")
 	groupPath, rest := splitGroupArg(args)
@@ -219,10 +209,6 @@ func cmdBuild(args []string) {
 	if *policy != "cutoff" && *policy != "timestamp" {
 		usage()
 	}
-	engine, err := interp.ParseEngine(*execFlag)
-	if err != nil {
-		fatal(err)
-	}
 
 	// Daemon dispatch: when a live daemon serves this store, hand it
 	// the build and render its streamed frames — same output, summary,
@@ -233,14 +219,12 @@ func cmdBuild(args []string) {
 	// PROTOCOL.md §9's backpressure codes (queue_full, draining) also
 	// falls back in-process — the daemon is temporarily unavailable,
 	// not broken; only -daemon require turns that into an error.
-	// -exec=tree is a debugging mode, not a protocol feature: it too
-	// forces the in-process path, since the daemon always runs the
-	// default compiled engine. So does -profile: the profile files
+	// -profile forces the in-process path too: the profile files
 	// belong to this invocation's Manager, not the daemon's (profile a
 	// daemon's builds with `irm daemon -profile` and the
 	// /debug/sml/profile endpoint instead).
 	if *daemonMode != "off" && *tracePath == "" && *jsonlPath == "" && *serveAddr == "" &&
-		*profileOut == "" && engine == interp.EngineClosure {
+		*profileOut == "" {
 		socketFlag := ""
 		if *daemonMode != "auto" && *daemonMode != "require" {
 			socketFlag = *daemonMode
@@ -274,7 +258,7 @@ func cmdBuild(args []string) {
 	// One collector spans the manager, the store, and the lock path.
 	col := obs.New()
 	store.Obs = col
-	m := &core.Manager{Store: store, Stdout: os.Stdout, Obs: col, Jobs: *jobs, Engine: engine}
+	m := &core.Manager{Store: store, Stdout: os.Stdout, Obs: col, Jobs: *jobs}
 	switch *policy {
 	case "cutoff":
 		m.Policy = core.PolicyCutoff

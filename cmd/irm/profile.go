@@ -5,8 +5,7 @@ package main
 // §4k), prints the hot-function table, and — with -o — writes the
 // same three artifacts `irm build -profile` does: the irm-profile/1
 // JSON report, the folded-stack text, and the pprof profile.proto.
-// Sampling is step-based, so the table is identical at any -j and
-// under either -exec engine.
+// Sampling is step-based, so the table is identical at any -j.
 
 import (
 	"flag"
@@ -24,7 +23,6 @@ func cmdProfile(args []string) {
 	storeDir := fs.String("store", ".irm-store", "bin cache directory")
 	policy := fs.String("policy", "cutoff", "recompilation policy: cutoff or timestamp")
 	jobs := fs.Int("j", 0, "parallel build workers (0 = one per core)")
-	execFlag := fs.String("exec", "closure", "execution engine: closure (compiled) or tree (interpreter)")
 	topN := fs.Int("n", 15, "rows in the hot-function table")
 	period := fs.Uint64("period", 0, "sampling period in interpreter steps (0 = default)")
 	out := fs.String("o", "", "also write <base>.json, <base>.folded, and <base>.pb")
@@ -37,11 +35,6 @@ func cmdProfile(args []string) {
 	if groupPath == "" {
 		usage()
 	}
-	engine, err := interp.ParseEngine(*execFlag)
-	if err != nil {
-		fatal(err)
-	}
-
 	group, err := core.LoadGroup(groupPath)
 	if err != nil {
 		fatal(err)
@@ -52,7 +45,7 @@ func cmdProfile(args []string) {
 	}
 	col := obs.New()
 	store.Obs = col
-	m := &core.Manager{Store: store, Stdout: os.Stdout, Obs: col, Jobs: *jobs, Engine: engine}
+	m := &core.Manager{Store: store, Stdout: os.Stdout, Obs: col, Jobs: *jobs}
 	switch *policy {
 	case "cutoff":
 		m.Policy = core.PolicyCutoff

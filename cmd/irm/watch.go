@@ -17,7 +17,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/interp"
 	"repro/internal/obs"
 	"repro/internal/obsserve"
 	"repro/internal/watch"
@@ -38,7 +37,6 @@ func cmdWatch(args []string) {
 	drive := fs.Int("drive", 0, "scripted session: apply n generated edits, one per rebuild, then exit")
 	driveSeed := fs.Int64("drive-seed", 1, "seed of the scripted edit stream")
 	report := fs.String("report", "", "session summary on exit: text or json")
-	execFlag := fs.String("exec", "closure", "execution engine: closure (compiled) or tree (interpreter)")
 	groupPath, rest := splitGroupArg(args)
 	fs.Parse(rest)
 	if groupPath == "" && fs.NArg() == 1 {
@@ -50,11 +48,6 @@ func cmdWatch(args []string) {
 	if *report != "" && *report != "text" && *report != "json" {
 		usage()
 	}
-	engine, err := interp.ParseEngine(*execFlag)
-	if err != nil {
-		fatal(err)
-	}
-
 	store, err := core.NewDirStore(*storeDir)
 	if err != nil {
 		fatal(err)
@@ -71,7 +64,7 @@ func cmdWatch(args []string) {
 	}
 	defer release()
 
-	m := &core.Manager{Store: core.Unlocked(store), Stdout: os.Stdout, Obs: col, Jobs: *jobs, Engine: engine}
+	m := &core.Manager{Store: core.Unlocked(store), Stdout: os.Stdout, Obs: col, Jobs: *jobs}
 	switch *policy {
 	case "cutoff":
 		m.Policy = core.PolicyCutoff

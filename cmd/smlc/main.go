@@ -25,7 +25,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/daemon"
-	"repro/internal/interp"
 	"repro/internal/obs"
 )
 
@@ -62,18 +61,13 @@ func main() {
 	tracePath := flag.String("trace", "", "write Chrome trace_event JSON to this file")
 	report := flag.String("report", "", "with 'json', write a machine-readable summary line to stderr")
 	daemonMode := flag.String("daemon", "auto", "daemon dispatch: auto ($IRM_DAEMON_SOCKET), off, or a socket path")
-	execFlag := flag.String("exec", "closure", "execution engine: closure (compiled) or tree (interpreter)")
 	flag.Parse()
 	if flag.NArg() == 0 {
-		fmt.Fprintln(os.Stderr, "usage: smlc [-d dir] [-j n] [-v] [-trace out.json] [-report json] [-daemon auto|off|socket] [-exec closure|tree] file.sml ...")
+		fmt.Fprintln(os.Stderr, "usage: smlc [-d dir] [-j n] [-v] [-trace out.json] [-report json] [-daemon auto|off|socket] file.sml ...")
 		os.Exit(2)
 	}
 	if *report != "" && *report != "json" {
 		fatal(fmt.Errorf("unknown -report format %q (want json)", *report))
-	}
-	engine, err := interp.ParseEngine(*execFlag)
-	if err != nil {
-		fatal(err)
 	}
 
 	var files []core.File
@@ -89,11 +83,9 @@ func main() {
 	// -daemon or $IRM_DAEMON_SOCKET — compile the sources inline over
 	// /v1/compile. smlc has no store to derive a socket from, so
 	// "auto" means the environment variable only. The local-only
-	// telemetry surfaces (-trace, -report) force the in-process path,
-	// as does -exec=tree (the daemon always runs the compiled engine);
+	// telemetry surfaces (-trace, -report) force the in-process path;
 	// any probe failure falls back to it silently.
-	if *daemonMode != "off" && *tracePath == "" && *report == "" &&
-		engine == interp.EngineClosure {
+	if *daemonMode != "off" && *tracePath == "" && *report == "" {
 		socket := *daemonMode
 		if socket == "auto" {
 			socket = os.Getenv(daemon.SocketEnv)
@@ -106,7 +98,7 @@ func main() {
 	col := obs.New()
 	store := &binDirStore{dir: *outDir, paths: map[string]string{}}
 	m := &core.Manager{Policy: core.PolicyCutoff, Store: store,
-		Stdout: os.Stdout, Obs: col, Jobs: *jobs, Engine: engine}
+		Stdout: os.Stdout, Obs: col, Jobs: *jobs}
 	session, err := m.Build(files)
 	if err != nil {
 		fatal(err)

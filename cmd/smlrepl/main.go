@@ -11,7 +11,6 @@ import (
 	"net/http"
 	"os"
 
-	"repro/internal/interp"
 	"repro/internal/obs"
 	"repro/internal/obsserve"
 	"repro/internal/repl"
@@ -20,15 +19,9 @@ import (
 func main() {
 	tracePath := flag.String("trace", "", "write a Chrome trace_event JSON of the session to this file on exit")
 	serveAddr := flag.String("serve", "", "serve /metrics and /debug/pprof on this address for the session's lifetime")
-	execFlag := flag.String("exec", "closure", "execution engine: closure (compiled) or tree (interpreter)")
 	flag.Parse()
 
-	engine, err := interp.ParseEngine(*execFlag)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "smlrepl:", err)
-		os.Exit(1)
-	}
-	r, err := repl.NewWith(os.Stdout, engine)
+	r, err := repl.New(os.Stdout)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "smlrepl:", err)
 		os.Exit(1)

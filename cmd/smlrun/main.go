@@ -30,25 +30,19 @@ func main() {
 	tracePath := flag.String("trace", "", "write Chrome trace_event JSON to this file")
 	explain := flag.Bool("explain", false, "stream one rebuild-decision JSON record per unit to stderr")
 	report := flag.String("report", "", "with 'json', write a machine-readable build report line to stderr")
-	execFlag := flag.String("exec", "closure", "execution engine: closure (compiled) or tree (interpreter)")
 	profileOut := flag.String("profile", "", "profile SML execution; write <base>.json, <base>.folded, <base>.pb")
 	profPeriod := flag.Uint64("profile-period", 0, "sampling period in interpreter steps (0 = default)")
 	flag.Parse()
 	if flag.NArg() == 0 {
 		fmt.Fprintln(os.Stderr,
-			"usage: smlrun [-bin] [-store dir] [-j n] [-v] [-trace out.json] [-explain] [-report json] [-exec closure|tree] [-profile base] [-profile-period n] file ...")
+			"usage: smlrun [-bin] [-store dir] [-j n] [-v] [-trace out.json] [-explain] [-report json] [-profile base] [-profile-period n] file ...")
 		os.Exit(2)
 	}
 	if *report != "" && *report != "json" {
 		fatal(fmt.Errorf("unknown -report format %q (want json)", *report))
 	}
-	engine, err := interp.ParseEngine(*execFlag)
-	if err != nil {
-		fatal(err)
-	}
-
 	if *binMode {
-		runBins(flag.Args(), *tracePath, *report, engine, *profileOut, *profPeriod)
+		runBins(flag.Args(), *tracePath, *report, *profileOut, *profPeriod)
 		return
 	}
 
@@ -57,7 +51,6 @@ func main() {
 	m.Stdout = os.Stdout
 	m.Obs = col
 	m.Jobs = *jobs
-	m.Engine = engine
 	if *profileOut != "" {
 		m.ProfilePeriod = *profPeriod
 		if m.ProfilePeriod == 0 {
@@ -145,20 +138,19 @@ func writeTrace(col *obs.Collector, path string) {
 // (-report json) — and, with -profile, the same three profile
 // artifacts a source build writes (bins carry no source text, so
 // line numbers are absent from the symbolization).
-func runBins(paths []string, tracePath, report string, engine interp.Engine,
-	profileOut string, profPeriod uint64) {
-	session, err := compiler.NewSessionWith(os.Stdout, engine)
+func runBins(paths []string, tracePath, report, profileOut string, profPeriod uint64) {
+	session, err := compiler.NewSession(os.Stdout)
 	if err != nil {
 		fatal(err)
 	}
 	if profileOut != "" {
-		// The prelude already executed (inside NewSessionWith, before
+		// The prelude already executed (inside NewSession, before
 		// profiling starts) so it contributes no samples, but register
 		// it anyway: program closures that call into prelude functions
 		// should attribute those frames by name.
 		session.Machine.StartProfile(profPeriod)
 		for _, u := range session.Units {
-			session.Machine.ProfRegister(u.Name, u.Prog, u.Term())
+			session.Machine.ProfRegister(u.Name, u.Prog)
 		}
 	}
 
@@ -234,7 +226,7 @@ func runBins(paths []string, tracePath, report string, engine interp.Engine,
 		writeTrace(col, tracePath)
 	}
 	if profileOut != "" {
-		b := prof.NewBuilder(engine.String(), session.Machine.ProfilePeriod())
+		b := prof.NewBuilder(session.Machine.ProfilePeriod())
 		for _, u := range session.Units {
 			b.AddUnit(u.Name, u.Term(), u.Env, compiler.PreludeSource)
 		}

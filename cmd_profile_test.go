@@ -161,44 +161,6 @@ func TestProfilerCLI(t *testing.T) {
 		}
 	})
 
-	t.Run("tree-vs-closure", func(t *testing.T) {
-		type rep struct {
-			Engine    string `json:"engine"`
-			Functions []struct {
-				Name    string `json:"name"`
-				Unit    string `json:"unit"`
-				Applies int64  `json:"applies"`
-			} `json:"functions"`
-		}
-		applies := func(base string) (string, map[string]int64) {
-			var r rep
-			if err := json.Unmarshal(readFileT(t, base+".json"), &r); err != nil {
-				t.Fatal(err)
-			}
-			m := map[string]int64{}
-			for _, f := range r.Functions {
-				m[f.Unit+":"+f.Name] = f.Applies
-			}
-			return r.Engine, m
-		}
-		base := filepath.Join(work, "tv")
-		if out, err := runTool(t, tools["irm"], "", "profile", group,
-			"-store", filepath.Join(work, "tv-store"), "-history", "off",
-			"-exec", "tree", "-o", base); err != nil {
-			t.Fatalf("irm profile -exec tree: %v\n%s", err, out)
-		}
-		treeEng, tree := applies(base)
-		closureEng, closure := applies(filepath.Join(work, "dj0"))
-		if treeEng != "tree" || closureEng != "closure" {
-			t.Fatalf("engines %q/%q, want tree/closure", treeEng, closureEng)
-		}
-		for _, fn := range []string{"a.sml:fib", "a.sml:tri"} {
-			if tree[fn] != closure[fn] || tree[fn] == 0 {
-				t.Errorf("%s applies: tree %d, closure %d", fn, tree[fn], closure[fn])
-			}
-		}
-	})
-
 	t.Run("pprof-loads", func(t *testing.T) {
 		goBin, err := exec.LookPath("go")
 		if err != nil {

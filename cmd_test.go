@@ -81,6 +81,41 @@ func TestCommandLineTools(t *testing.T) {
 		}
 	})
 
+	// A bin in the retired SMLBIN01 format is refused at the header
+	// pass: smlrun exits non-zero with "bad magic" before the valid
+	// provider beside it runs.
+	t.Run("smlrun-bin-legacy-magic", func(t *testing.T) {
+		dir := filepath.Join(work, "legacy")
+		if err := os.MkdirAll(dir, 0o755); err != nil {
+			t.Fatal(err)
+		}
+		lib := filepath.Join(dir, "lib.sml")
+		writeFile(t, lib, "structure Lib = struct val _ = print \"lib ran\\n\" fun triple n = 3 * n end\n")
+		if out, err := runTool(t, tools["smlc"], "", "-d", dir, lib, mainPath); err != nil {
+			t.Fatalf("smlc: %v\n%s", err, out)
+		}
+		mainBin := filepath.Join(dir, "main.bin")
+		data, err := os.ReadFile(mainBin)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(data[:8]) != "SMLBIN02" {
+			t.Fatalf("bin magic %q, want SMLBIN02", data[:8])
+		}
+		copy(data, "SMLBIN01")
+		writeFile(t, mainBin, string(data))
+		out, err := runTool(t, tools["smlrun"], "", "-bin", filepath.Join(dir, "lib.bin"), mainBin)
+		if err == nil {
+			t.Fatalf("smlrun -bin accepted an SMLBIN01 bin:\n%s", out)
+		}
+		if !strings.Contains(out, "bad magic") {
+			t.Errorf("smlrun -bin error %q, want bad magic", out)
+		}
+		if strings.Contains(out, "lib ran") || strings.Contains(out, "42") {
+			t.Errorf("a unit ran before the bad bin was refused:\n%s", out)
+		}
+	})
+
 	t.Run("smlrun-sources", func(t *testing.T) {
 		out, err := runTool(t, tools["smlrun"], "", mainPath, libPath)
 		if err != nil {

@@ -15,7 +15,6 @@ import (
 	"repro/internal/binfile"
 	"repro/internal/compiler"
 	"repro/internal/core"
-	"repro/internal/interp"
 	"repro/internal/pickle"
 	"repro/internal/pid"
 	"repro/internal/workload"
@@ -47,12 +46,10 @@ func loadGolden(t *testing.T) map[string]goldenUnit {
 	return byKey
 }
 
-// TestBinfileGolden builds the corpus at several worker widths, under
-// both execution engines, and checks every bin file and pid against
-// the golden record: the single-pass pickle+hash must be byte-for-byte
-// the two-pass encoding, the parallel scheduler must not perturb a
-// single output byte, and the engine an executable ran under must not
-// show in any persisted artifact (the -exec contract, DESIGN.md §4j).
+// TestBinfileGolden builds the corpus at several worker widths and
+// checks every bin file and pid against the golden record: the
+// single-pass pickle+hash must be byte-for-byte the two-pass encoding,
+// and the parallel scheduler must not perturb a single output byte.
 func TestBinfileGolden(t *testing.T) {
 	golden := loadGolden(t)
 	corpus := workload.GoldenCorpus()
@@ -62,52 +59,47 @@ func TestBinfileGolden(t *testing.T) {
 	}
 	sort.Strings(names)
 
-	for _, engine := range []interp.Engine{interp.EngineClosure, interp.EngineTree} {
-		for _, jobs := range []int{1, 8} {
-			seen := 0
-			for _, pname := range names {
-				p := corpus[pname]
-				store := core.NewMemStore()
-				m := core.NewManager()
-				m.Store = store
-				m.Jobs = jobs
-				m.Engine = engine
-				// A private cache keeps the run self-contained; outputs must
-				// not depend on cache state either way.
-				m.EnvCache = pickle.NewEnvCache(0)
-				if _, err := m.Build(p.Files); err != nil {
-					t.Fatalf("exec=%s jobs=%d %s: %v", engine, jobs, pname, err)
-				}
-				for _, f := range p.Files {
-					e, err := store.Load(f.Name)
-					if err != nil || e == nil {
-						t.Fatalf("exec=%s jobs=%d %s/%s: missing entry (%v)",
-							engine, jobs, pname, f.Name, err)
-					}
-					want, ok := golden[pname+"/"+f.Name]
-					if !ok {
-						t.Fatalf("%s/%s: not in golden file (regenerate with scripts/bingolden?)",
-							pname, f.Name)
-					}
-					if got := e.StatPid.String(); got != want.StatPid {
-						t.Errorf("exec=%s jobs=%d %s/%s: stat pid %s, golden %s",
-							engine, jobs, pname, f.Name, got, want.StatPid)
-					}
-					if got := pid.HashBytes(e.Bin).String(); got != want.BinHash {
-						t.Errorf("exec=%s jobs=%d %s/%s: bin hash %s, golden %s (len %d vs %d)",
-							engine, jobs, pname, f.Name, got, want.BinHash, len(e.Bin), want.BinLen)
-					}
-					if len(e.Bin) != want.BinLen {
-						t.Errorf("exec=%s jobs=%d %s/%s: bin length %d, golden %d",
-							engine, jobs, pname, f.Name, len(e.Bin), want.BinLen)
-					}
-					seen++
-				}
+	for _, jobs := range []int{1, 8} {
+		seen := 0
+		for _, pname := range names {
+			p := corpus[pname]
+			store := core.NewMemStore()
+			m := core.NewManager()
+			m.Store = store
+			m.Jobs = jobs
+			// A private cache keeps the run self-contained; outputs must
+			// not depend on cache state either way.
+			m.EnvCache = pickle.NewEnvCache(0)
+			if _, err := m.Build(p.Files); err != nil {
+				t.Fatalf("jobs=%d %s: %v", jobs, pname, err)
 			}
-			if seen != len(golden) {
-				t.Errorf("exec=%s jobs=%d: corpus has %d units, golden file %d",
-					engine, jobs, seen, len(golden))
+			for _, f := range p.Files {
+				e, err := store.Load(f.Name)
+				if err != nil || e == nil {
+					t.Fatalf("jobs=%d %s/%s: missing entry (%v)", jobs, pname, f.Name, err)
+				}
+				want, ok := golden[pname+"/"+f.Name]
+				if !ok {
+					t.Fatalf("%s/%s: not in golden file (regenerate with scripts/bingolden?)",
+						pname, f.Name)
+				}
+				if got := e.StatPid.String(); got != want.StatPid {
+					t.Errorf("jobs=%d %s/%s: stat pid %s, golden %s",
+						jobs, pname, f.Name, got, want.StatPid)
+				}
+				if got := pid.HashBytes(e.Bin).String(); got != want.BinHash {
+					t.Errorf("jobs=%d %s/%s: bin hash %s, golden %s (len %d vs %d)",
+						jobs, pname, f.Name, got, want.BinHash, len(e.Bin), want.BinLen)
+				}
+				if len(e.Bin) != want.BinLen {
+					t.Errorf("jobs=%d %s/%s: bin length %d, golden %d",
+						jobs, pname, f.Name, len(e.Bin), want.BinLen)
+				}
+				seen++
 			}
+		}
+		if seen != len(golden) {
+			t.Errorf("jobs=%d: corpus has %d units, golden file %d", jobs, seen, len(golden))
 		}
 	}
 }

@@ -33,30 +33,17 @@ import (
 )
 
 // Magic identifies bin files; the trailing digits version the format.
-// V2 appends a code section after the lambda segment — the compiled
+// After the lambda segment comes a code section — the compiled
 // engine's slot layout (uvarint length prefix, then the stream
 // interp.CompileFn produced) — so warm builds rebuild the closure form
 // without re-resolving the term. The section does not feed the
-// intrinsic-pid hash, so pids are identical to V1 by construction.
-const (
-	Magic   = "SMLBIN02"
-	MagicV1 = "SMLBIN01"
-)
+// intrinsic-pid hash. Any other magic, the retired SMLBIN01 (no code
+// section) included, fails the read, and the store recompiles.
+const Magic = "SMLBIN02"
 
-// magicVersion reports the format version of data (2, 1, or 0 for not
-// a bin file). Both constants are the same length, so one prefix test
-// each suffices.
-func magicVersion(data []byte) int {
-	if len(data) < len(Magic) {
-		return 0
-	}
-	switch string(data[:len(Magic)]) {
-	case Magic:
-		return 2
-	case MagicV1:
-		return 1
-	}
-	return 0
+// hasMagic reports whether data starts with Magic.
+func hasMagic(data []byte) bool {
+	return len(data) >= len(Magic) && string(data[:len(Magic)]) == Magic
 }
 
 // Write serializes a compiled unit.
@@ -69,29 +56,22 @@ func Write(w io.Writer, u *compiler.Unit) error {
 	return err
 }
 
-// Encode serializes a compiled unit to bytes (always format V2).
+// Encode serializes a compiled unit to bytes.
 //
 // When the unit carries the canonical pickle of its export environment
 // (compiler.Compile's fused hash+pickle traversal), the environment
 // segment is derived from it by patching the recorded provisional-
 // stamp sites with permanent stamps — no second traversal. The output
 // is byte-identical to the slow path either way (the golden invariant
-// of DESIGN.md §4f, pinned by TestBinfileGolden). The code section
-// comes from the unit's compile (CodeBytes); a unit built without one
-// (hand-constructed, or loaded from a V1 bin) gets its layout computed
-// here, so every written bin carries the section — and because the
-// layout is a pure function of the term, Encode's output is identical
-// whichever exec engine the build ran on.
+// of DESIGN.md §4f, pinned by TestBinfileGolden). The code section is
+// the unit's CodeBytes, which Compile and Read both set; a unit
+// without one is an error.
 func Encode(u *compiler.Unit) ([]byte, error) {
-	term := u.Term()
 	code := u.CodeBytes
 	if code == nil {
-		_, cb, err := interp.CompileFn(term)
-		if err != nil {
-			return nil, fmt.Errorf("binfile: write %s: code generation: %v", u.Name, err)
-		}
-		code = cb
+		return nil, fmt.Errorf("binfile: write %s: no code section", u.Name)
 	}
+	term := u.Term()
 
 	p := pickle.NewPickler(u.StatPid)
 	p.Header(u.Name, u.StatPid, u.Imports, u.NumSlots)
@@ -177,7 +157,7 @@ func Read(data []byte, ix *pickle.Index) (*compiler.Unit, error) {
 // from the bytes at hand.
 //
 // The lambda segment is decoded in full, into a pickle.Scratch, so a
-// malformed term anywhere fails the read. A V2 bin's code section is
+// malformed term anywhere fails the read. The code section is
 // loaded into the unit's compiled form (counter code.loads) with every
 // coordinate validated against the term; a section that fails
 // validation (counter code.load_errors) fails the read, which the
@@ -186,11 +166,9 @@ func Read(data []byte, ix *pickle.Index) (*compiler.Unit, error) {
 // term: its compiled form decodes each function's subtree again on
 // that function's first call, and Unit.Term decodes the whole term on
 // demand (DESIGN.md §4j, "Lazy terms"). Both slices alias data, which
-// must therefore not be modified once read. A V1 bin simply leaves
-// Prog nil; the exec phase compiles on demand.
+// must therefore not be modified once read.
 func ReadCached(data []byte, ix *pickle.Index, cache *pickle.EnvCache, rec obs.Recorder) (*compiler.Unit, error) {
-	version := magicVersion(data)
-	if version == 0 {
+	if !hasMagic(data) {
 		return nil, fmt.Errorf("binfile: bad magic")
 	}
 	stream := data[len(Magic):]
@@ -244,23 +222,18 @@ func ReadCached(data []byte, ix *pickle.Index, cache *pickle.EnvCache, rec obs.R
 	}
 	seg, rest := lam[:end:end], lam[end:]
 
-	var prog *interp.CompiledFn
-	var codeBytes []byte
-	if version >= 2 {
-		n, k := binary.Uvarint(rest)
-		if k <= 0 || uint64(len(rest)-k) != n {
-			obs.Count(rec, "code.load_errors", 1)
-			return nil, fmt.Errorf("binfile: read %s: malformed code section", name)
-		}
-		codeBytes = rest[k:]
-		var lerr error
-		prog, lerr = interp.LoadFn(fn, seg, codeBytes)
-		if lerr != nil {
-			obs.Count(rec, "code.load_errors", 1)
-			return nil, fmt.Errorf("binfile: read %s: %v", name, lerr)
-		}
-		obs.Count(rec, "code.loads", 1)
+	n, k := binary.Uvarint(rest)
+	if k <= 0 || uint64(len(rest)-k) != n {
+		obs.Count(rec, "code.load_errors", 1)
+		return nil, fmt.Errorf("binfile: read %s: malformed code section", name)
 	}
+	codeBytes := rest[k:]
+	prog, err := interp.LoadFn(fn, seg, codeBytes)
+	if err != nil {
+		obs.Count(rec, "code.load_errors", 1)
+		return nil, fmt.Errorf("binfile: read %s: %v", name, err)
+	}
+	obs.Count(rec, "code.loads", 1)
 
 	return &compiler.Unit{
 		Name:      name,
@@ -277,9 +250,9 @@ func ReadCached(data []byte, ix *pickle.Index, cache *pickle.EnvCache, rec obs.R
 
 // ReadHeader decodes only the header (name, static pid, imports,
 // export count), for dependency checks that need not rehydrate the
-// environment. Both format versions are accepted.
+// environment.
 func ReadHeader(data []byte) (name string, statPid pid.Pid, imports []pid.Pid, numSlots int, err error) {
-	if magicVersion(data) == 0 {
+	if !hasMagic(data) {
 		return "", pid.Zero, nil, 0, fmt.Errorf("binfile: bad magic")
 	}
 	u := pickle.NewUnpickler(data[len(Magic):], pickle.NewIndex())

@@ -78,14 +78,12 @@ type Unit struct {
 	HashTime time.Duration
 
 	// Prog is Code in compiled form (interp.CompileFn): the closure
-	// tree the default exec engine applies. Compile always sets it;
-	// V2 bin reads rebuild it from CodeBytes; V1 reads leave it nil
-	// and ExecuteOn compiles on demand.
+	// tree Execute applies. Compile sets it, and a bin read rebuilds
+	// it from CodeBytes, so every unit that can execute has one.
 	Prog *interp.CompiledFn
 	// CodeBytes is the serialized slot layout of Prog — the bin
-	// file's code section (binfile V2). It does not feed StatPid:
-	// the intrinsic pid covers only the canonical env pickle, so
-	// pids are identical whatever the engine.
+	// file's code section. It does not feed StatPid: the intrinsic
+	// pid covers only the canonical env pickle.
 	CodeBytes []byte
 	// CodeTime is the duration of the closure compilation inside
 	// Compile (counter code.compile_ns).
@@ -102,9 +100,9 @@ type Unit struct {
 // Term returns the unit's code: Code for a compiled unit, and for a
 // unit read from a bin the term decoded from TermBytes, once, on the
 // first call. Loading builds the compiled form without keeping a term
-// (DESIGN.md §4j, "Lazy terms"), so only the tree engine, the profiler
-// and re-encoding pay for one. It returns nil only for a unit that has
-// neither.
+// (DESIGN.md §4j, "Lazy terms"), so only profile symbolization and
+// re-encoding (binfile.Encode) pay for one. It returns nil only for a
+// unit that has neither.
 func (u *Unit) Term() *lambda.Fn {
 	if u.Code != nil {
 		return u.Code
@@ -279,10 +277,8 @@ func ExecuteObserved(m *interp.Machine, u *Unit, dyn *dynenv.Env,
 // parallel exec stage a copy-on-write dynenv.View whose binds the
 // committer replays in commit order (DESIGN.md §4j).
 //
-// The apply sub-phase is where the machine's Engine matters: the tree
-// walker evaluates u.Term() to a closure and applies it; the compiled
-// engine applies u.Prog directly (compiling it from u.Term() on demand
-// when a V1 bin left Prog nil — counter code.compiles).
+// The apply sub-phase applies the unit's compiled form, u.Prog, to the
+// import vector.
 func ExecuteOn(m *interp.Machine, u *Unit, dyn dynenv.Target,
 	parent *obs.Span, rec obs.Recorder, lane int) error {
 
@@ -308,38 +304,11 @@ func ExecuteOn(m *interp.Machine, u *Unit, dyn dynenv.Target,
 	aspan := espan.Child(obs.CatPhase, "apply")
 	steps0 := m.Steps
 	profiled := m.ProfileEnabled()
-	var result interp.Value
-	var err error
-	if m.Engine == interp.EngineTree {
-		code := u.Term()
-		if profiled {
-			// Register before the window opens so the unit's closures
-			// carry identities from their very first application.
-			m.ProfRegister(u.Name, u.Prog, code)
-			m.BeginUnitProfile(u.Name)
-		}
-		var closure interp.Value
-		closure, err = m.Eval(code, nil)
-		if err == nil {
-			result, err = m.Apply(closure, imports)
-		}
-	} else {
-		prog := u.Prog
-		if prog == nil {
-			prog, _, err = interp.CompileFn(u.Term())
-			obs.Count(rec, "code.compiles", 1)
-			if err == nil {
-				u.Prog = prog
-			}
-		}
-		if err == nil {
-			if profiled {
-				m.ProfRegister(u.Name, prog, nil)
-				m.BeginUnitProfile(u.Name)
-			}
-			result, err = m.Apply(&interp.CompiledClosure{Fn: prog}, imports)
-		}
+	if profiled {
+		m.ProfRegister(u.Name, u.Prog)
+		m.BeginUnitProfile(u.Name)
 	}
+	result, err := m.Apply(&interp.CompiledClosure{Fn: u.Prog}, imports)
 	if profiled {
 		// Close the window on every path, including a failed apply:
 		// a sequential run would have accumulated the partial profile

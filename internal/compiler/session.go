@@ -32,22 +32,14 @@ type Session struct {
 }
 
 // NewSession builds a session: the primitive basis plus the compiled
-// and executed SML prelude, on the default (compiled-closure) engine.
+// and executed SML prelude.
 func NewSession(stdout io.Writer) (*Session, error) {
-	return NewSessionWith(stdout, interp.EngineClosure)
-}
-
-// NewSessionWith is NewSession on an explicit exec engine; the prelude
-// itself runs on it, so every value in the session — basis included —
-// comes from the selected backend.
-func NewSessionWith(stdout io.Writer, engine interp.Engine) (*Session, error) {
 	s := &Session{
 		Machine: interp.NewMachine(),
 		Context: basis.PrimEnv(),
 		Dyn:     dynenv.New(),
 		Index:   pickle.NewIndex(),
 	}
-	s.Machine.Engine = engine
 	if stdout != nil {
 		s.Machine.Stdout = stdout
 	}

@@ -36,7 +36,6 @@ import (
 
 	"repro/internal/compiler"
 	"repro/internal/depend"
-	"repro/internal/interp"
 	"repro/internal/obs"
 	"repro/internal/pickle"
 	"repro/internal/pid"
@@ -253,11 +252,6 @@ type Manager struct {
 	// deterministic: identical bin files, Stats, and explain records
 	// (see DESIGN.md §4e).
 	Jobs int
-	// Engine selects the unit-execution backend: the compiled-closure
-	// engine (zero value, the default) or interp.EngineTree, the
-	// -exec=tree escape hatch. Either engine yields identical bins,
-	// pids, Stats, output, and explain records (DESIGN.md §4j).
-	Engine interp.Engine
 	// Stdout receives program output during unit execution.
 	Stdout io.Writer
 	// Log, when non-nil, receives one line per unit describing the
@@ -277,8 +271,7 @@ type Manager struct {
 	// the cumulative session total is enforced at commit — the build
 	// fails on the unit whose execution pushes the total over, the
 	// same unit a sequential run would have died inside (DESIGN.md
-	// §4j). Step granularity is engine-specific (tree: per node;
-	// closure: per application).
+	// §4j). A step is one function application.
 	MaxSteps uint64
 	// ProfilePeriod, when non-zero, enables the SML-level execution
 	// profiler (DESIGN.md §4k) for this manager's builds: every unit
@@ -391,7 +384,7 @@ func (m *Manager) BuildUnder(parent *obs.Span, files []File) (*compiler.Session,
 	}
 
 	sspan := bspan.Child(obs.CatPhase, "session")
-	session, err := compiler.NewSessionWith(m.Stdout, m.Engine)
+	session, err := compiler.NewSession(m.Stdout)
 	sspan.End()
 	if err != nil {
 		return nil, err
@@ -408,14 +401,13 @@ func (m *Manager) BuildUnder(parent *obs.Span, files []File) (*compiler.Session,
 	// Profiling, too, starts after the bootstrap: the prelude's own
 	// execution is never sampled (it ran before StartProfile), but its
 	// functions are registered and symbolized here so prelude frames
-	// inside unit executions attribute to "$prelude" bindings under
-	// either engine.
+	// inside unit executions attribute to "$prelude" bindings.
 	m.Prof, m.profB = nil, nil
 	if m.ProfilePeriod > 0 {
 		session.Machine.StartProfile(m.ProfilePeriod)
-		m.profB = prof.NewBuilder(m.Engine.String(), session.Machine.ProfilePeriod())
+		m.profB = prof.NewBuilder(session.Machine.ProfilePeriod())
 		for _, u := range session.Units {
-			session.Machine.ProfRegister(u.Name, u.Prog, u.Term())
+			session.Machine.ProfRegister(u.Name, u.Prog)
 			m.profB.AddUnit(u.Name, u.Term(), u.Env, compiler.PreludeSource)
 		}
 		defer func() {

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"encoding/binary"
+	"hash/crc64"
 	"testing"
 )
 
@@ -262,27 +263,28 @@ func entryFixture() *Entry {
 	return e
 }
 
-// encodeEntryV1 reproduces the legacy SMLIRM01 encoding (no trailer)
-// for read-compatibility tests.
+// legacyEntryMagic is the magic of the retired SMLIRM01 entry format,
+// which had no checksum trailer. The store no longer reads it.
+const legacyEntryMagic = "SMLIRM01"
+
+// encodeEntryV1 lays an entry out as SMLIRM01 did (magic and body, no
+// trailer), for tests that forge one.
 func encodeEntryV1(e *Entry) []byte {
 	var buf bytes.Buffer
-	buf.WriteString(entryMagicV1)
+	buf.WriteString(legacyEntryMagic)
 	appendEntryBody(&buf, e)
 	return buf.Bytes()
 }
 
-// TestEntryV1ReadCompat: entries written by the previous format
-// version still load.
-func TestEntryV1ReadCompat(t *testing.T) {
-	e := entryFixture()
-	out, err := DecodeEntry(encodeEntryV1(e))
-	if err != nil {
-		t.Fatalf("decoding V1 entry: %v", err)
-	}
-	if out.SrcHash != e.SrcHash || out.StatPid != e.StatPid ||
-		len(out.DepNames) != 2 || len(out.Bin) != 3 {
-		t.Fatalf("V1 round trip mismatch: %+v", out)
-	}
+// sealEntry wraps body in a valid SMLIRM02 envelope: magic, body, and
+// a CRC-64 trailer recomputed over both. The checksum catches damage,
+// not forgery, so a sealed body reaches the body parser whatever it
+// holds.
+func sealEntry(body []byte) []byte {
+	out := append([]byte(entryMagic), body...)
+	var tr [crcTrailer]byte
+	binary.LittleEndian.PutUint64(tr[:], crc64.Checksum(out, entryCRC))
+	return append(out, tr[:]...)
 }
 
 // TestEntryChecksumDetectsFlips: any single-byte change to a V2 entry
@@ -310,30 +312,34 @@ func TestEntryTruncationRejected(t *testing.T) {
 }
 
 // TestEntryTrailingJunkRejected: extra bytes after the bin payload are
-// an error in both format versions (V2 additionally fails the CRC).
+// an error twice over: appended to an entry they fail the CRC, and
+// sealed under a recomputed CRC they fail the body parser.
 func TestEntryTrailingJunkRejected(t *testing.T) {
-	v1 := append(encodeEntryV1(entryFixture()), 0xEE)
-	if _, err := DecodeEntry(v1); err == nil {
-		t.Error("V1 entry with trailing junk accepted")
+	var body bytes.Buffer
+	appendEntryBody(&body, entryFixture())
+	if _, err := DecodeEntry(sealEntry(body.Bytes())); err != nil {
+		t.Fatalf("sealed fixture rejected: %v", err)
 	}
-	v2 := append(EncodeEntry(entryFixture()), 0xEE)
-	if _, err := DecodeEntry(v2); err == nil {
-		t.Error("V2 entry with trailing junk accepted")
+	if _, err := DecodeEntry(sealEntry(append(body.Bytes(), 0xEE))); err == nil {
+		t.Error("sealed entry with trailing junk accepted")
+	}
+	if _, err := DecodeEntry(append(EncodeEntry(entryFixture()), 0xEE)); err == nil {
+		t.Error("entry with trailing junk accepted")
 	}
 }
 
-// TestDecodeEntryBoundsAllocations: a forged huge length field must be
+// TestDecodeEntryBoundsAllocations: a forged huge length field, sealed
+// under a valid CRC so that it reaches the body parser, must be
 // rejected outright (not trigger a giant allocation attempt).
 func TestDecodeEntryBoundsAllocations(t *testing.T) {
 	var buf bytes.Buffer
-	buf.WriteString(entryMagicV1)
 	var zero [32]byte // SrcHash + StatPid
 	buf.Write(zero[:])
 	var n [8]byte
 	binary.LittleEndian.PutUint64(n[:], 1<<60) // absurd DepNames count
 	buf.Write(n[:])
-	if _, err := DecodeEntry(buf.Bytes()); err == nil {
-		t.Fatal("absurd count accepted")
+	if _, err := DecodeEntry(sealEntry(buf.Bytes())); err == nil || err.Error() != "irm: bad string count" {
+		t.Fatalf("absurd count: error %v, want the string-count check", err)
 	}
 }
 

@@ -189,12 +189,12 @@ func (s *DirStore) save(name string, e *Entry) error {
 	return nil
 }
 
-// Entry format versions. V2 appends a CRC-64 trailer over everything
-// that precedes it; V1 (no trailer) is still read for compatibility.
+// Entry format: magic, body, and a CRC-64 trailer over everything that
+// precedes it. Any other magic, the retired trailer-less SMLIRM01
+// included, is a corrupt entry: quarantined and recompiled.
 const (
-	entryMagicV1 = "SMLIRM01"
-	entryMagic   = "SMLIRM02"
-	crcTrailer   = 8
+	entryMagic = "SMLIRM02"
+	crcTrailer = 8
 )
 
 var entryCRC = crc64.MakeTable(crc64.ECMA)
@@ -211,7 +211,8 @@ func EncodeEntry(e *Entry) []byte {
 	return buf.Bytes()
 }
 
-// appendEntryBody writes the version-independent entry body.
+// appendEntryBody writes the entry body: the fields between magic and
+// trailer.
 func appendEntryBody(buf *bytes.Buffer, e *Entry) {
 	buf.Write(e.SrcHash[:])
 	buf.Write(e.StatPid[:])
@@ -239,9 +240,8 @@ func appendEntryBody(buf *bytes.Buffer, e *Entry) {
 	buf.Write(e.Bin)
 }
 
-// DecodeEntry deserializes a cache entry, validating the CRC-64
-// trailer of SMLIRM02 entries and accepting legacy SMLIRM01 entries
-// without one. Every length field is bounds-checked against the bytes
+// DecodeEntry deserializes a cache entry, validating its CRC-64
+// trailer. Every length field is bounds-checked against the bytes
 // actually remaining, so arbitrary input can neither panic nor force
 // large allocations.
 //
@@ -249,23 +249,17 @@ func appendEntryBody(buf *bytes.Buffer, e *Entry) {
 // over and must not modify or reuse it afterwards. DirStore.Load passes
 // the fresh buffer FS.ReadFile returned, so a warm load copies no bin.
 func DecodeEntry(data []byte) (*Entry, error) {
-	var body []byte
-	switch {
-	case len(data) >= len(entryMagic) && string(data[:len(entryMagic)]) == entryMagic:
-		if len(data) < len(entryMagic)+crcTrailer {
-			return nil, fmt.Errorf("irm: entry too short for checksum trailer")
-		}
-		sum := binary.LittleEndian.Uint64(data[len(data)-crcTrailer:])
-		if crc64.Checksum(data[:len(data)-crcTrailer], entryCRC) != sum {
-			return nil, fmt.Errorf("irm: entry checksum mismatch")
-		}
-		body = data[len(entryMagic) : len(data)-crcTrailer]
-	case len(data) >= len(entryMagicV1) && string(data[:len(entryMagicV1)]) == entryMagicV1:
-		body = data[len(entryMagicV1):]
-	default:
+	if len(data) < len(entryMagic) || string(data[:len(entryMagic)]) != entryMagic {
 		return nil, fmt.Errorf("irm: bad entry magic")
 	}
-	return decodeEntryBody(body)
+	if len(data) < len(entryMagic)+crcTrailer {
+		return nil, fmt.Errorf("irm: entry too short for checksum trailer")
+	}
+	sum := binary.LittleEndian.Uint64(data[len(data)-crcTrailer:])
+	if crc64.Checksum(data[:len(data)-crcTrailer], entryCRC) != sum {
+		return nil, fmt.Errorf("irm: entry checksum mismatch")
+	}
+	return decodeEntryBody(data[len(entryMagic) : len(data)-crcTrailer])
 }
 
 // entryCursor reads the fields of an entry body in place. Reading them

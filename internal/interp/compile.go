@@ -28,40 +28,6 @@ import (
 	"repro/internal/pickle"
 )
 
-// Engine selects the execution backend a Machine runs unit code with.
-// Both engines produce identical values, exceptions, and output (the
-// FuzzExecTreeVsClosure differential target pins this); only speed
-// differs.
-type Engine int
-
-const (
-	// EngineClosure — the default (zero value) — executes units through
-	// the compiled-closure backend.
-	EngineClosure Engine = iota
-	// EngineTree executes units with the original tree-walking
-	// evaluator; the -exec=tree escape hatch.
-	EngineTree
-)
-
-// String returns the -exec flag spelling of the engine.
-func (e Engine) String() string {
-	if e == EngineTree {
-		return "tree"
-	}
-	return "closure"
-}
-
-// ParseEngine maps a -exec flag value to an Engine.
-func ParseEngine(s string) (Engine, error) {
-	switch s {
-	case "", "closure":
-		return EngineClosure, nil
-	case "tree":
-		return EngineTree, nil
-	}
-	return 0, fmt.Errorf("unknown exec engine %q (want tree or closure)", s)
-}
-
 // frameInline is the widest frame served from the inline array (and
 // from the machine's frame pool).
 const frameInline = 4
@@ -287,12 +253,11 @@ func LoadFn(fn *lambda.Fn, term, section []byte) (*CompiledFn, error) {
 
 // IndexFns replays CompileFn's resolve walk over root, additionally
 // recording which *lambda.Fn node became which compiled function. The
-// returned map is the bridge the profiler uses to give tree-walker
-// closures (and symbol names, which live on the term) the same
-// function IDs the compiled engine assigns — same walk, same IDs, by
-// construction. Fn nodes consumed by the walk's beta-reduction (the
-// eta-expanded primitive redexes) never become functions in either
-// engine and so are absent from the map.
+// returned map is the bridge the profiler's symbolizer uses to give
+// symbol names, which live on the term, the function IDs the compiled
+// engine assigns — same walk, same IDs, by construction. Fn nodes
+// consumed by the walk's beta-reduction (the eta-expanded primitive
+// redexes) never become functions and so are absent from the map.
 func IndexFns(root *lambda.Fn) (*CompiledFn, map[*lambda.Fn]*CompiledFn, error) {
 	c := &comp{
 		resolve: true,
@@ -1400,7 +1365,7 @@ func binaryPrim(op string, a, b cnode) cnode {
 }
 
 // Fork returns a machine sharing this machine's basis identities (the
-// builtin exception tags) and engine, with zeroed step count and no
+// builtin exception tags), with zeroed step count and no
 // recorder — the per-goroutine evaluation context the parallel exec
 // stage runs units on. Values built by a fork are interchangeable with
 // the parent's: identity-bearing comparisons (exception tags) work
@@ -1415,9 +1380,8 @@ func (m *Machine) Fork() *Machine {
 		// Profiling is inherited by enablement only: the fork gets its
 		// own sample window, countdown, and shadow stack (all per-unit
 		// state — resetting them per fork is what makes profiles
-		// independent of which goroutine ran which unit), sharing just
-		// the immutable-once-registered identity registry.
-		f.prof = &machProf{period: m.prof.period, left: m.prof.period, reg: m.prof.reg}
+		// independent of which goroutine ran which unit).
+		f.prof = &machProf{period: m.prof.period, left: m.prof.period}
 	}
 	return &f
 }

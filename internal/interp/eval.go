@@ -69,12 +69,6 @@ type Machine struct {
 	// execution, never inside the evaluation loop — so an observed
 	// machine pays nothing on the hot path.
 	Obs obs.Recorder
-	// Engine selects the backend the execute phase runs unit code
-	// with: the compiled-closure engine (default) or the tree walker
-	// (compile.go). Evaluation itself is engine-agnostic — apply
-	// dispatches on the closure form — so the field only steers how
-	// compiler.ExecuteObserved enters the unit.
-	Engine Engine
 	// framePool recycles non-escaping activation frames (see
 	// CompiledFn.escapes). Per-machine, like the machine itself: never
 	// shared across goroutines, and Fork starts its copy empty.
@@ -125,8 +119,10 @@ func (m *Machine) crash(format string, args ...any) Value {
 	panic(&CrashError{Msg: fmt.Sprintf(format, args...)})
 }
 
-// Eval evaluates e under env, converting a raised-to-top exception into
-// an *UncaughtError and internal crashes into *CrashError.
+// Eval evaluates e under env with the tree walker, converting a
+// raised-to-top exception into an *UncaughtError and internal crashes
+// into *CrashError. Units execute in compiled form (compile.go); the
+// tree walker is the reference implementation tests compare against.
 func (m *Machine) Eval(e lambda.Exp, env *Env) (v Value, err error) {
 	obs.Count(m.Obs, "interp.evals", 1)
 	defer m.convert(&err)

@@ -2,8 +2,8 @@ package interp
 
 // ReachesMutable reports whether v can reach a mutable cell — a ref or
 // an array — through immutable structure: records, vectors, constructor
-// arguments, exception payloads, and closure captures (both engines'
-// environment representations). The parallel exec scheduler uses it to
+// arguments, exception payloads, and closure captures (compiled frames
+// and the reference walker's environments). The parallel exec scheduler uses it to
 // decide whether a unit's imports expose shared mutable state, in which
 // case the unit's execution must be serialized in commit order
 // (DESIGN.md §4j).

@@ -5,17 +5,14 @@ package interp
 // step-tick sampling of the activation chain. Everything here counts
 // in interpreter steps — never wall clock — and all per-run state is
 // per-unit-execution (reset by BeginUnitProfile) or per-fork (reset by
-// Fork), so the same program produces the same samples at any -j, on
-// either engine's step grid, locally or under the daemon. The
+// Fork), so the same program produces the same samples at any -j,
+// locally or under the daemon. The
 // internal/prof package symbolizes and merges the raw UnitProfiles
 // this file produces.
 
 import (
 	"sort"
 	"strconv"
-	"sync"
-
-	"repro/internal/lambda"
 )
 
 // DefaultProfilePeriod is the step-sampling period used when a caller
@@ -41,9 +38,8 @@ type ProfFnCount struct {
 	// the innermost profiled activation.
 	SelfSteps int64 `json:"self_steps"`
 	// Allocs counts escaping activation frames: applications whose
-	// frame outlives the call because a closure captures it — the
-	// engine-independent memory-attribution signal (the term shape
-	// determines escape, so both engines agree).
+	// frame outlives the call because a closure captures it (the term
+	// shape determines escape).
 	Allocs int64 `json:"allocs"`
 }
 
@@ -73,50 +69,6 @@ func (u *UnitProfile) Samples() int64 {
 		n += s.Count
 	}
 	return n
-}
-
-// profReg is the identity registry shared by a machine and all its
-// forks: for the tree engine, a map from a function's body term to the
-// compiled function carrying its (unit, ID) identity, filled once per
-// unit by ProfRegister. Registration of a unit strictly precedes every
-// execution that can apply its closures (the exec DAG orders a
-// dependency's execution — and hence its registration — before any
-// dependent's), so lookups after registration race with nothing; the
-// lock makes the handoff between exec goroutines safe.
-type profReg struct {
-	mu     sync.RWMutex
-	byBody map[lambda.Exp]*CompiledFn
-	units  map[string]bool
-}
-
-func newProfReg() *profReg {
-	return &profReg{byBody: make(map[lambda.Exp]*CompiledFn), units: make(map[string]bool)}
-}
-
-func (r *profReg) register(unit string, code *lambda.Fn) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.units[unit] {
-		return
-	}
-	r.units[unit] = true
-	root, fnOf, err := IndexFns(code)
-	if err != nil {
-		// Profiling is best-effort observation: an unindexable term
-		// (impossible for elaborator output) just goes unattributed.
-		return
-	}
-	root.SetUnit(unit)
-	for fn, cf := range fnOf {
-		r.byBody[fn.Body] = cf
-	}
-}
-
-func (r *profReg) lookup(body lambda.Exp) *CompiledFn {
-	r.mu.RLock()
-	cf := r.byBody[body]
-	r.mu.RUnlock()
-	return cf
 }
 
 // profFrame is one entry of the profiler's shadow stack: the function
@@ -158,12 +110,11 @@ func (a *unitAcc) countsFor(cf *CompiledFn) *profCounts {
 
 // machProf is a machine's profiling state. period/left drive the
 // deterministic sampler: left counts down once per interpreter step
-// and a capture fires when it reaches zero. reg is shared across
-// forks; everything else is private to the machine (one goroutine).
+// and a capture fires when it reaches zero. All of it is private to
+// the machine (one goroutine).
 type machProf struct {
 	period uint64
 	left   uint64
-	reg    *profReg
 	cur    *unitAcc
 	stack  []profFrame
 	done   []*UnitProfile
@@ -180,7 +131,7 @@ func (m *Machine) StartProfile(period uint64) {
 	if period == 0 {
 		period = DefaultProfilePeriod
 	}
-	m.prof = &machProf{period: period, left: period, reg: newProfReg()}
+	m.prof = &machProf{period: period, left: period}
 }
 
 // ProfileEnabled reports whether StartProfile was called.
@@ -196,18 +147,12 @@ func (m *Machine) ProfilePeriod() uint64 {
 
 // ProfRegister records a unit's function identities before it (or any
 // unit importing its closures) executes: the compiled form learns its
-// unit name, and under the tree engine the unit's term is indexed so
-// tree closures resolve to the same IDs (code, the unit's term, is
-// read only then and may be nil otherwise). Idempotent per unit; a
-// no-op when profiling is disabled.
-func (m *Machine) ProfRegister(unit string, prog *CompiledFn, code *lambda.Fn) {
+// unit name. Idempotent per unit; a no-op when profiling is disabled.
+func (m *Machine) ProfRegister(unit string, prog *CompiledFn) {
 	if m.prof == nil {
 		return
 	}
 	prog.SetUnit(unit)
-	if m.Engine == EngineTree && code != nil {
-		m.prof.reg.register(unit, code)
-	}
 }
 
 // BeginUnitProfile opens a unit's sample window: a fresh accumulator
@@ -329,12 +274,7 @@ func (m *Machine) applyProf(fn, arg Value) Value {
 		fr.slots[0] = arg
 		return cf.code(m)(m, fr)
 	case *Closure:
-		if p.cur != nil {
-			if cf := p.reg.lookup(c.Body); cf != nil {
-				p.push(cf)
-				defer p.pop()
-			}
-		}
+		// The reference walker's closures carry no function identity.
 		return m.eval(c.Body, c.Env.Bind(c.Param, arg))
 	}
 	return m.crash("application of non-function %s", String(fn))

@@ -35,31 +35,39 @@ func factTerm() lambda.Exp {
 	}
 }
 
+// TestProfilingPreservesSteps runs factTerm's compiled form with
+// profiling off and on: steps and value must agree.
 func TestProfilingPreservesSteps(t *testing.T) {
-	for _, engine := range []Engine{EngineTree, EngineClosure} {
-		run := func(profiled bool) (uint64, Value) {
-			m := NewMachine()
-			m.Engine = engine
-			if profiled {
-				m.StartProfile(4)
-				m.BeginUnitProfile("u")
+	run := func(profiled bool) (uint64, Value) {
+		// Param 0 is never issued by lambda.Gen, so it shadows nothing.
+		prog, _, err := CompileFn(&lambda.Fn{Body: factTerm()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := NewMachine()
+		if profiled {
+			m.StartProfile(4)
+			m.ProfRegister("u", prog)
+			m.BeginUnitProfile("u")
+		}
+		v, err := m.Apply(&CompiledClosure{Fn: prog}, Unit())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if profiled {
+			if up := m.EndUnitProfile(); up == nil || up.Samples() == 0 {
+				t.Fatalf("unit profile %+v, want samples", up)
 			}
-			v := evalOK(t, m, factTerm())
-			if profiled {
-				if up := m.EndUnitProfile(); up == nil {
-					t.Fatalf("%s: no unit profile", engine)
-				}
-			}
-			return m.Steps, v
 		}
-		plainSteps, plainV := run(false)
-		profSteps, profV := run(true)
-		if plainSteps != profSteps {
-			t.Errorf("%s: steps %d unprofiled, %d profiled", engine, plainSteps, profSteps)
-		}
-		if !Eq(plainV, profV) {
-			t.Errorf("%s: value %s unprofiled, %s profiled", engine, String(plainV), String(profV))
-		}
+		return m.Steps, v
+	}
+	plainSteps, plainV := run(false)
+	profSteps, profV := run(true)
+	if plainSteps != profSteps {
+		t.Errorf("steps %d unprofiled, %d profiled", plainSteps, profSteps)
+	}
+	if !Eq(plainV, profV) {
+		t.Errorf("value %s unprofiled, %s profiled", String(plainV), String(profV))
 	}
 }
 

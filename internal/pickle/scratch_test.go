@@ -14,7 +14,6 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/interp"
 	"repro/internal/pickle"
 	"repro/internal/workload"
 )
@@ -64,11 +63,11 @@ type warmRun struct {
 	profile []byte
 }
 
-func buildWarm(t *testing.T, store core.Store, files []core.File, engine interp.Engine, period uint64) warmRun {
+func buildWarm(t *testing.T, store core.Store, files []core.File, period uint64) warmRun {
 	t.Helper()
 	var out bytes.Buffer
 	m := &core.Manager{
-		Store: store, Jobs: 2, Engine: engine, ProfilePeriod: period,
+		Store: store, Jobs: 2, ProfilePeriod: period,
 		EnvCache: pickle.NewEnvCache(0), Stdout: &out,
 	}
 	s, err := m.Build(files)
@@ -96,8 +95,8 @@ func buildWarm(t *testing.T, store core.Store, files []core.File, engine interp.
 // TestScratchPoisonedRunsMatch loads and runs the golden corpus, plus a
 // program that applies many kinds of function, from a warm store with
 // every scratch node poisoned on release: program output, steps and
-// profile must equal an unpoisoned run's, on both engines, with the
-// profiler off and on.
+// profile must equal an unpoisoned run's, with the profiler off and
+// on.
 func TestScratchPoisonedRunsMatch(t *testing.T) {
 	projects := map[string][]core.File{"extra": scratchExtraProject}
 	for name, p := range workload.GoldenCorpus() {
@@ -115,22 +114,20 @@ func TestScratchPoisonedRunsMatch(t *testing.T) {
 		if _, err := cold.Build(files); err != nil {
 			t.Fatalf("%s: cold build: %v", pname, err)
 		}
-		for _, engine := range []interp.Engine{interp.EngineClosure, interp.EngineTree} {
-			for _, period := range []uint64{0, 3} {
-				want := buildWarm(t, store, files, engine, period)
-				restore := pickle.PoisonScratch()
-				got := buildWarm(t, store, files, engine, period)
-				restore()
-				if want.steps == 0 {
-					t.Errorf("%s exec=%s: no steps taken", pname, engine)
-				}
-				if got.out != want.out || got.steps != want.steps {
-					t.Errorf("%s exec=%s profile=%d: poisoned run printed %q in %d steps, unpoisoned %q in %d",
-						pname, engine, period, got.out, got.steps, want.out, want.steps)
-				}
-				if !bytes.Equal(got.profile, want.profile) {
-					t.Errorf("%s exec=%s profile=%d: poisoned run's profile differs", pname, engine, period)
-				}
+		for _, period := range []uint64{0, 3} {
+			want := buildWarm(t, store, files, period)
+			restore := pickle.PoisonScratch()
+			got := buildWarm(t, store, files, period)
+			restore()
+			if want.steps == 0 {
+				t.Errorf("%s: no steps taken", pname)
+			}
+			if got.out != want.out || got.steps != want.steps {
+				t.Errorf("%s profile=%d: poisoned run printed %q in %d steps, unpoisoned %q in %d",
+					pname, period, got.out, got.steps, want.out, want.steps)
+			}
+			if !bytes.Equal(got.profile, want.profile) {
+				t.Errorf("%s profile=%d: poisoned run's profile differs", pname, period)
 			}
 		}
 	}

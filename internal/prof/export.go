@@ -29,12 +29,17 @@ type Report struct {
 	Stacks       []Stack `json:"stacks"`
 }
 
+// reportEngine is the irm-profile/1 "engine" field. Units execute
+// only in compiled form, so it always reads "closure"; the field stays
+// so reports remain comparable with earlier ones.
+const reportEngine = "closure"
+
 // Report builds the irm-profile/1 document for a named build.
 func (p *Profile) Report(name string) *Report {
 	return &Report{
 		Schema:       ReportSchema,
 		Name:         name,
-		Engine:       p.Engine,
+		Engine:       reportEngine,
 		Period:       p.Period,
 		Units:        p.Units,
 		TotalSteps:   p.TotalSteps,
@@ -128,7 +133,7 @@ func (p *Profile) WriteTable(w io.Writer, n int) {
 			f.SelfSteps, share, f.Applies, f.Allocs, f.LeafSamples)
 	}
 	fmt.Fprintf(w, "%d functions, %d samples (1/%d steps), %d steps, engine %s\n",
-		len(p.Funcs), p.TotalSamples, p.Period, p.TotalSteps, p.Engine)
+		len(p.Funcs), p.TotalSamples, p.Period, p.TotalSteps, reportEngine)
 }
 
 func trunc(s string, n int) string {

@@ -70,8 +70,6 @@ type Stack struct {
 
 // Profile is a build's merged, symbolized profile.
 type Profile struct {
-	// Engine is the exec engine the profile was captured under.
-	Engine string
 	// Period is the sampling period in interpreter steps.
 	Period uint64
 	// Units is how many unit executions contributed.
@@ -99,7 +97,6 @@ func (p *Profile) Top(n int) []Func {
 // Builder accumulates unit profiles in commit order and symbolizes
 // units as they commit.
 type Builder struct {
-	engine  string
 	period  uint64
 	units   int
 	steps   uint64
@@ -119,11 +116,10 @@ type stackAgg struct {
 	count  int64
 }
 
-// NewBuilder returns a builder for one build under the given engine
-// and sampling period.
-func NewBuilder(engine string, period uint64) *Builder {
+// NewBuilder returns a builder for one build under the given sampling
+// period.
+func NewBuilder(period uint64) *Builder {
 	return &Builder{
-		engine: engine,
 		period: period,
 		syms:   make(map[string][]sym),
 		counts: make(map[interp.ProfFn]*acc),
@@ -198,7 +194,6 @@ func stackKey(frames []interp.ProfFn) string {
 // Finish produces the merged, sorted, symbolized profile.
 func (b *Builder) Finish() *Profile {
 	p := &Profile{
-		Engine:       b.engine,
 		Period:       b.period,
 		Units:        b.units,
 		TotalSteps:   b.steps,

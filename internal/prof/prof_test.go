@@ -1,8 +1,7 @@
 package prof_test
 
 // The profiler's contract tests: symbolization resolves SML names and
-// lines, both engines agree on apply/alloc attribution, the
-// irm-profile/1 report is a pure function of the program (identical
+// lines, the irm-profile/1 report is a pure function of the program (identical
 // bytes at any -j), and the pprof encoding round-trips through
 // `go tool pprof -raw`.
 
@@ -15,7 +14,6 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/interp"
 	"repro/internal/prof"
 )
 
@@ -31,10 +29,9 @@ val y = tri 100
 
 // buildProfiled runs the two-unit fib workload with profiling on and
 // returns the finished profile.
-func buildProfiled(t *testing.T, engine interp.Engine, jobs int) *prof.Profile {
+func buildProfiled(t *testing.T, jobs int) *prof.Profile {
 	t.Helper()
 	m := core.NewManager()
-	m.Engine = engine
 	m.Jobs = jobs
 	m.ProfilePeriod = 64
 	files := []core.File{
@@ -42,7 +39,7 @@ func buildProfiled(t *testing.T, engine interp.Engine, jobs int) *prof.Profile {
 		{Name: "b.sml", Source: profSourceB},
 	}
 	if _, err := m.Build(files); err != nil {
-		t.Fatalf("build (%s, j=%d): %v", engine, jobs, err)
+		t.Fatalf("build (j=%d): %v", jobs, err)
 	}
 	if m.Prof == nil {
 		t.Fatalf("profiled build left Manager.Prof nil")
@@ -62,7 +59,7 @@ func findFunc(t *testing.T, p *prof.Profile, unit, name string) prof.Func {
 }
 
 func TestSymbolization(t *testing.T) {
-	p := buildProfiled(t, interp.EngineClosure, 1)
+	p := buildProfiled(t, 1)
 	fib := findFunc(t, p, "a.sml", "fib")
 	tri := findFunc(t, p, "a.sml", "tri")
 	// fib n computes fib(n-1)+fib(n-2) with fib(0..1) free: 2*fib(n+1)-1
@@ -81,35 +78,16 @@ func TestSymbolization(t *testing.T) {
 	if p.TotalSamples == 0 || len(p.Stacks) == 0 {
 		t.Errorf("no samples captured (samples=%d stacks=%d)", p.TotalSamples, len(p.Stacks))
 	}
-	// The hottest function of this workload is fib under any engine.
+	// The hottest function of this workload is fib.
 	if p.Funcs[0].Name != "fib" {
 		t.Errorf("hottest function = %s, want fib", p.Funcs[0].Name)
-	}
-}
-
-func TestEngineAgreement(t *testing.T) {
-	closure := buildProfiled(t, interp.EngineClosure, 1)
-	tree := buildProfiled(t, interp.EngineTree, 1)
-	for _, name := range []string{"fib", "tri"} {
-		c := findFunc(t, closure, "a.sml", name)
-		w := findFunc(t, tree, "a.sml", name)
-		if c.Applies != w.Applies {
-			t.Errorf("%s applies: closure %d, tree %d", name, c.Applies, w.Applies)
-		}
-		if c.Allocs != w.Allocs {
-			t.Errorf("%s allocs: closure %d, tree %d", name, c.Allocs, w.Allocs)
-		}
-	}
-	if closure.Funcs[0].Name != tree.Funcs[0].Name {
-		t.Errorf("hottest disagrees: closure %s, tree %s",
-			closure.Funcs[0].Name, tree.Funcs[0].Name)
 	}
 }
 
 func TestReportDeterministicAcrossJobs(t *testing.T) {
 	var want []byte
 	for _, jobs := range []int{1, 4, 8} {
-		p := buildProfiled(t, interp.EngineClosure, jobs)
+		p := buildProfiled(t, jobs)
 		var buf bytes.Buffer
 		if err := p.Report("det").WriteJSON(&buf); err != nil {
 			t.Fatal(err)
@@ -125,7 +103,7 @@ func TestReportDeterministicAcrossJobs(t *testing.T) {
 }
 
 func TestFoldedStacks(t *testing.T) {
-	p := buildProfiled(t, interp.EngineClosure, 2)
+	p := buildProfiled(t, 2)
 	var buf bytes.Buffer
 	if err := p.WriteFolded(&buf); err != nil {
 		t.Fatal(err)
@@ -149,7 +127,7 @@ func TestPprofRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Skip("go tool unavailable")
 	}
-	p := buildProfiled(t, interp.EngineClosure, 1)
+	p := buildProfiled(t, 1)
 	path := filepath.Join(t.TempDir(), "prof.pb")
 	f, err := os.Create(path)
 	if err != nil {
@@ -174,7 +152,7 @@ func TestPprofRoundTrip(t *testing.T) {
 }
 
 func TestHistoryTopInputs(t *testing.T) {
-	p := buildProfiled(t, interp.EngineClosure, 1)
+	p := buildProfiled(t, 1)
 	top := p.Top(2)
 	if len(top) != 2 {
 		t.Fatalf("Top(2) returned %d rows", len(top))

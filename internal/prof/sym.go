@@ -5,8 +5,8 @@ package prof
 // unit's code is λ(imports).(export-record); the export environment
 // says which record slot holds which SML binding, and the term's
 // Let/Fix spine says which *lambda.Fn flowed into each slot. Replaying
-// interp.IndexFns assigns the same DFS function IDs the execution
-// engines use, tying names to IDs. Functions not reachable from an
+// interp.IndexFns assigns the same DFS function IDs the compiled
+// engine uses, tying names to IDs. Functions not reachable from an
 // export slot (local helpers, inner anonymous functions) inherit the
 // nearest named ancestor's path with an "<fnN>" suffix; source lines
 // come from a lexical scan of the unit source for the binding's

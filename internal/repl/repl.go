@@ -41,14 +41,9 @@ type REPL struct {
 }
 
 // New builds a REPL with a fresh session; program output (print) goes
-// to stdout. Inputs run on the default compiled-closure engine.
+// to stdout.
 func New(stdout io.Writer) (*REPL, error) {
-	return NewWith(stdout, interp.EngineClosure)
-}
-
-// NewWith is New on an explicit exec engine (the smlrepl -exec flag).
-func NewWith(stdout io.Writer, engine interp.Engine) (*REPL, error) {
-	s, err := compiler.NewSessionWith(stdout, engine)
+	s, err := compiler.NewSession(stdout)
 	if err != nil {
 		return nil, err
 	}
