@@ -10,6 +10,7 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/cli"
 	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/pickle"
@@ -185,27 +186,22 @@ func warmCacheRun(files []core.File, pol core.Policy) (BenchWarmCache, error) {
 // the results as JSON.
 func cmdBench(args []string) {
 	fs := flag.NewFlagSet("bench", flag.ExitOnError)
+	f := cli.New()
+	f.Register(fs, "policy")
 	out := fs.String("out", "BENCH_irm.json", "output file (- for stdout)")
 	units := fs.Int("units", 60, "units in the generated project")
 	lines := fs.Int("lines", 30, "approximate lines per unit")
 	seed := fs.Int64("seed", 1994, "workload generator seed")
-	policy := fs.String("policy", "cutoff", "recompilation policy: cutoff or timestamp")
 	jobs := fs.Int("j", 0, "parallel width to compare against -j1, at most GOMAXPROCS (0 = GOMAXPROCS)")
 	fs.Parse(args)
+	f.Validate()
+	pol, _ := cli.ParsePolicy(f.Policy)
 	cfg := workload.Config{
 		Shape: workload.Layered, Units: *units, LinesPerUnit: *lines,
 		FunsPerUnit: 4, FanIn: 3, LayerWidth: 6, Seed: *seed,
 	}
 	p := workload.Generate(cfg)
 
-	pol := core.PolicyCutoff
-	switch *policy {
-	case "cutoff":
-	case "timestamp":
-		pol = core.PolicyTimestamp
-	default:
-		usage()
-	}
 	jn := *jobs
 	if jn <= 0 {
 		jn = runtime.GOMAXPROCS(0)
@@ -246,18 +242,15 @@ func cmdBench(args []string) {
 	for _, w := range widths {
 		storeDir, err := os.MkdirTemp("", "irm-bench-store-")
 		if err != nil {
-			fatal(err)
+			cli.Fatal(err)
 		}
 		defer os.RemoveAll(storeDir)
 		run := BenchRun{Jobs: w}
 		for _, sc := range scenarios {
-			store, err := core.NewDirStore(storeDir)
-			if err != nil {
-				fatal(err)
-			}
-			col := obs.New()
-			store.Obs = col
-			m := &core.Manager{Policy: pol, Store: store, Stdout: io.Discard, Obs: col, Jobs: w}
+			g := *f
+			g.Store, g.Jobs = storeDir, w
+			m := g.Open(false, nil).M
+			m.Stdout = io.Discard
 			var wall time.Duration
 			var buildErr error
 			allocs, allocBytes := memDelta(func() {
@@ -266,7 +259,7 @@ func cmdBench(args []string) {
 				wall = time.Since(t0)
 			})
 			if buildErr != nil {
-				fatal(fmt.Errorf("bench scenario %s (-j%d): %v", sc.name, w, buildErr))
+				cli.Fatal(fmt.Errorf("bench scenario %s (-j%d): %v", sc.name, w, buildErr))
 			}
 			if sc.name == "cold" {
 				coldWall[w] = int64(wall)
@@ -295,7 +288,7 @@ func cmdBench(args []string) {
 
 	wc, err := warmCacheRun(p.Files, pol)
 	if err != nil {
-		fatal(fmt.Errorf("bench warm-cache run: %v", err))
+		cli.Fatal(fmt.Errorf("bench warm-cache run: %v", err))
 	}
 	bf.WarmCache = wc
 	fmt.Fprintf(os.Stderr, "irm bench: warm env-cache rebuild: %.2fx (hit rate %.0f%%, %d hits)\n",
@@ -305,16 +298,16 @@ func cmdBench(args []string) {
 	if *out != "-" {
 		f, err := os.Create(*out)
 		if err != nil {
-			fatal(err)
+			cli.Fatal(err)
 		}
 		defer func() {
 			if err := f.Close(); err != nil {
-				fatal(err)
+				cli.Fatal(err)
 			}
 		}()
 		w = f
 	}
-	writeJSONLine(w, bf)
+	cli.WriteJSON(w, bf)
 	if *out != "-" {
 		fmt.Fprintf(os.Stderr, "irm bench: wrote %s\n", *out)
 	}

@@ -20,53 +20,34 @@ import (
 	"syscall"
 	"time"
 
-	"repro/internal/core"
+	"repro/internal/cli"
 	"repro/internal/daemon"
-	"repro/internal/interp"
 	"repro/internal/obs"
 )
 
 func cmdDaemon(args []string) {
 	fs := flag.NewFlagSet("daemon", flag.ExitOnError)
-	storeDir := fs.String("store", ".irm-store", "bin cache directory the daemon serves")
+	f := cli.New()
+	f.Register(fs, "store", "policy", "j", "v", "history", "profile-period")
+	fs.Lookup("j").Usage = "default parallel build workers (0 = one per core)"
+	fs.Lookup("policy").Usage = "default recompilation policy: cutoff or timestamp"
+	fs.Lookup("v").Usage = "log one line per request and build"
+	fs.Lookup("profile-period").Usage = "sampling period in interpreter steps (implies -profile; 0 = default)"
 	socketFlag := fs.String("socket", "", "unix socket path (default: .irm/daemon.sock beside the store)")
 	addr := fs.String("addr", "", "also serve the mux on this TCP address (for /metrics scrapers)")
-	jobs := fs.Int("j", 0, "default parallel build workers (0 = one per core)")
-	policy := fs.String("policy", "cutoff", "default recompilation policy: cutoff or timestamp")
 	queue := fs.Int("queue", daemon.DefaultMaxQueue, "admission queue bound (further requests get 503 queue_full)")
-	historyFlag := fs.String("history", "", "ledger directory ('' = beside the store, 'off' = disabled)")
 	profFlag := fs.Bool("profile", false, "profile every build; serve the latest on /debug/sml/profile")
-	profPeriod := fs.Uint64("profile-period", 0, "sampling period in interpreter steps (implies -profile; 0 = default)")
-	verbose := fs.Bool("v", false, "log one line per request and build")
 	fs.Parse(args)
 
-	pol := core.PolicyCutoff
-	switch *policy {
-	case "cutoff":
-	case "timestamp":
-		pol = core.PolicyTimestamp
-	default:
-		usage()
-	}
-
-	store, err := core.NewDirStore(*storeDir)
-	if err != nil {
-		fatal(err)
-	}
-	col := obs.New()
-	store.Obs = col
 	// Hold the store lock for the daemon's whole lifetime; the
 	// heartbeat keeps the lockfile fresh through idle stretches, so a
 	// quiet daemon is never stale-stolen by a CLI build.
-	release, err := store.Lock()
-	if err != nil {
-		fatal(err)
-	}
-	defer release()
+	s := f.Open(true, nil)
+	defer s.Close()
 
-	socket := daemon.ResolveSocket(*socketFlag, *storeDir)
+	socket := daemon.ResolveSocket(*socketFlag, f.Store)
 	if err := os.MkdirAll(filepath.Dir(socket), 0o755); err != nil {
-		fatal(err)
+		cli.Fatal(err)
 	}
 	// A leftover socket file from a crashed daemon would make Listen
 	// fail. A *live* daemon also holds the store lock, so reaching this
@@ -77,39 +58,28 @@ func cmdDaemon(args []string) {
 	}
 	ln, err := net.Listen("unix", socket)
 	if err != nil {
-		fatal(err)
+		cli.Fatal(err)
 	}
 
-	ledger := openLedger(*historyFlag, *storeDir)
 	opts := daemon.Options{
-		Store:    store,
-		StoreDir: *storeDir,
-		Col:      col,
-		Ledger:   ledger,
-		Policy:   pol,
-		Jobs:     *jobs,
+		Store:    s.DirStore,
+		StoreDir: f.Store,
+		Col:      s.Col,
+		Ledger:   s.Ledger,
+		Policy:   s.M.Policy,
+		Jobs:     f.Jobs,
 		MaxQueue: *queue,
+		Log:      s.M.Log,
 	}
-	if *profFlag || *profPeriod > 0 {
-		opts.ProfilePeriod = *profPeriod
-		if opts.ProfilePeriod == 0 {
-			opts.ProfilePeriod = interp.DefaultProfilePeriod
-		}
-	}
-	if *verbose {
-		opts.Log = os.Stderr
+	if *profFlag || f.ProfilePeriod > 0 {
+		opts.ProfilePeriod = cli.ProfilePeriod(f.ProfilePeriod)
 	}
 	srv := daemon.New(opts)
 	srv.Start()
 	fmt.Fprintf(os.Stderr, "irm: daemon listening on %s\n", socket)
 	go http.Serve(ln, srv.Handler())
 	if *addr != "" {
-		tln, err := net.Listen("tcp", *addr)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Fprintf(os.Stderr, "irm: listening on %s\n", tln.Addr())
-		go http.Serve(tln, srv.Handler())
+		cli.Listen(*addr, srv.Handler())
 	}
 
 	// Run until SIGTERM/SIGINT or a client-initiated POST /v1/drain,
@@ -153,9 +123,7 @@ func dialDaemon(socketFlag, storeDir string) *daemon.Client {
 // streamed frames exactly like an in-process build would: program
 // output to stdout as it happens, explain records to stderr, and the
 // text or JSON summary from the terminal report frame.
-func buildViaDaemon(c *daemon.Client, groupPath, policy string, jobs int,
-	explain bool, report string) error {
-
+func buildViaDaemon(c *daemon.Client, groupPath string, f *cli.Flags) error {
 	abs, err := filepath.Abs(groupPath)
 	if err != nil {
 		return err
@@ -164,22 +132,22 @@ func buildViaDaemon(c *daemon.Client, groupPath, policy string, jobs int,
 	var rep *obs.Report
 	err = c.Build(daemon.BuildRequest{
 		Group:   abs,
-		Policy:  policy,
-		Jobs:    jobs,
-		Explain: explain,
+		Policy:  f.Policy,
+		Jobs:    f.Jobs,
+		Explain: f.Explain,
 		Client:  fmt.Sprintf("irm-build/%s/%d", hostname, os.Getpid()),
-	}, func(f daemon.Frame) error {
-		switch f.Type {
+	}, func(fr daemon.Frame) error {
+		switch fr.Type {
 		case daemon.FrameOutput:
-			os.Stdout.WriteString(f.Data)
+			os.Stdout.WriteString(fr.Data)
 		case daemon.FrameExplain:
-			if explain && f.Explain != nil {
-				if err := obs.WriteExplainJSONL(os.Stderr, []obs.Explain{*f.Explain}); err != nil {
+			if f.Explain && fr.Explain != nil {
+				if err := obs.WriteExplainJSONL(os.Stderr, []obs.Explain{*fr.Explain}); err != nil {
 					return err
 				}
 			}
 		case daemon.FrameReport:
-			rep = f.Report
+			rep = fr.Report
 		}
 		return nil
 	})
@@ -189,8 +157,8 @@ func buildViaDaemon(c *daemon.Client, groupPath, policy string, jobs int,
 	if rep == nil {
 		return fmt.Errorf("daemon stream carried no report")
 	}
-	if report == "json" {
-		writeJSONLine(os.Stdout, rep)
+	if f.Report == "json" {
+		cli.WriteJSON(os.Stdout, rep)
 		return nil
 	}
 	printReportSummary(rep)
@@ -198,8 +166,8 @@ func buildViaDaemon(c *daemon.Client, groupPath, policy string, jobs int,
 }
 
 // printReportSummary renders the classic two-line build summary from a
-// report object — the daemon client's equivalent of the local path's
-// Stats printf, byte-identical for the same build.
+// report object, local or streamed by the daemon: the same build prints
+// the same bytes either way.
 func printReportSummary(rep *obs.Report) {
 	fmt.Printf("%s: %d units — parsed %d, compiled %d, loaded %d, cutoffs %d, corrupt %d, recovered %d\n",
 		rep.Name, rep.Units, rep.Parsed, rep.Compiled, rep.Loaded, rep.Cutoffs,

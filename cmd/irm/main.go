@@ -7,17 +7,20 @@
 //	          [-trace out.json] [-jsonl out.jsonl] [-explain] [-report text|json]
 //	          [-serve addr] [-history dir|off] [-daemon auto|off|require|socket]
 //	          [-profile base] [-profile-period n]
-//	irm profile group.cm [-j n] [-store dir] [-policy p] [-n k] [-period n] [-o base]
+//	irm profile group.cm [-j n] [-store dir] [-policy p] [-history dir|off]
+//	          [-n k] [-period n] [-o base]
 //	irm daemon [-store dir] [-socket path] [-addr host:port] [-j n] [-policy p]
 //	          [-queue n] [-history dir|off] [-profile] [-profile-period n] [-v]
 //	irm watch group.cm [-j n] [-store dir] [-policy p] [-poll d] [-debounce d]
-//	          [-serve addr] [-history dir|off] [-n k] [-drive k] [-report text|json] [-v]
-//	irm serve [group.cm] [-addr host:port] [-store dir] [-j n] [-history dir|off]
+//	          [-serve addr] [-history dir|off] [-n k] [-drive k] [-drive-seed n]
+//	          [-report text|json] [-v]
+//	irm serve [group.cm] [-addr host:port] [-store dir] [-policy p] [-j n] [-history dir|off]
 //	irm history [-store dir | -dir ledgerdir] [-n k] [-window w] [-threshold t] [-since d]
 //	irm top [-store dir | -dir ledgerdir] [-by cost|exec|fn] [-n k] [-since d]
 //	irm gen [-dir d] [-units n] [-lines n] [-seed n] [-shape s]
-//	irm bench [-out BENCH_irm.json] [-units n] [-lines n] [-seed n] [-j n]
+//	irm bench [-out BENCH_irm.json] [-units n] [-lines n] [-seed n] [-policy p] [-j n]
 //	irm deps  group.cm
+//	irm show  file.sml ...
 //	irm collision [-pids n]
 //
 // -j sets the parallel scheduler's worker count (0, the default, means
@@ -73,25 +76,21 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
-	"io"
 	"math"
 	"os"
 	"time"
 
+	"repro/internal/cli"
 	"repro/internal/compiler"
 	"repro/internal/core"
 	"repro/internal/daemon"
 	"repro/internal/depend"
-	"repro/internal/interp"
-	"repro/internal/obs"
-	"repro/internal/obsserve"
-	"repro/internal/prof"
 )
 
 func main() {
+	cli.Usage = usage
 	if len(os.Args) < 2 {
 		usage()
 	}
@@ -133,29 +132,20 @@ func cmdShow(args []string) {
 	}
 	session, err := compiler.NewSession(os.Stdout)
 	if err != nil {
-		fatal(err)
+		cli.Fatal(err)
 	}
 	for _, path := range args {
 		src, err := os.ReadFile(path)
 		if err != nil {
-			fatal(err)
+			cli.Fatal(err)
 		}
 		u, err := session.Run(path, string(src))
 		if err != nil {
-			fatal(err)
+			cli.Fatal(err)
 		}
 		fmt.Print(compiler.Describe(u))
 		fmt.Println()
 	}
-}
-
-// splitGroupArg accepts the group file either before or after the
-// flags (Go's flag package stops at the first positional argument).
-func splitGroupArg(args []string) (group string, rest []string) {
-	if len(args) > 0 && len(args[0]) > 0 && args[0][0] != '-' {
-		return args[0], args[1:]
-	}
-	return "", args
 }
 
 func usage() {
@@ -164,16 +154,18 @@ func usage() {
             [-trace out.json] [-jsonl out.jsonl] [-explain] [-report text|json]
             [-serve addr] [-history dir|off] [-daemon auto|off|require|socket]
             [-profile base] [-profile-period n]
-  irm profile group.cm [-j n] [-store dir] [-policy p] [-n k] [-period n] [-o base]
+  irm profile group.cm [-j n] [-store dir] [-policy p] [-history dir|off]
+            [-n k] [-period n] [-o base]
   irm daemon [-store dir] [-socket path] [-addr host:port] [-j n] [-policy p]
             [-queue n] [-history dir|off] [-profile] [-profile-period n] [-v]
   irm watch group.cm [-j n] [-store dir] [-policy p] [-poll d] [-debounce d]
-            [-serve addr] [-history dir|off] [-n k] [-drive k] [-report text|json] [-v]
+            [-serve addr] [-history dir|off] [-n k] [-drive k] [-drive-seed n]
+            [-report text|json] [-v]
   irm serve [group.cm] [-addr host:port] [-store dir] [-policy p] [-j n] [-history dir|off]
   irm history [-store dir | -dir ledgerdir] [-n k] [-window w] [-threshold t] [-since d]
   irm top [-store dir | -dir ledgerdir] [-by cost|exec|fn] [-n k] [-since d]
   irm gen [-dir d] [-units n] [-lines n] [-seed n] [-shape s]
-  irm bench [-out BENCH_irm.json] [-units n] [-lines n] [-seed n] [-j n]
+  irm bench [-out BENCH_irm.json] [-units n] [-lines n] [-seed n] [-policy p] [-j n]
   irm deps  group.cm
   irm show  file.sml ...
   irm collision [-pids n]`)
@@ -182,33 +174,16 @@ func usage() {
 
 func cmdBuild(args []string) {
 	fs := flag.NewFlagSet("build", flag.ExitOnError)
-	storeDir := fs.String("store", ".irm-store", "bin cache directory")
-	policy := fs.String("policy", "cutoff", "recompilation policy: cutoff or timestamp")
-	jobs := fs.Int("j", 0, "parallel build workers (0 = one per core)")
-	verbose := fs.Bool("v", false, "log per-unit actions")
-	tracePath := fs.String("trace", "", "write Chrome trace_event JSON to this file")
-	jsonlPath := fs.String("jsonl", "", "write spans, explains, and counters as JSON lines to this file")
-	explain := fs.Bool("explain", false, "stream one rebuild-decision JSON record per unit to stderr")
-	report := fs.String("report", "text", "build summary format: text or json")
-	serveAddr := fs.String("serve", "", "serve /metrics and /debug/pprof on this address while the build runs")
-	historyFlag := fs.String("history", "", "ledger directory ('' = beside the store, 'off' = disabled)")
+	f := cli.New()
+	f.Report = "text"
+	f.Register(fs, "store", "policy", "j", "v", "history",
+		"trace", "jsonl", "explain", "report", "serve", "profile", "profile-period")
 	daemonMode := fs.String("daemon", "auto", "daemon dispatch: auto, off, require, or a socket path")
-	profileOut := fs.String("profile", "", "profile SML execution; write <base>.json, <base>.folded, <base>.pb")
-	profPeriod := fs.Uint64("profile-period", 0, "sampling period in interpreter steps (0 = default)")
-	groupPath, rest := splitGroupArg(args)
-	fs.Parse(rest)
-	if groupPath == "" && fs.NArg() == 1 {
-		groupPath = fs.Arg(0)
-	}
+	groupPath := cli.GroupArg(fs, args)
 	if groupPath == "" {
 		usage()
 	}
-	if *report != "text" && *report != "json" {
-		usage()
-	}
-	if *policy != "cutoff" && *policy != "timestamp" {
-		usage()
-	}
+	f.Validate()
 
 	// Daemon dispatch: when a live daemon serves this store, hand it
 	// the build and render its streamed frames — same output, summary,
@@ -223,14 +198,13 @@ func cmdBuild(args []string) {
 	// belong to this invocation's Manager, not the daemon's (profile a
 	// daemon's builds with `irm daemon -profile` and the
 	// /debug/sml/profile endpoint instead).
-	if *daemonMode != "off" && *tracePath == "" && *jsonlPath == "" && *serveAddr == "" &&
-		*profileOut == "" {
+	if *daemonMode != "off" && f.Trace == "" && f.JSONL == "" && f.Serve == "" && f.Profile == "" {
 		socketFlag := ""
 		if *daemonMode != "auto" && *daemonMode != "require" {
 			socketFlag = *daemonMode
 		}
-		if c := dialDaemon(socketFlag, *storeDir); c != nil {
-			err := buildViaDaemon(c, groupPath, *policy, *jobs, *explain, *report)
+		if c := dialDaemon(socketFlag, f.Store); c != nil {
+			err := buildViaDaemon(c, groupPath, f)
 			switch {
 			case err == nil:
 				return
@@ -239,118 +213,26 @@ func cmdBuild(args []string) {
 				// rejections happen at admission, before the stream starts,
 				// so nothing has been rendered yet.
 			default:
-				fatal(err)
+				cli.Fatal(err)
 			}
 		} else if *daemonMode == "require" {
-			fatal(fmt.Errorf("no live daemon for store %s (socket %s)",
-				*storeDir, daemon.ResolveSocket(socketFlag, *storeDir)))
+			cli.Fatal(fmt.Errorf("no live daemon for store %s (socket %s)",
+				f.Store, daemon.ResolveSocket(socketFlag, f.Store)))
 		}
 	}
 
 	group, err := core.LoadGroup(groupPath)
 	if err != nil {
-		fatal(err)
+		cli.Fatal(err)
 	}
-	store, err := core.NewDirStore(*storeDir)
-	if err != nil {
-		fatal(err)
-	}
-	// One collector spans the manager, the store, and the lock path.
-	col := obs.New()
-	store.Obs = col
-	m := &core.Manager{Store: store, Stdout: os.Stdout, Obs: col, Jobs: *jobs}
-	switch *policy {
-	case "cutoff":
-		m.Policy = core.PolicyCutoff
-	case "timestamp":
-		m.Policy = core.PolicyTimestamp
-	default:
-		usage()
-	}
-	if *verbose {
-		m.Log = os.Stderr
-	}
-	if *profileOut != "" {
-		m.ProfilePeriod = *profPeriod
-		if m.ProfilePeriod == 0 {
-			m.ProfilePeriod = interp.DefaultProfilePeriod
-		}
-	}
-	ledger := openLedger(*historyFlag, *storeDir)
-	var liveProf *prof.Live
-	if *serveAddr != "" {
-		// Bind before the build so a scraper or profiler can attach from
-		// the first instant; the listener dies with the process.
-		srv := obsserve.New(col, ledger)
-		if *profileOut != "" {
-			liveProf = &prof.Live{}
-			srv.Prof = liveProf
-		}
-		if _, err := startServer(*serveAddr, srv); err != nil {
-			fatal(err)
-		}
-	}
+	s := f.Open(false, nil)
 	start := time.Now()
-	_, buildErr := m.Build(group.Files)
-	recordBuild(ledger, m, group.Name, *jobs, time.Since(start), buildErr)
-	// Telemetry is flushed before the build error is reported: a trace
-	// of a failing build is the one you want most. Same for the
-	// profile: a partial profile of a failing build still attributes
-	// the steps that did run.
-	flushTelemetry(col, *tracePath, *jsonlPath)
-	if *profileOut != "" && m.Prof != nil {
-		if liveProf != nil {
-			liveProf.Set(group.Name, m.Prof)
-		}
-		if err := m.Prof.WriteFiles(*profileOut, group.Name); err != nil {
-			fatal(err)
-		}
-	}
-	if *explain {
-		if err := obs.WriteExplainJSONL(os.Stderr, m.Explains); err != nil {
-			fatal(err)
-		}
-	}
-	if buildErr != nil {
-		fatal(buildErr)
-	}
-	if *report == "json" {
-		writeJSONLine(os.Stdout, m.Report(group.Name))
-		return
-	}
-	st := m.Stats
-	fmt.Printf("%s: %d units — parsed %d, compiled %d, loaded %d, cutoffs %d, corrupt %d, recovered %d\n",
-		group.Name, st.Units, st.Parsed, st.Compiled, st.Loaded, st.Cutoffs, st.Corrupt, st.Recovered)
-	fmt.Printf("  compile %v, hash %v, pickle %v, load %v, exec %v\n",
-		st.CompileTime, st.HashTime, st.PickleTime, st.LoadTime, st.ExecTime)
-}
-
-// flushTelemetry writes the collector's trace and JSONL files, if
-// requested.
-func flushTelemetry(col *obs.Collector, tracePath, jsonlPath string) {
-	if tracePath != "" {
-		f, err := os.Create(tracePath)
-		if err != nil {
-			fatal(err)
-		}
-		if err := col.WriteTrace(f); err != nil {
-			fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			fatal(err)
-		}
-	}
-	if jsonlPath != "" {
-		f, err := os.Create(jsonlPath)
-		if err != nil {
-			fatal(err)
-		}
-		if err := col.WriteJSONL(f); err != nil {
-			fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			fatal(err)
-		}
+	_, buildErr := s.M.Build(group.Files)
+	s.Record(group.Name, time.Since(start), buildErr)
+	rep := s.M.Report(group.Name)
+	s.Flush(group.Name, s.M.Prof, rep, buildErr)
+	if f.Report == "text" {
+		printReportSummary(&rep)
 	}
 }
 
@@ -362,20 +244,20 @@ func cmdDeps(args []string) {
 	}
 	group, err := core.LoadGroup(fs.Arg(0))
 	if err != nil {
-		fatal(err)
+		cli.Fatal(err)
 	}
 	var infos []*depend.Info
 	for _, f := range group.Files {
 		info, err := depend.Analyze(f.Name, f.Source)
 		if err != nil {
-			fatal(err)
+			cli.Fatal(err)
 		}
 		infos = append(infos, info)
 	}
 	deps := depend.Graph(infos)
 	order, err := depend.TopoSort(infos)
 	if err != nil {
-		fatal(err)
+		cli.Fatal(err)
 	}
 	for _, info := range order {
 		fmt.Printf("%s:", info.Name)
@@ -402,23 +284,4 @@ func cmdCollision(args []string) {
 	fmt.Printf("pairs:              %.0f (2^%.1f)\n", pairs, log2Pairs)
 	fmt.Printf("P(any collision) <= 2^%.1f\n", log2P)
 	fmt.Printf("paper (§5): 2^13 pids -> ~2^25 pairs -> P ~ 2^-103\n")
-}
-
-// writeJSONLine marshals v onto a single line of w — keeping the
-// machine-readable report greppable as "the last line of stdout" even
-// when program output precedes it.
-func writeJSONLine(w io.Writer, v any) {
-	data, err := json.Marshal(v)
-	if err != nil {
-		fatal(err)
-	}
-	data = append(data, '\n')
-	if _, err := w.Write(data); err != nil {
-		fatal(err)
-	}
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "irm:", err)
-	os.Exit(1)
 }

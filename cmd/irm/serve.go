@@ -10,78 +10,14 @@ package main
 import (
 	"flag"
 	"fmt"
-	"net"
-	"net/http"
 	"os"
-	"path/filepath"
 	"time"
 
+	"repro/internal/cli"
 	"repro/internal/core"
 	"repro/internal/history"
-	"repro/internal/obs"
-	"repro/internal/obsserve"
 	"repro/internal/workload"
 )
-
-// defaultHistoryDir derives the ledger location from the store
-// location: a sibling `.irm/history` directory, so every store a CLI
-// test creates in a temp dir gets its own ledger beside it instead of
-// polluting the working directory.
-func defaultHistoryDir(storeDir string) string {
-	return filepath.Join(filepath.Dir(storeDir), ".irm", "history")
-}
-
-// openLedger resolves the -history flag: "" derives from the store,
-// "off" disables, anything else is the ledger directory itself.
-func openLedger(historyFlag, storeDir string) *history.Ledger {
-	if historyFlag == "off" {
-		return nil
-	}
-	dir := historyFlag
-	if dir == "" {
-		dir = defaultHistoryDir(storeDir)
-	}
-	l, err := history.Open(dir, nil)
-	if err != nil {
-		// The ledger is telemetry: a build must not fail because its
-		// history cannot be written.
-		fmt.Fprintln(os.Stderr, "irm:", err)
-		return nil
-	}
-	return l
-}
-
-// recordBuild appends one build's summary to the ledger, if open.
-// A profiled build's record also carries its hot-function table, so
-// `irm top -by fn` can rank functions across builds.
-func recordBuild(l *history.Ledger, m *core.Manager, name string,
-	jobs int, wall time.Duration, buildErr error) {
-	if l == nil {
-		return
-	}
-	rec := history.FromReport(m.Report(name), m.UnitTimings, jobs,
-		wall, time.Now(), buildErr)
-	if m.Prof != nil {
-		rec.HotFunctions = m.Prof.Top(20)
-	}
-	if err := l.Append(rec); err != nil {
-		fmt.Fprintln(os.Stderr, "irm:", err)
-	}
-}
-
-// startServer binds addr, announces the resolved address on stderr
-// (machine-parseable: "irm: listening on HOST:PORT"), and serves the
-// telemetry mux in the background. It returns the listener so callers
-// can report or close it.
-func startServer(addr string, srv *obsserve.Server) (net.Listener, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, err
-	}
-	fmt.Fprintf(os.Stderr, "irm: listening on %s\n", ln.Addr())
-	go http.Serve(ln, srv.Handler())
-	return ln, nil
-}
 
 // cmdServe builds the group (if given) with full telemetry attached
 // and then blocks, serving /metrics, /healthz, /builds, and
@@ -89,52 +25,36 @@ func startServer(addr string, srv *obsserve.Server) (net.Listener, error) {
 // scrape or profile can attach from the first instant.
 func cmdServe(args []string) {
 	fs := flag.NewFlagSet("serve", flag.ExitOnError)
+	f := cli.New()
+	f.Register(fs, "store", "policy", "j", "history")
 	addr := fs.String("addr", "127.0.0.1:0", "telemetry listen address")
-	storeDir := fs.String("store", ".irm-store", "bin cache directory")
-	policy := fs.String("policy", "cutoff", "recompilation policy: cutoff or timestamp")
-	jobs := fs.Int("j", 0, "parallel build workers (0 = one per core)")
-	historyFlag := fs.String("history", "", "ledger directory ('' = beside the store, 'off' = disabled)")
-	groupPath, rest := splitGroupArg(args)
-	fs.Parse(rest)
-	if groupPath == "" && fs.NArg() == 1 {
-		groupPath = fs.Arg(0)
-	}
-
-	col := obs.New()
-	ledger := openLedger(*historyFlag, *storeDir)
-	srv := obsserve.New(col, ledger)
-	if _, err := startServer(*addr, srv); err != nil {
-		fatal(err)
-	}
-
+	groupPath := cli.GroupArg(fs, args)
+	f.Serve = *addr
+	var group *core.Group
 	if groupPath != "" {
-		group, err := core.LoadGroup(groupPath)
-		if err != nil {
-			fatal(err)
+		var err error
+		if group, err = core.LoadGroup(groupPath); err != nil {
+			cli.Fatal(err)
 		}
-		store, err := core.NewDirStore(*storeDir)
-		if err != nil {
-			fatal(err)
+	} else {
+		// Nothing to build: leave the store untouched, but keep the
+		// ledger where it would be beside it.
+		if f.History == "" {
+			f.History = cli.HistoryDir(f.Store)
 		}
-		store.Obs = col
-		m := &core.Manager{Store: store, Stdout: os.Stdout, Obs: col, Jobs: *jobs}
-		switch *policy {
-		case "cutoff":
-			m.Policy = core.PolicyCutoff
-		case "timestamp":
-			m.Policy = core.PolicyTimestamp
-		default:
-			usage()
-		}
+		f.Store = ""
+	}
+	s := f.Open(false, nil)
+	if group != nil {
 		start := time.Now()
-		_, buildErr := m.Build(group.Files)
-		recordBuild(ledger, m, group.Name, *jobs, time.Since(start), buildErr)
+		_, buildErr := s.M.Build(group.Files)
+		s.Record(group.Name, time.Since(start), buildErr)
 		if buildErr != nil {
 			// Keep serving: the metrics of a failed build are the ones
 			// worth scraping. The exit status is lost anyway (we block).
 			fmt.Fprintln(os.Stderr, "irm:", buildErr)
 		} else {
-			st := m.Stats
+			st := s.M.Stats
 			fmt.Printf("%s: %d units — parsed %d, compiled %d, loaded %d, cutoffs %d\n",
 				group.Name, st.Units, st.Parsed, st.Compiled, st.Loaded, st.Cutoffs)
 		}
@@ -146,7 +66,7 @@ func cmdServe(args []string) {
 // flags wall-time regressions against the trailing median.
 func cmdHistory(args []string) {
 	fs := flag.NewFlagSet("history", flag.ExitOnError)
-	storeDir := fs.String("store", ".irm-store", "bin cache directory the ledger sits beside")
+	storeDir := fs.String("store", cli.DefaultStore, "bin cache directory the ledger sits beside")
 	dir := fs.String("dir", "", "ledger directory (overrides -store derivation)")
 	limit := fs.Int("n", 20, "show at most n newest records")
 	window := fs.Int("window", 10, "trailing builds forming the regression baseline")
@@ -156,15 +76,15 @@ func cmdHistory(args []string) {
 
 	ledgerDir := *dir
 	if ledgerDir == "" {
-		ledgerDir = defaultHistoryDir(*storeDir)
+		ledgerDir = cli.HistoryDir(*storeDir)
 	}
 	l, err := history.Open(ledgerDir, nil)
 	if err != nil {
-		fatal(err)
+		cli.Fatal(err)
 	}
 	recs, skipped, err := l.ReadAll()
 	if err != nil {
-		fatal(err)
+		cli.Fatal(err)
 	}
 	if skipped > 0 {
 		fmt.Fprintf(os.Stderr, "irm: skipped %d corrupt ledger lines\n", skipped)
@@ -216,7 +136,7 @@ func cmdHistory(args []string) {
 // running with -profile).
 func cmdTop(args []string) {
 	fs := flag.NewFlagSet("top", flag.ExitOnError)
-	storeDir := fs.String("store", ".irm-store", "bin cache directory the ledger sits beside")
+	storeDir := fs.String("store", cli.DefaultStore, "bin cache directory the ledger sits beside")
 	dir := fs.String("dir", "", "ledger directory (overrides -store derivation)")
 	by := fs.String("by", "cost", "ranking: cost (unit wall time), exec (execute phase), or fn (profiled functions)")
 	limit := fs.Int("n", 10, "show at most n rows")
@@ -225,15 +145,15 @@ func cmdTop(args []string) {
 
 	ledgerDir := *dir
 	if ledgerDir == "" {
-		ledgerDir = defaultHistoryDir(*storeDir)
+		ledgerDir = cli.HistoryDir(*storeDir)
 	}
 	l, err := history.Open(ledgerDir, nil)
 	if err != nil {
-		fatal(err)
+		cli.Fatal(err)
 	}
 	recs, _, err := l.ReadAll()
 	if err != nil {
-		fatal(err)
+		cli.Fatal(err)
 	}
 	if *since > 0 {
 		recs = history.FilterSince(recs, time.Now().Add(-*since))
@@ -325,7 +245,7 @@ func cmdGen(args []string) {
 	}
 	groupPath, err := workload.Generate(cfg).Materialize(*dir)
 	if err != nil {
-		fatal(err)
+		cli.Fatal(err)
 	}
 	fmt.Println(groupPath)
 }

@@ -16,94 +16,53 @@ import (
 	"syscall"
 	"time"
 
+	"repro/internal/cli"
 	"repro/internal/core"
-	"repro/internal/obs"
-	"repro/internal/obsserve"
 	"repro/internal/watch"
 	"repro/internal/workload"
 )
 
 func cmdWatch(args []string) {
 	fs := flag.NewFlagSet("watch", flag.ExitOnError)
-	storeDir := fs.String("store", ".irm-store", "bin cache directory")
-	policy := fs.String("policy", "cutoff", "recompilation policy: cutoff or timestamp")
-	jobs := fs.Int("j", 0, "parallel build workers (0 = one per core)")
-	verbose := fs.Bool("v", false, "log one line per iteration")
+	f := cli.New()
+	f.Register(fs, "store", "policy", "j", "v", "history", "serve", "report")
+	fs.Lookup("v").Usage = "log one line per iteration"
 	poll := fs.Duration("poll", 200*time.Millisecond, "idle polling period")
 	debounce := fs.Duration("debounce", 50*time.Millisecond, "quiet time required after a change before rebuilding")
-	serveAddr := fs.String("serve", "", "serve /metrics, /watch (SSE), and /debug/pprof on this address")
-	historyFlag := fs.String("history", "", "ledger directory ('' = beside the store, 'off' = disabled)")
 	maxBuilds := fs.Int("n", 0, "exit after n rebuilds (0 = run until interrupted)")
 	drive := fs.Int("drive", 0, "scripted session: apply n generated edits, one per rebuild, then exit")
 	driveSeed := fs.Int64("drive-seed", 1, "seed of the scripted edit stream")
-	report := fs.String("report", "", "session summary on exit: text or json")
-	groupPath, rest := splitGroupArg(args)
-	fs.Parse(rest)
-	if groupPath == "" && fs.NArg() == 1 {
-		groupPath = fs.Arg(0)
-	}
+	groupPath := cli.GroupArg(fs, args)
 	if groupPath == "" {
 		usage()
 	}
-	if *report != "" && *report != "text" && *report != "json" {
-		usage()
-	}
-	store, err := core.NewDirStore(*storeDir)
-	if err != nil {
-		fatal(err)
-	}
-	col := obs.New()
-	store.Obs = col
 	// Hold the store lock for the whole session: one watcher owns the
 	// store, and the heartbeat (core/lock.go) keeps the lockfile fresh
 	// however long the session idles. The Manager gets an Unlocked view
 	// so its per-build Lock call does not deadlock against our hold.
-	release, err := store.Lock()
-	if err != nil {
-		fatal(err)
-	}
-	defer release()
-
-	m := &core.Manager{Store: core.Unlocked(store), Stdout: os.Stdout, Obs: col, Jobs: *jobs}
-	switch *policy {
-	case "cutoff":
-		m.Policy = core.PolicyCutoff
-	case "timestamp":
-		m.Policy = core.PolicyTimestamp
-	default:
-		usage()
-	}
-
-	ledger := openLedger(*historyFlag, *storeDir)
 	hub := watch.NewHub()
-	if *serveAddr != "" {
-		srv := obsserve.New(col, ledger)
-		srv.Watch = hub
-		if _, err := startServer(*serveAddr, srv); err != nil {
-			fatal(err)
-		}
-	}
+	s := f.Open(true, hub)
+	defer s.Close()
 
 	n := *maxBuilds
 	if *drive > 0 {
 		n = *drive
 	}
 	opts := watch.Options{
-		Manager:   m,
+		Manager:   s.M,
 		GroupPath: groupPath,
-		Col:       col,
-		Ledger:    ledger,
+		Col:       s.Col,
+		Ledger:    s.Ledger,
 		Hub:       hub,
 		Poll:      *poll,
 		Debounce:  *debounce,
 		MaxBuilds: n,
 	}
-	if *verbose {
-		opts.Log = os.Stderr
-	}
+	// -v logs one line per iteration, not per unit.
+	opts.Log, s.M.Log = s.M.Log, nil
 	w, err := watch.New(opts)
 	if err != nil {
-		fatal(err)
+		cli.Fatal(err)
 	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
@@ -113,11 +72,11 @@ func cmdWatch(args []string) {
 	}
 
 	if err := w.Run(ctx); err != nil {
-		fatal(err)
+		cli.Fatal(err)
 	}
-	switch *report {
+	switch f.Report {
 	case "json":
-		writeJSONLine(os.Stdout, w.Report())
+		cli.WriteJSON(os.Stdout, w.Report())
 	case "text":
 		printWatchReport(w.Report())
 	}

@@ -16,16 +16,15 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 
+	"repro/internal/cli"
 	"repro/internal/core"
 	"repro/internal/daemon"
-	"repro/internal/obs"
 )
 
 // binDirStore adapts the compile-only use case to the manager's Store:
@@ -55,26 +54,24 @@ func (s *binDirStore) Save(name string, e *core.Entry) error {
 }
 
 func main() {
+	cli.Name = "smlc"
+	f := &cli.Flags{ReportStderr: true}
+	f.Register(flag.CommandLine, "j", "trace", "report")
 	outDir := flag.String("d", ".", "directory for bin files")
-	jobs := flag.Int("j", 0, "parallel build workers (0 = one per core)")
 	verbose := flag.Bool("v", false, "print interfaces and imports")
-	tracePath := flag.String("trace", "", "write Chrome trace_event JSON to this file")
-	report := flag.String("report", "", "with 'json', write a machine-readable summary line to stderr")
 	daemonMode := flag.String("daemon", "auto", "daemon dispatch: auto ($IRM_DAEMON_SOCKET), off, or a socket path")
 	flag.Parse()
 	if flag.NArg() == 0 {
 		fmt.Fprintln(os.Stderr, "usage: smlc [-d dir] [-j n] [-v] [-trace out.json] [-report json] [-daemon auto|off|socket] file.sml ...")
 		os.Exit(2)
 	}
-	if *report != "" && *report != "json" {
-		fatal(fmt.Errorf("unknown -report format %q (want json)", *report))
-	}
+	f.Validate()
 
 	var files []core.File
 	for _, path := range flag.Args() {
 		src, err := os.ReadFile(path)
 		if err != nil {
-			fatal(err)
+			cli.Fatal(err)
 		}
 		files = append(files, core.File{Name: filepath.Base(path), Source: string(src)})
 	}
@@ -85,26 +82,25 @@ func main() {
 	// "auto" means the environment variable only. The local-only
 	// telemetry surfaces (-trace, -report) force the in-process path;
 	// any probe failure falls back to it silently.
-	if *daemonMode != "off" && *tracePath == "" && *report == "" {
+	if *daemonMode != "off" && f.Trace == "" && f.Report == "" {
 		socket := *daemonMode
 		if socket == "auto" {
 			socket = os.Getenv(daemon.SocketEnv)
 		}
-		if socket != "" && compileViaDaemon(socket, files, *outDir, *jobs, *verbose) {
+		if socket != "" && compileViaDaemon(socket, files, *outDir, f.Jobs, *verbose) {
 			return
 		}
 	}
 
-	col := obs.New()
+	s := f.Open(false, nil)
 	store := &binDirStore{dir: *outDir, paths: map[string]string{}}
-	m := &core.Manager{Policy: core.PolicyCutoff, Store: store,
-		Stdout: os.Stdout, Obs: col, Jobs: *jobs}
-	session, err := m.Build(files)
+	s.M.Store = store
+	session, err := s.M.Build(files)
 	if err != nil {
-		fatal(err)
+		cli.Fatal(err)
 	}
 	if store.err != nil {
-		fatal(store.err)
+		cli.Fatal(store.err)
 	}
 
 	// Report units in the order given on the command line, whatever
@@ -130,31 +126,12 @@ func main() {
 		}
 	}
 
-	if *tracePath != "" {
-		f, err := os.Create(*tracePath)
-		if err != nil {
-			fatal(err)
-		}
-		if err := col.WriteTrace(f); err != nil {
-			fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			fatal(err)
-		}
-	}
-	if *report == "json" {
-		summary := struct {
-			Schema   string           `json:"schema"`
-			Tool     string           `json:"tool"`
-			Units    int              `json:"units"`
-			Counters map[string]int64 `json:"counters"`
-		}{"smlc-report/1", "smlc", flag.NArg(), col.Counters()}
-		data, err := json.Marshal(summary)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Fprintln(os.Stderr, string(data))
-	}
+	s.Flush("", nil, struct {
+		Schema   string           `json:"schema"`
+		Tool     string           `json:"tool"`
+		Units    int              `json:"units"`
+		Counters map[string]int64 `json:"counters"`
+	}{"smlc-report/1", "smlc", flag.NArg(), s.Col.Counters()}, nil)
 }
 
 // compileViaDaemon sends the sources to the daemon's /v1/compile and
@@ -177,12 +154,12 @@ func compileViaDaemon(socket string, files []core.File, outDir string, jobs int,
 		return false
 	}
 	if err != nil {
-		fatal(err)
+		cli.Fatal(err)
 	}
 	for _, u := range resp.Units {
 		path := filepath.Join(outDir, strings.TrimSuffix(u.Name, ".sml")+".bin")
 		if err := os.WriteFile(path, u.Bin, 0o644); err != nil {
-			fatal(err)
+			cli.Fatal(err)
 		}
 		fmt.Printf("%s: interface %s -> %s\n", u.Name, u.PidShort, path)
 		if verbose {
@@ -195,9 +172,4 @@ func compileViaDaemon(socket string, files []core.File, outDir string, jobs int,
 		}
 	}
 	return true
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "smlc:", err)
-	os.Exit(1)
 }

@@ -6,16 +6,15 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
 	"path/filepath"
 
 	"repro/internal/binfile"
+	"repro/internal/cli"
 	"repro/internal/compiler"
 	"repro/internal/core"
-	"repro/internal/interp"
 	"repro/internal/linker"
 	"repro/internal/obs"
 	"repro/internal/pid"
@@ -23,112 +22,38 @@ import (
 )
 
 func main() {
+	cli.Name = "smlrun"
+	f := &cli.Flags{ReportStderr: true}
+	f.Register(flag.CommandLine, "store", "j", "v", "trace", "explain", "report", "profile", "profile-period")
 	binMode := flag.Bool("bin", false, "arguments are bin files to link and run")
-	storeDir := flag.String("store", "", "bin cache directory (enables incremental reuse)")
-	jobs := flag.Int("j", 0, "parallel build workers (0 = one per core)")
-	verbose := flag.Bool("v", false, "log per-unit actions")
-	tracePath := flag.String("trace", "", "write Chrome trace_event JSON to this file")
-	explain := flag.Bool("explain", false, "stream one rebuild-decision JSON record per unit to stderr")
-	report := flag.String("report", "", "with 'json', write a machine-readable build report line to stderr")
-	profileOut := flag.String("profile", "", "profile SML execution; write <base>.json, <base>.folded, <base>.pb")
-	profPeriod := flag.Uint64("profile-period", 0, "sampling period in interpreter steps (0 = default)")
 	flag.Parse()
 	if flag.NArg() == 0 {
 		fmt.Fprintln(os.Stderr,
 			"usage: smlrun [-bin] [-store dir] [-j n] [-v] [-trace out.json] [-explain] [-report json] [-profile base] [-profile-period n] file ...")
 		os.Exit(2)
 	}
-	if *report != "" && *report != "json" {
-		fatal(fmt.Errorf("unknown -report format %q (want json)", *report))
-	}
+	f.Validate()
 	if *binMode {
-		runBins(flag.Args(), *tracePath, *report, *profileOut, *profPeriod)
+		runBins(f, flag.Args())
 		return
 	}
 
-	col := obs.New()
-	m := core.NewManager()
-	m.Stdout = os.Stdout
-	m.Obs = col
-	m.Jobs = *jobs
-	if *profileOut != "" {
-		m.ProfilePeriod = *profPeriod
-		if m.ProfilePeriod == 0 {
-			m.ProfilePeriod = interp.DefaultProfilePeriod
-		}
-	}
-	if *verbose {
-		m.Log = os.Stderr
-	}
-	if *storeDir != "" {
-		store, err := core.NewDirStore(*storeDir)
-		if err != nil {
-			fatal(err)
-		}
-		store.Obs = col
-		m.Store = store
-	}
-
+	s := f.Open(false, nil)
 	var files []core.File
 	for _, path := range flag.Args() {
 		src, err := os.ReadFile(path)
 		if err != nil {
-			fatal(err)
+			cli.Fatal(err)
 		}
 		files = append(files, core.File{Name: filepath.Base(path), Source: string(src)})
 	}
-	_, buildErr := m.Build(files)
-	if *tracePath != "" {
-		writeTrace(col, *tracePath)
-	}
-	if *profileOut != "" && m.Prof != nil {
-		name := "smlrun"
-		if flag.NArg() > 0 {
-			name = filepath.Base(flag.Arg(0))
-		}
-		if err := m.Prof.WriteFiles(*profileOut, name); err != nil {
-			fatal(err)
-		}
-	}
-	if *explain {
-		if err := obs.WriteExplainJSONL(os.Stderr, m.Explains); err != nil {
-			fatal(err)
-		}
-	}
-	if buildErr != nil {
-		fatal(buildErr)
-	}
-	if *report == "json" {
-		// The program's own output owns stdout; the report goes to
-		// stderr as a single JSON line.
-		name := "smlrun"
-		if flag.NArg() > 0 {
-			name = filepath.Base(flag.Arg(0))
-		}
-		data, err := json.Marshal(m.Report(name))
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Fprintln(os.Stderr, string(data))
-	}
-	if *verbose {
-		st := m.Stats
+	_, buildErr := s.M.Build(files)
+	name := filepath.Base(flag.Arg(0))
+	s.Flush(name, s.M.Prof, s.M.Report(name), buildErr)
+	if f.Verbose {
+		st := s.M.Stats
 		fmt.Fprintf(os.Stderr, "units=%d compiled=%d loaded=%d cutoffs=%d corrupt=%d recovered=%d\n",
 			st.Units, st.Compiled, st.Loaded, st.Cutoffs, st.Corrupt, st.Recovered)
-	}
-}
-
-// writeTrace writes the collector's Chrome trace_event file.
-func writeTrace(col *obs.Collector, path string) {
-	f, err := os.Create(path)
-	if err != nil {
-		fatal(err)
-	}
-	if err := col.WriteTrace(f); err != nil {
-		fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		fatal(err)
 	}
 }
 
@@ -138,17 +63,17 @@ func writeTrace(col *obs.Collector, path string) {
 // (-report json) — and, with -profile, the same three profile
 // artifacts a source build writes (bins carry no source text, so
 // line numbers are absent from the symbolization).
-func runBins(paths []string, tracePath, report, profileOut string, profPeriod uint64) {
+func runBins(f *cli.Flags, paths []string) {
 	session, err := compiler.NewSession(os.Stdout)
 	if err != nil {
-		fatal(err)
+		cli.Fatal(err)
 	}
-	if profileOut != "" {
+	if f.Profile != "" {
 		// The prelude already executed (inside NewSession, before
 		// profiling starts) so it contributes no samples, but register
 		// it anyway: program closures that call into prelude functions
 		// should attribute those frames by name.
-		session.Machine.StartProfile(profPeriod)
+		session.Machine.StartProfile(f.ProfilePeriod)
 		for _, u := range session.Units {
 			session.Machine.ProfRegister(u.Name, u.Prog)
 		}
@@ -166,11 +91,11 @@ func runBins(paths []string, tracePath, report, profileOut string, profPeriod ui
 	for _, path := range paths {
 		data, err := os.ReadFile(path)
 		if err != nil {
-			fatal(err)
+			cli.Fatal(err)
 		}
 		_, statPid, imports, numSlots, err := binfile.ReadHeader(data)
 		if err != nil {
-			fatal(fmt.Errorf("%s: %v", path, err))
+			cli.Fatal(fmt.Errorf("%s: %v", path, err))
 		}
 		bi := &binInfo{path: path, data: data, imports: imports, exports: map[pid.Pid]bool{}}
 		for i := 0; i < numSlots; i++ {
@@ -201,7 +126,7 @@ func runBins(paths []string, tracePath, report, profileOut string, profPeriod ui
 		}
 		u, err := binfile.Read(bi.data, session.Index)
 		if err != nil {
-			fatal(fmt.Errorf("%s: %v", bi.path, err))
+			cli.Fatal(fmt.Errorf("%s: %v", bi.path, err))
 		}
 		session.Index.AddEnv(u.Env)
 		units = append(units, u)
@@ -222,10 +147,8 @@ func runBins(paths []string, tracePath, report, profileOut string, profPeriod ui
 	rspan := col.StartSpan(obs.CatBuild, "run-bins")
 	runErr := linker.RunObserved(session.Machine, units, session.Dyn, rspan, col)
 	rspan.End()
-	if tracePath != "" {
-		writeTrace(col, tracePath)
-	}
-	if profileOut != "" {
+	var p *prof.Profile
+	if f.Profile != "" {
 		b := prof.NewBuilder(session.Machine.ProfilePeriod())
 		for _, u := range session.Units {
 			b.AddUnit(u.Name, u.Term(), u.Env, compiler.PreludeSource)
@@ -236,25 +159,12 @@ func runBins(paths []string, tracePath, report, profileOut string, profPeriod ui
 		for _, up := range session.Machine.TakeUnitProfiles() {
 			b.Add(up)
 		}
-		if err := b.Finish().WriteFiles(profileOut, "run-bins"); err != nil {
-			fatal(err)
-		}
+		p = b.Finish()
 	}
-	if report == "json" {
-		rep := map[string]any{"schema": obs.ReportSchema, "name": "run-bins",
-			"counters": col.Counters()}
-		data, err := json.Marshal(rep)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Fprintln(os.Stderr, string(data))
-	}
+	s := &cli.Setup{Flags: f, Col: col}
+	s.Flush("run-bins", p, map[string]any{"schema": obs.ReportSchema, "name": "run-bins",
+		"counters": col.Counters()}, nil)
 	if runErr != nil {
-		fatal(runErr)
+		cli.Fatal(runErr)
 	}
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "smlrun:", err)
-	os.Exit(1)
 }

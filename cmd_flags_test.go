@@ -77,8 +77,12 @@ func TestFlagSurface(t *testing.T) {
 	}
 	tools := buildTools(t, "irm", "smlc", "smlrun", "smlrepl")
 	var b strings.Builder
+	usage := irmUsage(t, tools["irm"])
 	for _, argv := range flagSurfaceCommands {
 		flags := helpOf(t, tools, argv)
+		if argv[0] == "irm" {
+			checkUsageLine(t, argv[1], usage[argv[1]], flags)
+		}
 		if len(flags) == 0 {
 			fmt.Fprintf(&b, "%s\t(no flags)\n", strings.Join(argv, " "))
 		}
@@ -99,5 +103,55 @@ func TestFlagSurface(t *testing.T) {
 	}
 	if got != string(want) {
 		t.Errorf("flag surface differs from %s\ngot:\n%s\nwant:\n%s", golden, got, want)
+	}
+}
+
+// irmUsage runs irm without arguments and returns its usage text, one
+// entry per subcommand with continuation lines joined. The cmd/irm
+// package doc must carry the same synopsis.
+func irmUsage(t *testing.T, irm string) map[string]string {
+	t.Helper()
+	out, _ := exec.Command(irm).CombinedOutput()
+	lines := strings.Split(strings.TrimSpace(string(out)), "\n")
+	if len(lines) < 2 || lines[0] != "usage:" {
+		t.Fatalf("irm usage text:\n%s", out)
+	}
+	src, err := os.ReadFile("cmd/irm/main.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc []string
+	for _, l := range strings.Split(string(src), "\n") {
+		if strings.HasPrefix(l, "//\tirm ") || strings.HasPrefix(l, "//\t   ") {
+			doc = append(doc, strings.Join(strings.Fields(l[2:]), " "))
+		}
+	}
+	usage := map[string]string{}
+	var sub string
+	for i, l := range lines[1:] {
+		norm := strings.Join(strings.Fields(l), " ")
+		if i >= len(doc) || doc[i] != norm {
+			t.Errorf("cmd/irm package doc synopsis line %d differs from usage line %q", i+1, norm)
+		}
+		if strings.HasPrefix(l, "  irm ") {
+			sub = strings.Fields(l)[1]
+		}
+		usage[sub] += " " + norm
+	}
+	if len(doc) != len(lines)-1 {
+		t.Errorf("cmd/irm package doc synopsis has %d lines, usage has %d", len(doc), len(lines)-1)
+	}
+	return usage
+}
+
+// checkUsageLine asserts that the usage synopsis of one irm
+// subcommand names every flag it registers.
+func checkUsageLine(t *testing.T, sub, line string, flags []helpFlag) {
+	t.Helper()
+	for _, f := range flags {
+		pat := regexp.MustCompile(`[\[ |]-` + regexp.QuoteMeta(f.name) + `[ \]]`)
+		if !pat.MatchString(line + " ") {
+			t.Errorf("irm %s registers -%s but its usage line omits it:%s", sub, f.name, line)
+		}
 	}
 }

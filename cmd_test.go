@@ -251,6 +251,24 @@ func TestCommandLineTools(t *testing.T) {
 		}
 	})
 
+	// An invalid flag value must exit before the store is touched: a
+	// rejected watch session leaves no lock file behind.
+	t.Run("irm-watch-bad-flag-no-lock", func(t *testing.T) {
+		group := filepath.Join(work, "watch.cm")
+		writeFile(t, group, "lib.sml\nmain.sml\n")
+		store := filepath.Join(work, "watch-store")
+		cmd := exec.Command(tools["irm"], "watch", group, "-store", store,
+			"-history", "off", "-policy", "bogus")
+		out, err := cmd.CombinedOutput()
+		var ee *exec.ExitError
+		if !errors.As(err, &ee) || ee.ExitCode() != 2 {
+			t.Fatalf("irm watch -policy bogus: %v, want exit code 2\n%s", err, out)
+		}
+		if _, err := os.Stat(filepath.Join(store, ".irm.lock")); !os.IsNotExist(err) {
+			t.Errorf("rejected watch left a lock file (stat: %v)", err)
+		}
+	})
+
 	t.Run("smlrepl", func(t *testing.T) {
 		input := "val x = 6 * 7;\nx - 2;\nquit;\n"
 		out, err := runTool(t, tools["smlrepl"], input)

@@ -545,6 +545,9 @@ func (s *Server) worker() {
 		}
 		s.opts.Col.Add("daemon.queue_wait_ns", int64(time.Since(c.admit)))
 		s.execute(c)
+		// The call has copied its report and explain records; nothing
+		// exports the daemon's spans, so drop this call's.
+		s.opts.Col.Prune()
 
 		s.mu.Lock()
 		s.running = nil

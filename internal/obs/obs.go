@@ -69,6 +69,7 @@ type Collector struct {
 	spans    []*Span
 	explains []Explain
 	builds   int
+	lastID   int // the most recent span id; ids stay unique across Prune
 }
 
 // New returns an empty Collector whose trace timestamps are relative
@@ -203,6 +204,27 @@ func (c *Collector) BuildExplains(build int) []Explain {
 	return out
 }
 
+// Prune discards every closed span and every explain record, keeping
+// open spans, counters, histograms, and the build count. A long-lived
+// process (irm watch, irm daemon) calls it after each build, once
+// nothing will export that build's spans, so its collector holds at
+// most one build's worth of them.
+func (c *Collector) Prune() {
+	if c == nil {
+		return
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	var open []*Span
+	for _, s := range c.spans {
+		if !s.ended {
+			open = append(open, s)
+		}
+	}
+	c.spans = open
+	c.explains = nil
+}
+
 // Span is one timed interval in the build → unit → phase hierarchy.
 // Spans are created through StartSpan/Child, annotated with Arg, and
 // closed with End; an unclosed span exports with its duration running
@@ -245,7 +267,8 @@ func (c *Collector) newSpan(parent *Span, cat, name string) *Span {
 		s.lane = parent.lane
 	}
 	c.mu.Lock()
-	s.id = len(c.spans) + 1
+	c.lastID++
+	s.id = c.lastID
 	c.spans = append(c.spans, s)
 	c.mu.Unlock()
 	return s

@@ -165,6 +165,29 @@ func TestBuildExplains(t *testing.T) {
 	}
 }
 
+// TestPrune: Prune drops closed spans and explain records but keeps
+// open spans, counters and the build count, and never reuses a span id.
+func TestPrune(t *testing.T) {
+	c := New()
+	c.BeginBuild()
+	c.Add("x", 1)
+	open := c.StartSpan(CatBuild, "open")
+	closed := open.Child(CatPhase, "closed")
+	closed.End()
+	c.Explain(Explain{Build: 1, Unit: "a"})
+	c.Prune()
+	if opened, ended := c.SpanCounts(); opened != 1 || ended != 0 {
+		t.Errorf("after Prune: %d spans, %d closed; want the one open span", opened, ended)
+	}
+	if len(c.Explains()) != 0 || c.Builds() != 1 || c.Counters()["x"] != 1 {
+		t.Errorf("after Prune: %d explains, %d builds, counter %d",
+			len(c.Explains()), c.Builds(), c.Counters()["x"])
+	}
+	if next := c.StartSpan(CatBuild, "next"); next.id <= closed.id {
+		t.Errorf("span id %d reused after Prune (last was %d)", next.id, closed.id)
+	}
+}
+
 func TestExplainJSONL(t *testing.T) {
 	var buf bytes.Buffer
 	err := WriteExplainJSONL(&buf, []Explain{

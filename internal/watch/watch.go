@@ -174,8 +174,8 @@ func New(opt Options) (*Watcher, error) {
 	}, nil
 }
 
-// Collector returns the session's collector (for /metrics scraping and
-// trace export).
+// Collector returns the session's collector (for /metrics scraping).
+// Each iteration prunes its spans and explain records when it ends.
 func (w *Watcher) Collector() *obs.Collector { return w.col }
 
 // Run executes the session: an initial build, then the poll loop, until
@@ -392,6 +392,8 @@ func (w *Watcher) iterate(changedPaths []string, detected time.Time) {
 	}
 	w.opt.Hub.Publish(ev)
 	w.seq++
+	// Nothing exports a session's spans, so drop this iteration's.
+	w.col.Prune()
 }
 
 func errSuffix(err error) string {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -357,4 +358,55 @@ func TestHubDropsSlowSubscriber(t *testing.T) {
 
 	var nilHub *Hub
 	nilHub.Publish(Event{}) // must not panic
+}
+
+// TestCollectorStaysFlat: a session keeps one collector for its whole
+// life, so each iteration must drop its spans and explain records once
+// it ends. After n rebuilds the collector may hold at most one build's
+// worth of them — here, what one cold build of the same project opens.
+func TestCollectorStaysFlat(t *testing.T) {
+	const edits = 6
+	cfg := workload.Small()
+	s := startSession(t, cfg, 2, edits)
+	s.wait(0)
+
+	g, err := core.LoadGroup(s.group)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := obs.New()
+	m := &core.Manager{Policy: core.PolicyCutoff, Store: core.NewMemStore(),
+		Stdout: io.Discard, Obs: ref}
+	if _, err := m.Build(g.Files); err != nil {
+		t.Fatal(err)
+	}
+	perBuild, _ := ref.SpanCounts()
+	perBuild++ // the iteration's own watch span
+
+	driver := workload.NewEditDriver(s.projDir, cfg.Units, 3)
+	for k := 1; k <= edits; k++ {
+		if _, err := driver.Next(); err != nil {
+			t.Fatal(err)
+		}
+		s.wait(k)
+	}
+	select {
+	case err := <-s.done:
+		if err != nil {
+			t.Fatalf("Run returned %v", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("watcher did not stop at MaxBuilds")
+	}
+	if opened, _ := s.col.SpanCounts(); opened > perBuild {
+		t.Errorf("after %d iterations the collector holds %d spans, want at most %d",
+			edits+1, opened, perBuild)
+	}
+	if n := len(s.col.Explains()); n > cfg.Units {
+		t.Errorf("after %d iterations the collector holds %d explain records, want at most %d",
+			edits+1, n, cfg.Units)
+	}
+	if got := s.col.Builds(); got != edits+1 {
+		t.Errorf("Builds() = %d, want %d", got, edits+1)
+	}
 }
