@@ -748,7 +748,7 @@ func BenchmarkPipelineRehydrate(b *testing.B) {
 // ---------------------------------------------------------------------
 // Compiled-execution engine (DESIGN.md §4j): hot apply and unit
 // execution, with the reference tree walker as the apply baseline.
-// These three are in benchgate's gated set (scripts/benchgate), so a
+// These four are in benchgate's gated set (scripts/benchgate), so a
 // PR that regresses the compiled engine's apply or exec time fails CI.
 // ---------------------------------------------------------------------
 
@@ -781,6 +781,30 @@ func BenchmarkApplyHot(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// BenchmarkApplyCurried folds over a 1,000-element list with the
+// prelude's curried foldl: every step is a saturated three-argument
+// call chain whose innermost function runs match-compiled join points
+// (DESIGN.md §4j), so it gates the known-call paths as ApplyHot gates
+// plain first-order application. The list is built once, by a unit run
+// before the timer starts.
+func BenchmarkApplyCurried(b *testing.B) {
+	s := newSession(b)
+	if _, err := s.Run("list", "val l = List.tabulate (1000, fn i => i)"); err != nil {
+		b.Fatal(err)
+	}
+	u, err := s.Compile("bench", "val r = foldl (fn (x, acc) => x + acc) 0 l")
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		dyn := s.Dyn.Copy()
+		if err := compiler.Execute(s.Machine, u, dyn); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

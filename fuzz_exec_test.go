@@ -9,6 +9,8 @@ package repro
 
 import (
 	"fmt"
+	"os"
+	"path/filepath"
 	"sort"
 	"strings"
 	"testing"
@@ -98,6 +100,18 @@ func FuzzExecTreeVsClosure(f *testing.F) {
 	f.Add("datatype t = A | B of int\nfun show A = \"A\" | show (B n) = Int.toString n\nval s = show (B 3) ^ show A")
 	for _, file := range workload.Generate(workload.Small()).Files {
 		f.Add(file.Source)
+	}
+	// The known-call programs: join points and curried chains (§4j).
+	known, err := filepath.Glob("testdata/knowncall/*.sml")
+	if err != nil || len(known) == 0 {
+		f.Fatalf("no known-call seeds (%v)", err)
+	}
+	for _, p := range known {
+		src, err := os.ReadFile(p)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(string(src))
 	}
 	f.Fuzz(func(t *testing.T, src string) {
 		tOut, tExp, tErr := execWith(execTree, src)

@@ -7,6 +7,7 @@ package core_test
 
 import (
 	"bytes"
+	"fmt"
 	"io"
 	"reflect"
 	"strings"
@@ -205,5 +206,43 @@ func TestExecStepBudgetCumulative(t *testing.T) {
 		Stdout: io.Discard, Jobs: 8, MaxSteps: total}
 	if _, err := ok.Build(files); err != nil {
 		t.Errorf("build at exactly the required budget failed: %v", err)
+	}
+}
+
+// TestExecWorkerFramePool: each exec worker hands its frame pool from
+// one unit's fork to the next, and no pool is shared between workers.
+// Units that fold tabulated lists (pooled frames, curried calls, join
+// points) run side by side and export closures over frames that must
+// not be pooled; a last unit applies them all on whichever worker runs
+// it. Output must be the sequential one, cold and warm, at any width
+// (run it under -race).
+func TestExecWorkerFramePool(t *testing.T) {
+	files := []core.File{{Name: "p.sml", Source: `structure P = struct
+  fun add3 a b c = a + b + c
+  fun mk a b c = (fn () => a * 100 + b * 10 + c, c)
+end`}}
+	var use, want strings.Builder
+	for n := 1; n <= 8; n++ {
+		files = append(files, core.File{Name: fmt.Sprintf("u%d.sml", n), Source: fmt.Sprintf(`structure U%d = struct
+  val s = foldl (fn (x, acc) => x + acc) 0 (List.tabulate (300, fn i => i + %d))
+  val th = #1 (P.mk %d %d %d)
+  val inc = P.add3 %d
+end`, n, n, n, n+1, n+2, n)})
+		fmt.Fprintf(&use, "  val _ = print (Int.toString (U%d.s + U%d.th () + U%d.inc 1 2) ^ \" \")\n", n, n, n)
+		fmt.Fprintf(&want, "%d ", 300*299/2+300*n+(100*n+10*(n+1)+n+2)+(n+3))
+	}
+	files = append(files, core.File{Name: "z.sml", Source: "structure Z = struct\n" + use.String() + "end"})
+	for _, jobs := range []int{1, 4} {
+		store := core.NewMemStore()
+		for round := 0; round < 3; round++ {
+			var out bytes.Buffer
+			m := &core.Manager{Policy: core.PolicyCutoff, Store: store, Stdout: &out, Jobs: jobs}
+			if _, err := m.Build(files); err != nil {
+				t.Fatalf("jobs=%d round %d: %v", jobs, round, err)
+			}
+			if out.String() != want.String() {
+				t.Fatalf("jobs=%d round %d: printed %q, want %q", jobs, round, out.String(), want.String())
+			}
+		}
 	}
 }

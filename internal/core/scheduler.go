@@ -264,7 +264,9 @@ func (m *Manager) schedule(col *obs.Collector, gen int, bspan *obs.Span,
 	// stdout and counters, against a copy-on-write view of the dynenv
 	// (binds land in the build's pending overlay, committed — or, past
 	// a failure, discarded — in commit order), on its own span lane
-	// (jobs+1..2·jobs).
+	// (jobs+1..2·jobs). A worker hands its frame pool from one unit's
+	// fork to the next, so the pool lives as long as the worker — the
+	// build — and is never shared between workers.
 	mtpl := session.Machine.Fork()
 	pending := dynenv.New()
 	execCh := make(chan *unitResult, n)
@@ -276,6 +278,7 @@ func (m *Manager) schedule(col *obs.Collector, gen int, bspan *obs.Span,
 		ewg.Add(1)
 		go func() {
 			defer ewg.Done()
+			frames := mtpl.Fork() // holds the pool between this worker's units
 			for res := range execCh {
 				if ctx.Err() != nil {
 					continue
@@ -287,7 +290,7 @@ func (m *Manager) schedule(col *obs.Collector, gen int, bspan *obs.Span,
 						break
 					}
 				}
-				execResCh <- runExec(res, mtpl, session.Dyn, pending, lane)
+				execResCh <- runExec(res, mtpl, frames, session.Dyn, pending, lane)
 				einflight.Add(-1)
 			}
 		}()
@@ -532,18 +535,21 @@ func (m *Manager) schedule(col *obs.Collector, gen int, bspan *obs.Span,
 // cumulative session budget at commit, §4j), a copy-on-write view of
 // the dynenv that binds into the build's pending overlay and records
 // into the task's private buffer, and the execute span on this
-// worker's lane under the unit's span. The returned execDone carries
-// everything observable — stdout, counters, export binds — for
-// commit-order replay.
-func runExec(res *unitResult, mtpl *interp.Machine, dyn, pending *dynenv.Env, lane int) *execDone {
+// worker's lane under the unit's span. The fork borrows the worker's
+// frame pool from frames and returns it when done. The returned
+// execDone carries everything observable — stdout, counters, export
+// binds — for commit-order replay.
+func runExec(res *unitResult, mtpl, frames *interp.Machine, dyn, pending *dynenv.Env, lane int) *execDone {
 	buf := obs.NewBuffer()
 	var out bytes.Buffer
 	fork := mtpl.Fork()
+	frames.HandOff(fork)
 	fork.Stdout = &out
 	fork.Obs = buf
 	view := dyn.View(pending, buf)
 	t0 := time.Now()
 	err := compiler.ExecuteOn(fork, res.unit, view, res.uspan, buf, lane)
+	fork.HandOff(frames)
 	return &execDone{
 		idx:    res.task.idx,
 		err:    err,

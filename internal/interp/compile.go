@@ -56,20 +56,22 @@ func newFrame(up *Frame, n int) *Frame {
 // cnode is one compiled expression: evaluate under an activation frame.
 type cnode func(m *Machine, fr *Frame) Value
 
-// CompiledFn is a function's code in compiled form.
+// CompiledFn is a function's code in compiled form. Its fields are
+// ordered to pack the header into 56 bytes: LoadFn allocates one per
+// function of every loaded unit.
 type CompiledFn struct {
+	body cnode
+	// inner is the function this one's body is, when the body is a
+	// literal Fn (a curried `fn a => fn b => ...` level), else nil.
+	// Applying this function just closes inner over the new frame,
+	// which is what lets a saturated call chain skip building that
+	// closure (applyChain).
+	inner *CompiledFn
+	tab   *fnTable
+
 	// NSlots is the activation-frame width: slot 0 holds the argument,
 	// the rest the body's Let/Fix/Handle binders in allocation order.
-	NSlots int
-	body   cnode
-	// escapes reports whether an activation frame of this function can
-	// outlive the call: any Fn or Fix node under the body creates a
-	// closure whose captured chain includes this frame. A non-escaping
-	// frame is returned to the machine's pool after the call, making
-	// hot first-order applications (arithmetic recursion) allocation-
-	// free. Computed from the term shape alone, so CompileFn and LoadFn
-	// agree by construction.
-	escapes bool
+	NSlots int32
 
 	// ID is this function's index in the one shared DFS walk of its
 	// unit's term — the profiler's function identity. Because resolve
@@ -78,8 +80,7 @@ type CompiledFn struct {
 	// compile and from a warm bin load attribute identically. Neither
 	// ID nor tab is serialized: the bin code section stays byte-for-
 	// byte what it was without the profiler.
-	ID  int32
-	tab *fnTable
+	ID int32
 
 	// A function nested in a LoadFn unit is loaded without its body:
 	// pending stays set until the first application decodes its term
@@ -92,6 +93,16 @@ type CompiledFn struct {
 	at         int32
 	start, end int32
 	nested     int32
+
+	// escapes reports whether an activation frame of this function can
+	// outlive the call: any Fn or Fix node under the body creates a
+	// closure whose captured chain includes this frame. A non-escaping
+	// frame is returned to the machine's pool after the call, making
+	// hot first-order applications (arithmetic recursion) allocation-
+	// free. Computed from the term shape alone, so CompileFn and LoadFn
+	// agree by construction. A join point (comp.joinLet) creates no
+	// closure, so it does not make the frames it is bound in escape.
+	escapes bool
 }
 
 // fnTable is the per-unit side table shared by every CompiledFn of one
@@ -318,7 +329,17 @@ type comp struct {
 	forcing bool
 	next    int32
 
+	// joins holds the join points in scope when building (joinLet), by
+	// binder; the shape walk needs none of them.
+	joins []joinFn
+
 	hdrs []CompiledFn // newFn's current chunk
+}
+
+// joinFn is one join point in scope: its binder and its function.
+type joinFn struct {
+	lv lambda.LVar
+	fn *CompiledFn
 }
 
 func (c *comp) fail(format string, args ...any) {
@@ -431,7 +452,9 @@ func (c *comp) fn(e *lambda.Fn) *CompiledFn {
 		f.at, f.start = e.Pos, int32(c.pos)
 	}
 	c.fnids = append(c.fnids, id)
-	f.body, f.NSlots, f.escapes = c.frame(e)
+	var nslots int
+	f.body, nslots, f.escapes, f.inner = c.frame(e)
+	f.NSlots = int32(nslots)
 	c.fnids = c.fnids[:len(c.fnids)-1]
 	c.shape = shape
 	if deferred {
@@ -461,17 +484,22 @@ func (c *comp) newFn() *CompiledFn {
 
 // frame walks a function body in a fresh frame whose slot 0 holds the
 // parameter, returning the body's code (nil in shape mode), the
-// frame's width, and whether the frame escapes.
-func (c *comp) frame(e *lambda.Fn) (body cnode, nslots int, escapes bool) {
+// frame's width, whether the frame escapes, and the body's function
+// when the body is a literal Fn (CompiledFn.inner).
+func (c *comp) frame(e *lambda.Fn) (body cnode, nslots int, escapes bool, inner *CompiledFn) {
 	c.nslots = append(c.nslots, 1)
 	c.escaped = append(c.escaped, false)
 	old, had := c.bind(e.Param, 0)
-	body = c.walk(e.Body)
+	if fn, ok := e.Body.(*lambda.Fn); ok {
+		body, inner = c.closure(fn)
+	} else {
+		body = c.walk(e.Body)
+	}
 	c.unbind(e.Param, old, had)
 	top := len(c.nslots) - 1
 	nslots, escapes = c.nslots[top], c.escaped[top]
 	c.nslots, c.escaped = c.nslots[:top], c.escaped[:top]
-	return body, nslots, escapes
+	return body, nslots, escapes, inner
 }
 
 // code returns f's body, building it first if f is still pending.
@@ -506,11 +534,11 @@ func (f *CompiledFn) force(m *Machine) {
 	}
 	c := &comp{in: t.section[:f.end], pos: int(f.start), tab: t, forcing: true, next: f.ID + 1}
 	for p := t.parents[f.ID]; p >= 0; p = t.parents[p] {
-		c.nslots = append(c.nslots, t.fns[p].NSlots)
+		c.nslots = append(c.nslots, int(t.fns[p].NSlots))
 	}
 	slices.Reverse(c.nslots)
 	c.escaped = make([]bool, len(c.nslots))
-	body, _, _ := c.frame(term)
+	body, _, _, _ := c.frame(term)
 	if c.err != nil || c.pos != int(f.end) {
 		m.crash("building function %d of %s: %v (at byte %d of %d)", f.ID, t.unit, c.err, c.pos, f.end)
 	}
@@ -548,6 +576,19 @@ func (c *comp) markEscapes() {
 	for i := range c.escaped {
 		c.escaped[i] = true
 	}
+}
+
+// closure compiles a function literal in value position: its code
+// builds a closure over the current frame chain.
+func (c *comp) closure(e *lambda.Fn) (cnode, *CompiledFn) {
+	c.markEscapes()
+	fn := c.fn(e)
+	if c.shape {
+		return nil, fn
+	}
+	return func(m *Machine, fr *Frame) Value {
+		return &CompiledClosure{Fn: fn, Env: fr}
+	}, fn
 }
 
 func (c *comp) walkAll(es []lambda.Exp) []cnode {
@@ -644,14 +685,8 @@ func (c *comp) walk(e lambda.Exp) cnode {
 			return r[idx]
 		}
 	case *lambda.Fn:
-		c.markEscapes()
-		fn := c.fn(e)
-		if c.shape {
-			return nil
-		}
-		return func(m *Machine, fr *Frame) Value {
-			return &CompiledClosure{Fn: fn, Env: fr}
-		}
+		body, _ := c.closure(e)
+		return body
 	case *lambda.Fix:
 		c.markEscapes()
 		// Allocate all name slots first, then compile the functions and
@@ -746,22 +781,42 @@ func (c *comp) walk(e lambda.Exp) cnode {
 				return bodyc(m, fr)
 			}
 		}
+		if v, ok := e.Fn.(*lambda.Var); ok {
+			if fn := c.joinOf(v.LV); fn != nil {
+				return c.joinCall(v.LV, fn, e.Arg)
+			}
+		}
+		if k := chainLen(e); k > 1 {
+			return c.chain(e, k)
+		}
 		fnc := c.walk(e.Fn)
 		argc := c.walk(e.Arg)
 		if c.shape {
 			return nil
 		}
 		return func(m *Machine, fr *Frame) Value {
-			return m.apply(fnc(m, fr), argc(m, fr))
+			// apply does not inline: calling callFn straight from here
+			// saves a Go call on the hottest path.
+			f, arg := fnc(m, fr), argc(m, fr)
+			if c, ok := f.(*CompiledClosure); ok {
+				return m.callFn(c.Fn, c.Env, arg)
+			}
+			return m.apply(f, arg)
 		}
 	case *lambda.Let:
-		// A dead closure binding (the match compiler's unreached
-		// raise-Match arm is the common case) would force every frame
-		// under it to be marked escaping. Creating a closure is pure,
-		// so dropping the binding is unobservable — and it keeps hot
-		// first-order frames poolable.
-		if _, isFn := e.Bind.(*lambda.Fn); isFn && !usesVar(e.Body, e.LV) {
-			return c.walk(e.Body)
+		if fn, isFn := e.Bind.(*lambda.Fn); isFn {
+			switch classify(e.Body, e.LV) {
+			case useNone:
+				// A dead closure binding (the match compiler's unreached
+				// raise-Match arm is the common case) would force every
+				// frame under it to be marked escaping. Creating a
+				// closure is pure, so dropping the binding is
+				// unobservable — and it keeps hot first-order frames
+				// poolable.
+				return c.walk(e.Body)
+			case useJoin:
+				return c.joinLet(e, fn)
+			}
 		}
 		bindc := c.walk(e.Bind)
 		slot := c.alloc()
@@ -1071,81 +1126,270 @@ func (c *comp) etaPrim(op string, args []lambda.Exp, unary lambda.Exp) cnode {
 	return c.prim(op, args)
 }
 
-// usesVar reports whether lv occurs free in e. Shadowing binders cut
-// the search; an unknown node kind conservatively reports a use.
-func usesVar(e lambda.Exp, lv lambda.LVar) bool {
+// varUse is how a Let-bound function's variable is used in the Let's
+// body (classify).
+type varUse uint8
+
+const (
+	// useNone: lv does not occur free; the binding is dead.
+	useNone varUse = iota
+	// useJoin: every occurrence is the function of a direct call
+	// App(Var lv, arg) in the binding's own frame — not under a nested
+	// Fn or Fix function, and not itself applied again — and the body
+	// never rebinds lv. The binding is a join point (joinLet).
+	useJoin
+	// useOther: any other use; the binding builds its closure.
+	useOther
+)
+
+// classify reports how lv is used in body, a Let's body. It is a pure
+// function of the term shape, so every mode of the walk agrees, and it
+// allocates nothing: it runs for every Let-bound function of every
+// loaded unit's shape walk.
+func classify(body lambda.Exp, lv lambda.LVar) varUse {
+	s := useScan{lv: lv}
+	s.exp(body, false)
+	switch {
+	case !s.used:
+		return useNone
+	case s.other || s.shadowed:
+		return useOther
+	}
+	return useJoin
+}
+
+// useScan is classify's walk state. used is exactly "lv occurs free":
+// a binder of lv cuts the search below it, as scoping requires, and an
+// unknown node kind conservatively counts as a use.
+type useScan struct {
+	lv       lambda.LVar
+	used     bool // lv occurs free
+	other    bool // some occurrence is not a join call
+	shadowed bool // the body rebinds lv
+}
+
+func (s *useScan) use(join bool) {
+	s.used = true
+	s.other = s.other || !join
+}
+
+// exp scans e; nested reports whether e runs in a frame other than the
+// binding's (under the body of a function that is not a redex).
+func (s *useScan) exp(e lambda.Exp, nested bool) {
+	if s.other {
+		return
+	}
 	switch e := e.(type) {
 	case *lambda.Var:
-		return e.LV == lv
+		if e.LV == s.lv {
+			s.use(false)
+		}
 	case *lambda.Int, *lambda.Word, *lambda.Real, *lambda.Str, *lambda.Char,
 		*lambda.Builtin, *lambda.NewExnTag:
-		return false
 	case *lambda.Record:
-		for _, f := range e.Fields {
-			if usesVar(f, lv) {
-				return true
-			}
-		}
-		return false
+		s.exps(e.Fields, nested)
 	case *lambda.Select:
-		return usesVar(e.Rec, lv)
+		s.exp(e.Rec, nested)
 	case *lambda.Fn:
-		return e.Param != lv && usesVar(e.Body, lv)
+		s.fn(e, true)
 	case *lambda.Fix:
 		for _, n := range e.Names {
-			if n == lv {
-				return false
+			if n == s.lv {
+				s.shadowed = true
+				return
 			}
 		}
 		for _, f := range e.Fns {
-			if f.Param != lv && usesVar(f.Body, lv) {
-				return true
-			}
+			s.fn(f, true)
 		}
-		return usesVar(e.Body, lv)
+		s.exp(e.Body, nested)
 	case *lambda.App:
-		return usesVar(e.Fn, lv) || usesVar(e.Arg, lv)
+		switch f := e.Fn.(type) {
+		case *lambda.Var:
+			if f.LV == s.lv {
+				s.use(!nested)
+			}
+		case *lambda.Fn:
+			// A literal-function redex runs its body in this frame.
+			s.fn(f, nested)
+		case *lambda.App:
+			if v, ok := f.Fn.(*lambda.Var); ok && v.LV == s.lv {
+				s.use(false) // the call's result is applied again
+			}
+			s.exp(f, nested)
+		default:
+			s.exp(e.Fn, nested)
+		}
+		s.exp(e.Arg, nested)
 	case *lambda.Let:
-		if usesVar(e.Bind, lv) {
-			return true
+		s.exp(e.Bind, nested)
+		if e.LV == s.lv {
+			s.shadowed = true
+		} else {
+			s.exp(e.Body, nested)
 		}
-		return e.LV != lv && usesVar(e.Body, lv)
 	case *lambda.Con:
-		return e.Arg != nil && usesVar(e.Arg, lv)
+		if e.Arg != nil {
+			s.exp(e.Arg, nested)
+		}
 	case *lambda.Decon:
-		return usesVar(e.Exp, lv)
+		s.exp(e.Exp, nested)
 	case *lambda.ExnCon:
-		return usesVar(e.Tag, lv) || (e.Arg != nil && usesVar(e.Arg, lv))
+		s.exp(e.Tag, nested)
+		if e.Arg != nil {
+			s.exp(e.Arg, nested)
+		}
 	case *lambda.ExnDecon:
-		return usesVar(e.Exp, lv)
+		s.exp(e.Exp, nested)
 	case *lambda.If:
-		return usesVar(e.Cond, lv) || usesVar(e.Then, lv) || usesVar(e.Else, lv)
+		s.exp(e.Cond, nested)
+		s.exp(e.Then, nested)
+		s.exp(e.Else, nested)
 	case *lambda.Switch:
-		if usesVar(e.Scrut, lv) {
-			return true
+		s.exp(e.Scrut, nested)
+		for i := range e.Cases {
+			s.exp(e.Cases[i].Body, nested)
 		}
-		for _, cs := range e.Cases {
-			if usesVar(cs.Body, lv) {
-				return true
-			}
+		if e.Default != nil {
+			s.exp(e.Default, nested)
 		}
-		return e.Default != nil && usesVar(e.Default, lv)
 	case *lambda.Prim:
-		for _, a := range e.Args {
-			if usesVar(a, lv) {
-				return true
-			}
-		}
-		return false
+		s.exps(e.Args, nested)
 	case *lambda.Raise:
-		return usesVar(e.Exp, lv)
+		s.exp(e.Exp, nested)
 	case *lambda.Handle:
-		if usesVar(e.Body, lv) {
-			return true
+		s.exp(e.Body, nested)
+		if e.Param == s.lv {
+			s.shadowed = true
+		} else {
+			s.exp(e.Handler, nested)
 		}
-		return e.Param != lv && usesVar(e.Handler, lv)
+	default:
+		s.use(false)
 	}
-	return true
+}
+
+func (s *useScan) exps(es []lambda.Exp, nested bool) {
+	for _, e := range es {
+		s.exp(e, nested)
+	}
+}
+
+func (s *useScan) fn(f *lambda.Fn, nested bool) {
+	if f.Param == s.lv {
+		s.shadowed = true
+		return
+	}
+	s.exp(f.Body, nested)
+}
+
+// joinLet compiles a Let that binds a join point (useJoin): a function
+// only ever called directly in this frame. It builds no closure and so
+// marks no open frame escaping; each call runs the function on a frame
+// whose parent is the current frame — the chain the closure would have
+// captured. The binder's slot is still allocated, so every later slot
+// and coordinate is what it would be otherwise, but it stays empty.
+func (c *comp) joinLet(e *lambda.Let, bind *lambda.Fn) cnode {
+	fn := c.fn(bind)
+	slot := c.alloc()
+	old, had := c.bind(e.LV, slot)
+	if !c.shape {
+		c.joins = append(c.joins, joinFn{lv: e.LV, fn: fn})
+	}
+	body := c.walk(e.Body)
+	if !c.shape {
+		c.joins = c.joins[:len(c.joins)-1]
+	}
+	c.unbind(e.LV, old, had)
+	return body
+}
+
+// joinOf returns the function of the join point lv names, or nil.
+func (c *comp) joinOf(lv lambda.LVar) *CompiledFn {
+	for i := len(c.joins) - 1; i >= 0; i-- {
+		if c.joins[i].lv == lv {
+			return c.joins[i].fn
+		}
+	}
+	return nil
+}
+
+// joinCall compiles a direct call of a join point. The callee's Var
+// coordinate is still read (or emitted), keeping the section stream
+// aligned, though the call never reads the empty slot it names.
+func (c *comp) joinCall(lv lambda.LVar, fn *CompiledFn, arg lambda.Exp) cnode {
+	c.coord(lv)
+	argc := c.walk(arg)
+	return func(m *Machine, fr *Frame) Value {
+		return m.callFn(fn, fr, argc(m, fr))
+	}
+}
+
+// chainLen counts the arguments of the application chain e heads: e's
+// own and one per App in function position below it, down to a head
+// that is not an App, or is a literal-function redex (which runs in
+// place). A join call is never such an inner App (useJoin).
+func chainLen(e *lambda.App) int {
+	k := 1
+	for {
+		in, ok := e.Fn.(*lambda.App)
+		if !ok {
+			return k
+		}
+		if _, redex := in.Fn.(*lambda.Fn); redex {
+			return k
+		}
+		k++
+		e = in
+	}
+}
+
+// chain compiles an application chain of k > 1 arguments,
+// f a1 ... ak, for applyChain. A two-argument chain, the common case,
+// captures its arguments directly, so building it allocates just the
+// closure; a longer one adds its argument list.
+func (c *comp) chain(e *lambda.App, k int) cnode {
+	var pair [2]cnode
+	var many, dst []cnode
+	switch {
+	case c.shape:
+	case k == len(pair):
+		dst = pair[:]
+	default:
+		many = make([]cnode, k)
+		dst = many
+	}
+	head := c.chainArgs(e, k, dst)
+	if c.shape {
+		return nil
+	}
+	if k == len(pair) {
+		a0, a1 := pair[0], pair[1]
+		return func(m *Machine, fr *Frame) Value {
+			return m.applyChain(head(m, fr), fr, []cnode{a0, a1})
+		}
+	}
+	return func(m *Machine, fr *Frame) Value {
+		return m.applyChain(head(m, fr), fr, many)
+	}
+}
+
+// chainArgs walks the chain at e as the nested Apps would be walked —
+// the head, then the arguments innermost first — so the section stream
+// is unchanged, storing each argument's code in args unless nil. It
+// returns the head's code.
+func (c *comp) chainArgs(e *lambda.App, k int, args []cnode) cnode {
+	var head cnode
+	if k == 1 {
+		head = c.walk(e.Fn)
+	} else {
+		head = c.chainArgs(e.Fn.(*lambda.App), k-1, args)
+	}
+	argc := c.walk(e.Arg)
+	if args != nil {
+		args[k-1] = argc
+	}
+	return head
 }
 
 func (c *comp) switchNode(e *lambda.Switch) cnode {
@@ -1370,12 +1614,14 @@ func binaryPrim(op string, a, b cnode) cnode {
 // stage runs units on. Values built by a fork are interchangeable with
 // the parent's: identity-bearing comparisons (exception tags) work
 // because the basis tags are shared, not copied. The caller sets
-// Stdout and Obs before use.
+// Stdout and Obs before use. The fork's frame pool starts empty: a
+// pool is never shared across goroutines, so only a machine done on
+// the fork's own goroutine may pass it one (HandOff).
 func (m *Machine) Fork() *Machine {
 	f := *m
 	f.Steps = 0
 	f.Obs = nil
-	f.framePool = nil // never share pooled frames across goroutines
+	f.framePool = nil
 	if m.prof != nil {
 		// Profiling is inherited by enablement only: the fork gets its
 		// own sample window, countdown, and shadow stack (all per-unit
@@ -1384,4 +1630,12 @@ func (m *Machine) Fork() *Machine {
 		f.prof = &machProf{period: m.prof.period, left: m.prof.period}
 	}
 	return &f
+}
+
+// HandOff moves m's frame pool to next, so one goroutine running fork
+// after fork — an exec worker, one unit after another — keeps its
+// pooled frames instead of growing them anew per unit. m must be done
+// evaluating, and next must run on m's goroutine.
+func (m *Machine) HandOff(next *Machine) {
+	next.framePool, m.framePool = m.framePool, nil
 }

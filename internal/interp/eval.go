@@ -70,8 +70,10 @@ type Machine struct {
 	// machine pays nothing on the hot path.
 	Obs obs.Recorder
 	// framePool recycles non-escaping activation frames (see
-	// CompiledFn.escapes). Per-machine, like the machine itself: never
-	// shared across goroutines, and Fork starts its copy empty.
+	// CompiledFn.escapes) and the frames of saturated curried calls
+	// (applyChain). Per-machine, like the machine itself: never shared
+	// across goroutines. Fork starts its copy empty; HandOff passes a
+	// finished machine's pool to the next fork on the same goroutine.
 	framePool []*Frame
 	// prof, when non-nil, is the SML-level execution profiler's state
 	// (prof.go). The disabled fast path costs exactly one nil check in
@@ -311,55 +313,119 @@ func (m *Machine) evalHandle(e *lambda.Handle, env *Env) (result Value) {
 }
 
 // apply dispatches on the closure form, so tree-built and compiled
-// values interoperate in either direction. The compiled case counts
-// one step per application (the tree walker counts one per node), so
-// MaxSteps still bounds divergence — any infinite loop in the lambda
-// language recurses through apply.
+// values interoperate in either direction.
 func (m *Machine) apply(fn, arg Value) Value {
-	if m.prof != nil {
-		return m.applyProf(fn, arg)
-	}
 	switch c := fn.(type) {
 	case *CompiledClosure:
-		m.step()
-		cf := c.Fn
-		if !cf.escapes {
-			// Non-escaping frame: recycle through the machine's pool.
-			// An exception unwinding past this call skips the release;
-			// the frame is then simply collected like any other. Slots
-			// are cleared on release, never on reuse — a slot read is
-			// always dominated by a write in the same activation
-			// (binders dominate uses), so stale values are unreachable
-			// and only need dropping for the collector's sake.
-			var fr *Frame
-			if n := len(m.framePool); n > 0 {
-				fr = m.framePool[n-1]
-				m.framePool = m.framePool[:n-1]
-				fr.up = c.Env
-				if cf.NSlots <= cap(fr.slots) {
-					fr.slots = fr.slots[:cf.NSlots]
-				} else {
-					fr.slots = make([]Value, cf.NSlots)
-				}
-			} else {
-				fr = newFrame(c.Env, cf.NSlots)
-			}
-			fr.slots[0] = arg
-			v := cf.code(m)(m, fr)
-			fr.up = nil
-			for i := range fr.slots {
-				fr.slots[i] = nil
-			}
-			m.framePool = append(m.framePool, fr)
-			return v
-		}
-		fr := newFrame(c.Env, cf.NSlots)
-		fr.slots[0] = arg
-		return cf.code(m)(m, fr)
+		return m.callFn(c.Fn, c.Env, arg)
 	case *Closure:
 		return m.eval(c.Body, c.Env.Bind(c.Param, arg))
 	}
 	return m.crash("application of non-function %s", String(fn))
+}
+
+// callFn runs cf on arg in a frame whose parent is env: the one call
+// path of the compiled engine, shared by apply, join calls and curried
+// chains. It counts one step per application (the tree walker counts
+// one per node), so MaxSteps still bounds divergence — any infinite
+// loop in the lambda language recurses through callFn.
+func (m *Machine) callFn(cf *CompiledFn, env *Frame, arg Value) Value {
+	m.step()
+	if m.prof != nil {
+		return m.callProf(cf, env, arg)
+	}
+	if cf.escapes {
+		fr := newFrame(env, int(cf.NSlots))
+		fr.slots[0] = arg
+		return cf.code(m)(m, fr)
+	}
+	// Non-escaping frame: recycle it through the machine's pool. An
+	// exception unwinding past this call skips the release; the frame
+	// is then simply collected like any other.
+	fr := m.getFrame(env, int(cf.NSlots))
+	fr.slots[0] = arg
+	v := cf.code(m)(m, fr)
+	m.putFrame(fr)
+	return v
+}
+
+// applyChain applies f to the values of args in turn, as the nested
+// applications f a1 ... ak would. When f is a compiled closure of a
+// curried function (CompiledFn.inner), each level the chain saturates
+// is entered without building the closure it would return: the level's
+// step is counted and its argument written to a frame that becomes the
+// next level's parent, in the original order of steps and argument
+// evaluations. Those frames come from the pool only when the final
+// callee's frame does not escape — then nothing can capture them — and
+// go back after that call. Anything else, and every profiled call,
+// takes plain apply.
+func (m *Machine) applyChain(f Value, fr *Frame, args []cnode) Value {
+	c, ok := f.(*CompiledClosure)
+	if !ok || m.prof != nil {
+		for _, a := range args {
+			f = m.apply(f, a(m, fr))
+		}
+		return f
+	}
+	cf, env := c.Fn, c.Env
+	n, last := 0, cf
+	for n < len(args)-1 && last.inner != nil {
+		n, last = n+1, last.inner
+	}
+	pooled := !last.escapes
+	arg := args[0](m, fr)
+	for i := 1; i <= n; i++ {
+		m.step()
+		var w *Frame
+		if pooled {
+			w = m.getFrame(env, int(cf.NSlots))
+		} else {
+			w = newFrame(env, int(cf.NSlots))
+		}
+		w.slots[0] = arg
+		env, cf = w, cf.inner
+		arg = args[i](m, fr)
+	}
+	v := m.callFn(cf, env, arg)
+	if pooled {
+		for i := 0; i < n; i++ {
+			up := env.up
+			m.putFrame(env)
+			env = up
+		}
+	}
+	for _, a := range args[n+1:] {
+		v = m.apply(v, a(m, fr))
+	}
+	return v
+}
+
+// getFrame returns an n-slot frame under up, from the pool when it has
+// one. Slots are cleared on release, never on reuse — a slot read is
+// always dominated by a write in the same activation (binders dominate
+// uses), so stale values are unreachable and only need dropping for
+// the collector's sake.
+func (m *Machine) getFrame(up *Frame, n int) *Frame {
+	k := len(m.framePool)
+	if k == 0 {
+		return newFrame(up, n)
+	}
+	fr := m.framePool[k-1]
+	m.framePool = m.framePool[:k-1]
+	fr.up = up
+	if n <= cap(fr.slots) {
+		fr.slots = fr.slots[:n]
+	} else {
+		fr.slots = make([]Value, n)
+	}
+	return fr
+}
+
+// putFrame returns a frame nothing references any more to the pool.
+func (m *Machine) putFrame(fr *Frame) {
+	fr.up = nil
+	clear(fr.slots)
+	m.framePool = append(m.framePool, fr)
 }
 
 func (m *Machine) evalSwitch(e *lambda.Switch, env *Env) Value {

@@ -11,6 +11,14 @@ import (
 // Escapes reports whether f's activation frames can outlive a call.
 func Escapes(f *CompiledFn) bool { return f.escapes }
 
+// InnerID returns the ID of f's curried inner function, or -1.
+func InnerID(f *CompiledFn) int32 {
+	if f.inner == nil {
+		return -1
+	}
+	return f.inner.ID
+}
+
 // Pending reports whether f's body is still to be built.
 func Pending(f *CompiledFn) bool { return f.pending.Load() }
 
@@ -39,3 +47,7 @@ func DecodedTerm(f *CompiledFn) (term *lambda.Fn, src []byte, release func(), er
 	}
 	return term, f.tab.term[f.at:end], sc.Release, nil
 }
+
+// IsJoin reports whether l's function is a join point: every use of
+// its binder in l's body is a direct call in the binding's frame.
+func IsJoin(l *lambda.Let) bool { return classify(l.Body, l.LV) == useJoin }

@@ -55,11 +55,12 @@ func eagerByID(t *testing.T, code *lambda.Fn) (*interp.CompiledFn, []*interp.Com
 
 // TestLazyLoadMatchesEager forces every function of every golden-corpus
 // unit's LoadFn program and checks each header against CompileFn's:
-// frame width, escape flag, profiler ID and parent. Each function's
-// term, decoded as its first call decodes it, must re-pickle to exactly
-// the bytes of its subtree in the bin. A cold build (every unit
-// compiled eagerly) and a warm one (every unit loaded lazily) must
-// print the same output and take the same number of steps.
+// frame width, escape flag, profiler ID, parent and curried inner
+// function. Each function's term, decoded as its first call decodes
+// it, must re-pickle to exactly the bytes of its subtree in the bin.
+// A cold build (every unit compiled eagerly) and a warm one (every
+// unit loaded lazily) must print the same output and take the same
+// number of steps.
 func TestLazyLoadMatchesEager(t *testing.T) {
 	corpus := workload.GoldenCorpus()
 	names := make([]string, 0, len(corpus))
@@ -123,10 +124,10 @@ func TestLazyLoadMatchesEager(t *testing.T) {
 				}
 				e := byID[id]
 				if f.ID != int32(id) || f.NSlots != e.NSlots || interp.Escapes(f) != interp.Escapes(e) ||
-					lazy.ParentOf(f.ID) != eager.ParentOf(e.ID) {
-					t.Errorf("%s/%s fn %d: lazy {id %d slots %d escapes %v parent %d}, eager {id %d slots %d escapes %v parent %d}",
-						pname, u.Name, id, f.ID, f.NSlots, interp.Escapes(f), lazy.ParentOf(f.ID),
-						e.ID, e.NSlots, interp.Escapes(e), eager.ParentOf(e.ID))
+					lazy.ParentOf(f.ID) != eager.ParentOf(e.ID) || interp.InnerID(f) != interp.InnerID(e) {
+					t.Errorf("%s/%s fn %d: lazy {id %d slots %d escapes %v parent %d inner %d}, eager {id %d slots %d escapes %v parent %d inner %d}",
+						pname, u.Name, id, f.ID, f.NSlots, interp.Escapes(f), lazy.ParentOf(f.ID), interp.InnerID(f),
+						e.ID, e.NSlots, interp.Escapes(e), eager.ParentOf(e.ID), interp.InnerID(e))
 				}
 			}
 		}

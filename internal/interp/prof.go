@@ -39,7 +39,8 @@ type ProfFnCount struct {
 	SelfSteps int64 `json:"self_steps"`
 	// Allocs counts escaping activation frames: applications whose
 	// frame outlives the call because a closure captures it (the term
-	// shape determines escape).
+	// shape determines escape). A join point builds no closure, so a
+	// function whose only captures were join points counts none.
 	Allocs int64 `json:"allocs"`
 }
 
@@ -253,31 +254,21 @@ func (p *machProf) pop() {
 	p.stack = p.stack[:len(p.stack)-1]
 }
 
-// applyProf is Machine.apply with profiling on — the one branch the
-// disabled fast path pays for is the nil check in apply itself. The
+// callProf is Machine.callFn with profiling on — the one branch the
+// disabled fast path pays for is the nil check in callFn itself. The
 // shadow-stack pop rides a defer so an ML exception unwinding through
 // the application (an *MLRaise panic en route to its handler) leaves
 // the stack balanced. Frame pooling is skipped: every application
 // allocates its frame, making the alloc attribution exact and the
 // machine's behavior independent of pool state.
-func (m *Machine) applyProf(fn, arg Value) Value {
-	p := m.prof
-	switch c := fn.(type) {
-	case *CompiledClosure:
-		m.step()
-		cf := c.Fn
-		if p.cur != nil && cf.tab != nil {
-			p.push(cf)
-			defer p.pop()
-		}
-		fr := newFrame(c.Env, cf.NSlots)
-		fr.slots[0] = arg
-		return cf.code(m)(m, fr)
-	case *Closure:
-		// The reference walker's closures carry no function identity.
-		return m.eval(c.Body, c.Env.Bind(c.Param, arg))
+func (m *Machine) callProf(cf *CompiledFn, env *Frame, arg Value) Value {
+	if p := m.prof; p.cur != nil && cf.tab != nil {
+		p.push(cf)
+		defer p.pop()
 	}
-	return m.crash("application of non-function %s", String(fn))
+	fr := newFrame(env, int(cf.NSlots))
+	fr.slots[0] = arg
+	return cf.code(m)(m, fr)
 }
 
 // flatten turns the accumulator's maps into the sorted, value-keyed

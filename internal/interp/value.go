@@ -7,9 +7,13 @@
 // program is carried in explicit value vectors — never in global
 // variables of the host.
 //
-// Concurrency: a Machine is confined to a single goroutine. The IRM
-// executes units only from the build's coordinator, in commit order,
-// so parallel builds never evaluate two units at once.
+// Concurrency: a Machine, with its frame pool, is confined to a single
+// goroutine. The IRM executes units concurrently, each on its own
+// Machine.Fork run by one exec worker goroutine; a worker hands its
+// frame pool from one unit's fork to the next (Machine.HandOff), and
+// no pool is shared between workers. Compiled code is shared: a
+// function's body is built once, on its first call from any goroutine,
+// and immutable after.
 package interp
 
 import (

@@ -102,7 +102,7 @@ func pctRise(base, head float64) float64 {
 
 func main() {
 	threshold := flag.Float64("threshold", 10, "max allowed ns/op regression, percent")
-	match := flag.String("match", `Pipeline(Hash|Pickle|Rehydrate)|Exec(Cold|Warm)|ApplyHot`,
+	match := flag.String("match", `Pipeline(Hash|Pickle|Rehydrate)|Exec(Cold|Warm)|Apply(Hot|Curried)`,
 		"regexp selecting which benchmarks gate the build")
 	flag.Parse()
 	if flag.NArg() != 2 {
