@@ -808,6 +808,19 @@ func BenchmarkApplyCurried(b *testing.B) {
 	}
 }
 
+// BenchmarkNewSession measures bootstrapping a session once the
+// process has compiled the prelude: the shared unit executes on a
+// fresh machine and dynamic environment, and the session's index
+// overlays the shared one. Nothing is elaborated or hashed.
+func BenchmarkNewSession(b *testing.B) {
+	newSession(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		newSession(b)
+	}
+}
+
 // BenchmarkExecCold measures compiling and running: every iteration
 // resolves the unit's term to a fresh compiled form (interp.CompileFn)
 // and executes that, so it pays slot resolution before running.
@@ -819,7 +832,7 @@ func BenchmarkExecCold(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		prog, _, err := interp.CompileFn(u.Code)
+		prog, _, err := interp.CompileFn(u.Name, u.Code)
 		if err != nil {
 			b.Fatal(err)
 		}

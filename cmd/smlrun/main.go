@@ -70,13 +70,10 @@ func runBins(f *cli.Flags, paths []string) {
 	}
 	if f.Profile != "" {
 		// The prelude already executed (inside NewSession, before
-		// profiling starts) so it contributes no samples, but register
-		// it anyway: program closures that call into prelude functions
-		// should attribute those frames by name.
+		// profiling starts), so it contributes no samples of its own;
+		// program frames inside prelude functions still attribute to
+		// "$prelude", the name its compiled form carries.
 		session.Machine.StartProfile(f.ProfilePeriod)
-		for _, u := range session.Units {
-			session.Machine.ProfRegister(u.Name, u.Prog)
-		}
 	}
 
 	// First pass: headers only, to order rehydration so providers load

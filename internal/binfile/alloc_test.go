@@ -57,6 +57,11 @@ func TestReadAllocCeiling(t *testing.T) {
 	read()
 	got := testing.AllocsPerRun(20, read)
 	const runs = 20
+	// Start the window right after a collection, with the scratch pool
+	// refilled: a collection inside it would empty the pool and charge
+	// the loads for fresh slab chunks, however small the program's heap.
+	runtime.GC()
+	read()
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	for i := 0; i < runs; i++ {

@@ -228,7 +228,7 @@ func ReadCached(data []byte, ix *pickle.Index, cache *pickle.EnvCache, rec obs.R
 		return nil, fmt.Errorf("binfile: read %s: malformed code section", name)
 	}
 	codeBytes := rest[k:]
-	prog, err := interp.LoadFn(fn, seg, codeBytes)
+	prog, err := interp.LoadFn(name, fn, seg, codeBytes)
 	if err != nil {
 		obs.Count(rec, "code.load_errors", 1)
 		return nil, fmt.Errorf("binfile: read %s: %v", name, err)

@@ -13,8 +13,17 @@
 // (λ imports . exports), the import pid vector, and the intrinsic
 // static pid of its interface.
 //
+// The basis is compiled code like any other unit: the SML prelude is
+// compiled once per process, and every Session executes that one unit
+// into its own dynamic environment. The prelude's unit, its static
+// context (the export layer over the primitive basis) and the frozen
+// stamp index over that context are process-wide and immutable; a
+// session owns only its machine, its dynamic environment and the index
+// overlay above the shared index.
+//
 // Concurrency: a Session is confined to one goroutine (the build's
-// coordinator). Compile itself may run in many goroutines at once,
+// coordinator); sessions on different goroutines share the prelude
+// read-only. Compile itself may run in many goroutines at once,
 // provided each call's context env is layered over envs that are no
 // longer mutated — the property the parallel scheduler in
 // internal/core is built on.
@@ -197,7 +206,7 @@ func CompileDecs(name string, decs []ast.Dec, context *env.Env) (*Unit, error) {
 	// here is an internal invariant break, reported like any other
 	// compile error rather than panicking the build.
 	t1 := time.Now()
-	prog, codeBytes, cerr := interp.CompileFn(res.Code)
+	prog, codeBytes, cerr := interp.CompileFn(name, res.Code)
 	if cerr != nil {
 		return nil, &CompileError{Unit: name, Msgs: []string{"code generation: " + cerr.Error()}}
 	}
@@ -305,7 +314,6 @@ func ExecuteOn(m *interp.Machine, u *Unit, dyn dynenv.Target,
 	steps0 := m.Steps
 	profiled := m.ProfileEnabled()
 	if profiled {
-		m.ProfRegister(u.Name, u.Prog)
 		m.BeginUnitProfile(u.Name)
 	}
 	result, err := m.Apply(&interp.CompiledClosure{Fn: u.Prog}, imports)

@@ -1,8 +1,8 @@
 package compiler
 
 import (
-	"bytes"
 	"io"
+	"strings"
 	"sync"
 	"testing"
 
@@ -43,13 +43,42 @@ func evalBool(t *testing.T, src string) bool {
 	return interp.Truth(valueOf(t, s, "out"))
 }
 
-// TestPreludeSharedASTConcurrent bootstraps several sessions at once
-// from the one prelude parse: elaboration only reads the shared syntax
-// (run it under -race), and every session ends up with the same
-// prelude unit.
-func TestPreludeSharedASTConcurrent(t *testing.T) {
-	const n = 4
-	prelude := make([]*Unit, n)
+// preludeUser exercises List, Option, String and a prelude exception
+// from user code; out is 3 + 5 + 3 + 99 = 110 and str is "a-b".
+const preludeUser = `
+val n = length (List.concat [[1], [2, 3]])
+val m = valOf (Option.mapOpt (fn x => x + 1) (SOME 4))
+val str = String.concatWith "-" ["a", "b"]
+val e = hd nil handle Empty => 99
+val out = n + m + String.size str + e
+`
+
+// refIdentity returns the identity of a runtime value that a session
+// creates when it executes code (a closure, an exception tag, a
+// mutable cell, a non-empty record), and nil for an immutable scalar
+// that two sessions may legitimately share.
+func refIdentity(v interp.Value) any {
+	switch v := v.(type) {
+	case *interp.CompiledClosure, *interp.Closure, *interp.ExnTag, *interp.RefV, *interp.ArrV:
+		return v
+	case interp.RecordV:
+		if len(v) > 0 {
+			return &v[0]
+		}
+	}
+	return nil
+}
+
+// TestPreludeCompiledOnceSessionsIsolated bootstraps sessions
+// concurrently (run it under -race): all of them share one compiled
+// prelude — the same unit and the same static context layer — while
+// each executes it into its own dynamic environment, so no closure,
+// record or exception tag of one session is another's.
+func TestPreludeCompiledOnceSessionsIsolated(t *testing.T) {
+	const n = 8
+	sessions := make([]*Session, n)
+	contexts := make([]any, n)
+	outs := make([]interp.Value, n)
 	errs := make([]error, n)
 	var wg sync.WaitGroup
 	for i := 0; i < n; i++ {
@@ -61,8 +90,11 @@ func TestPreludeSharedASTConcurrent(t *testing.T) {
 				errs[i] = err
 				return
 			}
-			prelude[i] = s.Units[0]
-			_, errs[i] = s.Run("t", `val out = length (List.concat [[1], [2, 3]])`)
+			sessions[i], contexts[i] = s, s.Context
+			if _, errs[i] = s.Run("t", preludeUser); errs[i] == nil {
+				vb, _ := s.Context.LookupVal("out")
+				outs[i], _ = s.Dyn.Lookup(vb.ExportPid)
+			}
 		}(i)
 	}
 	wg.Wait()
@@ -70,14 +102,59 @@ func TestPreludeSharedASTConcurrent(t *testing.T) {
 		if errs[i] != nil {
 			t.Fatalf("session %d: %v", i, errs[i])
 		}
-		if prelude[i].StatPid != prelude[0].StatPid || !bytes.Equal(prelude[i].CodeBytes, prelude[0].CodeBytes) {
-			t.Errorf("session %d: prelude unit differs from session 0's", i)
+		if outs[i] != interp.IntV(110) {
+			t.Errorf("session %d: out = %v, want 110", i, outs[i])
 		}
 	}
-	a, _ := preludeDecs()
-	b, _ := preludeDecs()
-	if len(a) == 0 || &a[0] != &b[0] {
-		t.Error("prelude parsed more than once")
+	u := sessions[0].Units[0]
+	if u.Name != "$prelude" || contexts[0] != any(u.Env) {
+		t.Fatalf("session 0 starts from %q over a different context", u.Name)
+	}
+	owners := map[any]int{}
+	for i, s := range sessions {
+		if s.Units[0] != u || contexts[i] != contexts[0] {
+			t.Errorf("session %d: prelude compiled again", i)
+		}
+		if s.Context.Parent() != u.Env {
+			t.Errorf("session %d: user unit not layered over the shared prelude", i)
+		}
+		for slot := 0; slot < u.NumSlots; slot++ {
+			v, ok := s.Dyn.Peek(u.ExportPid(slot))
+			if !ok {
+				t.Fatalf("session %d: prelude export %d unbound", i, slot)
+			}
+			id := refIdentity(v)
+			if id == nil {
+				continue
+			}
+			if j, dup := owners[id]; dup {
+				t.Errorf("prelude export %d: sessions %d and %d share one value", slot, j, i)
+			}
+			owners[id] = i
+		}
+	}
+	if len(owners) < n {
+		t.Fatalf("only %d session-owned prelude values across %d sessions", len(owners), n)
+	}
+}
+
+// TestPreludeExceptionsPerSession raises one session's prelude
+// exception inside another's handler: each execution of the prelude
+// makes its own generative tags, so the foreign Empty is not caught.
+func TestPreludeExceptionsPerSession(t *testing.T) {
+	a, _ := mustSession(t)
+	b, _ := mustSession(t)
+	for _, s := range []*Session{a, b} {
+		run(t, s, "catch", `fun boom () = hd nil
+			fun catch f = (f (); 0) handle Empty => 1`)
+	}
+	boom := valueOf(t, a, "boom")
+	if v, err := a.Machine.Apply(valueOf(t, a, "catch"), boom); err != nil || v != interp.IntV(1) {
+		t.Fatalf("session a's handler on its own Empty: %v, %v", v, err)
+	}
+	_, err := b.Machine.Apply(valueOf(t, b, "catch"), boom)
+	if err == nil || !strings.Contains(err.Error(), "Empty") {
+		t.Fatalf("session b's handler on session a's Empty: %v, want it uncaught", err)
 	}
 }
 

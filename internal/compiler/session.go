@@ -5,7 +5,6 @@ import (
 	"io"
 	"sync"
 
-	"repro/internal/ast"
 	"repro/internal/basis"
 	"repro/internal/dynenv"
 	"repro/internal/env"
@@ -17,6 +16,13 @@ import (
 // Session is an interactive compile-and-execute context (§3, §7): the
 // accumulated static environment, the dynamic environment, the machine,
 // and the rehydration index grow as units are compiled or loaded.
+//
+// Every session starts from the one process-wide prelude (the basis
+// compiled once, see NewSession): its unit, its static context and the
+// frozen stamp index over that context are shared and never written.
+// A session owns only its machine, its dynamic environment and the
+// index overlay above the shared index; Accept layers each new unit
+// over the context instead of mutating a layer in place.
 type Session struct {
 	Machine *interp.Machine
 	// Context is the accumulated static environment: basis, prelude,
@@ -25,48 +31,81 @@ type Session struct {
 	// Dyn is the accumulated dynamic environment.
 	Dyn *dynenv.Env
 	// Index is the stamp index over everything loaded so far, used to
-	// rehydrate bin files (§4).
+	// rehydrate bin files (§4): an overlay over the shared prelude
+	// index (PreludeIndex).
 	Index *pickle.Index
-	// Units records the session's compiled units in order.
+	// Units records the session's units in order; the first is the
+	// shared prelude unit.
 	Units []*Unit
 }
 
-// NewSession builds a session: the primitive basis plus the compiled
-// and executed SML prelude.
+// prelude is the basis compiled once per process: the "$prelude" unit,
+// whose export layer unit.Env sits over the primitive basis and is the
+// context every session starts from, and the stamp index over both
+// layers. All of it is immutable once built, so any number of
+// sessions, on any goroutines, share it.
+type prelude struct {
+	unit  *Unit
+	index *pickle.Index
+}
+
+// sharedPrelude parses, elaborates, hashes and closure-compiles the
+// prelude on first use. Stamps are permanent and derive from the
+// prelude's intrinsic pid, so the objects every session resolves
+// against are the ones user bins reference, whichever process built
+// them.
+var sharedPrelude = sync.OnceValues(func() (*prelude, error) {
+	decs, errs := parser.Parse(PreludeSource)
+	if len(errs) > 0 {
+		return nil, errs[0]
+	}
+	prim := basis.PrimEnv()
+	u, err := CompileDecs("$prelude", decs, prim)
+	if err != nil {
+		return nil, err
+	}
+	// A session never encodes the prelude, so the pickle goes.
+	u.EnvPickle = nil
+	ix := pickle.NewIndex()
+	ix.AddEnv(prim)
+	ix.AddEnv(u.Env)
+	return &prelude{unit: u, index: ix}, nil
+})
+
+// NewSession builds a session over the shared compiled prelude (§3:
+// compile once, execute per dynamic environment): it executes the
+// prelude's code on the session's own machine and dynamic environment,
+// so every closure and exception the prelude creates belongs to this
+// session alone.
 func NewSession(stdout io.Writer) (*Session, error) {
+	p, err := sharedPrelude()
+	if err != nil {
+		return nil, fmt.Errorf("bootstrapping prelude: %v", err)
+	}
 	s := &Session{
 		Machine: interp.NewMachine(),
-		Context: basis.PrimEnv(),
+		Context: p.unit.Env,
 		Dyn:     dynenv.New(),
-		Index:   pickle.NewIndex(),
+		Index:   pickle.NewOverlay(p.index),
+		Units:   []*Unit{p.unit},
 	}
 	if stdout != nil {
 		s.Machine.Stdout = stdout
 	}
-	s.Index.AddEnv(s.Context)
-	decs, err := preludeDecs()
-	var u *Unit
-	if err == nil {
-		u, err = CompileDecs("$prelude", decs, s.Context)
-	}
-	if err == nil {
-		_, err = s.runUnit(u)
-	}
-	if err != nil {
+	if err := Execute(s.Machine, p.unit, s.Dyn); err != nil {
 		return nil, fmt.Errorf("bootstrapping prelude: %v", err)
 	}
 	return s, nil
 }
 
-// preludeDecs parses the prelude once per process: every session
-// elaborates the same syntax, which elaboration only reads.
-var preludeDecs = sync.OnceValues(func() ([]ast.Dec, error) {
-	decs, errs := parser.Parse(PreludeSource)
-	if len(errs) > 0 {
-		return nil, errs[0]
-	}
-	return decs, nil
-})
+// PreludeIndex returns the shared, frozen stamp index over the basis
+// and the prelude that every session's Index overlays. The parallel
+// scheduler hands it to its workers as the base of their private
+// rehydration overlays.
+func (s *Session) PreludeIndex() *pickle.Index {
+	p, _ := sharedPrelude()
+	return p.index
+}
 
 // Compile compiles a unit against the current context without
 // executing it or extending the session.

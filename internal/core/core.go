@@ -400,14 +400,13 @@ func (m *Manager) BuildUnder(parent *obs.Span, files []File) (*compiler.Session,
 	session.Machine.MaxSteps = m.MaxSteps
 	// Profiling, too, starts after the bootstrap: the prelude's own
 	// execution is never sampled (it ran before StartProfile), but its
-	// functions are registered and symbolized here so prelude frames
-	// inside unit executions attribute to "$prelude" bindings.
+	// functions are symbolized here so prelude frames inside unit
+	// executions attribute to "$prelude" bindings.
 	m.Prof, m.profB = nil, nil
 	if m.ProfilePeriod > 0 {
 		session.Machine.StartProfile(m.ProfilePeriod)
 		m.profB = prof.NewBuilder(session.Machine.ProfilePeriod())
 		for _, u := range session.Units {
-			session.Machine.ProfRegister(u.Name, u.Prog)
 			m.profB.AddUnit(u.Name, u.Term(), u.Env, compiler.PreludeSource)
 		}
 		defer func() {

@@ -139,22 +139,6 @@ func (h intHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
 func (h *intHeap) Push(x any)        { *h = append(*h, x.(int)) }
 func (h *intHeap) Pop() any          { old := *h; n := len(old); x := old[n-1]; *h = old[:n-1]; return x }
 
-// frozenIndex builds the stamp index over the session's pre-build
-// context (basis + prelude): the frozen parent that every worker's
-// private rehydration overlay falls back to. It is never mutated once
-// workers start.
-func frozenIndex(ctxEnv *env.Env) *pickle.Index {
-	var layers []*env.Env
-	for e := ctxEnv; e != nil; e = e.Parent() {
-		layers = append(layers, e)
-	}
-	ix := pickle.NewIndex()
-	for i := len(layers) - 1; i >= 0; i-- {
-		ix.AddEnv(layers[i])
-	}
-	return ix
-}
-
 // jobs resolves the worker count: Manager.Jobs when positive, else
 // GOMAXPROCS, clamped to the number of units.
 func (m *Manager) jobs(units int) int {
@@ -186,9 +170,11 @@ func (m *Manager) schedule(col *obs.Collector, gen int, bspan *obs.Span,
 	bspan.Arg("jobs", jobs)
 
 	// Frozen shared inputs. Workers read these concurrently; nothing
-	// mutates them until every worker has drained.
+	// mutates them until every worker has drained. The session is
+	// fresh, so its context is basis + prelude and the prelude's
+	// process-wide index already covers it.
 	baseCtx := session.Context
-	baseIx := frozenIndex(baseCtx)
+	baseIx := session.PreludeIndex()
 
 	idxOf := make(map[string]int, n)
 	for i, info := range order {

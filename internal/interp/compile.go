@@ -106,8 +106,9 @@ type CompiledFn struct {
 }
 
 // fnTable is the per-unit side table shared by every CompiledFn of one
-// compiled term: the unit name (set once, before execution, by
-// SetUnit) and each function's lexically enclosing function, indexed
+// compiled term: the unit name (fixed when CompileFn or LoadFn builds
+// the table, so a program shared by many machines is never written
+// once built) and each function's lexically enclosing function, indexed
 // by ID (-1 for the root). A LoadFn table also holds every function's
 // header, by ID, and the lambda segment and code section the pending
 // bodies are read from; mu serializes building them, and built counts
@@ -122,16 +123,9 @@ type fnTable struct {
 	built   int
 }
 
-// SetUnit records the owning unit's name on the whole compiled term.
-// Call it before the term executes; samples taken afterwards attribute
-// every function of the term to that unit.
-func (f *CompiledFn) SetUnit(name string) {
-	if f != nil && f.tab != nil {
-		f.tab.unit = name
-	}
-}
-
-// Unit returns the unit name recorded by SetUnit ("" before).
+// Unit returns the name of the unit the function belongs to, as given
+// to CompileFn or LoadFn: the name the profiler attributes its samples
+// to.
 func (f *CompiledFn) Unit() string {
 	if f == nil || f.tab == nil {
 		return ""
@@ -224,11 +218,11 @@ type CompiledClosure struct {
 
 func (*CompiledClosure) isValue() {}
 
-// CompileFn compiles a unit's code (the λ(import-vector).(exports)
+// CompileFn compiles unit's code (the λ(import-vector).(exports)
 // function of §3) to the closure form, returning it with the
 // serialized slot layout — the bin file's code section.
-func CompileFn(fn *lambda.Fn) (*CompiledFn, []byte, error) {
-	c := &comp{resolve: true, scope: make(map[lambda.LVar]loc), tab: &fnTable{}}
+func CompileFn(unit string, fn *lambda.Fn) (*CompiledFn, []byte, error) {
+	c := &comp{resolve: true, scope: make(map[lambda.LVar]loc), tab: &fnTable{unit: unit}}
 	cf := c.fn(fn)
 	if c.err != nil {
 		return nil, nil, c.err
@@ -250,8 +244,8 @@ func CompileFn(fn *lambda.Fn) (*CompiledFn, []byte, error) {
 // first call, from its subtree decoded again. Nothing built keeps a
 // node of fn, so fn may be a pickle.Scratch term, released once
 // LoadFn returns (DESIGN.md §4j, "Lazy terms").
-func LoadFn(fn *lambda.Fn, term, section []byte) (*CompiledFn, error) {
-	c := &comp{in: section, lazy: true, tab: &fnTable{term: term, section: section}}
+func LoadFn(unit string, fn *lambda.Fn, term, section []byte) (*CompiledFn, error) {
+	c := &comp{in: section, lazy: true, tab: &fnTable{unit: unit, term: term, section: section}}
 	cf := c.fn(fn)
 	if c.err != nil {
 		return nil, c.err

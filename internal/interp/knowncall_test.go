@@ -291,7 +291,7 @@ func TestJoinPointScoping(t *testing.T) {
 				Body: add(app(j, num(2)), &lambda.Let{LV: z, Bind: v(j), Body: app(z, num(3))})})}, 91},
 	} {
 		term := &lambda.Fn{Param: x, Body: tc.body}
-		prog, _, err := interp.CompileFn(&lambda.Fn{Param: g.Fresh(), Body: term})
+		prog, _, err := interp.CompileFn("term", &lambda.Fn{Param: g.Fresh(), Body: term})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -92,10 +92,10 @@ func TestLazyLoadMatchesEager(t *testing.T) {
 				t.Fatalf("%s/%s: loaded unit keeps a term (%v) or no term bytes", pname, u.Name, u.Code != nil)
 			}
 			eager, byID := eagerByID(t, u.Term())
-			if _, sec, err := interp.CompileFn(u.Term()); err != nil || !bytes.Equal(sec, u.CodeBytes) {
+			if _, sec, err := interp.CompileFn(u.Name, u.Term()); err != nil || !bytes.Equal(sec, u.CodeBytes) {
 				t.Fatalf("%s/%s: recompiled section differs from the bin's (%v)", pname, u.Name, err)
 			}
-			lazy, err := interp.LoadFn(u.Term(), u.TermBytes, u.CodeBytes)
+			lazy, err := interp.LoadFn(u.Name, u.Term(), u.TermBytes, u.CodeBytes)
 			if err != nil {
 				t.Fatalf("%s/%s: %v", pname, u.Name, err)
 			}

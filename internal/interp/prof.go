@@ -146,16 +146,6 @@ func (m *Machine) ProfilePeriod() uint64 {
 	return m.prof.period
 }
 
-// ProfRegister records a unit's function identities before it (or any
-// unit importing its closures) executes: the compiled form learns its
-// unit name. Idempotent per unit; a no-op when profiling is disabled.
-func (m *Machine) ProfRegister(unit string, prog *CompiledFn) {
-	if m.prof == nil {
-		return
-	}
-	prog.SetUnit(unit)
-}
-
 // BeginUnitProfile opens a unit's sample window: a fresh accumulator
 // and a countdown reset to the period, so the window's samples depend
 // only on the unit's own execution.

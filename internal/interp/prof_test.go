@@ -40,14 +40,13 @@ func factTerm() lambda.Exp {
 func TestProfilingPreservesSteps(t *testing.T) {
 	run := func(profiled bool) (uint64, Value) {
 		// Param 0 is never issued by lambda.Gen, so it shadows nothing.
-		prog, _, err := CompileFn(&lambda.Fn{Body: factTerm()})
+		prog, _, err := CompileFn("u", &lambda.Fn{Body: factTerm()})
 		if err != nil {
 			t.Fatal(err)
 		}
 		m := NewMachine()
 		if profiled {
 			m.StartProfile(4)
-			m.ProfRegister("u", prog)
 			m.BeginUnitProfile("u")
 		}
 		v, err := m.Apply(&CompiledClosure{Fn: prog}, Unit())

@@ -15,11 +15,12 @@ import (
 // added — avoiding the linear searches the paper identifies as its
 // dominant dehydration cost.
 //
-// An Index is not safe for concurrent mutation. The parallel build
-// scheduler therefore never shares a mutable Index across workers:
-// it freezes a base index over the session context once per build and
-// gives each rehydrating worker a private overlay (NewOverlay) whose
-// lookups fall back to the frozen parent without ever writing to it.
+// An Index is not safe for concurrent mutation. Nothing therefore
+// shares a mutable Index: the index over basis and prelude is built
+// once per process and frozen (internal/compiler), and every session
+// and every rehydrating worker of the parallel build scheduler gets a
+// private overlay (NewOverlay) whose lookups fall back to the frozen
+// parent without ever writing to it.
 type Index struct {
 	byStamp map[stamps.Stamp]any
 	visited map[any]bool

@@ -7,10 +7,12 @@ package prof_test
 
 import (
 	"bytes"
+	"io"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/core"
@@ -159,5 +161,75 @@ func TestHistoryTopInputs(t *testing.T) {
 	}
 	if top[0].SelfSteps < top[1].SelfSteps {
 		t.Errorf("Top not sorted by self-steps: %d < %d", top[0].SelfSteps, top[1].SelfSteps)
+	}
+}
+
+// preludeSourceB drives prelude functions hot enough to be sampled:
+// foldl and List.tabulate run on every machine from the one compiled
+// prelude the process shares.
+const preludeSourceB = `
+val x = fib 12
+val s = foldl (fn (i, acc) => i + acc) 0 (List.tabulate (400, fn i => i))
+`
+
+// profileArtifacts builds the fib-and-prelude workload with profiling
+// on and returns its irm-profile/1 JSON, folded stacks and pprof bytes.
+func profileArtifacts(jobs int) ([3][]byte, error) {
+	var out [3][]byte
+	m := core.NewManager()
+	m.Jobs = jobs
+	m.ProfilePeriod = 32
+	files := []core.File{
+		{Name: "a.sml", Source: profSourceA},
+		{Name: "b.sml", Source: preludeSourceB},
+	}
+	if _, err := m.Build(files); err != nil {
+		return out, err
+	}
+	p := m.Prof
+	for i, emit := range []func(io.Writer) error{p.Report("conc").WriteJSON, p.WriteFolded, p.WritePprof} {
+		var buf bytes.Buffer
+		if err := emit(&buf); err != nil {
+			return out, err
+		}
+		out[i] = buf.Bytes()
+	}
+	return out, nil
+}
+
+// TestConcurrentProfiledBuilds runs profiled builds at once (under
+// -race): every build's machine executes the process's one compiled
+// prelude, whose functions carry their unit name from compilation, so
+// the builds share nothing they write. Their three artifacts must be
+// the serial run's bytes, with prelude frames attributed to $prelude.
+func TestConcurrentProfiledBuilds(t *testing.T) {
+	want, err := profileArtifacts(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Contains(want[1], []byte("$prelude:")) {
+		t.Fatalf("serial folded stacks lack $prelude frames:\n%s", want[1])
+	}
+	jobs := []int{1, 2, 4, 1}
+	got := make([][3][]byte, len(jobs))
+	errs := make([]error, len(jobs))
+	var wg sync.WaitGroup
+	for i, j := range jobs {
+		wg.Add(1)
+		go func(i, j int) {
+			defer wg.Done()
+			got[i], errs[i] = profileArtifacts(j)
+		}(i, j)
+	}
+	wg.Wait()
+	for i := range jobs {
+		if errs[i] != nil {
+			t.Fatalf("build %d (-j%d): %v", i, jobs[i], errs[i])
+		}
+		for k, kind := range []string{"JSON", "folded", "pprof"} {
+			if !bytes.Equal(got[i][k], want[k]) {
+				t.Errorf("build %d (-j%d): %s profile differs from the serial run's", i, jobs[i], kind)
+			}
+		}
 	}
 }

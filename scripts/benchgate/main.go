@@ -11,7 +11,9 @@
 // floor, which is what a perf gate should police. Allocation counts
 // (present when the run used -benchmem) are deterministic, so their
 // gate is tight: BenchmarkPipelineRehydrate's allocs/op pins the load
-// path's per-unit allocation (DESIGN.md §4f).
+// path's per-unit allocation, and BenchmarkNewSession's pins a session
+// to executing the shared prelude rather than compiling it (DESIGN.md
+// §4f).
 //
 // Concurrency: a single-goroutine command-line tool.
 package main
@@ -102,7 +104,7 @@ func pctRise(base, head float64) float64 {
 
 func main() {
 	threshold := flag.Float64("threshold", 10, "max allowed ns/op regression, percent")
-	match := flag.String("match", `Pipeline(Hash|Pickle|Rehydrate)|Exec(Cold|Warm)|Apply(Hot|Curried)`,
+	match := flag.String("match", `Pipeline(Hash|Pickle|Rehydrate)|Exec(Cold|Warm)|Apply(Hot|Curried)|NewSession`,
 		"regexp selecting which benchmarks gate the build")
 	flag.Parse()
 	if flag.NArg() != 2 {
