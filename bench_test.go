@@ -16,6 +16,7 @@ import (
 	"os"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/binfile"
 	"repro/internal/compiler"
@@ -25,6 +26,7 @@ import (
 	"repro/internal/env"
 	"repro/internal/interp"
 	"repro/internal/linker"
+	"repro/internal/obs"
 	"repro/internal/parser"
 	"repro/internal/pickle"
 	"repro/internal/pid"
@@ -134,26 +136,27 @@ func BenchmarkE2UnitModel(b *testing.B) {
 
 func BenchmarkE3PickleOverhead(b *testing.B) {
 	p := workload.Generate(workload.CompilerScale())
-	var st core.Stats
+	var rep obs.Report
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		m := core.NewManager()
 		if _, err := m.Build(p.Files); err != nil {
 			b.Fatal(err)
 		}
-		st = m.Stats
+		rep = m.Report("E3")
 	}
 	b.StopTimer()
 
-	total := st.ParseTime + st.CompileTime + st.PickleTime + st.ExecTime
-	overhead := st.HashTime + st.PickleTime
+	ns := func(phase string) time.Duration { return time.Duration(rep.TimingsNs[phase]) }
+	total := ns("parse") + ns("compile") + ns("pickle") + ns("exec")
+	overhead := ns("hash") + ns("pickle")
 	pct := 100 * float64(overhead) / float64(total)
 	b.ReportMetric(pct, "overhead_%")
 	b.ReportMetric(float64(p.LineCount()), "lines")
 	printTable("E3", func(w io.Writer) {
-		fmt.Fprintf(w, "\nE3 (§6): cold build of %d units / %d lines\n", st.Units, p.LineCount())
+		fmt.Fprintf(w, "\nE3 (§6): cold build of %d units / %d lines\n", rep.Units, p.LineCount())
 		fmt.Fprintf(w, "  compile %v, hash %v, pickle %v, exec %v\n",
-			st.CompileTime, st.HashTime, st.PickleTime, st.ExecTime)
+			ns("compile"), ns("hash"), ns("pickle"), ns("exec"))
 		fmt.Fprintf(w, "  hash+pickle overhead: %.2f%% of build\n", pct)
 		fmt.Fprintf(w, "  paper: 20 s of a 32-minute 65k-line compile = ~1%% — same shape: small single-digit overhead\n")
 	})

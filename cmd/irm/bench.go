@@ -98,7 +98,7 @@ type BenchScenario struct {
 	Allocs        uint64 `json:"allocs"`
 	AllocBytes    uint64 `json:"alloc_bytes"`
 	AllocsPerUnit uint64 `json:"allocs_per_unit"`
-	// ExecNs is the summed unit-execution time (counter time.exec_ns)
+	// ExecNs is the summed unit-execution time (counter time.execute_ns)
 	// and ExecParallelism the peak number of units executing at once
 	// (counter exec.parallelism.max) — the schema-5 view of the
 	// parallel exec stage.
@@ -270,7 +270,7 @@ func cmdBench(args []string) {
 				Allocs:          allocs,
 				AllocBytes:      allocBytes,
 				AllocsPerUnit:   allocs / uint64(len(p.Files)),
-				ExecNs:          m.Counters["time.exec_ns"],
+				ExecNs:          m.Counters[obs.PhaseCounter("execute")],
 				ExecParallelism: m.Counters["exec.parallelism.max"],
 				Report:          m.Report(sc.name),
 			})

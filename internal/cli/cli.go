@@ -274,11 +274,7 @@ func (s *Setup) Record(name string, wall time.Duration, buildErr error) {
 	if s.Ledger == nil {
 		return
 	}
-	rec := history.FromReport(s.M.Report(name), s.M.UnitTimings, s.Jobs,
-		wall, time.Now(), buildErr)
-	if s.M.Prof != nil {
-		rec.HotFunctions = s.M.Prof.Top(20)
-	}
+	rec := history.FromBuild(s.M, s.M.Report(name), wall, time.Now(), buildErr)
 	if err := s.Ledger.Append(rec); err != nil {
 		fmt.Fprintf(os.Stderr, "%s: %v\n", Name, err)
 	}

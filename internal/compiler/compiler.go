@@ -308,7 +308,6 @@ func ExecuteOn(m *interp.Machine, u *Unit, dyn dynenv.Target,
 	}
 	ispan.End()
 	obs.Count(rec, "exec.imports", int64(len(u.Imports)))
-	obs.Count(rec, "exec.imports_ns", int64(ispan.Duration()))
 
 	aspan := espan.Child(obs.CatPhase, "apply")
 	steps0 := m.Steps
@@ -330,7 +329,6 @@ func ExecuteOn(m *interp.Machine, u *Unit, dyn dynenv.Target,
 	}
 	aspan.End()
 	obs.Count(rec, "exec.steps", int64(m.Steps-steps0))
-	obs.Count(rec, "exec.apply_ns", int64(aspan.Duration()))
 	if err != nil {
 		obs.Count(rec, "exec.errors", 1)
 		return fmt.Errorf("execute %s: %v", u.Name, err)
@@ -353,6 +351,5 @@ func ExecuteOn(m *interp.Machine, u *Unit, dyn dynenv.Target,
 	}
 	bspan.End()
 	obs.Count(rec, "exec.exports", int64(u.NumSlots))
-	obs.Count(rec, "exec.bind_ns", int64(bspan.Duration()))
 	return nil
 }

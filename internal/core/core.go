@@ -32,7 +32,6 @@ import (
 	"io"
 	"slices"
 	"sync"
-	"time"
 
 	"repro/internal/compiler"
 	"repro/internal/depend"
@@ -194,6 +193,8 @@ func (s *MemStore) Len() int {
 // Stats counts what a build did. It is derived, after every Build,
 // from the telemetry counters of that build (see statsFromCounters) —
 // the counters are the single source of truth, Stats a fixed view.
+// It holds counts only, so it is identical at any Jobs value; phase
+// timings live in the time.* counters the phase spans feed.
 type Stats struct {
 	Units    int // units in the group
 	Parsed   int // files parsed (source changed or no cache)
@@ -206,13 +207,6 @@ type Stats struct {
 	Recovered  int // units recompiled because their entry was corrupt
 	SaveErrors int // bin saves that failed (the build continues uncached)
 	HashErrors int // interface-hash measurements that failed (non-fatal)
-
-	ParseTime   time.Duration
-	CompileTime time.Duration
-	HashTime    time.Duration
-	PickleTime  time.Duration
-	LoadTime    time.Duration
-	ExecTime    time.Duration
 }
 
 // statsFromCounters projects one build's counter deltas onto the
@@ -232,13 +226,6 @@ func statsFromCounters(c map[string]int64) Stats {
 		Recovered:  int(c["cache.recovered"]),
 		SaveErrors: int(c["cache.save_errors"]),
 		HashErrors: int(c["build.hash_errors"]),
-
-		ParseTime:   time.Duration(c["time.parse_ns"]),
-		CompileTime: time.Duration(c["time.compile_ns"]),
-		HashTime:    time.Duration(c["time.hash_ns"]),
-		PickleTime:  time.Duration(c["time.pickle_ns"]),
-		LoadTime:    time.Duration(c["time.load_ns"]),
-		ExecTime:    time.Duration(c["time.exec_ns"]),
 	}
 }
 
@@ -453,7 +440,6 @@ func (m *Manager) BuildUnder(parent *obs.Span, files []File) (*compiler.Session,
 		pspan := scan.Child(obs.CatPhase, "parse").Arg("unit", f.Name)
 		info, err := depend.Analyze(f.Name, f.Source)
 		pspan.End()
-		col.Add("time.parse_ns", int64(pspan.Duration()))
 		if err != nil {
 			scan.End()
 			return nil, err

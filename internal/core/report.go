@@ -2,6 +2,16 @@ package core
 
 import "repro/internal/obs"
 
+// reportTimings maps each timings_ns key of the report to the phase
+// whose time.<phase>_ns counter it reads: "exec" is the inclusive
+// execute span, exec_* its sub-phases, and hash is timed in compile.
+var reportTimings = map[string]string{
+	"lock": "lock", "session": "session", "scan": "scan", "parse": "parse",
+	"order": "order", "compile": "compile", "hash": "hash", "pickle": "pickle",
+	"load": "load", "save": "save", "exec": "execute",
+	"exec_imports": "imports", "exec_apply": "apply", "exec_bind": "bind",
+}
+
 // Report assembles the machine-readable summary of the most recent
 // Build: the Stats view, per-phase timings, the raw counter deltas,
 // and the explain log. name labels the build (group file or program).
@@ -14,6 +24,10 @@ func (m *Manager) Report(name string) obs.Report {
 	counters := m.Counters
 	if counters == nil {
 		counters = map[string]int64{}
+	}
+	timings := make(map[string]int64, len(reportTimings))
+	for key, phase := range reportTimings {
+		timings[key] = counters[obs.PhaseCounter(phase)]
 	}
 	return obs.Report{
 		Schema:     obs.ReportSchema,
@@ -29,20 +43,8 @@ func (m *Manager) Report(name string) obs.Report {
 		Recovered:  st.Recovered,
 		SaveErrors: st.SaveErrors,
 		HashErrors: st.HashErrors,
-		TimingsNs: map[string]int64{
-			"parse":   int64(st.ParseTime),
-			"compile": int64(st.CompileTime),
-			"hash":    int64(st.HashTime),
-			"pickle":  int64(st.PickleTime),
-			"load":    int64(st.LoadTime),
-			"exec":    int64(st.ExecTime),
-			// The execute phase broken down (schema irm-report/2):
-			// import-vector lookup, closure application, export binding.
-			"exec_imports": counters["exec.imports_ns"],
-			"exec_apply":   counters["exec.apply_ns"],
-			"exec_bind":    counters["exec.bind_ns"],
-		},
-		Counters: counters,
-		Explain:  explain,
+		TimingsNs:  timings,
+		Counters:   counters,
+		Explain:    explain,
 	}
 }

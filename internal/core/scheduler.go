@@ -19,7 +19,8 @@
 //   - Workers record counters into a private obs.Buffer; the committer
 //     flushes each buffer in commit order, so the final Stats are the
 //     sums the sequential build would have produced — speculative work
-//     past a failed unit is discarded unflushed and leaves no trace.
+//     past a failed unit is discarded unflushed; only its phase spans'
+//     wall-clock time.* totals, fed as each span ends, remain.
 //   - Unit execution runs on a second pool ordered by the import DAG
 //     plus the §4j mutable-import rule (units whose imports reach a
 //     ref or array run in commit order), against copy-on-write dynenv
@@ -110,8 +111,8 @@ type unitResult struct {
 // which the exec DAG orders after this unit) plus the binds replay log
 // — never to the session env. The committer replays stdout, flushes
 // the buffer, and commits the binds in commit order, so a speculative
-// execution past the failing unit leaves no trace in output, counters,
-// Stats, or the session's dynamic environment.
+// execution past the failing unit leaves no trace in output, Stats,
+// counters (but its phase spans' time.*), or the session's dynenv.
 type execDone struct {
 	idx    int
 	err    error
@@ -590,7 +591,6 @@ func (m *Manager) runUnit(t *unitTask, lane, gen int, bspan *obs.Span,
 		}
 		u, err := binfile.ReadCachedObserved(t.entry.Bin, ix, m.envCache(), buf)
 		lspan.End()
-		buf.Add("time.load_ns", int64(lspan.Duration()))
 		if err == nil {
 			res.unit = u
 			res.action = obs.ActionLoaded
@@ -652,7 +652,6 @@ func (m *Manager) runUnit(t *unitTask, lane, gen int, bspan *obs.Span,
 		u, err = compiler.Compile(name, t.source, layer)
 	}
 	cspan.End()
-	buf.Add("time.compile_ns", int64(cspan.Duration()))
 	if err != nil {
 		exp.Error = err.Error()
 		res.exp = exp
@@ -694,7 +693,6 @@ func (m *Manager) runUnit(t *unitTask, lane, gen int, bspan *obs.Span,
 	pkspan := uspan.Child(obs.CatPhase, "pickle")
 	bin, err := binfile.EncodeObserved(u, buf)
 	pkspan.End()
-	buf.Add("time.pickle_ns", int64(pkspan.Duration()))
 	if err != nil {
 		exp.Error = err.Error()
 		res.exp = exp
@@ -757,7 +755,6 @@ func (m *Manager) commitUnit(res *unitResult, ed *execDone, col *obs.Collector,
 	if res.tainted {
 		col.Add("exec.serialized", 1)
 	}
-	col.Add("time.exec_ns", ed.ns)
 	session.Machine.Steps += ed.steps
 	if len(ed.stdout) > 0 && session.Machine.Stdout != nil {
 		session.Machine.Stdout.Write(ed.stdout)

@@ -21,14 +21,6 @@ import (
 	"repro/internal/workload"
 )
 
-// countStats strips the wall-clock fields from core.Stats: counts are
-// deterministic across scheduler widths, durations are not.
-func countStats(s core.Stats) core.Stats {
-	s.ParseTime, s.CompileTime, s.HashTime = 0, 0, 0
-	s.PickleTime, s.LoadTime, s.ExecTime = 0, 0, 0
-	return s
-}
-
 // buildMatrix runs the edit matrix (cold, null, impl-edit,
 // interface-edit) at one scheduler width over one fresh core.MemStore and
 // returns the store plus per-scenario stats and explains.
@@ -48,7 +40,7 @@ func buildMatrix(t *testing.T, p *workload.Project, jobs int) (*core.MemStore, [
 		if _, err := m.Build(files); err != nil {
 			t.Fatalf("jobs=%d scenario %d: %v", jobs, i, err)
 		}
-		stats = append(stats, countStats(m.Stats))
+		stats = append(stats, m.Stats)
 		explains = append(explains, m.Explains)
 	}
 	return store, stats, explains

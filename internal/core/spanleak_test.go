@@ -10,7 +10,10 @@ package core_test
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
+	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -180,4 +183,131 @@ func TestExecSpanAudit(t *testing.T) {
 				jobs, execs, len(p.Files))
 		}
 	}
+}
+
+// TestPhaseTimingsMatchSpans: a build's time.<phase>_ns delta is
+// exactly the sum of that build's phase-span durations as -jsonl
+// exports them — on cold, null, impl-edit and failing builds at -j1
+// and -j4 over one collector, spans of speculative units drained after
+// the failure included — and the report's timings_ns are those deltas.
+func TestPhaseTimingsMatchSpans(t *testing.T) {
+	p := workload.Generate(workload.Small())
+	bad := append([]core.File(nil), p.Files...)
+	bad[len(bad)/2].Source += "\nval _ = noSuchName"
+	scenarios := []struct {
+		name  string
+		files []core.File
+	}{
+		{"cold", p.Files}, {"null", p.Files},
+		{"impl-edit", p.Edit(0, workload.ImplEdit, 1)}, {"failing", bad},
+	}
+	// The report's timings_ns keys and the phase each one reads.
+	table := map[string]string{
+		"lock": "lock", "session": "session", "scan": "scan", "parse": "parse",
+		"order": "order", "compile": "compile", "hash": "hash", "pickle": "pickle",
+		"load": "load", "save": "save", "exec": "execute",
+		"exec_imports": "imports", "exec_apply": "apply", "exec_bind": "bind",
+	}
+	for _, jobs := range []int{1, 4} {
+		store, err := core.NewDirStore(t.TempDir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		col := obs.New()
+		m := &core.Manager{Policy: core.PolicyCutoff, Store: store,
+			Stdout: io.Discard, Obs: col, Jobs: jobs}
+		var deltas []map[string]int64
+		var reports []obs.Report
+		for _, sc := range scenarios {
+			if _, err := m.Build(sc.files); (err != nil) != (sc.name == "failing") {
+				t.Fatalf("jobs=%d %s: build error %v", jobs, sc.name, err)
+			}
+			deltas = append(deltas, m.Counters)
+			reports = append(reports, m.Report(sc.name))
+		}
+		sums := phaseSpanSums(t, col)
+		if len(sums) != len(scenarios) {
+			t.Fatalf("jobs=%d: %d build spans, want %d", jobs, len(sums), len(scenarios))
+		}
+		for i, sc := range scenarios {
+			ctx := fmt.Sprintf("jobs=%d %s", jobs, sc.name)
+			if sums[i]["load"] == 0 && sums[i]["compile"] == 0 {
+				t.Errorf("%s: no load or compile spans", ctx)
+			}
+			for phase, ns := range sums[i] {
+				if got := deltas[i][obs.PhaseCounter(phase)]; got != ns {
+					t.Errorf("%s: %s = %d, phase spans sum to %d", ctx, obs.PhaseCounter(phase), got, ns)
+				}
+			}
+			for name, v := range deltas[i] {
+				phase, ok := strings.CutPrefix(name, "time.")
+				if ok && name != "time.hash_ns" && sums[i][strings.TrimSuffix(phase, "_ns")] != v {
+					t.Errorf("%s: %s = %d has no matching phase spans", ctx, name, v)
+				}
+			}
+			if len(reports[i].TimingsNs) != len(table) {
+				t.Errorf("%s: timings_ns %v, want the %d keys of the table",
+					ctx, reports[i].TimingsNs, len(table))
+			}
+			for key, phase := range table {
+				if got, want := reports[i].TimingsNs[key], deltas[i][obs.PhaseCounter(phase)]; got != want {
+					t.Errorf("%s: timings_ns.%s = %d, want time.%s_ns delta %d", ctx, key, got, phase, want)
+				}
+			}
+		}
+	}
+}
+
+// phaseSpanSums reads a collector's spans back from its JSONL export
+// and sums the phase-span durations (µs → ns, rounded) per build root,
+// in build order.
+func phaseSpanSums(t *testing.T, col *obs.Collector) []map[string]int64 {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := col.WriteJSONL(&buf); err != nil {
+		t.Fatal(err)
+	}
+	type span struct {
+		Type   string  `json:"type"`
+		ID     int     `json:"id"`
+		Parent int     `json:"parent"`
+		Name   string  `json:"name"`
+		Cat    string  `json:"cat"`
+		DurUs  float64 `json:"dur_us"`
+	}
+	parent := map[int]int{}
+	var spans []span
+	var roots []int
+	dec := json.NewDecoder(&buf)
+	for dec.More() {
+		var s span
+		if err := dec.Decode(&s); err != nil {
+			t.Fatal(err)
+		}
+		if s.Type != "span" {
+			continue
+		}
+		parent[s.ID] = s.Parent
+		spans = append(spans, s)
+		if s.Parent == 0 {
+			roots = append(roots, s.ID)
+		}
+	}
+	build := map[int]int{}
+	sums := make([]map[string]int64, len(roots))
+	for i, id := range roots {
+		build[id] = i
+		sums[i] = map[string]int64{}
+	}
+	for _, s := range spans {
+		if s.Cat != obs.CatPhase {
+			continue
+		}
+		root := s.ID
+		for parent[root] != 0 {
+			root = parent[root]
+		}
+		sums[build[root]][s.Name] += int64(math.Round(s.DurUs * 1000))
+	}
+	return sums
 }

@@ -591,11 +591,7 @@ func (s *Server) execute(c *call) {
 			s.liveProf.Set(c.name, s.m.Prof)
 		}
 		if s.opts.Ledger != nil {
-			rec := history.FromReport(c.report, s.m.UnitTimings, c.jobs,
-				wall, time.Now(), buildErr)
-			if s.m.Prof != nil {
-				rec.HotFunctions = s.m.Prof.Top(20)
-			}
+			rec := history.FromBuild(s.m, c.report, wall, time.Now(), buildErr)
 			if err := s.opts.Ledger.Append(rec); err != nil {
 				s.logf("daemon: ledger: %v", err)
 			}

@@ -83,18 +83,19 @@ type Record struct {
 	HotFunctions []prof.Func `json:"hot_functions,omitempty"`
 }
 
-// FromReport assembles a ledger record from a build's machine-readable
-// report plus the run facts only the caller knows (wall time, worker
-// count, the build error if any, and the clock).
-func FromReport(rep obs.Report, timings []obs.UnitTiming, jobs int,
-	wall time.Duration, now time.Time, buildErr error) Record {
+// FromBuild assembles a ledger record for the most recent build of m
+// from its machine-readable report, the Manager's worker count, unit
+// timings and (for a profiled build) hot-function table, plus the run
+// facts only the caller knows: wall time, the clock, the build error.
+func FromBuild(m *core.Manager, rep obs.Report, wall time.Duration,
+	now time.Time, buildErr error) Record {
 
 	r := Record{
 		Schema:     Schema,
 		TimeUnixNs: now.UnixNano(),
 		Name:       rep.Name,
 		Policy:     rep.Policy,
-		Jobs:       jobs,
+		Jobs:       m.Jobs,
 		Outcome:    OutcomeOK,
 		WallNs:     int64(wall),
 		Units:      rep.Units,
@@ -114,7 +115,10 @@ func FromReport(rep obs.Report, timings []obs.UnitTiming, jobs int,
 		r.Outcome = OutcomeError
 		r.Error = buildErr.Error()
 	}
-	r.UnitTimings = append([]obs.UnitTiming(nil), timings...)
+	r.UnitTimings = append([]obs.UnitTiming(nil), m.UnitTimings...)
+	if m.Prof != nil {
+		r.HotFunctions = m.Prof.Top(20)
+	}
 	return r
 }
 

@@ -225,15 +225,16 @@ func TestTop(t *testing.T) {
 	}
 }
 
-func TestFromReport(t *testing.T) {
+func TestFromBuild(t *testing.T) {
 	rep := obs.Report{
 		Schema: obs.ReportSchema, Name: "g.cm", Policy: "cutoff",
 		Units: 4, Parsed: 2, Compiled: 2, Loaded: 2, Cutoffs: 1, Executed: 4,
 		Counters: map[string]int64{"cache.hits": 3, "cache.misses": 1},
 	}
-	timings := []obs.UnitTiming{{Unit: "a.sml", Action: obs.ActionCompiled, Ns: 5}}
+	m := &core.Manager{Jobs: 8, UnitTimings: []obs.UnitTiming{
+		{Unit: "a.sml", Action: obs.ActionCompiled, Ns: 5}}}
 	now := time.Unix(1700000000, 0)
-	r := FromReport(rep, timings, 8, 2*time.Second, now, nil)
+	r := FromBuild(m, rep, 2*time.Second, now, nil)
 	if r.Schema != Schema || r.Outcome != OutcomeOK {
 		t.Fatalf("bad envelope: %+v", r)
 	}
@@ -246,9 +247,23 @@ func TestFromReport(t *testing.T) {
 	if len(r.UnitTimings) != 1 || r.UnitTimings[0].Unit != "a.sml" {
 		t.Fatalf("timings lost: %+v", r.UnitTimings)
 	}
-	rf := FromReport(rep, nil, 1, time.Second, now, os.ErrPermission)
+	if r.HotFunctions != nil {
+		t.Fatalf("unprofiled build has hot functions: %+v", r.HotFunctions)
+	}
+	rf := FromBuild(&core.Manager{Jobs: 1}, rep, time.Second, now, os.ErrPermission)
 	if rf.Outcome != OutcomeError || !strings.Contains(rf.Error, "permission") {
 		t.Fatalf("error outcome lost: %+v", rf)
+	}
+
+	// A profiled build's record carries its hot-function table.
+	pm := core.NewManager()
+	pm.ProfilePeriod = 1
+	if _, err := pm.Build([]core.File{{Name: "f.sml",
+		Source: "fun f 0 = 0 | f n = n + f (n - 1) val x = f 50"}}); err != nil {
+		t.Fatal(err)
+	}
+	if pr := FromBuild(pm, pm.Report("f.cm"), time.Second, now, nil); len(pr.HotFunctions) == 0 {
+		t.Fatalf("profiled build's record has no hot functions: %+v", pr)
 	}
 }
 

@@ -153,7 +153,6 @@ func RunObserved(m *interp.Machine, units []*compiler.Unit, dyn *dynenv.Env,
 	vspan := parent.Child(obs.CatPhase, "verify")
 	errs := Verify(units, dyn)
 	vspan.End()
-	obs.Count(rec, "link.verify_ns", int64(vspan.Duration()))
 	if len(errs) > 0 {
 		obs.Count(rec, "link.errors", int64(len(errs)))
 		return errs[0]

@@ -6,7 +6,8 @@ package obs
 // when the unit *commits*, in topological order — so the counter deltas
 // a build reports are identical whatever the worker count, and
 // speculative work past a failed unit (work the sequential build would
-// never have started) leaves no trace in the totals.
+// never have started) leaves no trace in the totals. (Phase-span
+// timings bypass buffers: a span feeds its time.* counter as it ends.)
 //
 // A Buffer is NOT safe for concurrent use; it is owned by exactly one
 // worker goroutine until the commit loop flushes it, and the scheduler's

@@ -89,7 +89,9 @@ type Explain struct {
 // ReportSchema identifies the machine-readable build report format
 // emitted by `irm build -report json` and friends. Version 2 adds the
 // execute-phase timing keys (timings_ns.exec_imports / exec_apply /
-// exec_bind) fed by the exec.* counter namespace.
+// exec_bind). Every timings_ns value is a build's time.<phase>_ns
+// delta, fed by the phase spans; the lock, session, scan, order and
+// save keys were added within version 2, the others kept their meaning.
 const ReportSchema = "irm-report/2"
 
 // UnitTiming is one unit's committed wall time within a build: the

@@ -9,13 +9,16 @@
 // those claims auditable on every build instead of reconstructable
 // from ad-hoc timers:
 //
-//   - Spans form a build → unit → phase hierarchy (parse, compile,
-//     hash, pickle, load, exec, save) and export as Chrome
+//   - Spans form a build → unit → phase hierarchy (lock, scan, parse,
+//     compile, pickle, load, execute, save, ...) and export as Chrome
 //     trace_event JSON (chrome://tracing, Perfetto) or JSONL.
 //   - Counters are named monotonic int64s (see DESIGN.md §4d for the
 //     registry: cache.*, store.*, lock.*, binfile.*, time.*,
 //     build.*). core.Stats is derived from per-build counter deltas,
 //     so nothing is counted twice.
+//   - Ending a phase span adds its duration to the counter
+//     time.<name>_ns (PhaseCounter), so report, ledger and /metrics
+//     read the trace's phase timings by construction.
 //   - Explain records state, for every unit of every build, why it
 //     was recompiled or reloaded, with the old and new interface
 //     pids — the cutoff rule's behaviour as data.
@@ -55,8 +58,12 @@ func Count(r Recorder, name string, delta int64) {
 const (
 	CatBuild = "build" // one whole Manager.Build (or CLI run)
 	CatUnit  = "unit"  // one compilation unit's turn within a build
-	CatPhase = "phase" // one pipeline phase: parse/compile/hash/...
+	CatPhase = "phase" // one pipeline phase: parse/compile/pickle/...
 )
+
+// PhaseCounter names the counter that accumulates the durations of
+// the phase spans called phase: "time.<phase>_ns".
+func PhaseCounter(phase string) string { return "time." + phase + "_ns" }
 
 // Collector accumulates spans, counters, and explain records. It is
 // safe for concurrent use; one Collector typically serves one process
@@ -70,12 +77,15 @@ type Collector struct {
 	explains []Explain
 	builds   int
 	lastID   int // the most recent span id; ids stay unique across Prune
+	// phaseKeys interns PhaseCounter per phase name: End allocates nothing.
+	phaseKeys map[string]string
 }
 
 // New returns an empty Collector whose trace timestamps are relative
 // to now.
 func New() *Collector {
-	return &Collector{epoch: time.Now(), counters: map[string]int64{}}
+	return &Collector{epoch: time.Now(), counters: map[string]int64{},
+		phaseKeys: map[string]string{}}
 }
 
 // Add implements Recorder. Safe on nil.
@@ -305,7 +315,8 @@ func (s *Span) Arg(key string, v any) *Span {
 	return s
 }
 
-// End closes the span. Second and later calls are no-ops.
+// End closes the span; a phase span's duration is added to its
+// PhaseCounter. Second and later calls are no-ops.
 func (s *Span) End() {
 	if s == nil {
 		return
@@ -314,6 +325,14 @@ func (s *Span) End() {
 	if !s.ended {
 		s.ended = true
 		s.end = time.Now()
+		if s.cat == CatPhase {
+			key, ok := s.c.phaseKeys[s.name]
+			if !ok {
+				key = PhaseCounter(s.name)
+				s.c.phaseKeys[s.name] = key
+			}
+			s.c.counters[key] += int64(s.end.Sub(s.start))
+		}
 	}
 	s.c.mu.Unlock()
 }

@@ -240,6 +240,80 @@ func TestConcurrentUse(t *testing.T) {
 	}
 }
 
+// TestPhaseSpansFeedCounters: ending a phase span adds its own
+// inclusive duration to time.<name>_ns — nested phases each count
+// theirs — while build and unit spans, and a second End, add nothing.
+func TestPhaseSpansFeedCounters(t *testing.T) {
+	c := New()
+	build := c.StartSpan(CatBuild, "build")
+	scan := build.Child(CatPhase, "scan")
+	parse := scan.Child(CatPhase, "parse")
+	time.Sleep(time.Millisecond)
+	parse.End()
+	scan.End()
+	unit := build.Child(CatUnit, "a.sml")
+	exec := unit.Child(CatPhase, "execute")
+	var subs []*Span
+	for _, name := range []string{"imports", "apply", "bind"} {
+		s := exec.Child(CatPhase, name)
+		time.Sleep(100 * time.Microsecond)
+		s.End()
+		subs = append(subs, s)
+	}
+	exec.End()
+	unit.End()
+	build.End()
+	before := c.Counters()
+	for _, s := range append(subs, build, unit, scan, parse, exec) {
+		s.End() // second End: a no-op, counters included
+	}
+	if d := c.Since(before); len(d) != 0 {
+		t.Fatalf("second End changed counters: %v", d)
+	}
+
+	got := c.Counters()
+	want := map[string]int64{}
+	for _, s := range append(subs, scan, parse, exec) {
+		want[PhaseCounter(s.name)] = int64(s.Duration())
+	}
+	if len(got) != len(want) {
+		t.Fatalf("counters %v, want exactly the phase counters %v", got, want)
+	}
+	for name, ns := range want {
+		if got[name] != ns || ns <= 0 {
+			t.Errorf("%s = %d, want the span's duration %d", name, got[name], ns)
+		}
+	}
+	if got["time.scan_ns"] < got["time.parse_ns"] {
+		t.Errorf("scan %d does not include its parse %d", got["time.scan_ns"], got["time.parse_ns"])
+	}
+	var sub int64
+	for _, s := range subs {
+		sub += int64(s.Duration())
+	}
+	if got["time.execute_ns"] < sub {
+		t.Errorf("execute %d does not include its sub-phases %d", got["time.execute_ns"], sub)
+	}
+
+	var nilc *Collector
+	nilc.StartSpan(CatPhase, "parse").End() // nil collector: no panic, no counters
+	if nilc.Counters() != nil {
+		t.Fatal("nil collector has counters")
+	}
+}
+
+// TestPhaseSpanEndAllocs: feeding the phase counter costs no
+// allocation — Child+End on a warmed collector allocates only the
+// Span itself, as before phase spans fed counters.
+func TestPhaseSpanEndAllocs(t *testing.T) {
+	c := New()
+	root := c.StartSpan(CatBuild, "build")
+	root.Child(CatPhase, "parse").End() // interns the key
+	if a := testing.AllocsPerRun(1000, func() { root.Child(CatPhase, "parse").End() }); a > 1 {
+		t.Fatalf("Child+End of a phase span: %v allocs, want at most 1", a)
+	}
+}
+
 func BenchmarkSpanOverhead(b *testing.B) {
 	c := New()
 	root := c.StartSpan(CatBuild, "build")

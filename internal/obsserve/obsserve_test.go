@@ -24,6 +24,12 @@ func buildOnce(t *testing.T) (*obs.Collector, *core.Manager) {
 	col := obs.New()
 	m := core.NewManager()
 	m.Obs = col
+	// A locking store, so the build's lock phase is on the wire too.
+	store, err := core.NewDirStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.Store = store
 	files := []core.File{
 		{Name: "a.sml", Source: "structure A = struct val one = 1 end"},
 		{Name: "b.sml", Source: "structure B = struct val two = A.one + A.one end"},
@@ -139,9 +145,10 @@ func TestMetricsMatchReport(t *testing.T) {
 		t.Error("irm_uptime_seconds missing")
 	}
 	// The execute phase must be visible on the wire, including the
-	// compiled-engine and parallel-exec counters (DESIGN.md §4d).
+	// compiled-engine and parallel-exec counters and the span-derived
+	// phase totals (DESIGN.md §4d).
 	for _, name := range []string{
-		"irm_exec_units", "irm_exec_apply_ns",
+		"irm_exec_units", "irm_time_apply_ns", "irm_time_lock_ns",
 		"irm_code_compiles", "irm_code_compile_ns", "irm_code_bytes",
 		"irm_exec_parallelism_max", "irm_dynenv_views",
 	} {
@@ -195,7 +202,7 @@ func TestBuilds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	recID := history.FromReport(m.Report("g.cm"), m.UnitTimings, 2,
+	recID := history.FromBuild(m, m.Report("g.cm"),
 		5*time.Millisecond, time.Unix(1700000000, 0), nil)
 	if err := l.Append(recID); err != nil {
 		t.Fatal(err)

@@ -67,7 +67,7 @@ func (r *REPL) Eval(src string) (string, error) {
 		// the failure was syntactic (an expression is not a program).
 		var ce *compiler.CompileError
 		if errorsAs(err, &ce) {
-			rspan := uspan.Child(obs.CatPhase, "retry-as-expression")
+			rspan := uspan.Child(obs.CatPhase, "retry")
 			u2, err2 := r.Session.Run(name, "val it = ("+src+"\n)")
 			rspan.End()
 			if err2 == nil {

@@ -380,9 +380,8 @@ func (w *Watcher) iterate(changedPaths []string, detected time.Time) {
 		ev.Error = err.Error()
 	}
 	if w.opt.Ledger != nil {
-		rec := history.FromReport(m.Report(w.opt.GroupPath), m.UnitTimings,
-			m.Jobs, wall, time.Now(), err)
-		w.opt.Ledger.Append(rec)
+		w.opt.Ledger.Append(history.FromBuild(m, m.Report(w.opt.GroupPath),
+			wall, time.Now(), err))
 	}
 	if w.opt.Log != nil {
 		fmt.Fprintf(w.opt.Log, "watch #%d: %d changed, compiled %d loaded %d cutoffs %d in %v (latency %v)%s\n",

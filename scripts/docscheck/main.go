@@ -5,10 +5,12 @@
 //     concurrency contract (a "Concurrency:" paragraph) — the
 //     discipline ARCHITECTURE.md §5 describes.
 //   - Counter registry: the DESIGN.md §4d counter table must match
-//     the string-literal counter names non-test code actually passes
-//     to Add/Count, in both directions. A counter the code emits but
-//     the table omits is undocumented telemetry; a table entry no
-//     code emits is documentation rot. Either fails CI.
+//     the counters non-test code actually emits, in both directions:
+//     the string-literal names passed to Add/Count, plus the
+//     time.<name>_ns counter of every phase span (a string literal
+//     passed with obs.CatPhase to Child/StartSpan). A counter the code
+//     emits but the table omits is undocumented telemetry; a table
+//     entry no code emits is documentation rot. Either fails CI.
 //   - Protocol registry: the PROTOCOL.md §2 endpoint table must match
 //     the routes the daemon mux actually registers (HandleFunc/Handle
 //     string literals in internal/daemon and internal/obsserve), in
@@ -31,6 +33,8 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+
+	"repro/internal/obs"
 )
 
 func main() {
@@ -136,8 +140,9 @@ func tableCounters(path string) (map[string]bool, error) {
 
 // emittedCounters walks every non-test Go file under the roots and
 // collects string literals that look like counter names passed to a
-// call whose method is named Add or Count. Returns name -> one
-// emitting position (for the error message).
+// call whose method is named Add or Count, and the phase counter of
+// every phase-span name passed with CatPhase to Child or StartSpan.
+// Returns name -> one emitting position (for the error message).
 func emittedCounters(roots ...string) (map[string]string, error) {
 	out := map[string]string{}
 	fset := token.NewFileSet()
@@ -158,21 +163,25 @@ func emittedCounters(roots ...string) (map[string]string, error) {
 				if !ok {
 					return true
 				}
-				name := calleeName(call)
-				if name != "Add" && name != "Count" {
-					return true
+				record := func(counter string, at ast.Expr) {
+					if _, seen := out[counter]; !seen {
+						out[counter] = fset.Position(at.Pos()).String()
+					}
 				}
-				for _, arg := range call.Args {
-					lit, ok := arg.(*ast.BasicLit)
-					if !ok || lit.Kind != token.STRING {
-						continue
+				switch bareName(call.Fun) {
+				case "Add", "Count":
+					for _, arg := range call.Args {
+						if s, ok := stringLit(arg); ok && counterPat.MatchString(s) {
+							record(s, arg)
+						}
 					}
-					s, err := strconv.Unquote(lit.Value)
-					if err != nil || !counterPat.MatchString(s) {
-						continue
-					}
-					if _, seen := out[s]; !seen {
-						out[s] = fset.Position(lit.Pos()).String()
+				case "Child", "StartSpan":
+					// A phase name outside [a-z_] makes a counter the
+					// table cannot document, so it fails as undocumented.
+					if len(call.Args) == 2 && bareName(call.Args[0]) == "CatPhase" {
+						if s, ok := stringLit(call.Args[1]); ok {
+							record(obs.PhaseCounter(s), call.Args[1])
+						}
 					}
 				}
 				return true
@@ -271,16 +280,12 @@ func registeredRoutes(dirs ...string) (map[string]string, error) {
 				if !ok {
 					return true
 				}
-				name := calleeName(call)
+				name := bareName(call.Fun)
 				if (name != "HandleFunc" && name != "Handle") || len(call.Args) == 0 {
 					return true
 				}
-				lit, ok := call.Args[0].(*ast.BasicLit)
-				if !ok || lit.Kind != token.STRING {
-					return true
-				}
-				s, err := strconv.Unquote(lit.Value)
-				if err != nil {
+				s, ok := stringLit(call.Args[0])
+				if !ok {
 					return true
 				}
 				m := routePat.FindStringSubmatch(s)
@@ -293,7 +298,7 @@ func registeredRoutes(dirs ...string) (map[string]string, error) {
 				}
 				route := verb + " " + m[2]
 				if _, seen := out[route]; !seen {
-					out[route] = fset.Position(lit.Pos()).String()
+					out[route] = fset.Position(call.Args[0].Pos()).String()
 				}
 				return true
 			})
@@ -306,15 +311,27 @@ func registeredRoutes(dirs ...string) (map[string]string, error) {
 	return out, nil
 }
 
-// calleeName returns the called function or method's bare name.
-func calleeName(call *ast.CallExpr) string {
-	switch fn := call.Fun.(type) {
+// bareName returns the bare name of an identifier or selector
+// expression: a called function or method (call.Fun), or a constant
+// such as obs.CatPhase.
+func bareName(e ast.Expr) string {
+	switch x := e.(type) {
 	case *ast.SelectorExpr:
-		return fn.Sel.Name
+		return x.Sel.Name
 	case *ast.Ident:
-		return fn.Name
+		return x.Name
 	}
 	return ""
+}
+
+// stringLit returns the value of a string literal expression.
+func stringLit(e ast.Expr) (string, bool) {
+	lit, ok := e.(*ast.BasicLit)
+	if !ok || lit.Kind != token.STRING {
+		return "", false
+	}
+	s, err := strconv.Unquote(lit.Value)
+	return s, err == nil
 }
 
 // packageDoc returns the concatenated package doc comments of the
