@@ -324,7 +324,7 @@ func BenchmarkE6PickleSharing(b *testing.B) {
 		for _, depth := range []int{2, 4, 8, 12, 16} {
 			s := newSession(b)
 			u := buildSharedChain(b, s, depth)
-			data, err := binfile.Encode(u)
+			data, err := binfile.Encode(u, nil)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -414,7 +414,7 @@ func BenchmarkE8TypeSafeLinkage(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	clientBin, err := binfile.Encode(client)
+	clientBin, err := binfile.Encode(client, nil)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -424,7 +424,7 @@ func BenchmarkE8TypeSafeLinkage(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	stale, err := binfile.Read(clientBin, s2.Index)
+	stale, err := binfile.Read(clientBin, s2.Index, nil, nil)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -723,7 +723,7 @@ func BenchmarkPipelinePickle(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := binfile.Encode(u); err != nil {
+		if _, err := binfile.Encode(u, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -735,14 +735,14 @@ func BenchmarkPipelineRehydrate(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	data, err := binfile.Encode(u)
+	data, err := binfile.Encode(u, nil)
 	if err != nil {
 		b.Fatal(err)
 	}
 	s2 := newSession(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := binfile.Read(data, s2.Index); err != nil {
+		if _, err := binfile.Read(data, s2.Index, nil, nil); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -121,7 +121,7 @@ func runBins(f *cli.Flags, paths []string) {
 				load(p)
 			}
 		}
-		u, err := binfile.Read(bi.data, session.Index)
+		u, err := binfile.Read(bi.data, session.Index, nil, nil)
 		if err != nil {
 			cli.Fatal(fmt.Errorf("%s: %v", bi.path, err))
 		}

@@ -58,7 +58,7 @@ func main() {
 	fmt.Printf("host interface pid: %s\n", hostUnit.StatPid.Short())
 
 	bins := map[string][]byte{}
-	hostBin, err := binfile.Encode(hostUnit)
+	hostBin, err := binfile.Encode(hostUnit, nil)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -70,7 +70,7 @@ func main() {
 			fmt.Printf("plugin %q rejected at compile time:\n  %v\n", name, err)
 			continue
 		}
-		data, err := binfile.Encode(u)
+		data, err := binfile.Encode(u, nil)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -89,7 +89,7 @@ func main() {
 	}
 	var units []*compiler.Unit
 	for _, name := range []string{"host", "plugin-greeter"} {
-		u, err := binfile.Read(bins[name], prod.Index)
+		u, err := binfile.Read(bins[name], prod.Index, nil, nil)
 		if err != nil {
 			log.Fatalf("rehydrate %s: %v", name, err)
 		}
@@ -121,7 +121,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	stalePlugin, err := binfile.Read(bins["plugin-greeter"], prod2.Index)
+	stalePlugin, err := binfile.Read(bins["plugin-greeter"], prod2.Index, nil, nil)
 	if err != nil {
 		// Rehydration itself may already fail: the old host interface
 		// is not in this session's context.

@@ -153,7 +153,7 @@ func TestSlabDecodedTermsRepickle(t *testing.T) {
 				t.Fatalf("%s/%s: loaded unit keeps a term (%v) or Term() cannot decode one",
 					pname, u.Name, u.Code != nil)
 			}
-			got, err := binfile.Encode(u)
+			got, err := binfile.Encode(u, nil)
 			if err != nil {
 				t.Fatalf("%s/%s: re-encode: %v", pname, u.Name, err)
 			}

@@ -8,12 +8,15 @@
 // provider was recompiled to a different interface) fails here, before
 // anything can be linked — the first layer of type-safe linkage.
 //
-// Concurrency: Write and Encode are pure over their inputs. Read
-// resolves stubs in the pickle.Index it is given, so concurrent
-// readers must use private overlay indexes (pickle.NewOverlay) over a
-// frozen shared base — the discipline the parallel scheduler in
-// internal/core follows. ReadCached additionally consults a
-// pickle.EnvCache, which is safe to share between any number of
+// The package has one writer, Encode, and one reader, Read; either
+// takes a nil obs.Recorder, and Read takes a nil pickle.EnvCache for
+// no caching.
+//
+// Concurrency: Encode is pure over its input. Read resolves stubs in
+// the pickle.Index it is given, so concurrent readers must use private
+// overlay indexes (pickle.NewOverlay) over a frozen shared base — the
+// discipline the parallel scheduler in internal/core follows. The
+// pickle.EnvCache Read consults is safe to share between any number of
 // concurrent readers and Managers.
 package binfile
 
@@ -21,7 +24,6 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
-	"io"
 
 	"repro/internal/compiler"
 	"repro/internal/env"
@@ -46,17 +48,9 @@ func hasMagic(data []byte) bool {
 	return len(data) >= len(Magic) && string(data[:len(Magic)]) == Magic
 }
 
-// Write serializes a compiled unit.
-func Write(w io.Writer, u *compiler.Unit) error {
-	data, err := Encode(u)
-	if err != nil {
-		return err
-	}
-	_, err = w.Write(data)
-	return err
-}
-
-// Encode serializes a compiled unit to bytes.
+// Encode serializes a compiled unit to bytes, with byte and failure
+// accounting on rec (counters binfile.bytes_written,
+// binfile.encode_errors).
 //
 // When the unit carries the canonical pickle of its export environment
 // (compiler.Compile's fused hash+pickle traversal), the environment
@@ -66,7 +60,14 @@ func Write(w io.Writer, u *compiler.Unit) error {
 // of DESIGN.md §4f, pinned by TestBinfileGolden). The code section is
 // the unit's CodeBytes, which Compile and Read both set; a unit
 // without one is an error.
-func Encode(u *compiler.Unit) ([]byte, error) {
+func Encode(u *compiler.Unit, rec obs.Recorder) (out []byte, err error) {
+	defer func() {
+		if err != nil {
+			obs.Count(rec, "binfile.encode_errors", 1)
+		} else {
+			obs.Count(rec, "binfile.bytes_written", int64(len(out)))
+		}
+	}()
 	code := u.CodeBytes
 	if code == nil {
 		return nil, fmt.Errorf("binfile: write %s: no code section", u.Name)
@@ -78,7 +79,7 @@ func Encode(u *compiler.Unit) ([]byte, error) {
 	header := p.Bytes()
 
 	if ep := u.EnvPickle; ep != nil {
-		out := make([]byte, 0, len(Magic)+len(header)+ep.PermanentSize(u.StatPid)+len(code)+512)
+		out = make([]byte, 0, len(Magic)+len(header)+ep.PermanentSize(u.StatPid)+len(code)+512)
 		out = append(out, Magic...)
 		out = append(out, header...)
 		out = ep.AppendPermanent(out, u.StatPid)
@@ -96,7 +97,7 @@ func Encode(u *compiler.Unit) ([]byte, error) {
 	if err := p.Err(); err != nil {
 		return nil, fmt.Errorf("binfile: write %s: %v", u.Name, err)
 	}
-	out := make([]byte, 0, len(Magic)+len(p.Bytes())+binary.MaxVarintLen64+len(code))
+	out = make([]byte, 0, len(Magic)+len(p.Bytes())+binary.MaxVarintLen64+len(code))
 	out = append(out, Magic...)
 	out = append(out, p.Bytes()...)
 	return appendCodeSection(out, code), nil
@@ -107,49 +108,16 @@ func appendCodeSection(out, code []byte) []byte {
 	return append(out, code...)
 }
 
-// EncodeObserved is Encode with byte and failure accounting on rec
-// (counters binfile.bytes_written, binfile.encode_errors).
-func EncodeObserved(u *compiler.Unit, rec obs.Recorder) ([]byte, error) {
-	data, err := Encode(u)
-	if err != nil {
-		obs.Count(rec, "binfile.encode_errors", 1)
-		return nil, err
-	}
-	obs.Count(rec, "binfile.bytes_written", int64(len(data)))
-	return data, nil
-}
-
-// ReadObserved is Read with byte and failure accounting on rec
-// (counters binfile.bytes_read, binfile.read_errors).
-func ReadObserved(data []byte, ix *pickle.Index, rec obs.Recorder) (*compiler.Unit, error) {
-	return ReadCachedObserved(data, ix, nil, rec)
-}
-
-// ReadCachedObserved is ReadCached with the byte and failure accounting
-// of ReadObserved layered on top of the cache counters.
-func ReadCachedObserved(data []byte, ix *pickle.Index, cache *pickle.EnvCache, rec obs.Recorder) (*compiler.Unit, error) {
-	obs.Count(rec, "binfile.bytes_read", int64(len(data)))
-	u, err := ReadCached(data, ix, cache, rec)
-	if err != nil {
-		obs.Count(rec, "binfile.read_errors", 1)
-	}
-	return u, err
-}
-
 // Read rehydrates a unit from bin-file bytes, resolving external
-// references in the context index.
-func Read(data []byte, ix *pickle.Index) (*compiler.Unit, error) {
-	return ReadCached(data, ix, nil, nil)
-}
-
-// ReadCached is Read with an optional pid-keyed environment cache and
-// byte/hit accounting on rec (counters cache.env_hits, cache.env_misses,
-// cache.env_evictions).
+// references in the context index ix. It accounts bytes and failures
+// on rec (counters binfile.bytes_read, binfile.read_errors).
 //
-// On a hit — the cache holds the bin's interface pid AND the cached
-// entry's env-segment bytes are identical to this bin's — the cached
-// environment and index fragment are shared, the env segment is
-// skipped, and only the header and code are decoded. The byte
+// A non-nil cache is a pid-keyed environment cache (counters
+// cache.env_hits, cache.env_misses, cache.env_evictions). On a hit —
+// the cache holds the bin's interface pid AND the cached entry's
+// env-segment bytes are identical to this bin's — the cached
+// environment is shared, the env segment is skipped, and only the
+// header and code are decoded. The byte
 // comparison is what makes sharing sound: identical canonical streams
 // patched with the same pid are byte-identical, so segment equality is
 // exactly interface identity; the code segment, which a cutoff
@@ -167,7 +135,13 @@ func Read(data []byte, ix *pickle.Index) (*compiler.Unit, error) {
 // that function's first call, and Unit.Term decodes the whole term on
 // demand (DESIGN.md §4j, "Lazy terms"). Both slices alias data, which
 // must therefore not be modified once read.
-func ReadCached(data []byte, ix *pickle.Index, cache *pickle.EnvCache, rec obs.Recorder) (*compiler.Unit, error) {
+func Read(data []byte, ix *pickle.Index, cache *pickle.EnvCache, rec obs.Recorder) (_ *compiler.Unit, err error) {
+	obs.Count(rec, "binfile.bytes_read", int64(len(data)))
+	defer func() {
+		if err != nil {
+			obs.Count(rec, "binfile.read_errors", 1)
+		}
+	}()
 	if !hasMagic(data) {
 		return nil, fmt.Errorf("binfile: bad magic")
 	}
@@ -179,13 +153,12 @@ func ReadCached(data []byte, ix *pickle.Index, cache *pickle.EnvCache, rec obs.R
 	}
 
 	var envLayer *env.Env
-	var frag *pickle.Fragment
 	envStart := u.Pos()
 	if cache != nil {
 		if ce := cache.Lookup(statPid); ce != nil &&
 			bytes.HasPrefix(stream[envStart:], ce.EnvBytes) {
 			obs.Count(rec, "cache.env_hits", 1)
-			envLayer, frag = ce.Env, ce.Frag
+			envLayer = ce.Env
 			u.Skip(len(ce.EnvBytes))
 		}
 	}
@@ -198,11 +171,8 @@ func ReadCached(data []byte, ix *pickle.Index, cache *pickle.EnvCache, rec obs.R
 			return nil, fmt.Errorf("binfile: read %s: %v", name, err)
 		}
 		if cache != nil {
-			frag = pickle.NewFragment(envLayer)
 			seg := append([]byte(nil), stream[envStart:u.Pos()]...)
-			ce := &pickle.CachedEnv{
-				Env: envLayer, Frag: frag, EnvBytes: seg, Objs: u.TableLen(),
-			}
+			ce := &pickle.CachedEnv{Env: envLayer, EnvBytes: seg, Objs: u.TableLen()}
 			obs.Count(rec, "cache.env_evictions", int64(cache.Insert(statPid, ce)))
 		}
 	}
@@ -241,7 +211,6 @@ func ReadCached(data []byte, ix *pickle.Index, cache *pickle.EnvCache, rec obs.R
 		Env:       envLayer,
 		Imports:   imports,
 		NumSlots:  numSlots,
-		Frag:      frag,
 		Prog:      prog,
 		CodeBytes: codeBytes,
 		TermBytes: seg,

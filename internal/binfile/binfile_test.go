@@ -33,7 +33,7 @@ func TestRoundTripSimple(t *testing.T) {
 	if err != nil {
 		t.Fatalf("compile lib: %v", err)
 	}
-	data, err := Encode(u1)
+	data, err := Encode(u1, nil)
 	if err != nil {
 		t.Fatalf("encode: %v", err)
 	}
@@ -41,7 +41,7 @@ func TestRoundTripSimple(t *testing.T) {
 	// Fresh session (fresh prelude compile) must rehydrate the bin
 	// against its own basis index.
 	s2 := newSession(t)
-	u2, err := Read(data, s2.Index)
+	u2, err := Read(data, s2.Index, nil, nil)
 	if err != nil {
 		t.Fatalf("read: %v", err)
 	}
@@ -101,13 +101,13 @@ func TestRoundTripModules(t *testing.T) {
 	if err != nil {
 		t.Fatalf("compile modlib: %v", err)
 	}
-	data, err := Encode(u1)
+	data, err := Encode(u1, nil)
 	if err != nil {
 		t.Fatalf("encode: %v", err)
 	}
 
 	s2 := newSession(t)
-	u2, err := Read(data, s2.Index)
+	u2, err := Read(data, s2.Index, nil, nil)
 	if err != nil {
 		t.Fatalf("read: %v", err)
 	}
@@ -146,7 +146,7 @@ func TestHeaderOnly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	data, err := Encode(u)
+	data, err := Encode(u, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +172,7 @@ func TestStaleBinRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	clientBin, err := Encode(uClient)
+	clientBin, err := Encode(uClient, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +186,7 @@ func TestStaleBinRejected(t *testing.T) {
 
 	// The client bin cannot even be rehydrated-and-linked: its import
 	// pid no longer has a provider.
-	uClient2, err := Read(clientBin, s2.Index)
+	uClient2, err := Read(clientBin, s2.Index, nil, nil)
 	if err != nil {
 		t.Fatalf("read client bin: %v", err)
 	}

@@ -28,7 +28,7 @@ func TestEncodeFusedMatchesLegacy(t *testing.T) {
 	if u.EnvPickle == nil {
 		t.Fatal("compiled unit carries no EnvPickle")
 	}
-	fused, err := Encode(u)
+	fused, err := Encode(u, nil)
 	if err != nil {
 		t.Fatalf("fused encode: %v", err)
 	}
@@ -37,7 +37,7 @@ func TestEncodeFusedMatchesLegacy(t *testing.T) {
 		Name: u.Name, StatPid: u.StatPid, Env: u.Env, Code: u.Code,
 		Imports: u.Imports, NumSlots: u.NumSlots, CodeBytes: u.CodeBytes,
 	}
-	slow, err := Encode(legacy)
+	slow, err := Encode(legacy, nil)
 	if err != nil {
 		t.Fatalf("legacy encode: %v", err)
 	}
@@ -55,7 +55,7 @@ func TestReadCachedHitSharesEnv(t *testing.T) {
 	if err != nil {
 		t.Fatalf("compile: %v", err)
 	}
-	data, err := Encode(u)
+	data, err := Encode(u, nil)
 	if err != nil {
 		t.Fatalf("encode: %v", err)
 	}
@@ -64,20 +64,17 @@ func TestReadCachedHitSharesEnv(t *testing.T) {
 	buf := obs.NewBuffer()
 
 	s2 := newSession(t)
-	u1, err := ReadCached(data, s2.Index, cache, buf)
+	u1, err := Read(data, s2.Index, cache, buf)
 	if err != nil {
 		t.Fatalf("first read: %v", err)
 	}
 	s3 := newSession(t)
-	u2, err := ReadCached(data, s3.Index, cache, buf)
+	u2, err := Read(data, s3.Index, cache, buf)
 	if err != nil {
 		t.Fatalf("second read: %v", err)
 	}
 	if u1.Env != u2.Env {
 		t.Error("cache hit did not share the rehydrated environment")
-	}
-	if u1.Frag == nil || u1.Frag != u2.Frag {
-		t.Error("cache hit did not share the index fragment")
 	}
 	if u1.Prog == u2.Prog || u1.Term() == u2.Term() {
 		t.Error("code must be decoded fresh on every read, never cached")
@@ -110,12 +107,12 @@ func TestReadCachedRejectsForgedPid(t *testing.T) {
 	if err != nil {
 		t.Fatalf("compile b: %v", err)
 	}
-	binA, _ := Encode(uA)
-	binB, _ := Encode(uB)
+	binA, _ := Encode(uA, nil)
+	binB, _ := Encode(uB, nil)
 
 	cache := pickle.NewEnvCache(0)
 	s2 := newSession(t)
-	if _, err := ReadCached(binA, s2.Index, cache, nil); err != nil {
+	if _, err := Read(binA, s2.Index, cache, nil); err != nil {
 		t.Fatalf("read a: %v", err)
 	}
 	// Forge: poison the cache by re-keying A's entry under B's pid,
@@ -127,7 +124,7 @@ func TestReadCachedRejectsForgedPid(t *testing.T) {
 	}
 	cache.Insert(uB.StatPid, ce)
 	s3 := newSession(t)
-	u2, err := ReadCached(binB, s3.Index, cache, nil)
+	u2, err := Read(binB, s3.Index, cache, nil)
 	if err != nil {
 		t.Fatalf("read b: %v", err)
 	}
@@ -139,14 +136,15 @@ func TestReadCachedRejectsForgedPid(t *testing.T) {
 	}
 }
 
-// TestEnvCacheEviction exercises the LRU byte budget.
+// TestEnvCacheEviction exercises the LRU byte budget, and a nil cache
+// as the way to read without one.
 func TestEnvCacheEviction(t *testing.T) {
 	s := newSession(t)
 	u, err := s.Run("lib", `val x = 1`)
 	if err != nil {
 		t.Fatalf("compile: %v", err)
 	}
-	data, err := Encode(u)
+	data, err := Encode(u, nil)
 	if err != nil {
 		t.Fatalf("encode: %v", err)
 	}
@@ -155,7 +153,7 @@ func TestEnvCacheEviction(t *testing.T) {
 	// the entry it just added).
 	cache := pickle.NewEnvCache(1)
 	s2 := newSession(t)
-	if _, err := ReadCached(data, s2.Index, cache, nil); err != nil {
+	if _, err := Read(data, s2.Index, cache, nil); err != nil {
 		t.Fatalf("read: %v", err)
 	}
 	if cache.Len() != 1 {
@@ -172,17 +170,20 @@ func TestEnvCacheEviction(t *testing.T) {
 		t.Errorf("cache holds %d entries after eviction, want 1", cache.Len())
 	}
 
-	// A disabled cache drops inserts and always misses.
-	off := pickle.NewEnvCache(-1)
+	// A nil cache is no cache: the env decodes and no cache counter
+	// moves.
 	s3 := newSession(t)
 	buf := obs.NewBuffer()
-	if _, err := ReadCached(data, s3.Index, off, buf); err != nil {
-		t.Fatalf("read: %v", err)
+	u3, err := Read(data, s3.Index, nil, buf)
+	if err != nil {
+		t.Fatalf("uncached read: %v", err)
 	}
-	if off.Len() != 0 {
-		t.Errorf("disabled cache stored %d entries", off.Len())
+	if _, ok := u3.Env.LocalVal("x"); !ok {
+		t.Error("uncached read did not decode the environment")
 	}
-	if n := buf.Get("cache.env_misses"); n != 1 {
-		t.Errorf("disabled cache misses=%d, want 1", n)
+	for _, c := range []string{"cache.env_hits", "cache.env_misses", "cache.env_evictions"} {
+		if n := buf.Get(c); n != 0 {
+			t.Errorf("uncached read moved %s by %d", c, n)
+		}
 	}
 }

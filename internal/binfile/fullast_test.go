@@ -137,12 +137,12 @@ func TestKitchenSinkAcrossPickle(t *testing.T) {
 	ref := lookupInt(t, s1, "final")
 
 	// Pickled run.
-	data, err := Encode(uLib)
+	data, err := Encode(uLib, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	s2 := newSession(t)
-	u2, err := Read(data, s2.Index)
+	u2, err := Read(data, s2.Index, nil, nil)
 	if err != nil {
 		t.Fatalf("rehydrate: %v", err)
 	}

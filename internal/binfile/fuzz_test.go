@@ -32,7 +32,7 @@ func FuzzBinfileRead(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	data, err := Encode(u)
+	data, err := Encode(u, nil)
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -43,7 +43,7 @@ func FuzzBinfileRead(f *testing.F) {
 	f.Add([]byte{})
 	m := interp.NewMachine()
 	f.Fuzz(func(t *testing.T, data []byte) {
-		u, err := Read(data, pickle.NewIndex())
+		u, err := Read(data, pickle.NewIndex(), nil, nil)
 		if err != nil || u.Prog == nil {
 			return
 		}

@@ -19,7 +19,7 @@ func realBin(t testing.TB) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	data, err := Encode(u)
+	data, err := Encode(u, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,7 +39,7 @@ func TestTruncationNeverPanics(t *testing.T) {
 					t.Fatalf("panic at truncation %d: %v", cut, r)
 				}
 			}()
-			if _, err := Read(data[:cut], ix); err == nil {
+			if _, err := Read(data[:cut], ix, nil, nil); err == nil {
 				t.Errorf("truncation %d/%d accepted", cut, len(data))
 			}
 		}()
@@ -61,7 +61,7 @@ func TestBitFlipsNeverPanic(t *testing.T) {
 				ok = false
 			}
 		}()
-		Read(mut, pickle.NewIndex())
+		Read(mut, pickle.NewIndex(), nil, nil)
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
@@ -73,7 +73,7 @@ func TestBitFlipsNeverPanic(t *testing.T) {
 func TestGarbageRejected(t *testing.T) {
 	f := func(body []byte) bool {
 		data := append([]byte(Magic), body...)
-		_, err := Read(data, pickle.NewIndex())
+		_, err := Read(data, pickle.NewIndex(), nil, nil)
 		return err != nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 1500}); err != nil {

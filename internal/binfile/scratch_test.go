@@ -32,7 +32,7 @@ func TestScratchConcurrentReads(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if bins[i], err = Encode(u); err != nil {
+		if bins[i], err = Encode(u, nil); err != nil {
 			t.Fatal(err)
 		}
 		want[i] = fmt.Sprintf("%d\n", 3*(i+2)+7+fib(i+5))
@@ -50,7 +50,7 @@ func TestScratchConcurrentReads(t *testing.T) {
 					errs <- err
 					return
 				}
-				u, err := Read(bins[i], s.Index)
+				u, err := Read(bins[i], s.Index, nil, nil)
 				if err != nil {
 					errs <- err
 					return
@@ -66,7 +66,7 @@ func TestScratchConcurrentReads(t *testing.T) {
 				for _, fn := range interp.LoadedFuncs(u.Prog) {
 					interp.Force(s.Machine, fn)
 				}
-				again, err := Encode(u)
+				again, err := Encode(u, nil)
 				if err != nil || !bytes.Equal(again, bins[i]) {
 					errs <- fmt.Errorf("unit %d round %d: re-encoded bin differs (%v)", i, r, err)
 					return

@@ -77,10 +77,6 @@ type Unit struct {
 	// binfile.Encode derives the bin stream from it by stamp patching
 	// instead of re-traversing the environment (DESIGN.md §4f).
 	EnvPickle *pickle.EnvPickle
-	// Frag, when non-nil, is the pre-collected index fragment of a
-	// rehydrated Env (set by cached bin reads); Session.Accept merges
-	// it instead of re-walking the environment.
-	Frag *pickle.Fragment
 	// HashTime is the duration of the fused hash+pickle traversal
 	// inside Compile, kept separately attributable for the §6
 	// overhead measurement (counter time.hash_ns).

@@ -145,13 +145,6 @@ func (s *Session) Accept(u *Unit) {
 	} else {
 		s.Context = u.Env
 	}
-	if u.Frag != nil && u.Frag.Env() == u.Env {
-		// Rehydrated units carry a pre-collected index fragment;
-		// merging it is equivalent to (and cheaper than) re-walking
-		// the environment.
-		s.Index.AddFragment(u.Frag)
-	} else {
-		s.Index.AddEnv(u.Env)
-	}
+	s.Index.AddEnv(u.Env)
 	s.Units = append(s.Units, u)
 }

@@ -268,11 +268,10 @@ type Manager struct {
 	// counters are byte-identical with it on or off.
 	ProfilePeriod uint64
 	// EnvCache, when non-nil, overrides the process-wide rehydration
-	// cache (pickle.SharedEnvCache) for this manager's bin reads. Set
-	// it to pickle.NewEnvCache(-1) to disable caching (cold-path
-	// benches), or to a private cache to isolate a measurement. The
-	// cache affects only rehydration cost, never outputs: hits require
-	// byte-identical environment segments.
+	// cache (pickle.SharedEnvCache) for this manager's bin reads; a
+	// private cache isolates a measurement. The cache affects only
+	// rehydration cost, never outputs: hits require byte-identical
+	// environment segments.
 	EnvCache *pickle.EnvCache
 
 	// Stats describes the most recent Build.

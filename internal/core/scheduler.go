@@ -589,7 +589,7 @@ func (m *Manager) runUnit(t *unitTask, lane, gen int, bspan *obs.Span,
 		for _, de := range t.depEnvs {
 			ix.AddEnv(de)
 		}
-		u, err := binfile.ReadCachedObserved(t.entry.Bin, ix, m.envCache(), buf)
+		u, err := binfile.Read(t.entry.Bin, ix, m.envCache(), buf)
 		lspan.End()
 		if err == nil {
 			res.unit = u
@@ -691,7 +691,7 @@ func (m *Manager) runUnit(t *unitTask, lane, gen int, bspan *obs.Span,
 	}
 
 	pkspan := uspan.Child(obs.CatPhase, "pickle")
-	bin, err := binfile.EncodeObserved(u, buf)
+	bin, err := binfile.Encode(u, buf)
 	pkspan.End()
 	if err != nil {
 		exp.Error = err.Error()

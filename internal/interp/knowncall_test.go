@@ -68,11 +68,11 @@ func runKnown(t *testing.T, src, mode string, budget uint64) knownRun {
 	m := s.Machine
 	switch mode {
 	case "loaded":
-		data, err := binfile.Encode(u)
+		data, err := binfile.Encode(u, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if u, err = binfile.Read(data, s.Index); err != nil {
+		if u, err = binfile.Read(data, s.Index, nil, nil); err != nil {
 			t.Fatal(err)
 		}
 	case "profiled":

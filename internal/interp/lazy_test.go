@@ -147,7 +147,7 @@ func TestLazyFirstCallRace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	data, err := binfile.Encode(u)
+	data, err := binfile.Encode(u, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +155,7 @@ func TestLazyFirstCallRace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lu, err := binfile.Read(data, s2.Index)
+	lu, err := binfile.Read(data, s2.Index, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,7 +232,7 @@ func TestForgedHelperRejectedAtLoad(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	u, err := binfile.Read(good, pickle.NewOverlay(s.Index))
+	u, err := binfile.Read(good, pickle.NewOverlay(s.Index), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -320,7 +320,7 @@ func TestForgedHelperRejectedAtLoad(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			_, err = binfile.ReadCachedObserved(tc.bin, pickle.NewOverlay(s.Index), nil, buf)
+			_, err = binfile.Read(tc.bin, pickle.NewOverlay(s.Index), nil, buf)
 			if err == nil {
 				t.Fatal("forged bin loaded")
 			}

@@ -6,70 +6,28 @@ import (
 
 	"repro/internal/env"
 	"repro/internal/pid"
-	"repro/internal/stamps"
 )
-
-// Fragment is the index contribution of one rehydrated environment:
-// every stamped object reachable from it, pre-collected so that
-// accepting the environment into a session index is a map merge
-// instead of a full object-graph traversal. A Fragment is immutable
-// once built and may be shared by any number of indexes and
-// goroutines.
-type Fragment struct {
-	root    *env.Env
-	byStamp map[stamps.Stamp]any
-	objs    map[any]bool
-}
-
-// NewFragment collects the fragment of e by walking it once.
-func NewFragment(e *env.Env) *Fragment {
-	scratch := NewIndex()
-	scratch.AddEnv(e)
-	return &Fragment{root: e, byStamp: scratch.byStamp, objs: scratch.visited}
-}
-
-// Env returns the environment the fragment was collected from.
-func (f *Fragment) Env() *env.Env { return f.root }
-
-// AddFragment merges a pre-collected fragment into the index:
-// equivalent to AddEnv(f.Env()) but without re-walking the object
-// graph. Registration stays first-writer-wins, so objects already
-// indexed (a dependency accepted earlier) keep their binding. The
-// fragment itself is only read.
-func (ix *Index) AddFragment(f *Fragment) {
-	if f == nil || f.root == nil || ix.seen(f.root) {
-		return
-	}
-	for obj := range f.objs {
-		ix.visited[obj] = true
-	}
-	for s, obj := range f.byStamp {
-		ix.add(s, obj)
-	}
-}
 
 // DefaultEnvCacheBudget bounds the shared EnvCache's estimated byte
 // footprint.
 const DefaultEnvCacheBudget = 64 << 20
 
 // CachedEnv is one EnvCache entry: a rehydrated export environment,
-// its index fragment, and the exact bin-stream bytes it was decoded
-// from. EnvBytes is the guard that keeps the cache sound: a hit is
-// only served when the candidate bin's env segment is byte-identical,
-// so a recompilation that kept the interface pid but changed anything
-// else can never be answered with this entry.
+// the exact bin-stream bytes it was decoded from, and the number of
+// objects decoded. EnvBytes is the guard that keeps the cache sound: a
+// hit is only served when the candidate bin's env segment is
+// byte-identical, so a recompilation that kept the interface pid but
+// changed anything else can never be answered with this entry.
 type CachedEnv struct {
 	Env      *env.Env
-	Frag     *Fragment
 	EnvBytes []byte
 	Objs     int // back-reference table size of the env segment
 }
 
 // cost estimates the entry's in-core footprint: the retained segment
-// bytes plus a per-object charge for the rehydrated graph and the
-// fragment maps.
+// bytes plus a per-object charge for the rehydrated graph.
 func (ce *CachedEnv) cost() int64 {
-	return int64(len(ce.EnvBytes)) + 256 + 96*int64(len(ce.Frag.objs))
+	return int64(len(ce.EnvBytes)) + 256 + 96*int64(ce.Objs)
 }
 
 // EnvCache is a process-wide, pid-keyed cache of rehydrated export
@@ -109,12 +67,11 @@ type lruEntry struct {
 	ce  *CachedEnv
 }
 
-// NewEnvCache returns a cache bounded by an estimated byte budget.
-// budget == 0 selects DefaultEnvCacheBudget; budget < 0 returns a
-// disabled cache (every lookup misses, inserts are dropped) — the
-// knob cold-path benchmarks use.
+// NewEnvCache returns a cache bounded by an estimated byte budget;
+// budget <= 0 selects DefaultEnvCacheBudget. A nil *EnvCache is how
+// a reader asks for no caching.
 func NewEnvCache(budget int64) *EnvCache {
-	if budget == 0 {
+	if budget <= 0 {
 		budget = DefaultEnvCacheBudget
 	}
 	return &EnvCache{
@@ -150,9 +107,6 @@ func (c *EnvCache) Lookup(p pid.Pid) *CachedEnv {
 // interchangeable by construction) and reports how many entries were
 // evicted to fit the budget.
 func (c *EnvCache) Insert(p pid.Pid, ce *CachedEnv) (evicted int) {
-	if c.budget < 0 {
-		return 0
-	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.entries[p]; ok {
@@ -178,11 +132,4 @@ func (c *EnvCache) Len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.lru.Len()
-}
-
-// Size reports the estimated byte footprint.
-func (c *EnvCache) Size() int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.size
 }

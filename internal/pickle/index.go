@@ -27,9 +27,6 @@ type Index struct {
 	// parent, when non-nil, is a frozen fallback index (see NewOverlay).
 	// Lookups and registrations never mutate it.
 	parent *Index
-	// Lookups counts stub resolutions, for the ablation bench comparing
-	// indexed against linear context search.
-	Lookups int
 }
 
 // NewIndex returns an empty index.
@@ -51,15 +48,8 @@ func NewOverlay(parent *Index) *Index {
 func (ix *Index) Len() int { return len(ix.byStamp) }
 
 // Lookup resolves a stamp to its object, consulting the parent chain
-// on a local miss. Only the receiving index's Lookups counter is
-// bumped: parents stay untouched.
+// on a local miss.
 func (ix *Index) Lookup(s stamps.Stamp) (any, bool) {
-	ix.Lookups++
-	return ix.get(s)
-}
-
-// get resolves a stamp through the parent chain without counting.
-func (ix *Index) get(s stamps.Stamp) (any, bool) {
 	for p := ix; p != nil; p = p.parent {
 		if obj, ok := p.byStamp[s]; ok {
 			return obj, true
@@ -124,7 +114,7 @@ func (ix *Index) add(s stamps.Stamp, obj any) {
 	if s.IsProvisional() {
 		return
 	}
-	if _, ok := ix.get(s); !ok {
+	if _, ok := ix.Lookup(s); !ok {
 		ix.byStamp[s] = obj
 	}
 }

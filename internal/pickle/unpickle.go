@@ -1,8 +1,6 @@
 package pickle
 
 import (
-	"fmt"
-
 	"repro/internal/env"
 	"repro/internal/stamps"
 	"repro/internal/types"
@@ -421,6 +419,3 @@ func (u *Unpickler) Ty() types.Ty {
 		return types.Unit()
 	}
 }
-
-// errf is a helper for fmt-compat usage in this package's tests.
-var _ = fmt.Sprintf
