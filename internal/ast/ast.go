@@ -306,6 +306,25 @@ func TupleExp(elems []Exp, pos token.Pos) *RecordExp {
 	return &RecordExp{Fields: fields, Pos: pos}
 }
 
+// infixApp holds the nodes of an infix application, so that they are
+// one allocation.
+type infixApp struct {
+	app    AppExp
+	fn     VarExp
+	arg    RecordExp
+	fields [2]RecordExpField
+}
+
+// InfixApp builds the desugaring of the infix application l op r: op
+// applied to the pair (l, r), positioned at op.
+func InfixApp(op LongID, l, r Exp) *AppExp {
+	n := &infixApp{fn: VarExp{Name: op}}
+	n.fields = [2]RecordExpField{{Label: tupleLabel(0), Exp: l}, {Label: tupleLabel(1), Exp: r}}
+	n.arg = RecordExp{Fields: n.fields[:], Pos: op.Pos}
+	n.app = AppExp{Fn: &n.fn, Arg: &n.arg}
+	return &n.app
+}
+
 // UnitExp is the expression ().
 func UnitExp(pos token.Pos) *RecordExp { return &RecordExp{Pos: pos} }
 

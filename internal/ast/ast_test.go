@@ -1,6 +1,7 @@
 package ast
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/token"
@@ -47,5 +48,16 @@ func TestWideTupleLabels(t *testing.T) {
 	e := TupleExp(elems, token.Pos{})
 	if e.Fields[9].Label != "10" || e.Fields[11].Label != "12" {
 		t.Errorf("wide labels %v %v", e.Fields[9].Label, e.Fields[11].Label)
+	}
+}
+
+// TestInfixAppDesugaring: l op r is op applied to the pair (l, r), the
+// same tree TupleExp builds, with the operator's position.
+func TestInfixAppDesugaring(t *testing.T) {
+	op := LongID{Parts: []string{"+"}, Pos: token.Pos{Line: 2, Col: 5}}
+	l, r := &ConstExp{Kind: token.INT, Text: "1"}, &VarExp{Name: LongID{Parts: []string{"x"}}}
+	want := &AppExp{Fn: &VarExp{Name: op}, Arg: TupleExp([]Exp{l, r}, op.Pos)}
+	if got := InfixApp(op, l, r); !reflect.DeepEqual(got, want) {
+		t.Errorf("InfixApp = %#v, want %#v", got, want)
 	}
 }

@@ -56,14 +56,26 @@ var (
 	NilCon, ConsCon   *types.DataCon
 )
 
+// The nullary primitive types. Type nodes are never written once
+// built, so every use shares one node per type.
+var (
+	intTy    types.Ty = &types.Con{Tycon: IntTycon}
+	realTy   types.Ty = &types.Con{Tycon: RealTycon}
+	stringTy types.Ty = &types.Con{Tycon: StringTycon}
+	charTy   types.Ty = &types.Con{Tycon: CharTycon}
+	wordTy   types.Ty = &types.Con{Tycon: WordTycon}
+	exnTy    types.Ty = &types.Con{Tycon: ExnTycon}
+	boolTy   types.Ty = &types.Con{Tycon: BoolTycon}
+)
+
 // Convenience type builders.
-func Int() types.Ty    { return &types.Con{Tycon: IntTycon} }
-func Real() types.Ty   { return &types.Con{Tycon: RealTycon} }
-func String() types.Ty { return &types.Con{Tycon: StringTycon} }
-func Char() types.Ty   { return &types.Con{Tycon: CharTycon} }
-func Word() types.Ty   { return &types.Con{Tycon: WordTycon} }
-func Exn() types.Ty    { return &types.Con{Tycon: ExnTycon} }
-func Bool() types.Ty   { return &types.Con{Tycon: BoolTycon} }
+func Int() types.Ty    { return intTy }
+func Real() types.Ty   { return realTy }
+func String() types.Ty { return stringTy }
+func Char() types.Ty   { return charTy }
+func Word() types.Ty   { return wordTy }
+func Exn() types.Ty    { return exnTy }
+func Bool() types.Ty   { return boolTy }
 func Unit() types.Ty   { return types.Unit() }
 
 // List returns elem list.

@@ -21,6 +21,34 @@ func compose(outer, inner wrapFn) wrapFn {
 	return func(body lambda.Exp) lambda.Exp { return outer(inner(body)) }
 }
 
+// letChain nests lets, whose LV and Bind are set, first to last around
+// body: let lets[0] in ... let lets[n-1] in body. A caller makes the
+// nodes of a chain as one block.
+func letChain(lets []lambda.Let, body lambda.Exp) lambda.Exp {
+	for i := len(lets) - 1; i >= 0; i-- {
+		lets[i].Body = body
+		body = &lets[i]
+	}
+	return body
+}
+
+// fieldLabels returns the labels of n record fields, label(i) giving
+// field i's. Fields labelled "1".."n" in order, as every tuple's are,
+// get the shared canonical table instead of a new slice.
+func fieldLabels(n int, label func(i int) string) []string {
+	canon := types.TupleLabels(n)
+	for i, l := range canon {
+		if label(i) != l {
+			ls := make([]string, n)
+			for j := range ls {
+				ls[j] = label(j)
+			}
+			return ls
+		}
+	}
+	return canon
+}
+
 // ---------------------------------------------------------------------
 // Literals
 // ---------------------------------------------------------------------
@@ -91,21 +119,13 @@ func (el *Elaborator) elabExp(e *env.Env, x ast.Exp) (types.Ty, lambda.Exp) {
 		}
 		// Evaluate fields in source order, then assemble in canonical
 		// label order.
-		labels := make([]string, len(x.Fields))
-		tys := make([]types.Ty, len(x.Fields))
-		lvs := make([]lambda.LVar, len(x.Fields))
-		var wrap wrapFn = idWrap
+		n := len(x.Fields)
+		labels := fieldLabels(n, func(i int) string { return x.Fields[i].Label })
+		tys := make([]types.Ty, n)
+		lets := make([]lambda.Let, n)
 		for i, f := range x.Fields {
-			labels[i] = f.Label
-			ft, fc := el.elabExp(e, f.Exp)
-			tys[i] = ft
-			lv := el.lg.Fresh()
-			lvs[i] = lv
-			fcCopy := fc
-			prev := wrap
-			wrap = func(body lambda.Exp) lambda.Exp {
-				return prev(&lambda.Let{LV: lv, Bind: fcCopy, Body: body})
-			}
+			tys[i], lets[i].Bind = el.elabExp(e, f.Exp)
+			lets[i].LV = el.lg.Fresh()
 		}
 		rec, err := types.NewRecord(labels, tys)
 		if err != nil {
@@ -113,16 +133,18 @@ func (el *Elaborator) elabExp(e *env.Env, x ast.Exp) (types.Ty, lambda.Exp) {
 			return types.Unit(), lambda.Unit()
 		}
 		// Map canonical position -> source lvar.
-		fields := make([]lambda.Exp, len(rec.Labels))
+		vars := make([]lambda.Var, n)
+		fields := make([]lambda.Exp, n)
 		for ci, cl := range rec.Labels {
-			for si, sl := range labels {
-				if sl == cl {
-					fields[ci] = &lambda.Var{LV: lvs[si]}
+			for si, f := range x.Fields {
+				if f.Label == cl {
+					vars[ci] = lambda.Var{LV: lets[si].LV}
+					fields[ci] = &vars[ci]
 					break
 				}
 			}
 		}
-		return rec, wrap(&lambda.Record{Fields: fields})
+		return rec, letChain(lets, &lambda.Record{Fields: fields})
 
 	case *ast.SelectExp:
 		// #label as a standalone function: the record type is a flexible
@@ -211,23 +233,14 @@ func (el *Elaborator) elabExp(e *env.Env, x ast.Exp) (types.Ty, lambda.Exp) {
 		return t, wrap(c)
 
 	case *ast.SeqExp:
-		var wrap wrapFn = idWrap
-		var lastTy types.Ty
-		var lastCode lambda.Exp
-		for i, sub := range x.Exps {
-			t, c := el.elabExp(e, sub)
-			if i == len(x.Exps)-1 {
-				lastTy, lastCode = t, c
-				break
-			}
-			lv := el.lg.Fresh()
-			cc := c
-			prev := wrap
-			wrap = func(body lambda.Exp) lambda.Exp {
-				return prev(&lambda.Let{LV: lv, Bind: cc, Body: body})
-			}
+		last := len(x.Exps) - 1
+		lets := make([]lambda.Let, last)
+		for i, sub := range x.Exps[:last] {
+			_, lets[i].Bind = el.elabExp(e, sub)
+			lets[i].LV = el.lg.Fresh()
 		}
-		return lastTy, wrap(lastCode)
+		t, c := el.elabExp(e, x.Exps[last])
+		return t, letChain(lets, c)
 
 	case *ast.RaiseExp:
 		t, c := el.elabExp(e, x.Exp)
@@ -248,25 +261,18 @@ func (el *Elaborator) elabExp(e *env.Env, x ast.Exp) (types.Ty, lambda.Exp) {
 		elemTy := types.NewVar(el.level)
 		code := lambda.Exp(&lambda.Con{Tag: 0, Name: "nil"})
 		// Build back-to-front; evaluation order front-to-back via lets.
-		var lvs []lambda.LVar
-		var wrap wrapFn = idWrap
-		for _, sub := range x.Exps {
+		lets := make([]lambda.Let, len(x.Exps))
+		for i, sub := range x.Exps {
 			t, c := el.elabExp(e, sub)
 			el.unify(expPos(sub), t, elemTy, "list element")
-			lv := el.lg.Fresh()
-			lvs = append(lvs, lv)
-			cc := c
-			prev := wrap
-			wrap = func(body lambda.Exp) lambda.Exp {
-				return prev(&lambda.Let{LV: lv, Bind: cc, Body: body})
-			}
+			lets[i] = lambda.Let{LV: el.lg.Fresh(), Bind: c}
 		}
-		for i := len(lvs) - 1; i >= 0; i-- {
+		for i := len(lets) - 1; i >= 0; i-- {
 			code = &lambda.Con{Tag: 1, Name: "::", Arg: &lambda.Record{
-				Fields: []lambda.Exp{&lambda.Var{LV: lvs[i]}, code},
+				Fields: []lambda.Exp{&lambda.Var{LV: lets[i].LV}, code},
 			}}
 		}
-		return basis.List(elemTy), wrap(code)
+		return basis.List(elemTy), letChain(lets, code)
 	}
 	panic("elab: unknown expression form")
 }
@@ -331,8 +337,19 @@ func (el *Elaborator) elabVarExp(e *env.Env, x *ast.VarExp) (types.Ty, lambda.Ex
 		return ty, el.primExp(vb.Prim)
 
 	default:
-		return ty, acc()
+		return ty, acc.access(el)
 	}
+}
+
+// primNodes holds every node of a primitive's eta-expansion,
+// fn p => op (#0 p, #1 p) or fn p => op p, so that it is one
+// allocation. Binary is the widest primitive (defaultPrimArity).
+type primNodes struct {
+	fn   lambda.Fn
+	prim lambda.Prim
+	args [2]lambda.Exp
+	sels [2]lambda.Select
+	vars [2]lambda.Var
 }
 
 // primExp eta-expands a primitive into a function value.
@@ -342,15 +359,20 @@ func (el *Elaborator) primExp(op string) lambda.Exp {
 		arity = 1
 	}
 	p := el.lg.Fresh()
-	var args []lambda.Exp
+	n := &primNodes{}
 	if arity == 1 {
-		args = []lambda.Exp{&lambda.Var{LV: p}}
+		n.vars[0] = lambda.Var{LV: p}
+		n.args[0] = &n.vars[0]
 	} else {
 		for i := 0; i < arity; i++ {
-			args = append(args, &lambda.Select{Idx: i, Rec: &lambda.Var{LV: p}})
+			n.vars[i] = lambda.Var{LV: p}
+			n.sels[i] = lambda.Select{Idx: i, Rec: &n.vars[i]}
+			n.args[i] = &n.sels[i]
 		}
 	}
-	return &lambda.Fn{Param: p, Body: &lambda.Prim{Op: op, Args: args}}
+	n.prim = lambda.Prim{Op: op, Args: n.args[:arity:arity]}
+	n.fn = lambda.Fn{Param: p, Body: &n.prim}
+	return &n.fn
 }
 
 // expPos extracts a position for diagnostics where available.
@@ -616,7 +638,10 @@ func (el *Elaborator) elabFunDec(d *ast.FunDec, e *env.Env, sc *slotCtx) wrapFn 
 	fns := make([]*lambda.Fn, len(d.Fbs))
 	for i, fb := range d.Fbs {
 		fnTy, fnCode := el.elabFunBind(recEnv, &fb, d.Pos)
-		el.unify(d.Pos, fnTy, infos[i].ty, "fun binding "+fb.Name)
+		// unify, without building its description unless it fails.
+		if err := types.Unify(fnTy, infos[i].ty); err != nil {
+			el.errorf(d.Pos, "fun binding %s: %v", fb.Name, err)
+		}
 		names[i] = infos[i].lv
 		fns[i] = fnCode
 	}

@@ -305,35 +305,42 @@ func (el *Elaborator) lookupStrPath(e *env.Env, id ast.LongID, parts []string) (
 	return sb, acc
 }
 
-// lookupVal resolves a possibly qualified value identifier to its
-// binding plus a lazy accessor for its runtime value. The accessor is
+// valRef locates a looked-up value binding's runtime value. Access is
 // lazy so that lookups which need no runtime value (ordinary
-// constructors, primitives) do not create spurious import edges.
-func (el *Elaborator) lookupVal(e *env.Env, id ast.LongID) (*env.ValBind, func() lambda.Exp, bool) {
+// constructors, primitives) do not create spurious import edges, and
+// valRef is a plain value so that a lookup allocates nothing.
+type valRef struct {
+	e  *env.Env
+	id ast.LongID
+	vb *env.ValBind
+}
+
+// access returns the expression that reads the binding's value.
+func (r valRef) access(el *Elaborator) lambda.Exp {
+	if !r.id.IsQualified() {
+		return el.valAccess(r.id.Pos, r.vb, r.id.Base())
+	}
+	_, strAcc := el.lookupStrPath(r.e, r.id, r.id.Qualifier())
+	if r.vb.Slot < 0 {
+		el.fatalf(r.id.Pos, "value %s has no runtime slot (internal)", r.id)
+	}
+	return &lambda.Select{Idx: r.vb.Slot, Rec: strAcc}
+}
+
+// lookupVal resolves a possibly qualified value identifier to its
+// binding plus a lazy reference to its runtime value.
+func (el *Elaborator) lookupVal(e *env.Env, id ast.LongID) (*env.ValBind, valRef, bool) {
+	var vb *env.ValBind
+	var ok bool
 	if !id.IsQualified() {
-		vb, ok := e.LookupVal(id.Base())
-		if !ok {
-			return nil, nil, false
-		}
-		acc := func() lambda.Exp { return el.valAccess(id.Pos, vb, id.Base()) }
-		return vb, acc, true
+		vb, ok = e.LookupVal(id.Base())
+	} else if sb, found := el.lookupStrBind(e, ast.LongID{Parts: id.Qualifier(), Pos: id.Pos}); found {
+		vb, ok = sb.Str.Env.LocalVal(id.Base())
 	}
-	sb, ok := el.lookupStrBind(e, ast.LongID{Parts: id.Qualifier(), Pos: id.Pos})
 	if !ok {
-		return nil, nil, false
+		return nil, valRef{}, false
 	}
-	vb, ok := sb.Str.Env.LocalVal(id.Base())
-	if !ok {
-		return nil, nil, false
-	}
-	acc := func() lambda.Exp {
-		_, strAcc := el.lookupStrPath(e, id, id.Qualifier())
-		if vb.Slot < 0 {
-			el.fatalf(id.Pos, "value %s has no runtime slot (internal)", id)
-		}
-		return &lambda.Select{Idx: vb.Slot, Rec: strAcc}
-	}
-	return vb, acc, true
+	return vb, valRef{e: e, id: id, vb: vb}, true
 }
 
 // describeUnbound produces a precise diagnostic for a failed value
@@ -360,11 +367,11 @@ func (el *Elaborator) describeUnbound(e *env.Env, id ast.LongID) string {
 
 // exnTagAccess locates an exception constructor's runtime tag: a basis
 // builtin or an ordinary value access.
-func (el *Elaborator) exnTagAccess(pos token.Pos, vb *env.ValBind, acc func() lambda.Exp) lambda.Exp {
+func (el *Elaborator) exnTagAccess(pos token.Pos, vb *env.ValBind, ref valRef) lambda.Exp {
 	if len(vb.Prim) > 4 && vb.Prim[:4] == "exn:" {
 		return &lambda.Builtin{Name: vb.Prim[4:]}
 	}
-	return acc()
+	return ref.access(el)
 }
 
 // lookupTycon resolves a possibly qualified type constructor.
@@ -408,12 +415,16 @@ func (el *Elaborator) lookupStrBind(e *env.Env, id ast.LongID) (*env.StrBind, bo
 // ---------------------------------------------------------------------
 
 // tyscope is one scope of explicit type variables, in insertion order.
+// Most declarations bind none, so m is made by the first add.
 type tyscope struct {
 	names []string
 	m     map[string]*types.Var
 }
 
 func (s *tyscope) add(name string, v *types.Var) {
+	if s.m == nil {
+		s.m = map[string]*types.Var{}
+	}
 	s.names = append(s.names, name)
 	s.m[name] = v
 }
@@ -437,7 +448,7 @@ func newTyvar(name string, level int) *types.Var {
 
 // pushTyvars introduces a scope of explicit type variables.
 func (el *Elaborator) pushTyvars(names []string) *tyscope {
-	scope := &tyscope{m: map[string]*types.Var{}}
+	scope := &tyscope{}
 	for _, n := range names {
 		scope.add(n, newTyvar(n, el.level))
 	}
@@ -494,10 +505,9 @@ func (el *Elaborator) elabTy(e *env.Env, t ast.Ty) types.Ty {
 		args = args[:tc.Arity]
 		return &types.Con{Tycon: tc, Args: args}
 	case *ast.RecordTy:
-		labels := make([]string, len(t.Fields))
+		labels := fieldLabels(len(t.Fields), func(i int) string { return t.Fields[i].Label })
 		tys := make([]types.Ty, len(t.Fields))
 		for i, f := range t.Fields {
-			labels[i] = f.Label
 			tys[i] = el.elabTy(e, f.Ty)
 		}
 		rec, err := types.NewRecord(labels, tys)

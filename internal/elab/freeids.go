@@ -29,13 +29,18 @@ func newFreeIDs() *FreeIDs {
 	}
 }
 
-// frame is one lexical scope of bound names.
+// frame is one lexical scope of bound names. Its maps are made by the
+// first bind into them: most scopes bind only values, or nothing.
 type frame struct {
 	vals, tycons, strs map[string]bool
 }
 
-func newFrame() *frame {
-	return &frame{vals: map[string]bool{}, tycons: map[string]bool{}, strs: map[string]bool{}}
+// bind adds n to the set *m, making the set on first use.
+func bind(m *map[string]bool, n string) {
+	if *m == nil {
+		*m = map[string]bool{}
+	}
+	(*m)[n] = true
 }
 
 // fwalker computes free identifiers with a scope stack.
@@ -45,17 +50,17 @@ type fwalker struct {
 }
 
 func newFwalker() *fwalker {
-	return &fwalker{out: newFreeIDs(), scopes: []*frame{newFrame()}}
+	return &fwalker{out: newFreeIDs(), scopes: []*frame{&frame{}}}
 }
 
-func (w *fwalker) push() { w.scopes = append(w.scopes, newFrame()) }
+func (w *fwalker) push() { w.scopes = append(w.scopes, &frame{}) }
 func (w *fwalker) pop()  { w.scopes = w.scopes[:len(w.scopes)-1] }
 
 func (w *fwalker) top() *frame { return w.scopes[len(w.scopes)-1] }
 
-func (w *fwalker) bindVal(n string)   { w.top().vals[n] = true }
-func (w *fwalker) bindTycon(n string) { w.top().tycons[n] = true }
-func (w *fwalker) bindStr(n string)   { w.top().strs[n] = true }
+func (w *fwalker) bindVal(n string)   { bind(&w.top().vals, n) }
+func (w *fwalker) bindTycon(n string) { bind(&w.top().tycons, n) }
+func (w *fwalker) bindStr(n string)   { bind(&w.top().strs, n) }
 
 func (w *fwalker) boundVal(n string) bool {
 	for i := len(w.scopes) - 1; i >= 0; i-- {

@@ -39,9 +39,7 @@ func (el *Elaborator) elabMatchChecked(e *env.Env, rules []ast.Rule, scrutTy typ
 			pvb, _ := layer.LocalVal(ent.Name)
 			el.registerAccess(pvb, &lambda.Var{LV: el.patAccess[pvb]})
 		}
-		inner := env.New(e)
-		layer.CopyInto(inner)
-		bodyTy, bodyCode := el.elabExp(inner, r.Exp)
+		bodyTy, bodyCode := el.elabExp(layer, r.Exp)
 		el.unify(expPos(r.Exp), bodyTy, resTy, "match rule result")
 		comp[i] = compiled{pat: r.Pat, body: bodyCode}
 	}
@@ -54,11 +52,25 @@ func (el *Elaborator) elabMatchChecked(e *env.Env, rules []ast.Rule, scrutTy typ
 	for i := len(comp) - 1; i >= 0; i-- {
 		k := el.lg.Fresh()
 		dummy := el.lg.Fresh()
-		fail := &lambda.App{Fn: &lambda.Var{LV: k}, Arg: lambda.Unit()}
-		test := el.genPat(comp[i].pat, scrutExp, comp[i].body, fail)
-		code = &lambda.Let{LV: k, Bind: &lambda.Fn{Param: dummy, Body: code}, Body: test}
+		n := &ruleNodes{}
+		n.k = lambda.Var{LV: k}
+		n.fail = lambda.App{Fn: &n.k, Arg: lambda.Unit()}
+		test := el.genPat(comp[i].pat, scrutExp, comp[i].body, &n.fail)
+		n.fn = lambda.Fn{Param: dummy, Body: code}
+		n.let = lambda.Let{LV: k, Bind: &n.fn, Body: test}
+		code = &n.let
 	}
 	return resTy, code
+}
+
+// ruleNodes holds the nodes that chain one match rule to the next,
+// let k = fn _ => <next rules> in <test, calling k () on failure>, so
+// that they are one allocation.
+type ruleNodes struct {
+	let  lambda.Let
+	fn   lambda.Fn
+	fail lambda.App
+	k    lambda.Var
 }
 
 func patPos(p ast.Pat) token.Pos {
@@ -161,10 +173,9 @@ func (el *Elaborator) elabPat(p ast.Pat, e *env.Env, layer *env.Env) types.Ty {
 			el.patRecTy[p] = v
 			return v
 		}
-		labels := make([]string, len(p.Fields))
+		labels := fieldLabels(len(p.Fields), func(i int) string { return p.Fields[i].Label })
 		tys := make([]types.Ty, len(p.Fields))
 		for i, f := range p.Fields {
-			labels[i] = f.Label
 			tys[i] = el.elabPat(f.Pat, e, layer)
 		}
 		rec, err := types.NewRecord(labels, tys)

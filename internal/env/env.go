@@ -13,6 +13,8 @@
 // frozen Env — one that is no longer written — may be read from any
 // number of goroutines. The parallel scheduler layers each unit's
 // private env over frozen dependency envs on exactly this contract.
+// Only a Define makes a namespace's map, so reading a frozen env never
+// writes it, even in a namespace the env left empty.
 package env
 
 import (
@@ -152,7 +154,10 @@ type Entry struct {
 	Name string
 }
 
-// Env is a layered, ordered static environment.
+// Env is a layered, ordered static environment. A namespace's map is
+// made by the first Define into it, so a scope that binds only values
+// costs one map, not five; reading a nil map finds nothing, which is
+// what an empty namespace must report.
 type Env struct {
 	parent *Env
 	vals   map[string]*ValBind
@@ -166,58 +171,39 @@ type Env struct {
 // New returns an empty environment layered atop parent (nil for the
 // root).
 func New(parent *Env) *Env {
-	return &Env{
-		parent: parent,
-		vals:   map[string]*ValBind{},
-		tycons: map[string]*types.Tycon{},
-		strs:   map[string]*StrBind{},
-		sigs:   map[string]*SigBind{},
-		fcts:   map[string]*FctBind{},
-	}
+	return &Env{parent: parent}
 }
 
 // Parent returns the environment this one extends.
 func (e *Env) Parent() *Env { return e.parent }
 
-// DefineVal binds a value identifier.
-func (e *Env) DefineVal(name string, vb *ValBind) {
-	if _, shadowed := e.vals[name]; !shadowed {
-		e.order = append(e.order, Entry{NSVal, name})
+// define binds name to v in the namespace map *m of e, making the map
+// on first use; a re-definition keeps the name's first position in the
+// order.
+func define[T any](e *Env, m *map[string]T, ns Namespace, name string, v T) {
+	if *m == nil {
+		*m = map[string]T{}
 	}
-	e.vals[name] = vb
+	if _, shadowed := (*m)[name]; !shadowed {
+		e.order = append(e.order, Entry{ns, name})
+	}
+	(*m)[name] = v
 }
+
+// DefineVal binds a value identifier.
+func (e *Env) DefineVal(name string, vb *ValBind) { define(e, &e.vals, NSVal, name, vb) }
 
 // DefineTycon binds a type constructor.
-func (e *Env) DefineTycon(name string, tc *types.Tycon) {
-	if _, shadowed := e.tycons[name]; !shadowed {
-		e.order = append(e.order, Entry{NSTycon, name})
-	}
-	e.tycons[name] = tc
-}
+func (e *Env) DefineTycon(name string, tc *types.Tycon) { define(e, &e.tycons, NSTycon, name, tc) }
 
 // DefineStr binds a structure identifier.
-func (e *Env) DefineStr(name string, sb *StrBind) {
-	if _, shadowed := e.strs[name]; !shadowed {
-		e.order = append(e.order, Entry{NSStr, name})
-	}
-	e.strs[name] = sb
-}
+func (e *Env) DefineStr(name string, sb *StrBind) { define(e, &e.strs, NSStr, name, sb) }
 
 // DefineSig binds a signature identifier.
-func (e *Env) DefineSig(name string, sb *SigBind) {
-	if _, shadowed := e.sigs[name]; !shadowed {
-		e.order = append(e.order, Entry{NSSig, name})
-	}
-	e.sigs[name] = sb
-}
+func (e *Env) DefineSig(name string, sb *SigBind) { define(e, &e.sigs, NSSig, name, sb) }
 
 // DefineFct binds a functor identifier.
-func (e *Env) DefineFct(name string, fb *FctBind) {
-	if _, shadowed := e.fcts[name]; !shadowed {
-		e.order = append(e.order, Entry{NSFct, name})
-	}
-	e.fcts[name] = fb
-}
+func (e *Env) DefineFct(name string, fb *FctBind) { define(e, &e.fcts, NSFct, name, fb) }
 
 // LookupVal finds a value binding, searching outward through layers.
 func (e *Env) LookupVal(name string) (*ValBind, bool) {

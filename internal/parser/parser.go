@@ -55,6 +55,9 @@ type Parser struct {
 	peeked *token.Token
 	fix    map[string]Fixity
 	errors []*Error
+	// names holds the one-component Parts slice of each unqualified
+	// identifier seen so far (see single).
+	names map[string][]string
 }
 
 // bailout is the sentinel panic value for error recovery.
@@ -151,24 +154,44 @@ func splitLong(text string) []string {
 	return append(parts, text[start:])
 }
 
+// single returns the Parts slice of the unqualified identifier name.
+// A parse makes it once per distinct name and every LongID naming it
+// shares it; nothing writes a LongID's parts.
+func (p *Parser) single(name string) []string {
+	parts, ok := p.names[name]
+	if !ok {
+		if p.names == nil {
+			p.names = map[string][]string{}
+		}
+		parts = []string{name}
+		p.names[name] = parts
+	}
+	return parts
+}
+
 // parseLongID parses a possibly qualified value/constructor identifier.
 func (p *Parser) parseLongID() ast.LongID {
 	pos := p.tok.Pos
 	switch p.tok.Kind {
 	case token.IDENT:
-		parts := splitLong(p.tok.Text)
+		var parts []string
+		if indexByte(p.tok.Text, '.') >= 0 {
+			parts = splitLong(p.tok.Text)
+		} else {
+			parts = p.single(p.tok.Text)
+		}
 		p.next()
 		return ast.LongID{Parts: parts, Pos: pos}
 	case token.SYMID:
-		id := ast.LongID{Parts: []string{p.tok.Text}, Pos: pos}
+		id := ast.LongID{Parts: p.single(p.tok.Text), Pos: pos}
 		p.next()
 		return id
 	case token.ASTERISK:
 		p.next()
-		return ast.LongID{Parts: []string{"*"}, Pos: pos}
+		return ast.LongID{Parts: p.single("*"), Pos: pos}
 	case token.EQUALS:
 		p.next()
-		return ast.LongID{Parts: []string{"="}, Pos: pos}
+		return ast.LongID{Parts: p.single("="), Pos: pos}
 	}
 	p.errorf(pos, "expected identifier, found %s", p.tok)
 	panic("unreachable")
@@ -342,8 +365,8 @@ func (p *Parser) parseTyVarSeq() []string {
 
 // patItem is an element in the infix-resolution buffer for patterns.
 type patItem struct {
-	pat ast.Pat     // nil for operators
-	op  *ast.LongID // infix constructor
+	pat ast.Pat    // nil for operators
+	op  ast.LongID // infix constructor
 	fix Fixity
 }
 
@@ -389,13 +412,14 @@ func patVarName(pat ast.Pat) (string, bool) {
 
 // parseInfixPat resolves infix constructor patterns (h :: t).
 func (p *Parser) parseInfixPat() ast.Pat {
-	var items []patItem
+	var buf [infixBuf]patItem
+	items := buf[:0]
 	for {
 		if p.atPatStart() {
 			if id, isInfix := p.atInfixID(); isInfix {
 				fx, _ := p.fixityOf(id)
 				p.next()
-				items = append(items, patItem{op: &id, fix: fx})
+				items = append(items, patItem{op: id, fix: fx})
 				continue
 			}
 			ap := p.parseAppPat()
@@ -431,7 +455,7 @@ func (p *Parser) atInfixID() (ast.LongID, bool) {
 	if !ok || !f.Infix {
 		return ast.LongID{}, false
 	}
-	return ast.LongID{Parts: []string{name}, Pos: p.tok.Pos}, true
+	return ast.LongID{Parts: p.single(name), Pos: p.tok.Pos}, true
 }
 
 func (p *Parser) atPatStart() bool {
@@ -464,7 +488,7 @@ func (p *Parser) climbPat(items []patItem, minPrec int) (ast.Pat, []patItem) {
 	left := items[0].pat
 	items = items[1:]
 	for len(items) > 0 {
-		if items[0].op == nil {
+		if items[0].pat != nil {
 			p.errorf(p.tok.Pos, "consecutive atomic patterns (constructor application must be explicit)")
 		}
 		op := items[0]
@@ -478,7 +502,7 @@ func (p *Parser) climbPat(items []patItem, minPrec int) (ast.Pat, []patItem) {
 		var right ast.Pat
 		right, items = p.climbPat(items[1:], nextMin)
 		arg := ast.TuplePat([]ast.Pat{left, right}, op.op.Pos)
-		left = &ast.ConPat{Con: *op.op, Arg: arg}
+		left = &ast.ConPat{Con: op.op, Arg: arg}
 	}
 	return left, items
 }
@@ -735,21 +759,26 @@ func (p *Parser) parseMatch() []ast.Rule {
 
 // expItem is an element of the infix-resolution buffer for expressions.
 type expItem struct {
-	exp ast.Exp
-	op  *ast.LongID
+	exp ast.Exp // nil for operators
+	op  ast.LongID
 	fix Fixity
 }
+
+// infixBuf is how many items an infix-resolution buffer holds on the
+// stack before it moves to the heap; few phrases are longer.
+const infixBuf = 8
 
 // parseInfExp parses application sequences interleaved with infix
 // operators and resolves them by precedence.
 func (p *Parser) parseInfExp() ast.Exp {
-	var items []expItem
+	var buf [infixBuf]expItem
+	items := buf[:0]
 	for {
 		if p.atExpStart() {
 			if id, isInfix := p.atInfixExpID(); isInfix {
 				fx := p.fix[id.Parts[0]]
 				p.next()
-				items = append(items, expItem{op: &id, fix: fx})
+				items = append(items, expItem{op: id, fix: fx})
 				continue
 			}
 			items = append(items, expItem{exp: p.parseAppExp()})
@@ -767,7 +796,7 @@ func (p *Parser) parseInfExp() ast.Exp {
 // lexed as a reserved token).
 func (p *Parser) atInfixExpID() (ast.LongID, bool) {
 	if p.tok.Kind == token.EQUALS {
-		return ast.LongID{Parts: []string{"="}, Pos: p.tok.Pos}, true
+		return ast.LongID{Parts: p.single("="), Pos: p.tok.Pos}, true
 	}
 	return p.atInfixID()
 }
@@ -802,7 +831,7 @@ func (p *Parser) climbExp(items []expItem, minPrec int) (ast.Exp, []expItem) {
 	left := items[0].exp
 	items = items[1:]
 	for len(items) > 0 {
-		if items[0].op == nil {
+		if items[0].exp != nil {
 			// Should not happen: application is folded in parseAppExp.
 			p.errorf(p.tok.Pos, "internal: adjacent expressions in infix buffer")
 		}
@@ -816,8 +845,7 @@ func (p *Parser) climbExp(items []expItem, minPrec int) (ast.Exp, []expItem) {
 		}
 		var right ast.Exp
 		right, items = p.climbExp(items[1:], nextMin)
-		arg := ast.TupleExp([]ast.Exp{left, right}, op.op.Pos)
-		left = &ast.AppExp{Fn: &ast.VarExp{Name: *op.op}, Arg: arg}
+		left = ast.InfixApp(op.op, left, right)
 	}
 	return left, items
 }

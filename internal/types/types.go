@@ -12,12 +12,15 @@
 // elaborating goroutine. NewVar's ID counter is atomic, so concurrent
 // elaborations are safe, and Prune never mutates the graph it walks
 // (no path compression), so published — pickled and frozen — types may
-// be read from any number of goroutines.
+// be read from any number of goroutines. Nothing writes a Con or a
+// Record once built, which is what lets every elaboration share the
+// unit type, the tuple label table and the basis's nullary types.
 package types
 
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 	"sync/atomic"
 
@@ -225,31 +228,66 @@ func (s labelSorter) Swap(i, j int) {
 	s.tys[i], s.tys[j] = s.tys[j], s.tys[i]
 }
 
-// NewRecord builds a record type, sorting fields canonically. It
-// reports duplicate labels.
+// NewRecord builds a record type over labels and tys, keeping both
+// slices: the caller hands them over. It sorts the fields canonically
+// and reports duplicate labels.
 func NewRecord(labels []string, tys []Ty) (*Record, error) {
-	ls := append([]string(nil), labels...)
-	ts := append([]Ty(nil), tys...)
-	sort.Sort(labelSorter{ls, ts})
-	for i := 1; i < len(ls); i++ {
-		if ls[i] == ls[i-1] {
-			return nil, fmt.Errorf("duplicate record label %q", ls[i])
+	if !strictlySorted(labels) {
+		sort.Sort(labelSorter{labels, tys})
+		for i := 1; i < len(labels); i++ {
+			if labels[i] == labels[i-1] {
+				return nil, fmt.Errorf("duplicate record label %q", labels[i])
+			}
 		}
 	}
-	return &Record{Labels: ls, Types: ts}, nil
+	return &Record{Labels: labels, Types: tys}, nil
+}
+
+// strictlySorted reports whether labels are in canonical order with no
+// label repeated.
+func strictlySorted(labels []string) bool {
+	for i := 1; i < len(labels); i++ {
+		if !LabelLess(labels[i-1], labels[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// tupleLabels is the canonical label table of tuples: "1".."n" is its
+// first n entries. Record labels are never written once built, so
+// every tuple type up to its width shares it.
+var tupleLabels = numberLabels(32)
+
+// TupleLabels returns the labels "1".."n" of an n-tuple. The slice may
+// be shared and must not be written.
+func TupleLabels(n int) []string {
+	if n <= len(tupleLabels) {
+		return tupleLabels[:n:n]
+	}
+	return numberLabels(n)
+}
+
+// numberLabels returns a new slice of the labels "1".."n".
+func numberLabels(n int) []string {
+	ls := make([]string, n)
+	for i := range ls {
+		ls[i] = strconv.Itoa(i + 1)
+	}
+	return ls
 }
 
 // Tuple builds the record type of a tuple.
 func Tuple(tys ...Ty) *Record {
-	labels := make([]string, len(tys))
-	for i := range tys {
-		labels[i] = fmt.Sprintf("%d", i+1)
-	}
-	return &Record{Labels: labels, Types: append([]Ty(nil), tys...)}
+	return &Record{Labels: TupleLabels(len(tys)), Types: append([]Ty(nil), tys...)}
 }
 
+// unitTy is the one empty record type; nothing writes a type node, so
+// every use shares it.
+var unitTy = &Record{}
+
 // Unit is the empty record type.
-func Unit() *Record { return &Record{} }
+func Unit() *Record { return unitTy }
 
 // IsTuple reports whether the record is a tuple of arity >= 2 and
 // returns its component types.

@@ -1,6 +1,7 @@
 package types
 
 import (
+	"strconv"
 	"testing"
 	"testing/quick"
 
@@ -89,6 +90,27 @@ func TestTupleDetection(t *testing.T) {
 	r, _ := NewRecord([]string{"1", "3"}, []Ty{intTy(), intTy()})
 	if _, ok := r.IsTuple(); ok {
 		t.Error("gappy record detected as tuple")
+	}
+}
+
+// TestTupleLabels: tuples within the shared table's width share it,
+// wider ones get labels of their own, and either way they are
+// "1".."n".
+func TestTupleLabels(t *testing.T) {
+	for _, n := range []int{0, 1, 2, 32, 33, 40} {
+		ls := TupleLabels(n)
+		if len(ls) != n || cap(ls) != n {
+			t.Fatalf("TupleLabels(%d) has len %d cap %d", n, len(ls), cap(ls))
+		}
+		for i, l := range ls {
+			if want := strconv.Itoa(i + 1); l != want {
+				t.Errorf("TupleLabels(%d)[%d] = %q, want %q", n, i, l, want)
+			}
+		}
+	}
+	a, b := Tuple(intTy(), intTy()), Tuple(boolTy(), boolTy(), boolTy())
+	if &a.Labels[0] != &b.Labels[0] {
+		t.Error("tuple types do not share the canonical label table")
 	}
 }
 

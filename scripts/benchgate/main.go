@@ -11,9 +11,10 @@
 // floor, which is what a perf gate should police. Allocation counts
 // (present when the run used -benchmem) are deterministic, so their
 // gate is tight: BenchmarkPipelineRehydrate's allocs/op pins the load
-// path's per-unit allocation, and BenchmarkNewSession's pins a session
-// to executing the shared prelude rather than compiling it (DESIGN.md
-// §4f).
+// path's per-unit allocation, BenchmarkPipelineParse's and
+// BenchmarkPipelineCompile's pin the compile path's per-node
+// allocation, and BenchmarkNewSession's pins a session to executing
+// the shared prelude rather than compiling it (DESIGN.md §4f).
 //
 // Concurrency: a single-goroutine command-line tool.
 package main
@@ -104,7 +105,7 @@ func pctRise(base, head float64) float64 {
 
 func main() {
 	threshold := flag.Float64("threshold", 10, "max allowed ns/op regression, percent")
-	match := flag.String("match", `Pipeline(Hash|Pickle|Rehydrate)|Exec(Cold|Warm)|Apply(Hot|Curried)|NewSession`,
+	match := flag.String("match", `Pipeline(Parse|Compile|Hash|Pickle|Rehydrate)|Exec(Cold|Warm)|Apply(Hot|Curried)|NewSession`,
 		"regexp selecting which benchmarks gate the build")
 	flag.Parse()
 	if flag.NArg() != 2 {
