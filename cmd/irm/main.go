@@ -18,7 +18,6 @@
 //	irm history [-store dir | -dir ledgerdir] [-n k] [-window w] [-threshold t] [-since d]
 //	irm top [-store dir | -dir ledgerdir] [-by cost|exec|fn] [-n k] [-since d]
 //	irm gen [-dir d] [-units n] [-lines n] [-seed n] [-shape s]
-//	irm bench [-out BENCH_irm.json] [-units n] [-lines n] [-seed n] [-policy p] [-j n]
 //	irm deps  group.cm
 //	irm show  file.sml ...
 //	irm collision [-pids n]
@@ -99,8 +98,6 @@ func main() {
 		cmdBuild(os.Args[2:])
 	case "daemon":
 		cmdDaemon(os.Args[2:])
-	case "bench":
-		cmdBench(os.Args[2:])
 	case "watch":
 		cmdWatch(os.Args[2:])
 	case "serve":
@@ -165,7 +162,6 @@ func usage() {
   irm history [-store dir | -dir ledgerdir] [-n k] [-window w] [-threshold t] [-since d]
   irm top [-store dir | -dir ledgerdir] [-by cost|exec|fn] [-n k] [-since d]
   irm gen [-dir d] [-units n] [-lines n] [-seed n] [-shape s]
-  irm bench [-out BENCH_irm.json] [-units n] [-lines n] [-seed n] [-policy p] [-j n]
   irm deps  group.cm
   irm show  file.sml ...
   irm collision [-pids n]`)

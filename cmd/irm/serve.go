@@ -228,6 +228,9 @@ func cmdGen(args []string) {
 	seed := fs.Int64("seed", 7, "generator seed")
 	shape := fs.String("shape", "layered", "dependency shape: chain, fan, diamond, or layered")
 	fs.Parse(args)
+	if *units < 1 || *lines < 1 {
+		usage()
+	}
 
 	cfg := workload.Small()
 	cfg.Units, cfg.LinesPerUnit, cfg.Seed = *units, *lines, *seed

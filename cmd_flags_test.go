@@ -21,7 +21,7 @@ var updateFlags = flag.Bool("update-flags", false, "rewrite testdata/flags.golde
 var flagSurfaceCommands = [][]string{
 	{"irm", "build"}, {"irm", "profile"}, {"irm", "daemon"}, {"irm", "watch"},
 	{"irm", "serve"}, {"irm", "history"}, {"irm", "top"}, {"irm", "gen"},
-	{"irm", "bench"}, {"irm", "deps"}, {"irm", "collision"},
+	{"irm", "deps"}, {"irm", "collision"},
 	{"smlc"}, {"smlrun"}, {"smlrepl"},
 }
 

@@ -239,124 +239,4 @@ func TestTelemetryCLI(t *testing.T) {
 			}
 		}
 	})
-
-	t.Run("bench", func(t *testing.T) {
-		outPath := filepath.Join(work, "BENCH_irm.json")
-		_, stderr, err := runToolSplit(t, tools["irm"],
-			"bench", "-out", outPath, "-units", "6", "-lines", "8", "-j", "2")
-		if err != nil {
-			t.Fatalf("irm bench: %v\n%s", err, stderr)
-		}
-		data, err := os.ReadFile(outPath)
-		if err != nil {
-			t.Fatal(err)
-		}
-		type scenario struct {
-			Name            string `json:"name"`
-			WallNs          int64  `json:"wall_ns"`
-			Allocs          uint64 `json:"allocs"`
-			ExecNs          int64  `json:"exec_ns"`
-			ExecParallelism int64  `json:"exec_parallelism"`
-			Report          struct {
-				Units    int `json:"units"`
-				Compiled int `json:"compiled"`
-				Loaded   int `json:"loaded"`
-				Cutoffs  int `json:"cutoffs"`
-			} `json:"report"`
-		}
-		var bf struct {
-			Schema string `json:"schema"`
-			Config struct {
-				ExecEngine string `json:"exec_engine"`
-			} `json:"config"`
-			Provenance struct {
-				GoVersion  string `json:"go_version"`
-				GOMAXPROCS int    `json:"gomaxprocs"`
-				OS         string `json:"os"`
-				Arch       string `json:"arch"`
-			} `json:"provenance"`
-			Matrix []struct {
-				Jobs      int        `json:"jobs"`
-				Scenarios []scenario `json:"scenarios"`
-			} `json:"matrix"`
-			Speedup struct {
-				Jobs         int     `json:"jobs"`
-				ColdWallNsJ1 int64   `json:"cold_wall_ns_j1"`
-				ColdWallNsJN int64   `json:"cold_wall_ns_jn"`
-				ColdSpeedup  float64 `json:"cold_speedup"`
-			} `json:"speedup"`
-			WarmCache struct {
-				Warm1WallNs int64   `json:"warm1_wall_ns"`
-				Warm2WallNs int64   `json:"warm2_wall_ns"`
-				Hits        int64   `json:"hits"`
-				Misses      int64   `json:"misses"`
-				HitRate     float64 `json:"hit_rate"`
-				Speedup     float64 `json:"speedup"`
-			} `json:"warm_cache"`
-		}
-		if err := json.Unmarshal(data, &bf); err != nil {
-			t.Fatalf("bench output is not valid JSON: %v", err)
-		}
-		if bf.Schema != "irm-bench/5" {
-			t.Errorf("bench schema %q", bf.Schema)
-		}
-		if bf.Config.ExecEngine != "closure" {
-			t.Errorf("config exec_engine %q, want closure default", bf.Config.ExecEngine)
-		}
-		if p := bf.Provenance; p.GoVersion == "" || p.GOMAXPROCS < 1 || p.OS == "" || p.Arch == "" {
-			t.Errorf("provenance incomplete: %+v", p)
-		}
-		if len(bf.Matrix) != 2 || bf.Matrix[0].Jobs != 1 || bf.Matrix[1].Jobs != 2 {
-			t.Fatalf("bench matrix widths: %+v, want -j1 and -j2 runs", bf.Matrix)
-		}
-		if bf.Speedup.Jobs != 2 || bf.Speedup.ColdWallNsJ1 <= 0 ||
-			bf.Speedup.ColdWallNsJN <= 0 || bf.Speedup.ColdSpeedup <= 0 {
-			t.Errorf("speedup record incomplete: %+v", bf.Speedup)
-		}
-		// The warm-cache record: first null rebuild misses on all 6
-		// units, second hits on all 6.
-		if wc := bf.WarmCache; wc.Warm1WallNs <= 0 || wc.Warm2WallNs <= 0 ||
-			wc.Hits != 6 || wc.Misses != 6 || wc.HitRate != 1 || wc.Speedup <= 0 {
-			t.Errorf("warm-cache record incomplete: %+v", wc)
-		}
-		wantOrder := []string{"cold", "null", "impl-edit", "interface-edit"}
-		for _, run := range bf.Matrix {
-			if len(run.Scenarios) != len(wantOrder) {
-				t.Fatalf("-j%d: %d scenarios, want %d", run.Jobs, len(run.Scenarios), len(wantOrder))
-			}
-			for i, sc := range run.Scenarios {
-				if sc.Name != wantOrder[i] {
-					t.Errorf("-j%d: scenario[%d]=%q, want %q", run.Jobs, i, sc.Name, wantOrder[i])
-				}
-				if sc.WallNs <= 0 {
-					t.Errorf("-j%d %s: wall_ns=%d", run.Jobs, sc.Name, sc.WallNs)
-				}
-				if sc.Allocs == 0 {
-					t.Errorf("-j%d %s: allocs=0, want a heap delta", run.Jobs, sc.Name)
-				}
-				if sc.ExecNs <= 0 {
-					t.Errorf("-j%d %s: exec_ns=%d, want unit-execution time", run.Jobs, sc.Name, sc.ExecNs)
-				}
-				if sc.ExecParallelism < 1 || sc.ExecParallelism > int64(run.Jobs) {
-					t.Errorf("-j%d %s: exec_parallelism=%d, want 1..%d",
-						run.Jobs, sc.Name, sc.ExecParallelism, run.Jobs)
-				}
-				if sc.Report.Units != 6 {
-					t.Errorf("-j%d %s: units=%d, want 6", run.Jobs, sc.Name, sc.Report.Units)
-				}
-			}
-			// The edit matrix's counts are scheduler-width invariant:
-			// the determinism contract, checked end-to-end.
-			if c := run.Scenarios[0].Report; c.Compiled != 6 || c.Loaded != 0 {
-				t.Errorf("-j%d cold: compiled=%d loaded=%d, want 6/0", run.Jobs, c.Compiled, c.Loaded)
-			}
-			if n := run.Scenarios[1].Report; n.Compiled != 0 || n.Loaded != 6 {
-				t.Errorf("-j%d null: compiled=%d loaded=%d, want 0/6", run.Jobs, n.Compiled, n.Loaded)
-			}
-			if ie := run.Scenarios[2].Report; ie.Cutoffs < 1 || ie.Loaded == 0 {
-				t.Errorf("-j%d impl-edit: cutoffs=%d loaded=%d, want a cutoff with reuse",
-					run.Jobs, ie.Cutoffs, ie.Loaded)
-			}
-		}
-	})
 }

@@ -5,8 +5,6 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
-	"runtime"
-	"strconv"
 	"strings"
 	"testing"
 )
@@ -235,26 +233,6 @@ func TestCommandLineTools(t *testing.T) {
 		}
 	})
 
-	// A width above GOMAXPROCS would measure scheduler overhead on
-	// fewer cores and record it as cold_speedup: irm bench refuses it.
-	t.Run("irm-bench-width-above-gomaxprocs", func(t *testing.T) {
-		procs := runtime.GOMAXPROCS(0)
-		cmd := exec.Command(tools["irm"], "bench", "-out", filepath.Join(work, "bench.json"),
-			"-units", "2", "-lines", "5", "-j", strconv.Itoa(procs+1))
-		cmd.Env = append(os.Environ(), "GOMAXPROCS="+strconv.Itoa(procs))
-		out, err := cmd.CombinedOutput()
-		var ee *exec.ExitError
-		if !errors.As(err, &ee) || ee.ExitCode() != 2 {
-			t.Fatalf("irm bench -j %d: %v, want exit code 2\n%s", procs+1, err, out)
-		}
-		if want := "outside 1..GOMAXPROCS"; !strings.Contains(string(out), want) {
-			t.Errorf("irm bench output %q, want it to mention %q", out, want)
-		}
-		if _, err := os.Stat(filepath.Join(work, "bench.json")); !os.IsNotExist(err) {
-			t.Errorf("refused run wrote its output file (stat: %v)", err)
-		}
-	})
-
 	// An invalid flag value must exit before the store is touched: a
 	// rejected watch session leaves no lock file behind.
 	t.Run("irm-watch-bad-flag-no-lock", func(t *testing.T) {
@@ -270,6 +248,26 @@ func TestCommandLineTools(t *testing.T) {
 		}
 		if _, err := os.Stat(filepath.Join(store, ".irm.lock")); !os.IsNotExist(err) {
 			t.Errorf("rejected watch left a lock file (stat: %v)", err)
+		}
+	})
+
+	// irm gen rejects a project size below one unit or one line before
+	// it writes anything.
+	t.Run("irm-gen-bad-size-writes-nothing", func(t *testing.T) {
+		for _, args := range [][]string{
+			{"-units", "0"}, {"-units", "-3"}, {"-lines", "-5"}, {"-lines", "0"},
+		} {
+			dir := filepath.Join(work, "gen-bad")
+			cmd := exec.Command(tools["irm"], append([]string{"gen", "-dir", dir}, args...)...)
+			out, err := cmd.CombinedOutput()
+			var ee *exec.ExitError
+			if !errors.As(err, &ee) || ee.ExitCode() != 2 {
+				t.Errorf("irm gen %v: %v, want exit code 2\n%s", args, err, out)
+			}
+			if _, err := os.Stat(dir); !os.IsNotExist(err) {
+				t.Errorf("irm gen %v wrote %s (stat: %v)", args, dir, err)
+				os.RemoveAll(dir)
+			}
 		}
 	})
 

@@ -136,23 +136,12 @@ func (f *Flags) Register(fs *flag.FlagSet, names ...string) {
 	}
 }
 
-// ParsePolicy maps a -policy value onto core.Policy.
-func ParsePolicy(name string) (core.Policy, error) {
-	switch name {
-	case "cutoff":
-		return core.PolicyCutoff, nil
-	case "timestamp":
-		return core.PolicyTimestamp, nil
-	}
-	return 0, fmt.Errorf("unknown -policy %q (want cutoff or timestamp)", name)
-}
-
 // Validate checks every registered flag's value and exits through
 // Usage, or Fatal, on the first invalid one.
 func (f *Flags) Validate() {
 	var err error
 	if f.registered["policy"] {
-		_, err = ParsePolicy(f.Policy)
+		_, err = core.ParsePolicy(f.Policy)
 	}
 	if r := f.Report; err == nil && f.registered["report"] &&
 		r != f.reportDefault && r != "json" && (r != "text" || f.ReportStderr) {
@@ -191,7 +180,7 @@ type Setup struct {
 // /watch stream is hub. Any failure is fatal.
 func (f *Flags) Open(hold bool, hub *watch.Hub) *Setup {
 	f.Validate()
-	pol, _ := ParsePolicy(f.Policy) // without -policy: the zero Policy, cutoff
+	pol, _ := core.ParsePolicy(f.Policy) // without -policy: the zero Policy, cutoff
 	col := obs.New()
 	s := &Setup{Flags: f, Col: col, M: &core.Manager{
 		Policy: pol, Store: core.NewMemStore(), Stdout: os.Stdout, Obs: col, Jobs: f.Jobs,

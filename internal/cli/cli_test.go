@@ -3,8 +3,6 @@ package cli
 import (
 	"flag"
 	"testing"
-
-	"repro/internal/core"
 )
 
 func TestGroupArg(t *testing.T) {
@@ -47,19 +45,5 @@ func TestRegisterDefaults(t *testing.T) {
 	}
 	if f.Store != "s" || f.Report != "json" {
 		t.Errorf("parsed store %q report %q", f.Store, f.Report)
-	}
-}
-
-func TestParsePolicy(t *testing.T) {
-	if p, err := ParsePolicy("timestamp"); err != nil || p != core.PolicyTimestamp {
-		t.Errorf("timestamp: %v %v", p, err)
-	}
-	if p, err := ParsePolicy("cutoff"); err != nil || p != core.PolicyCutoff {
-		t.Errorf("cutoff: %v %v", p, err)
-	}
-	for _, bad := range []string{"", "bogus"} {
-		if _, err := ParsePolicy(bad); err == nil {
-			t.Errorf("ParsePolicy(%q) accepted", bad)
-		}
 	}
 }

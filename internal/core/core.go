@@ -61,6 +61,17 @@ func (p Policy) String() string {
 	return "cutoff"
 }
 
+// ParsePolicy is the inverse of Policy.String.
+func ParsePolicy(name string) (Policy, error) {
+	switch name {
+	case "cutoff":
+		return PolicyCutoff, nil
+	case "timestamp":
+		return PolicyTimestamp, nil
+	}
+	return 0, fmt.Errorf("unknown policy %q (want cutoff or timestamp)", name)
+}
+
 // File is one source file of a group. Path, when non-empty, is the
 // on-disk location the source was read from — the watch loop polls it
 // for changes; in-memory files (tests, benches) leave it empty.

@@ -364,3 +364,16 @@ func TestEntryRoundTrip(t *testing.T) {
 		t.Fatalf("entry round trip mismatch: %+v", out)
 	}
 }
+
+func TestParsePolicy(t *testing.T) {
+	for _, p := range []Policy{PolicyCutoff, PolicyTimestamp} {
+		if got, err := ParsePolicy(p.String()); err != nil || got != p {
+			t.Errorf("ParsePolicy(%q) = %v, %v", p.String(), got, err)
+		}
+	}
+	for _, bad := range []string{"", "bogus"} {
+		if _, err := ParsePolicy(bad); err == nil {
+			t.Errorf("ParsePolicy(%q) accepted", bad)
+		}
+	}
+}

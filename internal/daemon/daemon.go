@@ -293,18 +293,6 @@ func checkSchema(w http.ResponseWriter, schema string) bool {
 	}
 }
 
-func parsePolicy(s string, def core.Policy) (core.Policy, error) {
-	switch s {
-	case "":
-		return def, nil
-	case "cutoff":
-		return core.PolicyCutoff, nil
-	case "timestamp":
-		return core.PolicyTimestamp, nil
-	}
-	return def, fmt.Errorf("unknown policy %q", s)
-}
-
 func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/json")
 	json.NewEncoder(w).Encode(s.Status())
@@ -332,10 +320,14 @@ func (s *Server) handleBuild(w http.ResponseWriter, r *http.Request) {
 	if !checkSchema(w, req.Schema) {
 		return
 	}
-	policy, err := parsePolicy(req.Policy, s.opts.Policy)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, CodeBadRequest, err.Error())
-		return
+	policy := s.opts.Policy // an empty policy means the daemon's default
+	if req.Policy != "" {
+		p, err := core.ParsePolicy(req.Policy)
+		if err != nil {
+			httpError(w, http.StatusBadRequest, CodeBadRequest, err.Error())
+			return
+		}
+		policy = p
 	}
 	// Snapshot the sources now: the fingerprint and the build both use
 	// this exact snapshot, which is what makes "same fingerprint ⇒

@@ -12,13 +12,12 @@ import (
 // Scripted edit sessions
 // ---------------------------------------------------------------------
 //
-// Project.Edit above produces one edit relative to the *pristine*
-// project — good for the benchmark harness, which resets between
-// measurements, but wrong for a watch session, where hundreds of edits
-// accumulate in the same working tree. ApplyEdit and EditDriver are the
-// composing variant: every insertion lands immediately after a marker
-// line that the insertion itself leaves intact, so edit N+1 applies
-// cleanly to the output of edit N for any interleaving of kinds.
+// ApplyEdit is the one edit generator: Project.Edit applies it to the
+// pristine project, and EditDriver composes it over a watch session,
+// where hundreds of edits accumulate in the same working tree. Every
+// insertion lands immediately after a marker line that the insertion
+// itself leaves intact, so edit N+1 applies cleanly to the output of
+// edit N for any interleaving of kinds.
 
 // ApplyEdit returns src with one edit of the given kind applied to unit
 // i. gen must be unique across the session (the driver uses its edit

@@ -334,36 +334,12 @@ func (k EditKind) String() string {
 	return "?"
 }
 
-// Edit returns a copy of the project's files with unit i edited.
-// generation disambiguates successive edits.
+// Edit returns a copy of the project's files with unit i edited by
+// ApplyEdit. generation disambiguates successive edits.
 func (p *Project) Edit(i int, kind EditKind, generation int) []core.File {
 	files := make([]core.File, len(p.Files))
 	copy(files, p.Files)
-	src := files[i].Source
-	switch kind {
-	case CommentEdit:
-		src = fmt.Sprintf("(* edit generation %d *)\n%s", generation, src)
-	case ImplEdit:
-		// Add another hidden helper inside the structure (right after
-		// the tag binding): changes the implementation, not the thinned
-		// interface.
-		marker := fmt.Sprintf("  val tag = \"u%03d\"\n", i)
-		insert := fmt.Sprintf("  fun edited%d (x : int) = x + %d\n", generation, generation)
-		if idx := strings.Index(src, marker); idx >= 0 {
-			at := idx + len(marker)
-			src = src[:at] + insert + src[at:]
-		} else {
-			src += fmt.Sprintf("\n(* impl edit fallback %d *)\n", generation)
-		}
-	case InterfaceEdit:
-		sigMarker := "  val tag : string\nend"
-		strMarker := fmt.Sprintf("  val tag = \"u%03d\"", i)
-		src = strings.Replace(src, sigMarker,
-			fmt.Sprintf("  val tag : string\n  val extra%d : int\nend", generation), 1)
-		src = strings.Replace(src, strMarker,
-			fmt.Sprintf("%s\n  val extra%d = %d", strMarker, generation, generation), 1)
-	}
-	files[i].Source = src
+	files[i].Source = ApplyEdit(files[i].Source, i, kind, generation)
 	return files
 }
 
