@@ -214,7 +214,7 @@ func cmdTop(args []string) {
 				f.SelfSteps, f.Applies, f.Allocs, f.ShareOfAll*100)
 		}
 	default:
-		usage()
+		cli.BadFlag(fmt.Errorf("-by: unknown ranking %q (want cost, exec or fn)", *by))
 	}
 }
 
@@ -228,8 +228,11 @@ func cmdGen(args []string) {
 	seed := fs.Int64("seed", 7, "generator seed")
 	shape := fs.String("shape", "layered", "dependency shape: chain, fan, diamond, or layered")
 	fs.Parse(args)
-	if *units < 1 || *lines < 1 {
-		usage()
+	if *units < 1 {
+		cli.BadFlag(fmt.Errorf("-units %d: want at least 1", *units))
+	}
+	if *lines < 1 {
+		cli.BadFlag(fmt.Errorf("-lines %d: want at least 1", *lines))
 	}
 
 	cfg := workload.Small()
@@ -244,7 +247,7 @@ func cmdGen(args []string) {
 	case "layered":
 		cfg.Shape = workload.Layered
 	default:
-		usage()
+		cli.BadFlag(fmt.Errorf("-shape: unknown shape %q (want chain, fan, diamond or layered)", *shape))
 	}
 	groupPath, err := workload.Generate(cfg).Materialize(*dir)
 	if err != nil {

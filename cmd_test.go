@@ -7,6 +7,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/binfile"
 )
 
 // buildTools compiles the command-line tools once into a temp dir and
@@ -97,8 +99,8 @@ func TestCommandLineTools(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if string(data[:8]) != "SMLBIN02" {
-			t.Fatalf("bin magic %q, want SMLBIN02", data[:8])
+		if string(data[:len(binfile.Magic)]) != binfile.Magic {
+			t.Fatalf("bin magic %q, want %s", data[:len(binfile.Magic)], binfile.Magic)
 		}
 		copy(data, "SMLBIN01")
 		writeFile(t, mainBin, string(data))
@@ -267,6 +269,29 @@ func TestCommandLineTools(t *testing.T) {
 			if _, err := os.Stat(dir); !os.IsNotExist(err) {
 				t.Errorf("irm gen %v wrote %s (stat: %v)", args, dir, err)
 				os.RemoveAll(dir)
+			}
+		}
+	})
+
+	// An invalid flag value is named before the usage text, and irm
+	// exits 2.
+	t.Run("irm-bad-flag-says-why", func(t *testing.T) {
+		for _, c := range []struct {
+			args []string
+			want string
+		}{
+			{[]string{"watch", "x.cm", "-policy", "bogus"}, `irm: -policy: unknown policy "bogus"`},
+			{[]string{"build", "g.cm", "-report", "xml"}, `irm: -report: unknown format "xml"`},
+			{[]string{"gen", "-dir", filepath.Join(work, "gen-why"), "-units", "0"}, "irm: -units 0: want at least 1"},
+		} {
+			out, err := exec.Command(tools["irm"], c.args...).CombinedOutput()
+			var ee *exec.ExitError
+			if !errors.As(err, &ee) || ee.ExitCode() != 2 {
+				t.Errorf("irm %v: %v, want exit code 2\n%s", c.args, err, out)
+			}
+			first, rest, _ := strings.Cut(string(out), "\n")
+			if !strings.HasPrefix(first, c.want) || !strings.HasPrefix(rest, "usage:") {
+				t.Errorf("irm %v printed\n%s\nwant a line starting %q, then the usage text", c.args, out, c.want)
 			}
 		}
 	})

@@ -9,7 +9,8 @@ import (
 
 // allocUnitSource is a fixed unit for the load-path allocation ceiling:
 // a datatype, pattern matching, recursion, arithmetic and a functor-free
-// structure, so every slab-decoded node kind and the eta-prim peel occur.
+// structure, so every slab-decoded node kind and saturated primitive
+// calls (bare Prim nodes) occur.
 const allocUnitSource = `
 structure Alloc = struct
   datatype shape = Circle of int | Rect of int * int | Dot
@@ -33,9 +34,10 @@ end
 // eager function bodies shows here as a jump beyond the ceilings'
 // headroom. Both ceilings sit about 15% above the values measured with
 // Go 1.24 on x86-64, leaving room for runtime differences between Go
-// releases, such as map internals: 191 allocations (220 with the term
-// kept in per-unit slabs, 334 with eager function bodies, 825 with
-// per-node allocation) and 10,296 bytes (25,612 with the term kept).
+// releases, such as map internals: 183 allocations (191 with every
+// primitive call eta-expanded, 220 with the term kept in per-unit
+// slabs, 334 with eager function bodies, 825 with per-node allocation)
+// and 10,190 bytes (25,612 with the term kept).
 // The bytes are read from runtime.MemStats over 20 warm loads.
 func TestReadAllocCeiling(t *testing.T) {
 	if raceEnabled {

@@ -41,7 +41,7 @@ import (
 // without re-resolving the term. The section does not feed the
 // intrinsic-pid hash. Any other magic, the retired SMLBIN01 (no code
 // section) included, fails the read, and the store recompiles.
-const Magic = "SMLBIN02"
+const Magic = "SMLBIN03"
 
 // hasMagic reports whether data starts with Magic.
 func hasMagic(data []byte) bool {

@@ -44,8 +44,8 @@ import (
 // once in main.
 var Name = "irm"
 
-// Usage, when set, is called instead of Fatal on an invalid flag value.
-// irm sets it to print its usage text and exit 2.
+// Usage, when set, prints the usage text and exits: BadFlag calls it
+// after the error. irm sets it to exit 2.
 var Usage func()
 
 // DefaultStore is irm's default -store directory.
@@ -61,6 +61,17 @@ func Fatal(err error) {
 		held()
 	}
 	os.Exit(1)
+}
+
+// BadFlag reports an invalid flag value: it prints "<Name>: <err>",
+// then calls Usage if set, and Fatal otherwise. err names the flag and
+// the value.
+func BadFlag(err error) {
+	if Usage == nil {
+		Fatal(err)
+	}
+	fmt.Fprintf(os.Stderr, "%s: %v\n", Name, err)
+	Usage()
 }
 
 // Flags holds the shared flags' values. Register binds the ones a
@@ -137,23 +148,21 @@ func (f *Flags) Register(fs *flag.FlagSet, names ...string) {
 }
 
 // Validate checks every registered flag's value and exits through
-// Usage, or Fatal, on the first invalid one.
+// BadFlag on the first invalid one.
 func (f *Flags) Validate() {
-	var err error
 	if f.registered["policy"] {
-		_, err = core.ParsePolicy(f.Policy)
+		if _, err := core.ParsePolicy(f.Policy); err != nil {
+			BadFlag(fmt.Errorf("-policy: %v", err))
+		}
 	}
-	if r := f.Report; err == nil && f.registered["report"] &&
+	if r := f.Report; f.registered["report"] &&
 		r != f.reportDefault && r != "json" && (r != "text" || f.ReportStderr) {
-		err = fmt.Errorf("unknown -report format %q (want json)", r)
+		want := "text or json"
+		if f.ReportStderr {
+			want = "json"
+		}
+		BadFlag(fmt.Errorf("-report: unknown format %q (want %s)", r, want))
 	}
-	if err == nil {
-		return
-	}
-	if Usage != nil {
-		Usage()
-	}
-	Fatal(err)
 }
 
 // ProfilePeriod resolves a sampling period flag: 0 means the default.

@@ -1,8 +1,8 @@
 package core
 
 // Format downgrades: the store reads one entry format (SMLIRM02, with
-// a CRC-64 trailer) and one bin format (SMLIRM02 entries carry SMLBIN02
-// bins). An entry or bin relabelled with a retired magic is corrupt,
+// a CRC-64 trailer) and one bin format (SMLIRM02 entries carry
+// binfile.Magic bins). An entry or bin relabelled with a retired magic is corrupt,
 // never a way to skip the checksum: the build quarantines or discards
 // it, recompiles, and prints what a cold build prints.
 
@@ -11,6 +11,7 @@ import (
 	"os"
 	"testing"
 
+	"repro/internal/binfile"
 	"repro/internal/obs"
 )
 
@@ -94,37 +95,50 @@ func TestEntryChecksumDowngradeRejected(t *testing.T) {
 }
 
 // TestLegacyBinMagicRecompiled stores a valid SMLIRM02 entry whose bin
-// is relabelled SMLBIN01. The bin must fail to load and its unit be
-// recompiled; output and every stored bin then equal a cold build's.
+// is relabelled with each retired bin magic: SMLBIN01 (no code
+// section) and SMLBIN02 (the code section of the eta-expanded
+// primitive call). The bin must fail to load and its unit be
+// recompiled, counted corrupt; output and every stored bin then equal
+// a cold build's.
 func TestLegacyBinMagicRecompiled(t *testing.T) {
 	files := []File{
 		{Name: "a.sml", Source: "structure A = struct val n = 424242 end"},
 		{Name: "b.sml", Source: "val _ = print (Int.toString A.n ^ \"\\n\")"},
 	}
-	dir := t.TempDir()
-	coldOut, _, _ := dirBuild(t, dir, files)
-	coldBins := map[string][]byte{}
-	for _, f := range files {
-		coldBins[f.Name] = readEntry(t, dir, f.Name).Bin
-	}
+	for _, magic := range []string{"SMLBIN01", "SMLBIN02"} {
+		t.Run(magic, func(t *testing.T) {
+			dir := t.TempDir()
+			coldOut, _, _ := dirBuild(t, dir, files)
+			coldBins := map[string][]byte{}
+			for _, f := range files {
+				coldBins[f.Name] = readEntry(t, dir, f.Name).Bin
+			}
 
-	e := readEntry(t, dir, "a.sml")
-	e.Bin = append([]byte("SMLBIN01"), e.Bin[len("SMLBIN02"):]...)
-	if err := os.WriteFile((&DirStore{Dir: dir}).path("a.sml"), EncodeEntry(e), 0o644); err != nil {
-		t.Fatal(err)
-	}
+			e := readEntry(t, dir, "a.sml")
+			e.Bin = append([]byte(magic), e.Bin[len(binfile.Magic):]...)
+			if err := os.WriteFile((&DirStore{Dir: dir}).path("a.sml"), EncodeEntry(e), 0o644); err != nil {
+				t.Fatal(err)
+			}
 
-	out, m, _ := dirBuild(t, dir, files)
-	if out != coldOut {
-		t.Errorf("rebuild printed %q, cold build %q", out, coldOut)
-	}
-	if m.Stats.Compiled != 1 || m.Stats.Corrupt != 1 || m.Stats.Recovered != 1 {
-		t.Errorf("stats compiled=%d corrupt=%d recovered=%d, want 1/1/1",
-			m.Stats.Compiled, m.Stats.Corrupt, m.Stats.Recovered)
-	}
-	for _, f := range files {
-		if got := readEntry(t, dir, f.Name).Bin; !bytes.Equal(got, coldBins[f.Name]) {
-			t.Errorf("%s: stored bin differs from the cold build's", f.Name)
-		}
+			out, m, _ := dirBuild(t, dir, files)
+			if out != coldOut {
+				t.Errorf("rebuild printed %q, cold build %q", out, coldOut)
+			}
+			if m.Stats.Compiled != 1 || m.Stats.Corrupt != 1 || m.Stats.Recovered != 1 {
+				t.Errorf("stats compiled=%d corrupt=%d recovered=%d, want 1/1/1",
+					m.Stats.Compiled, m.Stats.Corrupt, m.Stats.Recovered)
+			}
+			// The entry's checksum holds, so the explain record names
+			// the bin, not the entry (obs.ReasonBinUnreadable); the
+			// counters still count the unit corrupt and recovered.
+			if x := explainByUnit(t, m, len(files))["a.sml"]; x.Action != obs.ActionCompiled || x.Reason != obs.ReasonBinUnreadable {
+				t.Errorf("a.sml: action=%s reason=%s, want compiled/%s", x.Action, x.Reason, obs.ReasonBinUnreadable)
+			}
+			for _, f := range files {
+				if got := readEntry(t, dir, f.Name).Bin; !bytes.Equal(got, coldBins[f.Name]) {
+					t.Errorf("%s: stored bin differs from the cold build's", f.Name)
+				}
+			}
+		})
 	}
 }

@@ -116,11 +116,7 @@ type Server struct {
 	inflight map[string]*call // fingerprint -> queued or running call
 	running  *call
 	draining bool
-	sessions int64
-	reqs     int64
-	builds   int64
-	compiles int64
-	coal     int64
+	sessions int64 // session ids handed out; equals daemon.requests
 
 	work    chan struct{} // rung when the queue grows or drain starts
 	stopped chan struct{} // closed when the worker exits (drained)
@@ -237,10 +233,13 @@ func (s *Server) Drain() {
 // §8 step 3).
 func (s *Server) Done() <-chan struct{} { return s.stopped }
 
-// Status snapshots the daemon's state.
+// Status snapshots the daemon's state. The request, build, compile
+// and coalesce counts are the collector's daemon.* counters, which
+// /metrics reports too.
 func (s *Server) Status() Status {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	n := s.opts.Col.Counters()
 	inflight := 0
 	if s.running != nil {
 		inflight = 1
@@ -250,10 +249,10 @@ func (s *Server) Status() Status {
 		Pid:           os.Getpid(),
 		Store:         s.opts.StoreDir,
 		UptimeSeconds: time.Since(s.start).Seconds(),
-		Requests:      s.reqs,
-		Builds:        s.builds,
-		Compiles:      s.compiles,
-		Coalesced:     s.coal,
+		Requests:      n["daemon.requests"],
+		Builds:        n["daemon.builds"],
+		Compiles:      n["daemon.compiles"],
+		Coalesced:     n["daemon.coalesced"],
 		Inflight:      inflight,
 		Queued:        len(s.queue),
 		QueueCap:      s.opts.MaxQueue,
@@ -472,10 +471,8 @@ func (s *Server) admit(fresh *call, client string, w http.ResponseWriter) (c *ca
 		return nil, 0, false
 	}
 	if prior, ok := s.inflight[fresh.fp]; ok && prior.kind == fresh.kind {
-		s.reqs++
 		s.sessions++
 		session = s.sessions
-		s.coal++
 		s.opts.Col.Add("daemon.requests", 1)
 		s.opts.Col.Add("daemon.coalesced", 1)
 		s.mu.Unlock()
@@ -489,7 +486,6 @@ func (s *Server) admit(fresh *call, client string, w http.ResponseWriter) (c *ca
 			fmt.Sprintf("admission queue full (%d requests waiting)", s.opts.MaxQueue))
 		return nil, 0, false
 	}
-	s.reqs++
 	s.sessions++
 	s.opts.Col.Add("daemon.requests", 1)
 	fresh.session = s.sessions
@@ -575,9 +571,6 @@ func (s *Server) execute(c *call) {
 		s.m.Stdout = io.Discard
 		c.report = s.m.Report(c.name)
 		c.explains = c.report.Explain
-		s.mu.Lock()
-		s.builds++
-		s.mu.Unlock()
 		s.opts.Col.Add("daemon.builds", 1)
 		if s.liveProf != nil && s.m.Prof != nil {
 			s.liveProf.Set(c.name, s.m.Prof)
@@ -606,9 +599,6 @@ func (s *Server) execute(c *call) {
 		session, buildErr := mc.Build(c.files)
 		c.report = mc.Report(c.name)
 		c.explains = c.report.Explain
-		s.mu.Lock()
-		s.compiles++
-		s.mu.Unlock()
 		s.opts.Col.Add("daemon.compiles", 1)
 		if buildErr != nil {
 			c.errCode, c.errMsg = CodeBuildFailed, buildErr.Error()

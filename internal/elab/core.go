@@ -160,7 +160,19 @@ func (el *Elaborator) elabExp(e *env.Env, x ast.Exp) (types.Ty, lambda.Exp) {
 		return &types.Arrow{From: recVar, To: resVar}, &lambda.Fn{Param: p, Body: sel}
 
 	case *ast.AppExp:
-		ft, fc := el.elabExp(e, x.Fn)
+		var ft types.Ty
+		var fc lambda.Exp
+		if v, ok := x.Fn.(*ast.VarExp); ok {
+			vb, acc, ty := el.instantiateVal(e, v)
+			if vb.Prim != "" && vb.Con == nil {
+				if t, c, ok := el.elabPrimApp(e, x, vb.Prim, ty); ok {
+					return t, c
+				}
+			}
+			ft, fc = ty, el.valCode(v, vb, acc)
+		} else {
+			ft, fc = el.elabExp(e, x.Fn)
+		}
 		at, ac := el.elabExp(e, x.Arg)
 		res := types.NewVar(el.level)
 		el.unify(expPos(x.Arg), ft, &types.Arrow{From: at, To: res}, "function application")
@@ -299,51 +311,104 @@ func (el *Elaborator) elabConst(x *ast.ConstExp) (types.Ty, lambda.Exp) {
 // elabVarExp compiles a value identifier: ordinary variable,
 // constructor, exception constructor, or primitive.
 func (el *Elaborator) elabVarExp(e *env.Env, x *ast.VarExp) (types.Ty, lambda.Exp) {
+	vb, acc, ty := el.instantiateVal(e, x)
+	return ty, el.valCode(x, vb, acc)
+}
+
+// instantiateVal looks a value identifier up and instantiates its
+// type scheme. An overloaded primitive's bound variable becomes a
+// fresh variable constrained to the overload's tycons.
+func (el *Elaborator) instantiateVal(e *env.Env, x *ast.VarExp) (*env.ValBind, valRef, types.Ty) {
 	vb, acc, ok := el.lookupVal(e, x.Name)
 	if !ok {
 		el.fatalf(x.Name.Pos, "%s", el.describeUnbound(e, x.Name))
 	}
-
-	// Overloaded primitive: instantiate with a constrained variable.
 	if len(vb.Overload) > 0 {
 		v := types.NewVar(el.level)
 		v.Overload = vb.Overload
-		ty := types.InstantiateWith(vb.Scheme, []types.Ty{v})
-		return ty, el.primExp(vb.Prim)
+		return vb, acc, types.InstantiateWith(vb.Scheme, []types.Ty{v})
 	}
+	return vb, acc, types.Instantiate(vb.Scheme, el.level)
+}
 
-	ty := types.Instantiate(vb.Scheme, el.level)
-
+// valCode compiles a looked-up value identifier as a value.
+func (el *Elaborator) valCode(x *ast.VarExp, vb *env.ValBind, acc valRef) lambda.Exp {
 	switch {
 	case vb.IsExnCon():
 		tag := el.exnTagAccess(x.Name.Pos, vb, acc)
 		if vb.Con.HasArg {
 			p := el.lg.Fresh()
-			return ty, &lambda.Fn{Param: p, Body: &lambda.ExnCon{Tag: tag, Arg: &lambda.Var{LV: p}}}
+			return &lambda.Fn{Param: p, Body: &lambda.ExnCon{Tag: tag, Arg: &lambda.Var{LV: p}}}
 		}
-		return ty, &lambda.ExnCon{Tag: tag}
+		return &lambda.ExnCon{Tag: tag}
 
 	case vb.Con != nil:
 		dc := vb.Con
 		if dc.HasArg {
 			p := el.lg.Fresh()
-			return ty, &lambda.Fn{Param: p, Body: &lambda.Con{
+			return &lambda.Fn{Param: p, Body: &lambda.Con{
 				Tag: dc.Tag, Name: dc.Name, Arg: &lambda.Var{LV: p},
 			}}
 		}
-		return ty, &lambda.Con{Tag: dc.Tag, Name: dc.Name}
+		return &lambda.Con{Tag: dc.Tag, Name: dc.Name}
 
 	case vb.Prim != "":
-		return ty, el.primExp(vb.Prim)
+		return el.primExp(vb.Prim)
 
 	default:
-		return ty, acc.access(el)
+		return acc.access(el)
 	}
+}
+
+// primApp holds a saturated primitive call's nodes as one allocation.
+// Binary is the widest primitive (defaultPrimArity).
+type primApp struct {
+	prim lambda.Prim
+	args [2]lambda.Exp
+	tys  [2]types.Ty
+}
+
+// elabPrimApp compiles the application x of primitive op, whose
+// instantiated type is ft, straight to a Prim when the call is
+// saturated: a unary primitive takes its argument as is, a binary one
+// a tuple literal written in label order, so the Prim evaluates its
+// operands in source order. Any other argument shape reports !ok, and
+// the caller applies the primitive's eta-expansion (primExp).
+func (el *Elaborator) elabPrimApp(e *env.Env, x *ast.AppExp, op string, ft types.Ty) (types.Ty, lambda.Exp, bool) {
+	arity := el.arityOf(op)
+	n := &primApp{}
+	var at types.Ty
+	if arity == 1 {
+		at, n.args[0] = el.elabExp(e, x.Arg)
+	} else {
+		rec, ok := x.Arg.(*ast.RecordExp)
+		if !ok || len(rec.Fields) != 2 || rec.Fields[0].Label != "1" || rec.Fields[1].Label != "2" {
+			return nil, nil, false
+		}
+		for i, f := range rec.Fields {
+			n.tys[i], n.args[i] = el.elabExp(e, f.Exp)
+		}
+		at = &types.Record{Labels: types.TupleLabels(2), Types: n.tys[:]}
+	}
+	res := types.NewVar(el.level)
+	el.unify(expPos(x.Arg), ft, &types.Arrow{From: at, To: res}, "function application")
+	n.prim = lambda.Prim{Op: op, Args: n.args[:arity:arity]}
+	return res, &n.prim, true
+}
+
+// arityOf is primitive op's runtime arity; a primitive the table does
+// not list takes one argument.
+func (el *Elaborator) arityOf(op string) int {
+	if arity, ok := el.primArity[op]; ok {
+		return arity
+	}
+	return 1
 }
 
 // primNodes holds every node of a primitive's eta-expansion,
 // fn p => op (#0 p, #1 p) or fn p => op p, so that it is one
-// allocation. Binary is the widest primitive (defaultPrimArity).
+// allocation. It serves the unsaturated uses only (foldl op+, op+ p);
+// a saturated call is a bare Prim (elabPrimApp).
 type primNodes struct {
 	fn   lambda.Fn
 	prim lambda.Prim
@@ -354,10 +419,7 @@ type primNodes struct {
 
 // primExp eta-expands a primitive into a function value.
 func (el *Elaborator) primExp(op string) lambda.Exp {
-	arity, ok := el.primArity[op]
-	if !ok {
-		arity = 1
-	}
+	arity := el.arityOf(op)
 	p := el.lg.Fresh()
 	n := &primNodes{}
 	if arity == 1 {

@@ -103,8 +103,9 @@ type Elaborator struct {
 	// insertion order preserved (val specs generalize in that order).
 	tyvarScope []*tyscope
 
-	// prims maps primitive names to their runtime arity, for
-	// eta-expansion at use sites.
+	// primArity maps primitive names to their runtime arity: how many
+	// operands a saturated call takes (elabPrimApp) and how the
+	// eta-expansion of any other use unpacks its argument (primExp).
 	primArity map[string]int
 
 	// Pattern elaboration results, keyed by AST node, consumed by the

@@ -261,8 +261,9 @@ func LoadFn(unit string, fn *lambda.Fn, term, section []byte) (*CompiledFn, erro
 // returned map is the bridge the profiler's symbolizer uses to give
 // symbol names, which live on the term, the function IDs the compiled
 // engine assigns — same walk, same IDs, by construction. Fn nodes
-// consumed by the walk's beta-reduction (the eta-expanded primitive
-// redexes) never become functions and so are absent from the map.
+// consumed by the walk's beta-reduction (literal-lambda redexes, such
+// as a primitive's eta-expansion in an unsaturated call like op+ p)
+// never become functions and so are absent from the map.
 func IndexFns(root *lambda.Fn) (*CompiledFn, map[*lambda.Fn]*CompiledFn, error) {
 	c := &comp{
 		resolve: true,
@@ -737,31 +738,12 @@ func (c *comp) walk(e lambda.Exp) cnode {
 			return body(m, fr)
 		}
 	case *lambda.App:
-		// Beta-reduce literal-lambda applications at compile time. The
-		// elaborator eta-expands every primitive into
-		// (fn p => prim(#0 p, ..., #k p)) and applies it to a tuple at
-		// each use site; run naively that is a closure, a frame, and a
-		// record allocation per arithmetic op. Reducing the redex here
-		// turns the pattern back into a direct prim evaluation. The
-		// general redex becomes a let-binding in the current frame.
-		// Both reductions are pure term-shape rewrites, so CompileFn and
-		// LoadFn agree and the section stream stays aligned.
+		// Beta-reduce a literal-lambda application at compile time: the
+		// redex becomes a let-binding in the current frame, with no
+		// closure or frame of its own. It is a pure term-shape rewrite,
+		// so CompileFn and LoadFn agree and the section stream stays
+		// aligned.
 		if fn, ok := e.Fn.(*lambda.Fn); ok {
-			if prim, ok := fn.Body.(*lambda.Prim); ok {
-				// The match compiler often wraps the argument tuple in
-				// Let bindings (Let v7=... in Record[v7,...]); peel them
-				// into slot binds of the current frame so the fusion
-				// still sees the record literal underneath.
-				nlets := 0
-				core := e.Arg
-				for l, isLet := core.(*lambda.Let); isLet; l, isLet = core.(*lambda.Let) {
-					nlets++
-					core = l.Body
-				}
-				if args, unary, ok := etaPrimArgs(fn.Param, prim.Args, core); ok {
-					return c.peeledPrim(e.Arg, nlets, prim.Op, args, unary)
-				}
-			}
 			argc := c.walk(e.Arg)
 			slot := c.alloc()
 			old, had := c.bind(fn.Param, slot)
@@ -970,41 +952,6 @@ func (c *comp) walk(e lambda.Exp) cnode {
 	}
 }
 
-// etaPrimArgs recognizes the elaborator's eta-expansion shape applied
-// to a matching argument and returns the prim's direct argument terms:
-// params [#0 p, ..., #k p] against a k+1-field record argument (the
-// fields become args), or [p] against any argument (unary prims: the
-// argument itself is returned as unary, with args nil).
-func etaPrimArgs(p lambda.LVar, primArgs []lambda.Exp, arg lambda.Exp) (args []lambda.Exp, unary lambda.Exp, ok bool) {
-	if len(primArgs) == 1 {
-		if v, ok := primArgs[0].(*lambda.Var); ok && v.LV == p {
-			return nil, arg, true
-		}
-	}
-	rec, ok := arg.(*lambda.Record)
-	if !ok || len(rec.Fields) != len(primArgs) || len(primArgs) == 0 {
-		return nil, nil, false
-	}
-	for i, a := range primArgs {
-		sel, ok := a.(*lambda.Select)
-		if !ok || sel.Idx != i {
-			return nil, nil, false
-		}
-		v, ok := sel.Rec.(*lambda.Var)
-		if !ok || v.LV != p {
-			return nil, nil, false
-		}
-	}
-	return rec.Fields, nil, true
-}
-
-// slotBind is one peeled Let of an eta-prim argument: the binding's
-// code and the current-frame slot it is written to.
-type slotBind struct {
-	bind cnode
-	slot int
-}
-
 // slotFn is one function of a Fix and the frame slot its closure is
 // written to.
 type slotFn struct {
@@ -1042,82 +989,6 @@ func (c *comp) restore(saves []scopeSave) {
 	for i := len(saves) - 1; i >= 0; i-- {
 		c.unbind(saves[i].lv, saves[i].old, saves[i].had)
 	}
-}
-
-// peeledPrim compiles an eta-prim redex whose argument is a chain of
-// nlets Lets around the argument core: each Let becomes a slot bind of
-// the current frame, then the prim runs on the core's terms directly.
-// The chain is walked in place rather than collected, and the scope-
-// restore records exist only in resolve mode. A chain of one or two
-// Lets — a binary prim's operands, the common case — is captured
-// directly, so decode mode allocates just the closure; a longer chain
-// adds its bind list.
-func (c *comp) peeledPrim(arg lambda.Exp, nlets int, op string, args []lambda.Exp, unary lambda.Exp) cnode {
-	saves := c.saves(nlets)
-	var pair [2]slotBind
-	var many, dst []slotBind
-	switch {
-	case c.shape:
-	case nlets <= len(pair):
-		dst = pair[:nlets]
-	default:
-		many = make([]slotBind, nlets)
-		dst = many
-	}
-	c.peelLets(arg, nlets, dst, saves)
-	primc := c.etaPrim(op, args, unary)
-	c.restore(saves)
-	if c.shape {
-		return nil
-	}
-	switch nlets {
-	case 0:
-		return primc
-	case 1:
-		b := pair[0]
-		return func(m *Machine, fr *Frame) Value {
-			fr.slots[b.slot] = b.bind(m, fr)
-			return primc(m, fr)
-		}
-	case 2:
-		b0, b1 := pair[0], pair[1]
-		return func(m *Machine, fr *Frame) Value {
-			fr.slots[b0.slot] = b0.bind(m, fr)
-			fr.slots[b1.slot] = b1.bind(m, fr)
-			return primc(m, fr)
-		}
-	}
-	return func(m *Machine, fr *Frame) Value {
-		for _, b := range many {
-			fr.slots[b.slot] = b.bind(m, fr)
-		}
-		return primc(m, fr)
-	}
-}
-
-// peelLets compiles the first n Lets of the chain at arg, binding each
-// in the current frame and recording it in dst unless dst is nil (the
-// shape walk; see peeledPrim).
-func (c *comp) peelLets(arg lambda.Exp, n int, dst []slotBind, saves []scopeSave) {
-	for i := 0; i < n; i++ {
-		l := arg.(*lambda.Let)
-		b := slotBind{bind: c.walk(l.Bind), slot: c.alloc()}
-		c.bindSaving(saves, i, l.LV, b.slot)
-		if dst != nil {
-			dst[i] = b
-		}
-		arg = l.Body
-	}
-}
-
-// etaPrim compiles the prim of a reduced eta redex on its direct
-// arguments (see etaPrimArgs).
-func (c *comp) etaPrim(op string, args []lambda.Exp, unary lambda.Exp) cnode {
-	if unary != nil {
-		one := [1]lambda.Exp{unary}
-		return c.prim(op, one[:])
-	}
-	return c.prim(op, args)
 }
 
 // varUse is how a Let-bound function's variable is used in the Let's

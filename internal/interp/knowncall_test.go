@@ -132,6 +132,7 @@ func TestKnownCallsMatchReference(t *testing.T) {
 		"innermost-escapes": "702\n",
 		"join-handle":       "zero~95none\n~1\n",
 		"fold-tabulate":     "40425 50\n",
+		"prim-saturation":   "lrus21xy66\n",
 	}
 	progs := knownCalls(t)
 	if len(progs) != len(want) {
@@ -164,7 +165,7 @@ func TestKnownCallsMatchReference(t *testing.T) {
 // far, same error.
 func TestKnownCallsStepBudget(t *testing.T) {
 	progs := knownCalls(t)
-	for _, name := range []string{"curried-effects", "over-saturated", "join-handle", "partial-stored"} {
+	for _, name := range []string{"curried-effects", "over-saturated", "join-handle", "partial-stored", "prim-saturation"} {
 		src := progs[name]
 		total := runKnown(t, src, "closure", 0).steps
 		for budget := uint64(1); budget < total; budget++ {
