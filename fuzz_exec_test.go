@@ -26,13 +26,13 @@ import (
 // applies that to the import vector, and binds the exports. Its errors
 // read as Execute's do.
 func execTree(m *interp.Machine, u *compiler.Unit, dyn *dynenv.Env) error {
-	imports := make(interp.RecordV, len(u.Imports))
+	imports, slots := interp.NewRecord(len(u.Imports))
 	for i, p := range u.Imports {
 		v, err := dyn.MustLookup(p)
 		if err != nil {
 			return fmt.Errorf("execute %s: %v", u.Name, err)
 		}
-		imports[i] = v
+		slots[i] = v
 	}
 	closure, err := m.Eval(u.Code, nil)
 	var result interp.Value
@@ -42,7 +42,7 @@ func execTree(m *interp.Machine, u *compiler.Unit, dyn *dynenv.Env) error {
 	if err != nil {
 		return fmt.Errorf("execute %s: %v", u.Name, err)
 	}
-	recv, ok := result.(interp.RecordV)
+	recv, ok := interp.Fields(result)
 	if !ok && u.NumSlots > 0 {
 		return fmt.Errorf("execute %s: code returned non-record", u.Name)
 	}
@@ -98,6 +98,13 @@ func FuzzExecTreeVsClosure(f *testing.F) {
 	f.Add("val v = (100000000000000000 * 100000) handle Overflow => 0")
 	f.Add("fun loop n = loop (n + 1)\nval _ = loop 0")
 	f.Add("datatype t = A | B of int\nfun show A = \"A\" | show (B n) = Int.toString n\nval s = show (B 3) ^ show A")
+	// Curried clausal functions, which match each column against its
+	// own parameter, and equality of records of every representation.
+	f.Add("fun zip3 (x :: xs) (y :: ys) (z :: zs) = (x, y, z) :: zip3 xs ys zs\n  | zip3 _ _ _ = []\nval t = zip3 [1, 2] [3, 4] [5, 6, 7]\nval e = t = [(1, 3, 5), (2, 4, 6)]")
+	f.Add("fun merge [] ys = ys | merge xs [] = xs\n  | merge (l as x :: xs) (r as y :: ys) = if x <= y then x :: merge xs r else y :: merge l ys\nval m = merge [1, 4, 9] [2, 3, 10]")
+	f.Add("fun c 0 _ (_, \"zero\") = \"origin\" | c n ((a, b), d) (e, s) = s ^ Int.toString (n + a + b + d + e)\nval r = c 0 ((1, 2), 3) (4, \"zero\") ^ c 5 ((1, 2), 3) (4, \"n=\")\nval f = c 1 ((1, 1), 1) (1, \"x\") = \"x5\"")
+	f.Add("fun g 0 0 = 1 | g 1 _ = 2\nval a = g 1 7\nval b = g 0 1")
+	f.Add("val p = (1, \"a\") = (1, \"a\")\nval q = (1, 2, 3) = (1, 2, 4)\nval r = ((1, 2), (3, 4, 5)) = ((1, 2), (3, 4, 5))\nval u = () = ()\nval w = {a = 1, b = 2, c = 3, d = 4} = {a = 1, b = 2, c = 3, d = 5}")
 	for _, file := range workload.Generate(workload.Small()).Files {
 		f.Add(file.Source)
 	}

@@ -23,6 +23,7 @@ package binfile
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 
 	"repro/internal/compiler"
@@ -39,13 +40,36 @@ import (
 // engine's slot layout (uvarint length prefix, then the stream
 // interp.CompileFn produced) — so warm builds rebuild the closure form
 // without re-resolving the term. The section does not feed the
-// intrinsic-pid hash. Any other magic, the retired SMLBIN01 (no code
-// section) included, fails the read, and the store recompiles.
-const Magic = "SMLBIN03"
+// intrinsic-pid hash. Any other magic fails the read, and the store
+// recompiles.
+const Magic = "SMLBIN04"
 
-// hasMagic reports whether data starts with Magic.
-func hasMagic(data []byte) bool {
-	return len(data) >= len(Magic) && string(data[:len(Magic)]) == Magic
+// retiredMagics are the formats Magic replaced: SMLBIN01 carried no
+// code section, SMLBIN02 the eta-expanded primitive call, SMLBIN03 the
+// tuple every curried clausal function built from its parameters.
+var retiredMagics = []string{"SMLBIN01", "SMLBIN02", "SMLBIN03"}
+
+// ErrRetiredMagic is the error Read and ReadHeader wrap for a bin in a
+// retired format: a bin this version no longer reads, not a damaged
+// one. Callers test for it with errors.Is.
+var ErrRetiredMagic = errors.New("binfile: bad magic: retired bin format")
+
+// checkMagic returns nil when data starts with Magic, an error wrapping
+// ErrRetiredMagic when it starts with a retired magic, and a bad-magic
+// error otherwise.
+func checkMagic(data []byte) error {
+	if len(data) >= len(Magic) {
+		head := string(data[:len(Magic)])
+		if head == Magic {
+			return nil
+		}
+		for _, old := range retiredMagics {
+			if head == old {
+				return fmt.Errorf("%w %s", ErrRetiredMagic, old)
+			}
+		}
+	}
+	return errors.New("binfile: bad magic")
 }
 
 // Encode serializes a compiled unit to bytes, with byte and failure
@@ -142,8 +166,8 @@ func Read(data []byte, ix *pickle.Index, cache *pickle.EnvCache, rec obs.Recorde
 			obs.Count(rec, "binfile.read_errors", 1)
 		}
 	}()
-	if !hasMagic(data) {
-		return nil, fmt.Errorf("binfile: bad magic")
+	if err := checkMagic(data); err != nil {
+		return nil, err
 	}
 	stream := data[len(Magic):]
 	u := pickle.NewUnpickler(stream, ix)
@@ -221,8 +245,8 @@ func Read(data []byte, ix *pickle.Index, cache *pickle.EnvCache, rec obs.Recorde
 // export count), for dependency checks that need not rehydrate the
 // environment.
 func ReadHeader(data []byte) (name string, statPid pid.Pid, imports []pid.Pid, numSlots int, err error) {
-	if !hasMagic(data) {
-		return "", pid.Zero, nil, 0, fmt.Errorf("binfile: bad magic")
+	if err := checkMagic(data); err != nil {
+		return "", pid.Zero, nil, 0, err
 	}
 	u := pickle.NewUnpickler(data[len(Magic):], pickle.NewIndex())
 	name, statPid, imports, numSlots = u.Header()

@@ -292,7 +292,7 @@ func ExecuteOn(m *interp.Machine, u *Unit, dyn dynenv.Target,
 	obs.Count(rec, "exec.units", 1)
 
 	ispan := espan.Child(obs.CatPhase, "imports")
-	imports := make(interp.RecordV, len(u.Imports))
+	imports, slots := interp.NewRecord(len(u.Imports))
 	for i, p := range u.Imports {
 		v, err := dyn.MustLookup(p)
 		if err != nil {
@@ -300,7 +300,7 @@ func ExecuteOn(m *interp.Machine, u *Unit, dyn dynenv.Target,
 			obs.Count(rec, "exec.import_misses", 1)
 			return fmt.Errorf("execute %s: %v", u.Name, err)
 		}
-		imports[i] = v
+		slots[i] = v
 	}
 	ispan.End()
 	obs.Count(rec, "exec.imports", int64(len(u.Imports)))
@@ -332,7 +332,7 @@ func ExecuteOn(m *interp.Machine, u *Unit, dyn dynenv.Target,
 
 	bspan := espan.Child(obs.CatPhase, "bind")
 	defer bspan.End()
-	recv, ok := result.(interp.RecordV)
+	recv, ok := interp.Fields(result)
 	if !ok && u.NumSlots > 0 {
 		obs.Count(rec, "exec.errors", 1)
 		return fmt.Errorf("execute %s: code returned non-record", u.Name)

@@ -61,10 +61,9 @@ func refIdentity(v interp.Value) any {
 	switch v := v.(type) {
 	case *interp.CompiledClosure, *interp.Closure, *interp.ExnTag, *interp.RefV, *interp.ArrV:
 		return v
-	case interp.RecordV:
-		if len(v) > 0 {
-			return &v[0]
-		}
+	}
+	if fs, ok := interp.Fields(v); ok && len(fs) > 0 {
+		return &fs[0]
 	}
 	return nil
 }

@@ -96,16 +96,23 @@ func TestEntryChecksumDowngradeRejected(t *testing.T) {
 
 // TestLegacyBinMagicRecompiled stores a valid SMLIRM02 entry whose bin
 // is relabelled with each retired bin magic: SMLBIN01 (no code
-// section) and SMLBIN02 (the code section of the eta-expanded
-// primitive call). The bin must fail to load and its unit be
-// recompiled, counted corrupt; output and every stored bin then equal
-// a cold build's.
+// section), SMLBIN02 (the code section of the eta-expanded primitive
+// call) and SMLBIN03 (the tuple a curried clausal function built from
+// its parameters). The bin must fail to load and its unit be
+// recompiled; output and every stored bin then equal a cold build's.
+// A retired format is stale, not damaged, so the unit is counted
+// neither corrupt nor recovered — the summary agrees with its explain
+// record, bin-unreadable. A magic no version wrote is corruption.
 func TestLegacyBinMagicRecompiled(t *testing.T) {
 	files := []File{
 		{Name: "a.sml", Source: "structure A = struct val n = 424242 end"},
 		{Name: "b.sml", Source: "val _ = print (Int.toString A.n ^ \"\\n\")"},
 	}
-	for _, magic := range []string{"SMLBIN01", "SMLBIN02"} {
+	for _, tc := range []struct {
+		magic   string
+		corrupt int
+	}{{"SMLBIN01", 0}, {"SMLBIN02", 0}, {"SMLBIN03", 0}, {"SMLBIN99", 1}} {
+		magic := tc.magic
 		t.Run(magic, func(t *testing.T) {
 			dir := t.TempDir()
 			coldOut, _, _ := dirBuild(t, dir, files)
@@ -124,13 +131,12 @@ func TestLegacyBinMagicRecompiled(t *testing.T) {
 			if out != coldOut {
 				t.Errorf("rebuild printed %q, cold build %q", out, coldOut)
 			}
-			if m.Stats.Compiled != 1 || m.Stats.Corrupt != 1 || m.Stats.Recovered != 1 {
-				t.Errorf("stats compiled=%d corrupt=%d recovered=%d, want 1/1/1",
-					m.Stats.Compiled, m.Stats.Corrupt, m.Stats.Recovered)
+			if m.Stats.Compiled != 1 || m.Stats.Corrupt != tc.corrupt || m.Stats.Recovered != tc.corrupt {
+				t.Errorf("stats compiled=%d corrupt=%d recovered=%d, want 1/%d/%d",
+					m.Stats.Compiled, m.Stats.Corrupt, m.Stats.Recovered, tc.corrupt, tc.corrupt)
 			}
 			// The entry's checksum holds, so the explain record names
-			// the bin, not the entry (obs.ReasonBinUnreadable); the
-			// counters still count the unit corrupt and recovered.
+			// the bin, not the entry (obs.ReasonBinUnreadable).
 			if x := explainByUnit(t, m, len(files))["a.sml"]; x.Action != obs.ActionCompiled || x.Reason != obs.ReasonBinUnreadable {
 				t.Errorf("a.sml: action=%s reason=%s, want compiled/%s", x.Action, x.Reason, obs.ReasonBinUnreadable)
 			}

@@ -40,6 +40,7 @@ import (
 	"bytes"
 	"container/heap"
 	"context"
+	"errors"
 	"fmt"
 	"runtime"
 	"sort"
@@ -578,7 +579,7 @@ func (m *Manager) runUnit(t *unitTask, lane, gen int, bspan *obs.Span,
 
 	uspan := bspan.Child(obs.CatUnit, name).Lane(lane)
 	res.uspan = uspan
-	binUnreadable := false
+	binUnreadable, corruptBin := false, false
 	if reuse {
 		lspan := uspan.Child(obs.CatPhase, "load")
 		// Rehydrate against a private overlay: the frozen base plus
@@ -602,9 +603,14 @@ func (m *Manager) runUnit(t *unitTask, lane, gen int, bspan *obs.Span,
 			return res
 		}
 		// The entry passed store validation but its bin failed to
-		// rehydrate — corruption caught by the inner format layer.
-		buf.Add("cache.corrupt", 1)
+		// rehydrate: corruption caught by the inner format layer, or a
+		// bin a previous version wrote in a retired format, which is
+		// stale rather than damaged and is not counted corrupt.
 		binUnreadable = true
+		corruptBin = !errors.Is(err, binfile.ErrRetiredMagic)
+		if corruptBin {
+			buf.Add("cache.corrupt", 1)
+		}
 		if m.Log != nil {
 			res.logs = append(res.logs, fmt.Sprintf(
 				"[%s] %s: bin reload failed (%v); recompiling", m.Policy, name, err))
@@ -666,7 +672,7 @@ func (m *Manager) runUnit(t *unitTask, lane, gen int, bspan *obs.Span,
 	buf.Add("code.compile_ns", int64(u.CodeTime))
 	buf.Add("code.bytes", int64(len(u.CodeBytes)))
 	exp.NewPid = u.StatPid.String()
-	if t.corrupt || binUnreadable {
+	if t.corrupt || corruptBin {
 		// The unit's cache entry was corrupt and the rebuild
 		// succeeded: the store healed itself by recompilation.
 		buf.Add("cache.recovered", 1)

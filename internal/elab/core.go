@@ -739,17 +739,24 @@ func (el *Elaborator) elabFunBind(e *env.Env, fb *ast.FunBind, pos token.Pos) (t
 		params[i] = el.lg.Fresh()
 	}
 
-	// The match scrutinee is the tuple of parameters (or the single
-	// parameter).
+	// The match scrutinee is the single parameter, bound to sv, or the
+	// tuple of parameters — a virtual root, never built: genRecordPat
+	// resolves each column of the clause tuple straight to its
+	// parameter.
 	var scrutTy types.Ty
 	var scrutExp lambda.Exp
-	sv := el.lg.Fresh()
+	var sv lambda.LVar
 	if n == 1 {
+		sv = el.lg.Fresh()
 		scrutTy = paramTys[0]
 		scrutExp = &lambda.Var{LV: sv}
 	} else {
 		scrutTy = types.Tuple(paramTys...)
-		scrutExp = &lambda.Var{LV: sv}
+		fields := make([]lambda.Exp, n)
+		for i, p := range params {
+			fields[i] = &lambda.Var{LV: p}
+		}
+		scrutExp = &lambda.Record{Fields: fields}
 	}
 
 	rules := make([]ast.Rule, len(fb.Clauses))
@@ -771,18 +778,12 @@ func (el *Elaborator) elabFunBind(e *env.Env, fb *ast.FunBind, pos token.Pos) (t
 		&lambda.Prim{Op: "raiseMatch"}, pos, true, "fun "+fb.Name)
 	el.unify(pos, matchResTy, resTy, "fun result")
 
-	// Assemble: fn p1 => ... fn pn => let sv = (p1,...,pn) in match.
-	var scrutBind lambda.Exp
+	// Assemble: fn p1 => let sv = p1 in match, or
+	// fn p1 => ... fn pn => match.
+	body := matchCode
 	if n == 1 {
-		scrutBind = &lambda.Var{LV: params[0]}
-	} else {
-		fields := make([]lambda.Exp, n)
-		for i, p := range params {
-			fields[i] = &lambda.Var{LV: p}
-		}
-		scrutBind = &lambda.Record{Fields: fields}
+		body = &lambda.Let{LV: sv, Bind: &lambda.Var{LV: params[0]}, Body: body}
 	}
-	body := lambda.Exp(&lambda.Let{LV: sv, Bind: scrutBind, Body: matchCode})
 	for i := n - 1; i >= 0; i-- {
 		body = &lambda.Fn{Param: params[i], Body: body}
 	}

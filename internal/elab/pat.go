@@ -339,10 +339,18 @@ func (el *Elaborator) genConstTest(p *ast.ConstPat, root, succ, fail lambda.Exp)
 // genRecordPat compiles record/tuple patterns. If the record type is
 // already resolved the field indices are known; otherwise each field
 // select is deferred for end-of-unit patching.
+//
+// A root that is a record of variables (elabFunBind's tuple of curried
+// parameters) is virtual: each field resolves to a fresh node for its
+// variable, and the record is never built or selected from.
 func (el *Elaborator) genRecordPat(p *ast.RecordPat, root, succ, fail lambda.Exp) lambda.Exp {
 	recTy := el.patRecTy[p]
 	resolved, _ := types.HeadNormalize(recTy).(*types.Record)
-	return el.bindRoot(root, func(r lambda.Exp) lambda.Exp {
+	vr := virtualRoot(root)
+	if resolved == nil || vr != nil && len(vr.Fields) != len(resolved.Labels) {
+		vr = nil
+	}
+	match := func(r lambda.Exp) lambda.Exp {
 		code := succ
 		for i := len(p.Fields) - 1; i >= 0; i-- {
 			f := p.Fields[i]
@@ -355,14 +363,39 @@ func (el *Elaborator) genRecordPat(p *ast.RecordPat, root, succ, fail lambda.Exp
 					}
 				}
 			}
-			sel := &lambda.Select{Idx: idx, Rec: r}
-			if idx < 0 {
-				el.pendingSelects = append(el.pendingSelects, &pendingSelect{
-					node: sel, recTy: recTy, label: f.Label, pos: p.Pos,
-				})
+			var field lambda.Exp
+			if vr != nil {
+				field = &lambda.Var{LV: vr.Fields[idx].(*lambda.Var).LV}
+			} else {
+				sel := &lambda.Select{Idx: idx, Rec: r}
+				if idx < 0 {
+					el.pendingSelects = append(el.pendingSelects, &pendingSelect{
+						node: sel, recTy: recTy, label: f.Label, pos: p.Pos,
+					})
+				}
+				field = sel
 			}
-			code = el.genPat(f.Pat, sel, code, fail)
+			code = el.genPat(f.Pat, field, code, fail)
 		}
 		return code
-	})
+	}
+	if vr != nil {
+		return match(vr)
+	}
+	return el.bindRoot(root, match)
+}
+
+// virtualRoot returns root when it is a record of variables, and nil
+// otherwise.
+func virtualRoot(root lambda.Exp) *lambda.Record {
+	rec, ok := root.(*lambda.Record)
+	if !ok || len(rec.Fields) == 0 {
+		return nil
+	}
+	for _, f := range rec.Fields {
+		if _, ok := f.(*lambda.Var); !ok {
+			return nil
+		}
+	}
+	return rec
 }

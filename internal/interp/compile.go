@@ -659,11 +659,11 @@ func (c *comp) walk(e lambda.Exp) cnode {
 			return nil
 		}
 		return func(m *Machine, fr *Frame) Value {
-			vs := make(RecordV, len(fields))
+			r, vs := NewRecord(len(fields))
 			for i, f := range fields {
 				vs[i] = f(m, fr)
 			}
-			return vs
+			return r
 		}
 	case *lambda.Select:
 		rec := c.walk(e.Rec)
@@ -673,7 +673,7 @@ func (c *comp) walk(e lambda.Exp) cnode {
 		idx := e.Idx
 		return func(m *Machine, fr *Frame) Value {
 			v := rec(m, fr)
-			r, ok := v.(RecordV)
+			r, ok := Fields(v)
 			if !ok || idx >= len(r) {
 				m.crash("select .%d from non-record %s", idx, String(v))
 			}

@@ -188,17 +188,14 @@ func (m *Machine) eval(e lambda.Exp, env *Env) Value {
 	case *lambda.Char:
 		return CharV(e.Val)
 	case *lambda.Record:
-		if len(e.Fields) == 0 {
-			return Unit()
-		}
-		vs := make(RecordV, len(e.Fields))
+		r, vs := NewRecord(len(e.Fields))
 		for i, f := range e.Fields {
 			vs[i] = m.eval(f, env)
 		}
-		return vs
+		return r
 	case *lambda.Select:
 		rec := m.eval(e.Rec, env)
-		r, ok := rec.(RecordV)
+		r, ok := Fields(rec)
 		if !ok || e.Idx >= len(r) {
 			m.crash("select .%d from non-record %s", e.Idx, String(rec))
 		}
@@ -600,7 +597,7 @@ func (m *Machine) prim(op string, args []Value) Value {
 		}
 		return StrV(sb.String())
 	case "substring":
-		t, ok := args[0].(RecordV)
+		t, ok := Fields(args[0])
 		if !ok || len(t) != 3 {
 			return m.crash("substring arity")
 		}
@@ -720,7 +717,7 @@ func (m *Machine) prim(op string, args []Value) Value {
 	case "rshift":
 		return WordV(m.wordArg(args[0]) >> m.shiftArg(args[1]))
 	case "array":
-		t, ok := args[0].(RecordV)
+		t, ok := Fields(args[0])
 		if !ok || len(t) != 2 {
 			return m.crash("array arity")
 		}
@@ -743,7 +740,7 @@ func (m *Machine) prim(op string, args []Value) Value {
 		}
 		return &ArrV{Elems: elems}
 	case "asub":
-		t, ok := args[0].(RecordV)
+		t, ok := Fields(args[0])
 		if !ok || len(t) != 2 {
 			return m.crash("sub arity")
 		}
@@ -757,7 +754,7 @@ func (m *Machine) prim(op string, args []Value) Value {
 		}
 		return a.Elems[i]
 	case "aupdate":
-		t, ok := args[0].(RecordV)
+		t, ok := Fields(args[0])
 		if !ok || len(t) != 3 {
 			return m.crash("update arity")
 		}
@@ -784,7 +781,7 @@ func (m *Machine) prim(op string, args []Value) Value {
 		}
 		return VecV(elems)
 	case "vsub":
-		t, ok := args[0].(RecordV)
+		t, ok := Fields(args[0])
 		if !ok || len(t) != 2 {
 			return m.crash("Vector.sub arity")
 		}

@@ -26,7 +26,10 @@ func TestLiteralsAndRecords(t *testing.T) {
 	v := evalOK(t, m, &lambda.Record{Fields: []lambda.Exp{
 		lint(1), &lambda.Str{Val: "two"}, &lambda.Real{Val: 2.5},
 	}})
-	rec := v.(RecordV)
+	rec, ok := Fields(v)
+	if !ok || len(rec) != 3 {
+		t.Fatalf("record = %s", String(v))
+	}
 	if rec[0] != IntV(1) || rec[1] != StrV("two") || rec[2] != RealV(2.5) {
 		t.Errorf("record = %s", String(v))
 	}
@@ -151,7 +154,7 @@ func TestStringPrims(t *testing.T) {
 	if m.prim("chr", []Value{IntV(66)}) != CharV('B') {
 		t.Error("chr")
 	}
-	sub := m.prim("substring", []Value{RecordV{StrV("hello"), IntV(1), IntV(3)}})
+	sub := m.prim("substring", []Value{tuple(StrV("hello"), IntV(1), IntV(3))})
 	if sub != StrV("ell") {
 		t.Error("substring")
 	}
@@ -279,12 +282,12 @@ func TestPrint(t *testing.T) {
 }
 
 func TestStructuralEquality(t *testing.T) {
-	a := RecordV{IntV(1), List([]Value{StrV("x")}), &ConV{Tag: 1, Name: "SOME", Arg: IntV(2)}}
-	b := RecordV{IntV(1), List([]Value{StrV("x")}), &ConV{Tag: 1, Name: "SOME", Arg: IntV(2)}}
+	a := tuple(IntV(1), List([]Value{StrV("x")}), &ConV{Tag: 1, Name: "SOME", Arg: IntV(2)})
+	b := tuple(IntV(1), List([]Value{StrV("x")}), &ConV{Tag: 1, Name: "SOME", Arg: IntV(2)})
 	if !Eq(a, b) {
 		t.Error("structurally equal values differ")
 	}
-	c := RecordV{IntV(1), List([]Value{StrV("y")}), &ConV{Tag: 1, Name: "SOME", Arg: IntV(2)}}
+	c := tuple(IntV(1), List([]Value{StrV("y")}), &ConV{Tag: 1, Name: "SOME", Arg: IntV(2)})
 	if Eq(a, c) {
 		t.Error("different values equal")
 	}
@@ -300,7 +303,7 @@ func TestValueString(t *testing.T) {
 		{StrV("a\"b"), `"a\"b"`},
 		{CharV('x'), `#"x"`},
 		{Unit(), "()"},
-		{RecordV{IntV(1), IntV(2)}, "(1, 2)"},
+		{tuple(IntV(1), IntV(2)), "(1, 2)"},
 		{List([]Value{IntV(1), IntV(2)}), "[1, 2]"},
 		{Bool(true), "true"},
 		{&ConV{Tag: 1, Name: "SOME", Arg: IntV(5)}, "SOME 5"},
@@ -351,7 +354,7 @@ func TestQuickEq(t *testing.T) {
 		case 2:
 			return Bool(seed%2 == 0)
 		case 3:
-			return RecordV{IntV(int64(seed % 7)), Bool(seed%3 == 0)}
+			return tuple(IntV(int64(seed%7)), Bool(seed%3 == 0))
 		default:
 			return List([]Value{IntV(int64(seed % 11))})
 		}

@@ -100,13 +100,13 @@ func runKnown(t *testing.T, src, mode string, budget uint64) knownRun {
 
 // execTreeUnit is compiler.Execute through the reference walker.
 func execTreeUnit(m *interp.Machine, u *compiler.Unit, s *compiler.Session) error {
-	imports := make(interp.RecordV, len(u.Imports))
+	imports, slots := interp.NewRecord(len(u.Imports))
 	for i, p := range u.Imports {
 		v, err := s.Dyn.MustLookup(p)
 		if err != nil {
 			return err
 		}
-		imports[i] = v
+		slots[i] = v
 	}
 	f, err := m.Eval(u.Code, nil)
 	if err != nil {
@@ -116,7 +116,7 @@ func execTreeUnit(m *interp.Machine, u *compiler.Unit, s *compiler.Session) erro
 	if err != nil {
 		return err
 	}
-	rec, _ := res.(interp.RecordV)
+	rec, _ := interp.Fields(res)
 	for i, v := range rec {
 		s.Dyn.Bind(u.ExportPid(i), v)
 	}

@@ -87,12 +87,6 @@ func (s *MutScanner) value(v Value) bool {
 		return v != nil
 	case *ArrV:
 		return v != nil
-	case RecordV:
-		for _, e := range v {
-			if s.value(e) {
-				return true
-			}
-		}
 	case VecV:
 		for _, e := range v {
 			if s.value(e) {
@@ -119,8 +113,16 @@ func (s *MutScanner) value(v Value) bool {
 			return false
 		}
 		return s.frame(v.Env)
+	default:
+		// A record reaches what its fields reach; scalars, exception
+		// tags and nil have no fields and are hereditarily immutable.
+		fs, _ := Fields(v)
+		for _, e := range fs {
+			if s.value(e) {
+				return true
+			}
+		}
 	}
-	// Scalars, exception tags, nil: hereditarily immutable.
 	return false
 }
 

@@ -18,7 +18,7 @@ func TestReachesMutableImmutable(t *testing.T) {
 		Unit(),
 		Bool(true),
 		VecV{IntV(1), StrV("x")},
-		RecordV{IntV(1), RecordV{StrV("nested")}},
+		tuple(IntV(1), tuple(StrV("nested"))),
 		List([]Value{IntV(1), IntV(2), IntV(3)}),
 		&ExnTag{Name: "E"},
 		&ExnV{Tag: &ExnTag{Name: "E"}, Arg: IntV(7)},
@@ -37,7 +37,7 @@ func TestReachesMutableCells(t *testing.T) {
 	cases := []Value{
 		r,
 		a,
-		RecordV{IntV(1), r},
+		tuple(IntV(1), r),
 		VecV{a},
 		&ConV{Tag: 1, Name: "SOME", Arg: r},
 		List([]Value{IntV(1), r}),
@@ -111,11 +111,11 @@ func TestReachesMutableCyclicClosure(t *testing.T) {
 // stops at the cell without dereferencing it.
 func TestReachesMutableStopsAtCell(t *testing.T) {
 	r := &RefV{}
-	r.Cell = RecordV{r}
+	r.Cell = tuple(r)
 	if !ReachesMutable(r) {
 		t.Error("self-referential ref reported immutable")
 	}
-	if !ReachesMutable(RecordV{r}) {
+	if !ReachesMutable(tuple(r)) {
 		t.Error("record holding self-referential ref reported immutable")
 	}
 }
@@ -208,7 +208,7 @@ func TestMutScannerMatchesOneShot(t *testing.T) {
 				}
 			case 3:
 				if len(vals) > 1 {
-					vals = append(vals, RecordV{vals[rng.Intn(len(vals))], vals[rng.Intn(len(vals))]})
+					vals = append(vals, tuple(vals[rng.Intn(len(vals))], vals[rng.Intn(len(vals))]))
 				}
 			case 4:
 				vals = append(vals, Unit())

@@ -41,8 +41,20 @@ type StrV string
 // CharV is a char value.
 type CharV byte
 
-// RecordV is a record or tuple value; the empty record is unit.
+// RecordV is a record or tuple value of any arity but two and three;
+// the empty record is unit. Two- and three-field records are *tuple2
+// and *tuple3. Code builds a record with NewRecord and reads one with
+// Fields; nothing else names a representation.
 type RecordV []Value
+
+// tuple2 and tuple3 are the two- and three-field records: one
+// allocation each (32 and 48 bytes), with no slice header to box. They
+// are the list cell's pair, most tuples a program builds, and the
+// import and export vectors of small units.
+type (
+	tuple2 [2]Value
+	tuple3 [3]Value
+)
 
 // ConV is a datatype value: constructor tag plus optional argument.
 type ConV struct {
@@ -82,6 +94,8 @@ func (RealV) isValue()    {}
 func (StrV) isValue()     {}
 func (CharV) isValue()    {}
 func (RecordV) isValue()  {}
+func (*tuple2) isValue()  {}
+func (*tuple3) isValue()  {}
 func (*ConV) isValue()    {}
 func (*Closure) isValue() {}
 func (*RefV) isValue()    {}
@@ -92,6 +106,40 @@ func (*ExnV) isValue()    {}
 
 // Unit is the unit value.
 func Unit() Value { return RecordV(nil) }
+
+// NewRecord returns a record of n fields, in the representation its
+// arity selects, and the slice of its fields in label order. The
+// caller fills the slice before the record is used and never writes
+// it after.
+func NewRecord(n int) (rec Value, fields []Value) {
+	switch n {
+	case 0:
+		return Unit(), nil
+	case 2:
+		t := new(tuple2)
+		return t, t[:]
+	case 3:
+		t := new(tuple3)
+		return t, t[:]
+	}
+	r := make(RecordV, n)
+	return r, r
+}
+
+// Fields returns the fields of a record value in label order; ok is
+// false if v is not a record. The slice aliases the record: callers
+// read it and never write it.
+func Fields(v Value) (fields []Value, ok bool) {
+	switch r := v.(type) {
+	case *tuple2:
+		return r[:], true
+	case *tuple3:
+		return r[:], true
+	case RecordV:
+		return r, true
+	}
+	return nil, false
+}
 
 // Shared booleans: nullary ConVs are immutable and compared
 // structurally, so one value per truth value is observationally
@@ -121,7 +169,9 @@ func Truth(v Value) bool {
 func List(elems []Value) Value {
 	v := Value(&ConV{Tag: 0, Name: "nil"})
 	for i := len(elems) - 1; i >= 0; i-- {
-		v = &ConV{Tag: 1, Name: "::", Arg: RecordV{elems[i], v}}
+		pair, fs := NewRecord(2)
+		fs[0], fs[1] = elems[i], v
+		v = &ConV{Tag: 1, Name: "::", Arg: pair}
 	}
 	return v
 }
@@ -138,7 +188,7 @@ func GoList(v Value) ([]Value, bool) {
 		if c.Tag == 0 {
 			return out, true
 		}
-		pair, isRec := c.Arg.(RecordV)
+		pair, isRec := Fields(c.Arg)
 		if !isRec || len(pair) != 2 {
 			return nil, false
 		}
@@ -167,17 +217,6 @@ func Eq(a, b Value) bool {
 	case CharV:
 		bb, ok := b.(CharV)
 		return ok && a == bb
-	case RecordV:
-		bb, ok := b.(RecordV)
-		if !ok || len(a) != len(bb) {
-			return false
-		}
-		for i := range a {
-			if !Eq(a[i], bb[i]) {
-				return false
-			}
-		}
-		return true
 	case *ConV:
 		bb, ok := b.(*ConV)
 		if !ok || a.Tag != bb.Tag {
@@ -195,22 +234,31 @@ func Eq(a, b Value) bool {
 		return ok && a == bb
 	case VecV:
 		bb, ok := b.(VecV)
-		if !ok || len(a) != len(bb) {
-			return false
-		}
-		for i := range a {
-			if !Eq(a[i], bb[i]) {
-				return false
-			}
-		}
-		return true
+		return ok && eqAll(a, bb)
 	case *ExnTag:
 		return a == b
 	case *ExnV:
 		bb, ok := b.(*ExnV)
 		return ok && a.Tag == bb.Tag
 	}
+	if fa, ok := Fields(a); ok {
+		fb, ok := Fields(b)
+		return ok && eqAll(fa, fb)
+	}
 	return false
+}
+
+// eqAll reports whether a and b are equal field by field.
+func eqAll(a, b []Value) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if !Eq(a[i], b[i]) {
+			return false
+		}
+	}
+	return true
 }
 
 // String renders a value in ML notation.
@@ -245,19 +293,6 @@ func writeValue(sb *strings.Builder, v Value, depth int) {
 		fmt.Fprintf(sb, "%q", string(v))
 	case CharV:
 		fmt.Fprintf(sb, "#%q", string(v))
-	case RecordV:
-		if len(v) == 0 {
-			sb.WriteString("()")
-			return
-		}
-		sb.WriteByte('(')
-		for i, f := range v {
-			if i > 0 {
-				sb.WriteString(", ")
-			}
-			writeValue(sb, f, depth+1)
-		}
-		sb.WriteByte(')')
 	case *ConV:
 		if elems, ok := GoList(Value(v)); ok && (v.Name == "nil" || v.Name == "::") {
 			sb.WriteByte('[')
@@ -302,6 +337,21 @@ func writeValue(sb *strings.Builder, v Value, depth int) {
 			writeValue(sb, v.Arg, depth+1)
 		}
 	default:
-		sb.WriteString("<?>")
+		fs, ok := Fields(v)
+		switch {
+		case !ok:
+			sb.WriteString("<?>")
+		case len(fs) == 0:
+			sb.WriteString("()")
+		default:
+			sb.WriteByte('(')
+			for i, f := range fs {
+				if i > 0 {
+					sb.WriteString(", ")
+				}
+				writeValue(sb, f, depth+1)
+			}
+			sb.WriteByte(')')
+		}
 	}
 }

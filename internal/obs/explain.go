@@ -25,7 +25,9 @@ const (
 	// and was quarantined.
 	ReasonCorrupt = "corrupt"
 	// ReasonBinUnreadable — the entry passed store validation but its
-	// bin failed to rehydrate.
+	// bin failed to rehydrate: it is damaged (counted corrupt), or a
+	// previous version wrote it in a retired bin format (not counted
+	// corrupt).
 	ReasonBinUnreadable = "bin-unreadable"
 	// ReasonBinMissing — the entry exists but carries no bin to load.
 	ReasonBinMissing = "bin-missing"

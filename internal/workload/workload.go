@@ -90,7 +90,9 @@ func Small() Config {
 // stamp assignment that alters a single byte of any bin file (or any
 // pid) shows up as a golden mismatch. Shared by scripts/bingolden
 // (which regenerates the file) and TestBinfileGolden (which enforces
-// it), so the two can never drift apart.
+// it), so the two can never drift apart. Beside three generated
+// projects it holds clausalProject, which pins the code shape of
+// curried clausal functions.
 func GoldenCorpus() map[string]*Project {
 	return map[string]*Project{
 		"layered-30": Generate(Config{
@@ -105,6 +107,41 @@ func GoldenCorpus() map[string]*Project {
 			Shape: Diamond, Units: 16, LinesPerUnit: 15,
 			FunsPerUnit: 2, FanIn: 3, LayerWidth: 8, Seed: 3,
 		}),
+		"clausal-3": clausalProject(),
+	}
+}
+
+// clausalProject is a hand-written project of curried multi-clause
+// functions whose columns are nested tuples, cons, layered, wildcard
+// and constant patterns; its units export three values and two, and
+// main.sml prints "111 222\n1,2,3,4,9,10\norigin n=15\n30\n".
+func clausalProject() *Project {
+	return &Project{
+		Files: []core.File{
+			{Name: "clauses.sml", Source: `fun zip3 (x :: xs) (y :: ys) (z :: zs) = (x, y, z) :: zip3 xs ys zs
+  | zip3 _ _ _ = []
+
+fun merge [] ys = ys
+  | merge xs [] = xs
+  | merge (l as x :: xs) (r as y :: ys) =
+      if x <= y then x :: merge xs r else y :: merge l ys
+
+fun classify 0 _ (_, "zero") = "origin"
+  | classify n ((a, b), c) (d, s) = s ^ Int.toString (n + a + b + c + d)
+`},
+			{Name: "pairs.sml", Source: `fun foldPairs f acc ((a, b) :: rest) = foldPairs f (f (a, b, acc)) rest
+  | foldPairs _ acc [] = acc
+
+val total = foldPairs (fn (a, b, s) => a * b + s) 0 [(1, 2), (3, 4), (5, 6)]
+`},
+			{Name: "main.sml", Source: `val sums = map (fn (a, b, c) => a + b + c) (zip3 [1, 2, 3] [10, 20] [100, 200, 300])
+val _ = print (String.concatWith " " (map Int.toString sums) ^ "\n")
+val _ = print (String.concatWith "," (map Int.toString (merge [1, 4, 9] [2, 3, 10])) ^ "\n")
+val _ = print (classify 0 ((1, 2), 3) (4, "zero") ^ " " ^ classify 5 ((1, 2), 3) (4, "n=") ^ "\n")
+val _ = print (Int.toString (foldPairs (fn (a, b, s) => s - a - b) total [(7, 7)]) ^ "\n")
+`},
+		},
+		Deps: [][]int{nil, nil, {0, 1}},
 	}
 }
 

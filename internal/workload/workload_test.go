@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"bytes"
 	"testing"
 
 	"repro/internal/core"
@@ -20,6 +21,20 @@ func TestGeneratedProjectsBuild(t *testing.T) {
 				t.Errorf("compiled %d units, want %d", m.Stats.Compiled, cfg.Units)
 			}
 		})
+	}
+}
+
+// TestClausalProjectOutput runs the golden corpus's hand-written
+// project of curried clausal functions and checks what it prints.
+func TestClausalProjectOutput(t *testing.T) {
+	var out bytes.Buffer
+	m := core.NewManager()
+	m.Stdout = &out
+	if _, err := m.Build(clausalProject().Files); err != nil {
+		t.Fatal(err)
+	}
+	if want := "111 222\n1,2,3,4,9,10\norigin n=15\n30\n"; out.String() != want {
+		t.Errorf("printed %q, want %q", out.String(), want)
 	}
 }
 
