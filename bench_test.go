@@ -115,7 +115,7 @@ func BenchmarkE2UnitModel(b *testing.B) {
 			b.Fatal(err)
 		}
 		dyn := s.Dyn.Copy()
-		if err := compiler.Execute(s.Machine, u, dyn); err != nil {
+		if err := compiler.Execute(s.Machine, u, dyn, nil, nil, 0); err != nil {
 			b.Fatal(err)
 		}
 		lastImports, lastExports = len(u.Imports), u.NumSlots
@@ -769,7 +769,7 @@ func BenchmarkApplyHot(b *testing.B) {
 	for _, c := range []struct {
 		name string
 		exec func(*interp.Machine, *compiler.Unit, *dynenv.Env) error
-	}{{"tree", execTree}, {"closure", compiler.Execute}} {
+	}{{"tree", execTree}, {"closure", execClosure}} {
 		b.Run(c.name, func(b *testing.B) {
 			s := newSession(b)
 			u, err := s.Compile("bench", applyHotSource)
@@ -805,7 +805,7 @@ func BenchmarkApplyCurried(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		dyn := s.Dyn.Copy()
-		if err := compiler.Execute(s.Machine, u, dyn); err != nil {
+		if err := compiler.Execute(s.Machine, u, dyn, nil, nil, 0); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -841,7 +841,7 @@ func BenchmarkExecCold(b *testing.B) {
 		}
 		u.Prog = prog
 		dyn := s.Dyn.Copy()
-		if err := compiler.Execute(s.Machine, u, dyn); err != nil {
+		if err := compiler.Execute(s.Machine, u, dyn, nil, nil, 0); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -862,7 +862,7 @@ func BenchmarkExecWarm(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		dyn := s.Dyn.Copy()
-		if err := compiler.Execute(s.Machine, u, dyn); err != nil {
+		if err := compiler.Execute(s.Machine, u, dyn, nil, nil, 0); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -877,7 +877,7 @@ func BenchmarkPipelineExecute(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		dyn := s.Dyn.Copy()
-		if err := compiler.Execute(s.Machine, u, dyn); err != nil {
+		if err := compiler.Execute(s.Machine, u, dyn, nil, nil, 0); err != nil {
 			b.Fatal(err)
 		}
 	}

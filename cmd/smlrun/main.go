@@ -131,19 +131,19 @@ func runBins(f *cli.Flags, paths []string) {
 	for _, bi := range infos {
 		load(bi)
 	}
-	if errs := linker.Verify(units, session.Dyn); len(errs) > 0 {
-		for _, e := range errs {
+	col := obs.New()
+	col.BeginBuild()
+	session.Machine.Obs = col
+	rspan := col.StartSpan(obs.CatBuild, "run-bins")
+	runErr := linker.Run(session.Machine, units, session.Dyn, rspan, col)
+	rspan.End()
+	if j, ok := runErr.(interface{ Unwrap() []error }); ok {
+		// The link set failed verification: report every failure.
+		for _, e := range j.Unwrap() {
 			fmt.Fprintln(os.Stderr, "smlrun:", e)
 		}
 		os.Exit(1)
 	}
-	col := obs.New()
-	col.BeginBuild()
-	session.Dyn.Obs = col
-	session.Machine.Obs = col
-	rspan := col.StartSpan(obs.CatBuild, "run-bins")
-	runErr := linker.RunObserved(session.Machine, units, session.Dyn, rspan, col)
-	rspan.End()
 	var p *prof.Profile
 	if f.Profile != "" {
 		b := prof.NewBuilder(session.Machine.ProfilePeriod())

@@ -81,6 +81,38 @@ func TestCommandLineTools(t *testing.T) {
 		}
 	})
 
+	// A link set whose units lack their provider fails verification:
+	// smlrun prints every failure on its own line, runs nothing, and
+	// exits non-zero.
+	t.Run("smlrun-bin-verify-errors", func(t *testing.T) {
+		dir := filepath.Join(work, "unlinked")
+		if err := os.MkdirAll(dir, 0o755); err != nil {
+			t.Fatal(err)
+		}
+		other := filepath.Join(dir, "other.sml")
+		writeFile(t, other, `val _ = print (Int.toString (Lib.triple 2) ^ "\n")`+"\n")
+		if out, err := runTool(t, tools["smlc"], "", "-d", dir, libPath, mainPath, other); err != nil {
+			t.Fatalf("smlc: %v\n%s", err, out)
+		}
+		out, err := runTool(t, tools["smlrun"], "", "-bin",
+			filepath.Join(dir, "main.bin"), filepath.Join(dir, "other.bin"))
+		if err == nil {
+			t.Fatalf("smlrun -bin linked units without their provider:\n%s", out)
+		}
+		var failures int
+		for _, line := range strings.Split(out, "\n") {
+			if strings.HasPrefix(line, "smlrun: link ") && strings.Contains(line, "has no provider") {
+				failures++
+			}
+			if line == "42" || line == "6" {
+				t.Errorf("a unit ran although verification failed:\n%s", out)
+			}
+		}
+		if failures != 2 {
+			t.Errorf("smlrun -bin printed %d verify failures, want 2:\n%s", failures, out)
+		}
+	})
+
 	// A bin in the retired SMLBIN01 format is refused at the header
 	// pass: smlrun exits non-zero with "bad magic" before the valid
 	// provider beside it runs.

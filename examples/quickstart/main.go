@@ -56,7 +56,7 @@ func main() {
 
 	// Execute: code is a closed function from import values to export
 	// values; the dynamic environment supplies and receives them.
-	if err := compiler.Execute(session.Machine, u, session.Dyn); err != nil {
+	if err := compiler.Execute(session.Machine, u, session.Dyn, nil, nil, 0); err != nil {
 		log.Fatal(err)
 	}
 	session.Accept(u)

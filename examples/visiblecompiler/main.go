@@ -96,10 +96,7 @@ func main() {
 		prod.Index.AddEnv(u.Env)
 		units = append(units, u)
 	}
-	if errs := linker.Verify(units, prod.Dyn); len(errs) > 0 {
-		log.Fatalf("linkage: %v", errs[0])
-	}
-	if err := linker.Run(prod.Machine, units, prod.Dyn); err != nil {
+	if err := linker.Run(prod.Machine, units, prod.Dyn, nil, nil); err != nil {
 		log.Fatal(err)
 	}
 

@@ -56,6 +56,12 @@ func execTree(m *interp.Machine, u *compiler.Unit, dyn *dynenv.Env) error {
 	return nil
 }
 
+// execClosure is compiler.Execute with nothing observed, in the shape
+// execWith takes.
+func execClosure(m *interp.Machine, u *compiler.Unit, dyn *dynenv.Env) error {
+	return compiler.Execute(m, u, dyn, nil, nil, 0)
+}
+
 // execWith compiles src in a fresh session and executes it with exec,
 // returning what an observer can distinguish: printed output, the
 // rendered dynamic environment, and the error string ("" = none).
@@ -122,7 +128,7 @@ func FuzzExecTreeVsClosure(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, src string) {
 		tOut, tExp, tErr := execWith(execTree, src)
-		cOut, cExp, cErr := execWith(compiler.Execute, src)
+		cOut, cExp, cErr := execWith(execClosure, src)
 		if strings.Contains(tErr, "step budget") || strings.Contains(cErr, "step budget") {
 			t.Skip("step budget reached; step granularity differs between the two")
 		}

@@ -48,7 +48,7 @@ func TestRoundTripSimple(t *testing.T) {
 	if u2.StatPid != u1.StatPid {
 		t.Errorf("statpid changed across pickle round trip")
 	}
-	if err := compiler.Execute(s2.Machine, u2, s2.Dyn); err != nil {
+	if err := compiler.Execute(s2.Machine, u2, s2.Dyn, nil, nil, 0); err != nil {
 		t.Fatalf("execute rehydrated: %v", err)
 	}
 	s2.Accept(u2)
@@ -111,7 +111,7 @@ func TestRoundTripModules(t *testing.T) {
 	if err != nil {
 		t.Fatalf("read: %v", err)
 	}
-	if err := compiler.Execute(s2.Machine, u2, s2.Dyn); err != nil {
+	if err := compiler.Execute(s2.Machine, u2, s2.Dyn, nil, nil, 0); err != nil {
 		t.Fatalf("execute: %v", err)
 	}
 	s2.Accept(u2)

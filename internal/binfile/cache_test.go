@@ -85,7 +85,7 @@ func TestReadCachedHitSharesEnv(t *testing.T) {
 	}
 
 	// The shared environment must still execute in the second session.
-	if err := compiler.Execute(s3.Machine, u2, s3.Dyn); err != nil {
+	if err := compiler.Execute(s3.Machine, u2, s3.Dyn, nil, nil, 0); err != nil {
 		t.Fatalf("execute cached-env unit: %v", err)
 	}
 	s3.Accept(u2)

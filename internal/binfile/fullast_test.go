@@ -146,7 +146,7 @@ func TestKitchenSinkAcrossPickle(t *testing.T) {
 	if err != nil {
 		t.Fatalf("rehydrate: %v", err)
 	}
-	if err := compiler.Execute(s2.Machine, u2, s2.Dyn); err != nil {
+	if err := compiler.Execute(s2.Machine, u2, s2.Dyn, nil, nil, 0); err != nil {
 		t.Fatal(err)
 	}
 	s2.Accept(u2)

@@ -55,7 +55,7 @@ func TestScratchConcurrentReads(t *testing.T) {
 					errs <- err
 					return
 				}
-				if err := compiler.Execute(s.Machine, u, s.Dyn); err != nil {
+				if err := compiler.Execute(s.Machine, u, s.Dyn, nil, nil, 0); err != nil {
 					errs <- err
 					return
 				}

@@ -73,7 +73,7 @@ func TestAcceptSharedEnvConcurrent(t *testing.T) {
 				return
 			}
 			envs[i] = u.Env
-			if err := compiler.Execute(s.Machine, u, s.Dyn); err != nil {
+			if err := compiler.Execute(s.Machine, u, s.Dyn, nil, nil, 0); err != nil {
 				t.Error(err)
 				return
 			}

@@ -258,33 +258,20 @@ func HashInterface(name string, e *env.Env) (pid.Pid, []any, error) {
 
 // Execute runs a compiled unit against a dynamic environment (§3):
 // gather the import values, apply the closed code, and bind the export
-// pids to the resulting values.
-func Execute(m *interp.Machine, u *Unit, dyn *dynenv.Env) error {
-	return ExecuteObserved(m, u, dyn, nil, nil)
-}
-
-// ExecuteObserved is Execute under instrumentation: the unit's run is
-// wrapped in an "execute" phase span (a child of parent, on the
-// coordinator lane) with "imports", "apply", and "bind" sub-phases —
+// pids to the resulting values in dyn.
+//
+// The run is wrapped in an "execute" phase span (a child of parent, on
+// span lane lane) with "imports", "apply", and "bind" sub-phases —
 // import-vector lookup, closure application, export binding — and the
-// exec.* counters are recorded on rec. A nil parent and nil rec make
-// it exactly Execute; both are safe independently.
-func ExecuteObserved(m *interp.Machine, u *Unit, dyn *dynenv.Env,
-	parent *obs.Span, rec obs.Recorder) error {
-	return ExecuteOn(m, u, dyn, parent, rec, 0)
-}
-
-// ExecuteOn is ExecuteObserved with an explicit span lane — the
-// parallel exec stage gives each exec worker its own Perfetto track
-// (lane jobs+1..2·jobs; the sequential paths pass 0, the coordinator)
-// — and a dynenv.Target instead of a concrete env: the sequential
-// paths pass the session env itself (binds commit directly), the
-// parallel exec stage a copy-on-write dynenv.View whose binds the
-// committer replays in commit order (DESIGN.md §4j).
+// exec.* and dynenv.* counters are recorded on rec. The sequential
+// paths (the prelude bootstrap, Session.Run, linker.Run) pass lane 0,
+// the coordinator; the scheduler's parallel exec stage gives each exec
+// worker its own lane (DESIGN.md §4j). A nil parent and a nil rec
+// record nothing; both are safe independently.
 //
 // The apply sub-phase applies the unit's compiled form, u.Prog, to the
 // import vector.
-func ExecuteOn(m *interp.Machine, u *Unit, dyn dynenv.Target,
+func Execute(m *interp.Machine, u *Unit, dyn *dynenv.Env,
 	parent *obs.Span, rec obs.Recorder, lane int) error {
 
 	espan := parent.Child(obs.CatPhase, "execute").Lane(lane).Arg("unit", u.Name)
@@ -294,9 +281,11 @@ func ExecuteOn(m *interp.Machine, u *Unit, dyn dynenv.Target,
 	ispan := espan.Child(obs.CatPhase, "imports")
 	imports, slots := interp.NewRecord(len(u.Imports))
 	for i, p := range u.Imports {
+		obs.Count(rec, "dynenv.lookups", 1)
 		v, err := dyn.MustLookup(p)
 		if err != nil {
 			ispan.End()
+			obs.Count(rec, "dynenv.misses", 1)
 			obs.Count(rec, "exec.import_misses", 1)
 			return fmt.Errorf("execute %s: %v", u.Name, err)
 		}
@@ -316,7 +305,7 @@ func ExecuteOn(m *interp.Machine, u *Unit, dyn dynenv.Target,
 		// Close the window on every path, including a failed apply:
 		// a sequential run would have accumulated the partial profile
 		// before dying, so the parallel build must too (the committer
-		// replays these counters in commit order either way).
+		// flushes these counters in commit order either way).
 		if up := m.EndUnitProfile(); up != nil {
 			obs.Count(rec, "prof.units", 1)
 			obs.Count(rec, "prof.samples", up.Samples())
@@ -344,6 +333,7 @@ func ExecuteOn(m *interp.Machine, u *Unit, dyn dynenv.Target,
 	}
 	for i, v := range recv {
 		dyn.Bind(u.ExportPid(i), v)
+		obs.Count(rec, "dynenv.binds", 1)
 	}
 	bspan.End()
 	obs.Count(rec, "exec.exports", int64(u.NumSlots))

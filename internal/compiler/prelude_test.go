@@ -118,7 +118,7 @@ func TestPreludeCompiledOnceSessionsIsolated(t *testing.T) {
 			t.Errorf("session %d: user unit not layered over the shared prelude", i)
 		}
 		for slot := 0; slot < u.NumSlots; slot++ {
-			v, ok := s.Dyn.Peek(u.ExportPid(slot))
+			v, ok := s.Dyn.Lookup(u.ExportPid(slot))
 			if !ok {
 				t.Fatalf("session %d: prelude export %d unbound", i, slot)
 			}

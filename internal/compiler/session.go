@@ -92,7 +92,7 @@ func NewSession(stdout io.Writer) (*Session, error) {
 	if stdout != nil {
 		s.Machine.Stdout = stdout
 	}
-	if err := Execute(s.Machine, p.unit, s.Dyn); err != nil {
+	if err := Execute(s.Machine, p.unit, s.Dyn, nil, nil, 0); err != nil {
 		return nil, fmt.Errorf("bootstrapping prelude: %v", err)
 	}
 	return s, nil
@@ -125,7 +125,7 @@ func (s *Session) Run(name, source string) (*Unit, error) {
 
 // runUnit executes a compiled unit and extends the session with it.
 func (s *Session) runUnit(u *Unit) (*Unit, error) {
-	if err := Execute(s.Machine, u, s.Dyn); err != nil {
+	if err := Execute(s.Machine, u, s.Dyn, nil, nil, 0); err != nil {
 		return nil, err
 	}
 	s.Accept(u)

@@ -386,11 +386,9 @@ func (m *Manager) BuildUnder(parent *obs.Span, files []File) (*compiler.Session,
 	if err != nil {
 		return nil, err
 	}
-	// Observe the execute side too: the dynamic environment and the
-	// machine report dynenv.*/interp.* counters into the same
-	// collector. Attached after the prelude bootstrap, so the deltas
-	// cover exactly this build's units.
-	session.Dyn.Obs = col
+	// Observe the execute side too: the machine reports interp.*
+	// counters into the same collector. Attached after the prelude
+	// bootstrap, so the deltas cover exactly this build's units.
 	session.Machine.Obs = col
 	// Attached after the prelude bootstrap, like the recorders: the
 	// budget covers the build's units, not the prelude.

@@ -191,6 +191,39 @@ func TestDatatypeAcrossUnits(t *testing.T) {
 	}
 }
 
+// TestPatternVariableNoFalseCycle: xs is a variable of a.sml's clause
+// patterns, not a reference to b.sml's top-level xs, so the pair
+// orders a before b instead of failing with a dependency cycle, and a
+// constructor used as a pattern in a unit listed before its definer
+// still orders the definer first.
+func TestPatternVariableNoFalseCycle(t *testing.T) {
+	for _, tc := range []struct {
+		files []File
+		want  string
+	}{
+		{[]File{
+			{Name: "a.sml", Source: "fun f (x :: xs) = xs | f [] = []"},
+			{Name: "b.sml", Source: "val xs = f [1, 2]\nval _ = print (Int.toString (length xs))"},
+		}, "1"},
+		{[]File{
+			{Name: "use.sml", Source: "fun isRed Red = \"red\" | isRed _ = \"other\"\nval _ = print (isRed Red)"},
+			{Name: "color.sml", Source: "datatype color = Red | Green"},
+		}, "red"},
+	} {
+		for _, jobs := range []int{1, 4} {
+			var out bytes.Buffer
+			m := NewManager()
+			m.Stdout, m.Jobs = &out, jobs
+			if _, err := m.Build(tc.files); err != nil {
+				t.Fatalf("jobs=%d: %v", jobs, err)
+			}
+			if out.String() != tc.want {
+				t.Errorf("jobs=%d: printed %q, want %q", jobs, out.String(), tc.want)
+			}
+		}
+	}
+}
+
 // TestFunctorCutoff: a functor body is part of a unit's interface (the
 // body is re-elaborated by clients), so editing the body must NOT be
 // cut off — dependents recompile.
@@ -276,7 +309,7 @@ func encodeEntryV1(e *Entry) []byte {
 	return buf.Bytes()
 }
 
-// sealEntry wraps body in a valid SMLIRM02 envelope: magic, body, and
+// sealEntry wraps body in a valid SMLIRM03 envelope: magic, body, and
 // a CRC-64 trailer recomputed over both. The checksum catches damage,
 // not forgery, so a sealed body reaches the body parser whatever it
 // holds.

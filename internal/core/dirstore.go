@@ -27,7 +27,7 @@ import (
 //     directory, fsynced, renamed over the target, and the directory is
 //     fsynced — a crash at any point leaves either the old entry or the
 //     new one, never a torn file under the real name.
-//   - Every entry carries a CRC-64 trailer (format SMLIRM02). Load
+//   - Every entry carries a CRC-64 trailer (format SMLIRM03). Load
 //     verifies it, so torn or bit-rotted files are detected, moved to a
 //     "quarantine/" subdirectory for post-mortem, and reported as a
 //     *CorruptError — the Manager recompiles, it never links garbage.
@@ -105,6 +105,10 @@ func (s *DirStore) Load(name string) (*Entry, error) {
 		return nil, err
 	}
 	obs.Count(s.Obs, "store.bytes_read", int64(len(data)))
+	if bytes.HasPrefix(data, []byte(staleEntryMagic)) {
+		// An older version's entry is stale, not damaged: a miss.
+		return nil, nil
+	}
 	e, derr := DecodeEntry(data)
 	if derr != nil {
 		obs.Count(s.Obs, "store.corrupt", 1)
@@ -190,16 +194,20 @@ func (s *DirStore) save(name string, e *Entry) error {
 }
 
 // Entry format: magic, body, and a CRC-64 trailer over everything that
-// precedes it. Any other magic, the retired trailer-less SMLIRM01
-// included, is a corrupt entry: quarantined and recompiled.
+// precedes it. An SMLIRM02 entry has the same layout, but its Defs and
+// Free predate the constructor key (depend.KeyCon), so Load reads it as
+// absent and the unit recompiles. Any other magic, the retired
+// trailer-less SMLIRM01 included, is a corrupt entry: quarantined and
+// recompiled.
 const (
-	entryMagic = "SMLIRM02"
-	crcTrailer = 8
+	entryMagic      = "SMLIRM03"
+	staleEntryMagic = "SMLIRM02"
+	crcTrailer      = 8
 )
 
 var entryCRC = crc64.MakeTable(crc64.ECMA)
 
-// EncodeEntry serializes a cache entry in the current (SMLIRM02)
+// EncodeEntry serializes a cache entry in the current (SMLIRM03)
 // format: magic, body, CRC-64/ECMA trailer over magic+body.
 func EncodeEntry(e *Entry) []byte {
 	var buf bytes.Buffer

@@ -1,13 +1,16 @@
 package core
 
-// Format downgrades: the store reads one entry format (SMLIRM02, with
-// a CRC-64 trailer) and one bin format (SMLIRM02 entries carry
-// binfile.Magic bins). An entry or bin relabelled with a retired magic is corrupt,
-// never a way to skip the checksum: the build quarantines or discards
-// it, recompiles, and prints what a cold build prints.
+// Format downgrades: the store reads one entry format (SMLIRM03, with
+// a CRC-64 trailer) and one bin format (SMLIRM03 entries carry
+// binfile.Magic bins). An entry or bin relabelled with a retired magic
+// is never a way to skip the checksum: the build discards it,
+// recompiles, and prints what a cold build prints. Damage is counted
+// corrupt; an older version's format is stale and is not.
 
 import (
 	"bytes"
+	"encoding/binary"
+	"hash/crc64"
 	"os"
 	"testing"
 
@@ -94,7 +97,7 @@ func TestEntryChecksumDowngradeRejected(t *testing.T) {
 	}
 }
 
-// TestLegacyBinMagicRecompiled stores a valid SMLIRM02 entry whose bin
+// TestLegacyBinMagicRecompiled stores a valid SMLIRM03 entry whose bin
 // is relabelled with each retired bin magic: SMLBIN01 (no code
 // section), SMLBIN02 (the code section of the eta-expanded primitive
 // call) and SMLBIN03 (the tuple a curried clausal function built from
@@ -146,5 +149,55 @@ func TestLegacyBinMagicRecompiled(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestStaleEntryMagicIsMiss rewrites every entry of a cold store in the
+// previous entry format, SMLIRM02: the same layout and a valid trailer,
+// but Defs/Free keyed before depend.KeyCon. The rebuild reads each as a
+// cache miss — recompiled, neither corrupt nor quarantined — and
+// leaves output and bins equal to the cold build's.
+func TestStaleEntryMagicIsMiss(t *testing.T) {
+	files := []File{
+		{Name: "a.sml", Source: "fun f (x :: xs) = xs | f [] = []"},
+		{Name: "b.sml", Source: "val xs = f [1, 2]\nval _ = print (Int.toString (length xs) ^ \"\\n\")"},
+	}
+	dir := t.TempDir()
+	coldOut, _, _ := dirBuild(t, dir, files)
+	if coldOut != "1\n" {
+		t.Fatalf("cold build printed %q", coldOut)
+	}
+	coldBins := map[string][]byte{}
+	for _, f := range files {
+		e := readEntry(t, dir, f.Name)
+		coldBins[f.Name] = e.Bin
+		var body bytes.Buffer
+		appendEntryBody(&body, e)
+		old := append([]byte(staleEntryMagic), body.Bytes()...)
+		var tr [crcTrailer]byte
+		binary.LittleEndian.PutUint64(tr[:], crc64.Checksum(old, entryCRC))
+		if err := os.WriteFile((&DirStore{Dir: dir}).path(f.Name), append(old, tr[:]...), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	out, m, c := dirBuild(t, dir, files)
+	if out != coldOut {
+		t.Errorf("rebuild printed %q, cold build %q", out, coldOut)
+	}
+	if m.Stats.Compiled != len(files) || m.Stats.Corrupt != 0 || m.Stats.Recovered != 0 {
+		t.Errorf("stats compiled=%d corrupt=%d recovered=%d, want %d/0/0",
+			m.Stats.Compiled, m.Stats.Corrupt, m.Stats.Recovered, len(files))
+	}
+	if c["store.corrupt"] != 0 || c["store.quarantined"] != 0 {
+		t.Errorf("store.corrupt=%d store.quarantined=%d, want 0/0", c["store.corrupt"], c["store.quarantined"])
+	}
+	if _, err := os.Stat((&DirStore{Dir: dir}).QuarantineDir()); !os.IsNotExist(err) {
+		t.Errorf("quarantine directory exists (%v)", err)
+	}
+	for _, f := range files {
+		if got := readEntry(t, dir, f.Name).Bin; !bytes.Equal(got, coldBins[f.Name]) {
+			t.Errorf("%s: stored bin differs from the cold build's", f.Name)
+		}
 	}
 }

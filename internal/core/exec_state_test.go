@@ -1,8 +1,10 @@
 // Parallel-execution shared-state coverage (DESIGN.md §4j): units
 // whose imports reach a mutable cell (ref/array) must execute in
 // commit order — the sequential interleaving — at any -j, under -race;
-// speculative executions must leave no trace in the session dynenv;
-// and the session step budget must abort cumulatively at any width.
+// speculative executions must leave no trace in output or counters, and
+// a failed build returns no session, so their dynenv binds are never
+// seen; and the session step budget must abort cumulatively at any
+// width.
 package core_test
 
 import (
@@ -111,8 +113,8 @@ func TestExecPureProjectNotSerialized(t *testing.T) {
 // (uncaught Div) aborts the build at its commit; speculative
 // executions of units after it in commit order must leave no trace —
 // identical explains, error, and deterministic counters at -j1/-j8.
-// (Their dynenv binds go to the build's pending overlay, discarded
-// with it; the dynenv unit tests pin that binds never write through.)
+// (Their dynenv binds land in the session env, which the failed build
+// never returns: TestFailedBuildReturnsNoSession.)
 func TestExecFailureSpeculationCounters(t *testing.T) {
 	files := []core.File{
 		{Name: "a.sml", Source: "structure A = struct val one = 1 end"},
@@ -242,6 +244,59 @@ end`, n, n, n, n+1, n+2, n)})
 			}
 			if out.String() != want.String() {
 				t.Fatalf("jobs=%d round %d: printed %q, want %q", jobs, round, out.String(), want.String())
+			}
+		}
+	}
+}
+
+// TestFailedBuildReturnsNoSession pins the invariant that lets exec
+// workers bind straight into the session's dynamic environment: every
+// failing build — a compile error, an uncaught exception at execution,
+// an exceeded step budget — returns a nil session at any width, so the
+// binds of units executed speculatively past the failure are never
+// observable.
+func TestFailedBuildReturnsNoSession(t *testing.T) {
+	spin := "fun spin n = if n < 1 then 0 else spin (n - 1)\n"
+	cases := []struct {
+		name     string
+		want     string // in the build error
+		maxSteps uint64
+		files    []core.File
+	}{
+		{"compile", "bad.sml", 0, []core.File{
+			{Name: "a.sml", Source: "structure A = struct val one = 1 end"},
+			{Name: "bad.sml", Source: "structure Bad = struct val x = A.one + \"s\" end"},
+			{Name: "c.sml", Source: "structure C = struct val c = 3 end"},
+		}},
+		{"uncaught", "execute boom.sml", 0, []core.File{
+			{Name: "a.sml", Source: "structure A = struct val one = 1 end"},
+			{Name: "boom.sml", Source: "structure Boom = struct val x = A.one div 0 end"},
+			{Name: "c.sml", Source: "structure C = struct val c = 3 end"},
+		}},
+		{"budget", "step budget exceeded", 0, []core.File{
+			{Name: "s1.sml", Source: spin + "val a = spin 50"},
+			{Name: "s2.sml", Source: spin + "val b = spin 50"},
+			{Name: "s3.sml", Source: spin + "val c = spin 50"},
+		}},
+	}
+	// The budget case gets one step fewer than its build needs, so the
+	// last unit's commit pushes the session total over.
+	ok := &core.Manager{Policy: core.PolicyCutoff, Store: core.NewMemStore(), Stdout: io.Discard}
+	session, err := ok.Build(cases[2].files)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases[2].maxSteps = session.Machine.Steps - 1
+	for _, tc := range cases {
+		for _, jobs := range []int{1, 8} {
+			m := &core.Manager{Policy: core.PolicyCutoff, Store: core.NewMemStore(),
+				Stdout: io.Discard, Jobs: jobs, MaxSteps: tc.maxSteps}
+			session, err := m.Build(tc.files)
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("%s, jobs=%d: error %v, want one containing %q", tc.name, jobs, err, tc.want)
+			}
+			if session != nil {
+				t.Errorf("%s, jobs=%d: failed build (%v) returned a session", tc.name, jobs, err)
 			}
 		}
 	}

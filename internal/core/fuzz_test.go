@@ -8,7 +8,7 @@ import (
 // FuzzDecodeEntry: arbitrary bytes must decode cleanly or error — no
 // panic, no allocation beyond the input's own size — and every
 // successful decode must survive a re-encode/re-decode round trip. Each
-// input is also decoded sealed in a valid SMLIRM02 envelope, so the
+// input is also decoded sealed in a valid SMLIRM03 envelope, so the
 // body parser sees arbitrary bytes too, not just those whose CRC
 // happens to match. Retired SMLIRM01 entries are always rejected.
 func FuzzDecodeEntry(f *testing.F) {

@@ -23,11 +23,12 @@
 //     wall-clock time.* totals, fed as each span ends, remain.
 //   - Unit execution runs on a second pool ordered by the import DAG
 //     plus the §4j mutable-import rule (units whose imports reach a
-//     ref or array run in commit order), against copy-on-write dynenv
-//     views whose binds only the committer publishes.
-//   - Explain records, log lines, store writes, dynenv publication,
-//     and stdout replay all happen on the committer in topological
-//     order.
+//     ref or array run in commit order), binding each unit's exports
+//     straight into the session's dynamic environment. A unit past
+//     the first failure may have executed and bound its exports, but
+//     a failed build returns no session, so no caller can see them.
+//   - Explain records, log lines, store writes, counter flushes, and
+//     stdout replay all happen on the committer in topological order.
 //
 // Error semantics: the first failure in *commit order* (the same unit
 // the sequential build would have failed on) aborts the build. Units
@@ -104,27 +105,26 @@ type unitResult struct {
 	tainted    bool
 }
 
-// execDone is the output of one parallel unit execution. Like a
-// unitResult, nothing in it has touched shared observable state: print
-// output went to a private buffer, counters (exec.*, dynenv.*,
-// interp.*) to a private obs.Buffer, and the dynenv binds it made went
-// to the build's pending overlay (visible to dependent executions,
-// which the exec DAG orders after this unit) plus the binds replay log
-// — never to the session env. The committer replays stdout, flushes
-// the buffer, and commits the binds in commit order, so a speculative
-// execution past the failing unit leaves no trace in output, Stats,
-// counters (but its phase spans' time.*), or the session's dynenv.
+// execDone is the output of one parallel unit execution. Its export
+// binds are already in the session's dynamic environment (dependent
+// executions, which the exec DAG orders after this unit, import them
+// from there); everything else observable is private: print output
+// went to a private buffer, counters (exec.*, dynenv.*, interp.*) to a
+// private obs.Buffer. The committer replays stdout and flushes the
+// buffer in commit order, so a speculative execution past the failing
+// unit leaves no trace in output, Stats, or counters (but its phase
+// spans' time.*); its binds stay in a session the failed build never
+// returns.
 type execDone struct {
 	idx    int
 	err    error
 	stdout []byte
 	buf    *obs.Buffer
-	binds  []dynenv.Binding
 	steps  uint64
 	ns     int64
 	// prof holds the execution's raw profile(s) when the build is
 	// profiled (normally one UnitProfile; empty otherwise). Like
-	// counters and binds, it is private until the committer merges it
+	// counters, it is private until the committer merges it
 	// in commit order — which is what makes the merged profile
 	// independent of Jobs.
 	prof []*interp.UnitProfile
@@ -249,14 +249,12 @@ func (m *Manager) schedule(col *obs.Collector, gen int, bspan *obs.Span,
 	// DAG is the ordering a unit's *data* needs, and the §4j mutable-
 	// import rule below adds the ordering shared mutable state needs.
 	// Each execution runs on a fork of the session machine with private
-	// stdout and counters, against a copy-on-write view of the dynenv
-	// (binds land in the build's pending overlay, committed — or, past
-	// a failure, discarded — in commit order), on its own span lane
-	// (jobs+1..2·jobs). A worker hands its frame pool from one unit's
-	// fork to the next, so the pool lives as long as the worker — the
-	// build — and is never shared between workers.
+	// stdout and counters, binds its exports into the session's dynamic
+	// environment, and records on its own span lane (jobs+1..2·jobs). A
+	// worker hands its frame pool from one unit's fork to the next, so
+	// the pool lives as long as the worker — the build — and is never
+	// shared between workers.
 	mtpl := session.Machine.Fork()
-	pending := dynenv.New()
 	execCh := make(chan *unitResult, n)
 	execResCh := make(chan *execDone, n)
 	var ewg sync.WaitGroup
@@ -278,7 +276,7 @@ func (m *Manager) schedule(col *obs.Collector, gen int, bspan *obs.Span,
 						break
 					}
 				}
-				execResCh <- runExec(res, mtpl, frames, session.Dyn, pending, lane)
+				execResCh <- runExec(res, mtpl, frames, session.Dyn, lane)
 				einflight.Add(-1)
 			}
 		}()
@@ -297,7 +295,7 @@ func (m *Manager) schedule(col *obs.Collector, gen int, bspan *obs.Span,
 		// uncommitted span here so a failing build's -trace/-jsonl
 		// output is as well-formed as a passing one (their buffered
 		// counters are still discarded unflushed). Exec results need no
-		// span care — each execution's spans end inside ExecuteOn.
+		// span care — each execution's spans end inside Execute.
 		for drained := false; !drained; {
 			select {
 			case res := <-resultCh:
@@ -393,10 +391,7 @@ func (m *Manager) schedule(col *obs.Collector, gen int, bspan *obs.Span,
 		if t, ok := mutByPid[p]; ok {
 			return t
 		}
-		v, ok := pending.Peek(p)
-		if !ok {
-			v, ok = session.Dyn.Peek(p)
-		}
+		v, ok := session.Dyn.Lookup(p)
 		t := ok && mutScan.ReachesMutable(v)
 		mutByPid[p] = t
 		return t
@@ -424,8 +419,7 @@ func (m *Manager) schedule(col *obs.Collector, gen int, bspan *obs.Span,
 		res := results[i]
 		if !res.taintKnown {
 			// Deps have all executed (execWaiting is 0), so every
-			// import value is present in the pending overlay or the
-			// session env.
+			// import value is bound in the session env.
 			res.taintKnown = true
 			for _, p := range res.unit.Imports {
 				if reachesMut(p) {
@@ -520,30 +514,28 @@ func (m *Manager) schedule(col *obs.Collector, gen int, bspan *obs.Span,
 // runExec executes one unit on an exec worker: a fork of the session
 // machine (shared basis tags, private stdout/steps, a per-unit step
 // budget — MaxSteps bounds each execution; the committer enforces the
-// cumulative session budget at commit, §4j), a copy-on-write view of
-// the dynenv that binds into the build's pending overlay and records
-// into the task's private buffer, and the execute span on this
-// worker's lane under the unit's span. The fork borrows the worker's
-// frame pool from frames and returns it when done. The returned
-// execDone carries everything observable — stdout, counters, export
-// binds — for commit-order replay.
-func runExec(res *unitResult, mtpl, frames *interp.Machine, dyn, pending *dynenv.Env, lane int) *execDone {
+// cumulative session budget at commit, §4j), the session's dynamic
+// environment, which receives the unit's export binds, a private
+// counter buffer, and the execute span on this worker's lane under the
+// unit's span. The fork borrows the worker's frame pool from frames and
+// returns it when done. The returned execDone carries the rest of what
+// is observable — stdout, counters, steps, profile — for commit-order
+// replay.
+func runExec(res *unitResult, mtpl, frames *interp.Machine, dyn *dynenv.Env, lane int) *execDone {
 	buf := obs.NewBuffer()
 	var out bytes.Buffer
 	fork := mtpl.Fork()
 	frames.HandOff(fork)
 	fork.Stdout = &out
 	fork.Obs = buf
-	view := dyn.View(pending, buf)
 	t0 := time.Now()
-	err := compiler.ExecuteOn(fork, res.unit, view, res.uspan, buf, lane)
+	err := compiler.Execute(fork, res.unit, dyn, res.uspan, buf, lane)
 	fork.HandOff(frames)
 	return &execDone{
 		idx:    res.task.idx,
 		err:    err,
 		stdout: out.Bytes(),
 		buf:    buf,
-		binds:  view.Binds(),
 		steps:  fork.Steps,
 		ns:     int64(time.Since(t0)),
 		prof:   fork.TakeUnitProfiles(),
@@ -739,13 +731,13 @@ func (m *Manager) commitUnit(res *unitResult, ed *execDone, col *obs.Collector,
 
 	// Replay the execution in commit order: the exec.*, dynenv.*, and
 	// interp.* counters from the execution's private buffer, its print
-	// output, its step count, and its export binds land here exactly as
-	// the sequential execute-on-commit produced them — a failing
-	// execution first replays what it observed before failing, like a
-	// sequential run that printed then raised, and binds nothing. (The
-	// execute span and its sub-phases were created live on the exec
-	// worker's lane, nested under the unit span, and are already
-	// ended.)
+	// output, and its step count land here exactly as the sequential
+	// execute-on-commit produced them — a failing execution first
+	// replays what it observed before failing, like a sequential run
+	// that printed then raised. (The execute span and its sub-phases
+	// were created live on the exec worker's lane, nested under the
+	// unit span, and are already ended; the export binds are already
+	// in the session env.)
 	ed.buf.FlushTo(col)
 	// Merge the execution's profile in commit order — the same
 	// ordering discipline as counters and stdout, so the merged
@@ -785,7 +777,6 @@ func (m *Manager) commitUnit(res *unitResult, ed *execDone, col *obs.Collector,
 		uspan.End()
 		return err
 	}
-	session.Dyn.Commit(ed.binds)
 	session.Accept(res.unit)
 
 	if res.action == obs.ActionLoaded {

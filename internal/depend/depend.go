@@ -23,15 +23,20 @@ type Info struct {
 	// Decs is the parsed syntax (reused by compilation).
 	Decs []ast.Dec
 	// Defs lists the top-level names defined, per namespace key
-	// ("v:", "t:", "s:", "g:", "f:" prefixes).
+	// ("v:", "c:", "t:", "s:", "g:", "f:" prefixes).
 	Defs []string
 	// Free lists the free names referenced, same keying.
 	Free []string
 }
 
-// Namespace key prefixes.
+// Namespace key prefixes. A constructor or exception is defined under
+// both KeyVal and KeyCon. A name that is free only as a variable
+// pattern (`x` in `fn x => ...`) is keyed KeyCon: it is a reference
+// only if it names a constructor in scope, so a unit that defines it
+// as a plain value must not become a dependency.
 const (
 	KeyVal   = "v:"
+	KeyCon   = "c:"
 	KeyTycon = "t:"
 	KeyStr   = "s:"
 	KeySig   = "g:"
@@ -46,8 +51,8 @@ const (
 // cutoff rule and the parallel scheduler's per-unit compile contexts
 // sound. The marker lives in Info.Defs so it survives the bin-file
 // cache like any other definition key; it can never collide with a
-// real name key ("v:", "t:", "s:", "g:", "f:") and is never referenced
-// free.
+// real name key ("v:", "c:", "t:", "s:", "g:", "f:") and is never
+// referenced free.
 const KeyOpen = "o:open"
 
 // Analyze parses a source file and computes its definition and free
@@ -66,7 +71,11 @@ func FromDecs(name string, decs []ast.Dec) *Info {
 
 	free := elab.FreeOfDecs(decs)
 	for _, n := range free.ValOrder {
-		info.Free = append(info.Free, KeyVal+n)
+		if free.PatOnly[n] {
+			info.Free = append(info.Free, KeyCon+n)
+		} else {
+			info.Free = append(info.Free, KeyVal+n)
+		}
 	}
 	for _, n := range free.TyconOrder {
 		info.Free = append(info.Free, KeyTycon+n)
@@ -114,6 +123,7 @@ func collectDefs(d ast.Dec, add func(string)) {
 			add(KeyTycon + db.Name)
 			for _, cb := range db.Cons {
 				add(KeyVal + cb.Name)
+				add(KeyCon + cb.Name)
 			}
 		}
 		for _, tb := range d.WithType {
@@ -134,6 +144,7 @@ func collectDefs(d ast.Dec, add func(string)) {
 	case *ast.ExceptionDec:
 		for _, eb := range d.Ebs {
 			add(KeyVal + eb.Name)
+			add(KeyCon + eb.Name)
 		}
 	case *ast.LocalDec:
 		for _, sub := range d.Outer {

@@ -37,7 +37,8 @@ func TestDefsCollected(t *testing.T) {
 	`)
 	for _, key := range []string{
 		KeyVal + "x", KeyVal + "f", KeyTycon + "t", KeyTycon + "d",
-		KeyVal + "C", KeyVal + "E", KeyStr + "S", KeySig + "G",
+		KeyVal + "C", KeyVal + "E", KeyCon + "C", KeyCon + "E",
+		KeyStr + "S", KeySig + "G",
 		KeyFct + "F", KeyVal + "exposed",
 	} {
 		if !has(info.Defs, key) {
@@ -66,10 +67,11 @@ func TestFreeCollected(t *testing.T) {
 	}
 	// NB: "y" itself IS conservatively free — a val pattern variable
 	// could resolve to a constructor defined elsewhere, in which case
-	// the dependency edge is semantically required. Graph drops the
-	// self-edge; cross-file it orders the definer first.
-	if !has(info.Free, KeyVal+"y") {
-		t.Error("pattern variable not conservatively free")
+	// the dependency edge is semantically required — but only under
+	// KeyCon, which only constructor and exception definers match.
+	// Graph drops the self-edge; cross-file it orders the definer first.
+	if !has(info.Free, KeyCon+"y") || has(info.Free, KeyVal+"y") {
+		t.Errorf("pattern variable y not free as a possible constructor only: %v", info.Free)
 	}
 	// Subsequent *uses* of a bound name are not free.
 	info2 := analyze(t, "b2", "fun f n = n\nval used = f 1")
@@ -150,5 +152,64 @@ func TestSelfReferenceIgnored(t *testing.T) {
 	deps := Graph(infos)
 	if len(deps["self.sml"]) != 0 {
 		t.Errorf("self-recursion created edge: %v", deps["self.sml"])
+	}
+}
+
+// TestPatternVariableNotAValueReference is the false cycle a pattern
+// variable once made: xs in a.sml's clauses is bound by the pattern,
+// so b.sml's top-level xs is no dependency of a.sml.
+func TestPatternVariableNotAValueReference(t *testing.T) {
+	infos := []*Info{
+		analyze(t, "a.sml", "fun f (x :: xs) = xs | f [] = []"),
+		analyze(t, "b.sml", "val xs = f [1, 2]\nval _ = print (Int.toString (length xs))"),
+	}
+	deps := Graph(infos)
+	if len(deps["a.sml"]) != 0 {
+		t.Errorf("a.sml deps %v, want none", deps["a.sml"])
+	}
+	if len(deps["b.sml"]) != 1 || deps["b.sml"][0] != "a.sml" {
+		t.Errorf("b.sml deps %v, want [a.sml]", deps["b.sml"])
+	}
+	if _, err := TopoSort(infos); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestPatternConstructorOrdersLaterDefiner: a variable pattern that
+// names a constructor or exception is a reference to its definer, the
+// edge holds when the definer is listed later, and an earlier unit
+// that defines the name as a plain value does not take the edge.
+func TestPatternConstructorOrdersLaterDefiner(t *testing.T) {
+	for _, def := range []string{"datatype color = Red | Green", "exception Red"} {
+		infos := []*Info{
+			analyze(t, "use.sml", "fun isRed Red = true | isRed _ = false"),
+			analyze(t, "plain.sml", "val Red = 0"),
+			analyze(t, "def.sml", def),
+		}
+		deps := Graph(infos)
+		if len(deps["use.sml"]) != 1 || deps["use.sml"][0] != "def.sml" {
+			t.Errorf("%s: use.sml deps %v, want [def.sml]", def, deps["use.sml"])
+		}
+		order, err := TopoSort(infos)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pos := map[string]int{}
+		for i, info := range order {
+			pos[info.Name] = i
+		}
+		if pos["def.sml"] > pos["use.sml"] {
+			t.Errorf("%s: order %v, want def.sml before use.sml", def, pos)
+		}
+	}
+}
+
+// TestPatternVariableThenUseIsAReference: a name used free as a value
+// anywhere in the unit keeps its value key, even if it first appears
+// as a pattern.
+func TestPatternVariableThenUseIsAReference(t *testing.T) {
+	info := analyze(t, "m.sml", "fun f n = n\nval g = n")
+	if !has(info.Free, KeyVal+"n") || has(info.Free, KeyCon+"n") {
+		t.Errorf("n used free as a value, keys %v", info.Free)
 	}
 }

@@ -4,20 +4,16 @@
 // execution consumes the values of its import pids and binds its export
 // pids — so no global mutable state links compiled units together.
 //
-// Concurrency: an Env is safe for concurrent Bind/Lookup/Peek from any
+// An Env does no accounting: the execute phase (compiler.Execute)
+// counts its own dynenv.* traffic on the recorder it is handed.
+//
+// Concurrency: an Env is safe for concurrent Bind/Lookup from any
 // number of goroutines — the map is split into shards, each behind its
 // own RWMutex, indexed by the pid's leading hash byte. This is what
-// lets the scheduler execute independent units in parallel. A View is
-// the copy-on-write face an exec worker sees: lookups fall through a
-// shared pending overlay to the committed base, binds go to the overlay
-// only and are recorded for commit-order replay (Commit), and dynenv.*
-// counters go to the view's private recorder — so an execution
-// speculatively run past a failing unit leaves no trace in the base
-// env, its counters, or its recorder. A View itself is confined to its
-// one execution goroutine; the overlay and base it touches are the
-// concurrent-safe Envs above. Copy and Pids take every shard lock in
-// turn and are consistent only once concurrent writers are quiesced —
-// which the scheduler's commit ordering guarantees.
+// lets the scheduler's exec workers bind independent units' exports
+// into one session env in parallel. Len, Copy and Pids take every
+// shard lock in turn and are consistent only once concurrent writers
+// are quiesced.
 package dynenv
 
 import (
@@ -26,7 +22,6 @@ import (
 	"sync"
 
 	"repro/internal/interp"
-	"repro/internal/obs"
 	"repro/internal/pid"
 )
 
@@ -43,20 +38,6 @@ type shard struct {
 // Env is a dynamic environment. The zero value is not usable; call New.
 type Env struct {
 	shards *[shardCount]shard
-	// Obs, when non-nil, receives the dynenv.* counters (binds,
-	// lookups, misses, views) — the execute phase's import/export
-	// traffic as data. Copies inherit the recorder; Views record to
-	// their own.
-	Obs obs.Recorder
-}
-
-// Target is what unit execution needs of a dynamic environment: import
-// lookup and export binding. *Env implements it for the sequential
-// paths (REPL, smlrun, Session.Run), which commit directly; *View
-// implements it for the parallel exec stage, which buffers.
-type Target interface {
-	MustLookup(p pid.Pid) (interp.Value, error)
-	Bind(p pid.Pid, v interp.Value)
 }
 
 // New returns an empty dynamic environment.
@@ -74,44 +55,21 @@ func (d *Env) shard(p pid.Pid) *shard {
 	return &d.shards[p[0]&(shardCount-1)]
 }
 
-// put is Bind without accounting.
-func (d *Env) put(p pid.Pid, v interp.Value) {
+// Bind associates a pid with a value, replacing any previous binding.
+func (d *Env) Bind(p pid.Pid, v interp.Value) {
 	s := d.shard(p)
 	s.mu.Lock()
 	s.m[p] = v
 	s.mu.Unlock()
 }
 
-// get is Lookup without accounting.
-func (d *Env) get(p pid.Pid) (interp.Value, bool) {
+// Lookup finds the value bound to p.
+func (d *Env) Lookup(p pid.Pid) (interp.Value, bool) {
 	s := d.shard(p)
 	s.mu.RLock()
 	v, ok := s.m[p]
 	s.mu.RUnlock()
 	return v, ok
-}
-
-// Bind associates a pid with a value, replacing any previous binding.
-func (d *Env) Bind(p pid.Pid, v interp.Value) {
-	obs.Count(d.Obs, "dynenv.binds", 1)
-	d.put(p, v)
-}
-
-// Lookup finds the value bound to p.
-func (d *Env) Lookup(p pid.Pid) (interp.Value, bool) {
-	v, ok := d.get(p)
-	obs.Count(d.Obs, "dynenv.lookups", 1)
-	if !ok {
-		obs.Count(d.Obs, "dynenv.misses", 1)
-	}
-	return v, ok
-}
-
-// Peek is Lookup without the dynenv.* accounting: scheduler-side
-// inspection (the §4j mutable-import scan) whose call count depends on
-// scheduling, so it must not perturb the deterministic counter stream.
-func (d *Env) Peek(p pid.Pid) (interp.Value, bool) {
-	return d.get(p)
 }
 
 // MustLookup finds the value bound to p or returns a linkage error.
@@ -137,10 +95,8 @@ func (d *Env) Len() int {
 
 // Copy returns an independent copy (dynamic environments compose by
 // copying plus Bind, mirroring the paper's functional composition).
-// The copy reports to the same recorder as the original.
 func (d *Env) Copy() *Env {
 	out := New()
-	out.Obs = d.Obs
 	for i := range d.shards {
 		s := &d.shards[i]
 		s.mu.RLock()
@@ -151,84 +107,6 @@ func (d *Env) Copy() *Env {
 	}
 	return out
 }
-
-// Binding is one recorded export bind of an execution View, in bind
-// order — the unit of commit-order replay the scheduler's committer
-// applies to the session env via Commit.
-type Binding struct {
-	Pid pid.Pid
-	Val interp.Value
-}
-
-// Commit applies recorded view bindings to d without re-counting them:
-// the view already recorded the dynenv.* traffic into its execution's
-// private buffer, which the committer flushes separately.
-func (d *Env) Commit(bs []Binding) {
-	for _, b := range bs {
-		d.put(b.Pid, b.Val)
-	}
-}
-
-// View returns the copy-on-write execution view the parallel exec
-// stage hands each unit: lookups consult pending (the build's shared
-// overlay of executed-but-uncommitted exports) before d, binds go to
-// pending only — recorded in Binds for commit-order replay — and all
-// dynenv.* traffic is counted on rec instead of d.Obs, so counters
-// from speculative executions never leak into the build's collector
-// (counter dynenv.views, recorded on rec so the count itself replays
-// deterministically). Nothing a view does mutates d: only the
-// committer publishes a unit's bindings, by handing Binds to d.Commit
-// when — and only when — the unit commits.
-func (d *Env) View(pending *Env, rec obs.Recorder) *View {
-	obs.Count(rec, "dynenv.views", 1)
-	return &View{base: d, pending: pending, rec: rec}
-}
-
-// View is the execution-side face of a dynamic environment during a
-// parallel build. See Env.View for the contract. A View is confined to
-// the one goroutine executing its unit.
-type View struct {
-	base    *Env
-	pending *Env
-	rec     obs.Recorder
-	binds   []Binding
-}
-
-// Bind records an export binding: into the build's pending overlay (so
-// dependents executing before this unit commits can import it) and
-// into the view's replay log — never into the base env.
-func (v *View) Bind(p pid.Pid, val interp.Value) {
-	obs.Count(v.rec, "dynenv.binds", 1)
-	v.pending.put(p, val)
-	v.binds = append(v.binds, Binding{Pid: p, Val: val})
-}
-
-// Lookup finds the value bound to p: the pending overlay first (the
-// latest executed-but-uncommitted bind wins, exactly as the latest
-// committed bind wins sequentially), then the committed base.
-func (v *View) Lookup(p pid.Pid) (interp.Value, bool) {
-	val, ok := v.pending.get(p)
-	if !ok {
-		val, ok = v.base.get(p)
-	}
-	obs.Count(v.rec, "dynenv.lookups", 1)
-	if !ok {
-		obs.Count(v.rec, "dynenv.misses", 1)
-	}
-	return val, ok
-}
-
-// MustLookup finds the value bound to p or returns a linkage error.
-func (v *View) MustLookup(p pid.Pid) (interp.Value, error) {
-	val, ok := v.Lookup(p)
-	if !ok {
-		return nil, fmt.Errorf("dynenv: no value bound to pid %s (missing import)", p.Short())
-	}
-	return val, nil
-}
-
-// Binds returns the view's recorded bindings, in bind order.
-func (v *View) Binds() []Binding { return v.binds }
 
 // Pids returns the bound pids in sorted order (deterministic, for tests
 // and diagnostics).

@@ -108,7 +108,7 @@ func TestCurriedClausesBuildNoTuple(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", c.fun, err)
 		}
-		if err := compiler.Execute(s.Machine, u, s.Dyn); err != nil {
+		if err := compiler.Execute(s.Machine, u, s.Dyn, nil, nil, 0); err != nil {
 			t.Fatalf("%s: %v", c.fun, err)
 		}
 		if out.String() != c.out {

@@ -13,7 +13,11 @@ import (
 // (closure trimming, the IRM dependency analyzer) skip names that do
 // not resolve. Extra entries cost hash precision, never soundness.
 type FreeIDs struct {
-	ValOrder   []string
+	ValOrder []string
+	// PatOnly holds the names of ValOrder whose every free reference is
+	// a variable pattern. Such a name refers to the enclosing scope only
+	// if it is a constructor there; otherwise the pattern binds it.
+	PatOnly    map[string]bool
 	TyconOrder []string
 	StrOrder   []string
 	SigOrder   []string
@@ -89,17 +93,30 @@ func (w *fwalker) boundStr(n string) bool {
 	return false
 }
 
-func (w *fwalker) refVal(id ast.LongID) {
+func (w *fwalker) refVal(id ast.LongID) { w.ref(id, false) }
+
+// ref records a value reference; pat marks a variable pattern (see
+// FreeIDs.PatOnly).
+func (w *fwalker) ref(id ast.LongID, pat bool) {
 	if id.IsQualified() {
 		w.refStrName(id.Parts[0])
 		return
 	}
 	n := id.Base()
-	if w.boundVal(n) || w.out.vals[n] {
+	if w.boundVal(n) {
+		return
+	}
+	if w.out.vals[n] {
+		if !pat {
+			delete(w.out.PatOnly, n)
+		}
 		return
 	}
 	w.out.vals[n] = true
 	w.out.ValOrder = append(w.out.ValOrder, n)
+	if pat {
+		bind(&w.out.PatOnly, n)
+	}
 }
 
 func (w *fwalker) refTycon(id ast.LongID) {
@@ -407,7 +424,7 @@ func (w *fwalker) pat(p ast.Pat, bind bool) {
 	case *ast.WildPat, *ast.ConstPat:
 	case *ast.VarPat:
 		// Could be a constructor reference; record before binding.
-		w.refVal(p.Name)
+		w.ref(p.Name, true)
 		if bind && !p.Name.IsQualified() {
 			w.bindVal(p.Name.Base())
 		}

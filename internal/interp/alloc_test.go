@@ -36,7 +36,7 @@ func TestExecAllocCeiling(t *testing.T) {
 		t.Fatal(err)
 	}
 	run := func() {
-		if err := compiler.Execute(s.Machine, u, s.Dyn.Copy()); err != nil {
+		if err := compiler.Execute(s.Machine, u, s.Dyn.Copy(), nil, nil, 0); err != nil {
 			t.Fatal(err)
 		}
 	}

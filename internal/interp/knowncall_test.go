@@ -82,7 +82,7 @@ func runKnown(t *testing.T, src, mode string, budget uint64) knownRun {
 	if mode == "tree" {
 		err = execTreeUnit(m, u, s)
 	} else {
-		err = compiler.Execute(m, u, s.Dyn)
+		err = compiler.Execute(m, u, s.Dyn, nil, nil, 0)
 	}
 	r := knownRun{out: out.String(), steps: m.Steps}
 	if err != nil {
@@ -425,7 +425,7 @@ func TestProfilingKnownCalls(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.Machine.StartProfile(7)
-	if err := compiler.Execute(s.Machine, u, s.Dyn); err != nil {
+	if err := compiler.Execute(s.Machine, u, s.Dyn, nil, nil, 0); err != nil {
 		t.Fatal(err)
 	}
 	ups := s.Machine.TakeUnitProfiles()

@@ -159,7 +159,7 @@ func TestLazyFirstCallRace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := compiler.Execute(s2.Machine, lu, s2.Dyn); err != nil {
+	if err := compiler.Execute(s2.Machine, lu, s2.Dyn, nil, nil, 0); err != nil {
 		t.Fatal(err)
 	}
 	v, err := s2.Dyn.MustLookup(lu.ExportPid(0))
@@ -236,7 +236,7 @@ func TestForgedHelperRejectedAtLoad(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := compiler.Execute(s.Machine, u, s.Dyn); err != nil {
+	if err := compiler.Execute(s.Machine, u, s.Dyn, nil, nil, 0); err != nil {
 		t.Fatal(err)
 	}
 	fns := interp.LoadedFuncs(u.Prog)

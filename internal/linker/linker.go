@@ -14,6 +14,7 @@
 package linker
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 
@@ -136,16 +137,12 @@ func sortByName(us []*compiler.Unit) {
 
 // Run verifies, sorts, and executes a link set against the base
 // dynamic environment, extending it with every unit's exports.
-func Run(m *interp.Machine, units []*compiler.Unit, dyn *dynenv.Env) error {
-	return RunObserved(m, units, dyn, nil, nil)
-}
-
-// RunObserved is Run under instrumentation: verification and sorting
-// get phase spans under parent, every unit of the link set gets a unit
-// span holding its "execute" phase tree (see compiler.ExecuteObserved),
-// and the link.* counters are recorded on rec. Nil parent and nil rec
-// make it exactly Run.
-func RunObserved(m *interp.Machine, units []*compiler.Unit, dyn *dynenv.Env,
+// Verification and sorting get phase spans under parent, every unit of
+// the link set gets a unit span holding its "execute" phase tree (see
+// compiler.Execute), and the link.*, exec.* and dynenv.* counters are
+// recorded on rec; both may be nil. A link set that fails verification
+// runs nothing and returns every failure, joined (errors.Join).
+func Run(m *interp.Machine, units []*compiler.Unit, dyn *dynenv.Env,
 	parent *obs.Span, rec obs.Recorder) error {
 
 	obs.Count(rec, "link.runs", 1)
@@ -155,7 +152,7 @@ func RunObserved(m *interp.Machine, units []*compiler.Unit, dyn *dynenv.Env,
 	vspan.End()
 	if len(errs) > 0 {
 		obs.Count(rec, "link.errors", int64(len(errs)))
-		return errs[0]
+		return errors.Join(errs...)
 	}
 	sspan := parent.Child(obs.CatPhase, "sort")
 	order, err := Sort(units)
@@ -166,7 +163,7 @@ func RunObserved(m *interp.Machine, units []*compiler.Unit, dyn *dynenv.Env,
 	}
 	for _, u := range order {
 		uspan := parent.Child(obs.CatUnit, u.Name)
-		err := compiler.ExecuteObserved(m, u, dyn, uspan, rec)
+		err := compiler.Execute(m, u, dyn, uspan, rec, 0)
 		uspan.End()
 		if err != nil {
 			obs.Count(rec, "link.errors", 1)

@@ -26,7 +26,7 @@ func compileChain(t *testing.T, s *compiler.Session) (prov, client *compiler.Uni
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := compiler.Execute(s.Machine, prov, s.Dyn); err != nil {
+	if err := compiler.Execute(s.Machine, prov, s.Dyn, nil, nil, 0); err != nil {
 		t.Fatal(err)
 	}
 	s.Accept(prov)
@@ -107,7 +107,7 @@ func TestRunExecutesInOrder(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Client compiled against prov's env.
-	if err := compiler.Execute(s.Machine, prov, s.Dyn); err != nil {
+	if err := compiler.Execute(s.Machine, prov, s.Dyn, nil, nil, 0); err != nil {
 		t.Fatal(err)
 	}
 	s.Accept(prov)
@@ -118,7 +118,7 @@ func TestRunExecutesInOrder(t *testing.T) {
 	}
 	// Fresh dynenv: run both through the linker.
 	dyn := s.Dyn.Copy()
-	if err := Run(s.Machine, []*compiler.Unit{client, prov}, dyn); err != nil {
+	if err := Run(s.Machine, []*compiler.Unit{client, prov}, dyn, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	lines := out.String()
@@ -135,8 +135,32 @@ func TestRunExecutesInOrder(t *testing.T) {
 func TestRunReportsFirstError(t *testing.T) {
 	s := newSession(t)
 	_, client := compileChain(t, s)
-	err := Run(s.Machine, []*compiler.Unit{client}, nil)
+	err := Run(s.Machine, []*compiler.Unit{client}, nil, nil, nil)
 	if err == nil {
 		t.Fatal("inconsistent link set ran")
+	}
+}
+
+// TestRunReturnsEveryVerifyError: Run is the one verifier — a link set
+// that fails verification runs nothing and returns every failure.
+func TestRunReturnsEveryVerifyError(t *testing.T) {
+	s := newSession(t)
+	var out bytes.Buffer
+	s.Machine.Stdout = &out
+	_, client := compileChain(t, s)
+	other, err := s.Compile("other", `val _ = print "ran\n" val more = base + 1`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = Run(s.Machine, []*compiler.Unit{client, other}, nil, nil, nil)
+	j, ok := err.(interface{ Unwrap() []error })
+	if !ok {
+		t.Fatalf("Run returned %v, want the joined verify errors", err)
+	}
+	if errs := j.Unwrap(); len(errs) != 2 {
+		t.Errorf("Run returned %d verify errors, want 2: %v", len(errs), err)
+	}
+	if out.Len() != 0 {
+		t.Errorf("a link set that failed verification printed %q", out.String())
 	}
 }

@@ -150,7 +150,7 @@ func TestMetricsMatchReport(t *testing.T) {
 	for _, name := range []string{
 		"irm_exec_units", "irm_time_apply_ns", "irm_time_lock_ns",
 		"irm_code_compiles", "irm_code_compile_ns", "irm_code_bytes",
-		"irm_exec_parallelism_max", "irm_dynenv_views",
+		"irm_exec_parallelism_max", "irm_dynenv_binds",
 	} {
 		if _, ok := samples[name]; !ok {
 			t.Errorf("%s missing from /metrics", name)
