@@ -4,8 +4,6 @@ import (
 	"sort"
 	"testing"
 
-	"repro/internal/env"
-	"repro/internal/interp"
 	"repro/internal/types"
 )
 
@@ -30,29 +28,6 @@ func TestPrimEnvComplete(t *testing.T) {
 	} {
 		if _, ok := e.LookupTycon(name); !ok {
 			t.Errorf("basis missing tycon %q", name)
-		}
-	}
-}
-
-// TestPrimOpsImplemented: every primitive operator named by a basis
-// binding must be implemented by the machine (the op appears in
-// interp.PrimNames), keeping the two tables in sync.
-func TestPrimOpsImplemented(t *testing.T) {
-	implemented := map[string]bool{}
-	for _, op := range interp.PrimNames() {
-		implemented[op] = true
-	}
-	e := PrimEnv()
-	for _, ent := range e.Order() {
-		if ent.NS != env.NSVal {
-			continue
-		}
-		vb, _ := e.LocalVal(ent.Name)
-		if vb.Prim == "" || vb.Con != nil {
-			continue // constructors; exceptions use exn: prefix
-		}
-		if !implemented[vb.Prim] {
-			t.Errorf("basis op %q (binding %q) not implemented by the machine", vb.Prim, ent.Name)
 		}
 	}
 }

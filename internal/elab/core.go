@@ -228,14 +228,14 @@ func (el *Elaborator) elabExp(e *env.Env, x ast.Exp) (types.Ty, lambda.Exp) {
 		st, sc := el.elabExp(e, x.Exp)
 		sv := el.lg.Fresh()
 		resTy, matchCode := el.elabMatchChecked(e, x.Rules, st, &lambda.Var{LV: sv},
-			&lambda.Prim{Op: "raiseMatch"}, x.Pos, true, "case expression")
+			&lambda.Prim{Op: lambda.OpRaiseMatch}, x.Pos, true, "case expression")
 		return resTy, &lambda.Let{LV: sv, Bind: sc, Body: matchCode}
 
 	case *ast.FnExp:
 		p := el.lg.Fresh()
 		argTy := types.NewVar(el.level)
 		resTy, matchCode := el.elabMatchChecked(e, x.Rules, argTy, &lambda.Var{LV: p},
-			&lambda.Prim{Op: "raiseMatch"}, x.Pos, true, "fn expression")
+			&lambda.Prim{Op: lambda.OpRaiseMatch}, x.Pos, true, "fn expression")
 		return &types.Arrow{From: argTy, To: resTy}, &lambda.Fn{Param: p, Body: matchCode}
 
 	case *ast.LetExp:
@@ -361,7 +361,7 @@ func (el *Elaborator) valCode(x *ast.VarExp, vb *env.ValBind, acc valRef) lambda
 }
 
 // primApp holds a saturated primitive call's nodes as one allocation.
-// Binary is the widest primitive (defaultPrimArity).
+// Binary is the widest primitive a basis name binds.
 type primApp struct {
 	prim lambda.Prim
 	args [2]lambda.Exp
@@ -374,8 +374,9 @@ type primApp struct {
 // a tuple literal written in label order, so the Prim evaluates its
 // operands in source order. Any other argument shape reports !ok, and
 // the caller applies the primitive's eta-expansion (primExp).
-func (el *Elaborator) elabPrimApp(e *env.Env, x *ast.AppExp, op string, ft types.Ty) (types.Ty, lambda.Exp, bool) {
-	arity := el.arityOf(op)
+func (el *Elaborator) elabPrimApp(e *env.Env, x *ast.AppExp, name string, ft types.Ty) (types.Ty, lambda.Exp, bool) {
+	op := el.primOp(name)
+	arity := op.Arity()
 	n := &primApp{}
 	var at types.Ty
 	if arity == 1 {
@@ -396,13 +397,15 @@ func (el *Elaborator) elabPrimApp(e *env.Env, x *ast.AppExp, op string, ft types
 	return res, &n.prim, true
 }
 
-// arityOf is primitive op's runtime arity; a primitive the table does
-// not list takes one argument.
-func (el *Elaborator) arityOf(op string) int {
-	if arity, ok := el.primArity[op]; ok {
-		return arity
+// primOp resolves a binding's primitive name. The basis binds only
+// names the op table holds; any other name, such as one a forged
+// static environment carries, is an error rather than code.
+func (el *Elaborator) primOp(name string) lambda.Op {
+	op, ok := lambda.LookupOp(name)
+	if !ok {
+		el.fatalf(token.Pos{}, "unknown primitive %q", name)
 	}
-	return 1
+	return op
 }
 
 // primNodes holds every node of a primitive's eta-expansion,
@@ -418,8 +421,9 @@ type primNodes struct {
 }
 
 // primExp eta-expands a primitive into a function value.
-func (el *Elaborator) primExp(op string) lambda.Exp {
-	arity := el.arityOf(op)
+func (el *Elaborator) primExp(name string) lambda.Exp {
+	op := el.primOp(name)
+	arity := op.Arity()
 	p := el.lg.Fresh()
 	n := &primNodes{}
 	if arity == 1 {
@@ -597,7 +601,7 @@ func (el *Elaborator) elabValDec(d *ast.ValDec, e *env.Env, sc *slotCtx) wrapFn 
 		pat := vb.Pat
 		prev := wrap
 		wrap = func(body lambda.Exp) lambda.Exp {
-			inner := el.genPat(pat, &lambda.Var{LV: sv}, body, &lambda.Prim{Op: "raiseBind"})
+			inner := el.genPat(pat, &lambda.Var{LV: sv}, body, &lambda.Prim{Op: lambda.OpRaiseBind})
 			return prev(&lambda.Let{LV: sv, Bind: expCodeCopy, Body: inner})
 		}
 	}
@@ -775,7 +779,7 @@ func (el *Elaborator) elabFunBind(e *env.Env, fb *ast.FunBind, pos token.Pos) (t
 	}
 
 	matchResTy, matchCode := el.elabMatchChecked(e, rules, scrutTy, scrutExp,
-		&lambda.Prim{Op: "raiseMatch"}, pos, true, "fun "+fb.Name)
+		&lambda.Prim{Op: lambda.OpRaiseMatch}, pos, true, "fun "+fb.Name)
 	el.unify(pos, matchResTy, resTy, "fun result")
 
 	// Assemble: fn p1 => let sv = p1 in match, or

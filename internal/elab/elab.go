@@ -103,11 +103,6 @@ type Elaborator struct {
 	// insertion order preserved (val specs generalize in that order).
 	tyvarScope []*tyscope
 
-	// primArity maps primitive names to their runtime arity: how many
-	// operands a saturated call takes (elabPrimApp) and how the
-	// eta-expansion of any other use unpacks its argument (primExp).
-	primArity map[string]int
-
 	// Pattern elaboration results, keyed by AST node, consumed by the
 	// code generator immediately after each rule is typed.
 	patCon    map[ast.Pat]*conInfo
@@ -139,25 +134,6 @@ func (sc *slotCtx) add(expr lambda.Exp, b SlotBinding) int {
 	return len(sc.exprs) - 1
 }
 
-// PrimArities describes the built-in primitives' runtime arities; the
-// basis package registers its primitives here via the Options.
-var defaultPrimArity = map[string]int{
-	"add": 2, "sub": 2, "mul": 2, "div": 2, "mod": 2, "quot": 2, "rem": 2, "fdiv": 2,
-	"neg": 1, "abs": 1,
-	"lt": 2, "le": 2, "gt": 2, "ge": 2, "eq": 2, "ne": 2,
-	"concat": 2, "size": 1, "str": 1, "chr": 1, "ord": 1,
-	"explode": 1, "implode": 1, "substring": 1,
-	"real": 1, "floor": 1, "ceil": 1, "round": 1, "trunc": 1,
-	"sqrt": 1, "ln": 1, "exp": 1, "sin": 1, "cos": 1, "atan": 1,
-	"intToString": 1, "realToString": 1,
-	"ref": 1, "deref": 1, "assign": 2, "print": 1,
-	"exnName": 1,
-	"andb":    2, "orb": 2, "xorb": 2, "notb": 1, "lshift": 2, "rshift": 2,
-	"wordToInt": 1, "intToWord": 1,
-	"array": 1, "arrayFromList": 1, "asub": 1, "aupdate": 1, "alength": 1,
-	"vectorFromList": 1, "vsub": 1, "vlength": 1,
-}
-
 // conInfo records a pattern's resolved constructor; Tag carries the
 // exception tag access expression for exception constructors.
 type conInfo struct {
@@ -172,7 +148,6 @@ func New() *Elaborator {
 		sg:          stamps.NewGen(),
 		access:      map[any]lambda.Exp{},
 		importSlots: map[pid.Pid]int{},
-		primArity:   defaultPrimArity,
 		patCon:      map[ast.Pat]*conInfo{},
 		patRecTy:    map[*ast.RecordPat]types.Ty{},
 		patAccess:   map[*env.ValBind]lambda.LVar{},

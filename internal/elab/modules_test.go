@@ -2,8 +2,6 @@ package elab_test
 
 import (
 	"testing"
-
-	"repro/internal/interp"
 )
 
 // These tests target the runtime side of signature matching: the
@@ -329,13 +327,4 @@ func TestEqtypePropagatesThroughMatch(t *testing.T) {
 		structure NO :> NEQ = struct type t = int fun mk n = n end
 	`)
 	mustFail(t, s, `val bad = NO.mk 1 = NO.mk 1`, "equality")
-}
-
-func TestInterpMachinePrimNamesSorted(t *testing.T) {
-	names := interp.PrimNames()
-	for i := 1; i < len(names); i++ {
-		if names[i-1] >= names[i] {
-			t.Fatalf("PrimNames not sorted at %d: %q >= %q", i, names[i-1], names[i])
-		}
-	}
 }

@@ -291,7 +291,7 @@ func (el *Elaborator) genConTest(info *conInfo, arg ast.Pat, root, succ, fail la
 				inner = el.genPat(arg, &lambda.ExnDecon{Exp: r}, succ, fail)
 			}
 			return &lambda.If{
-				Cond: &lambda.Prim{Op: "exnMatches", Args: []lambda.Exp{r, info.tag}},
+				Cond: &lambda.Prim{Op: lambda.OpExnMatches, Args: []lambda.Exp{r, info.tag}},
 				Then: inner,
 				Else: fail,
 			}

@@ -35,7 +35,7 @@ func (s *primShape) walk(t *testing.T, op string, e lambda.Exp) {
 		s.walk(t, op, e.Fn)
 		s.walk(t, op, e.Arg)
 	case *lambda.Prim:
-		if e.Op != op {
+		if e.Op.String() != op {
 			break
 		}
 		s.prims++

@@ -9,11 +9,15 @@ import (
 
 // allocProgram folds over a list built by List.tabulate: the prelude's
 // curried foldl, its match-compiled join points and tabulate's
-// non-tail recursion, over allocElems elements.
+// non-tail recursion, over allocElems elements. unaryProgram folds the
+// same list through two unary primitives per element, whose results
+// (a char, a small int) need no allocation.
 const (
 	allocElems   = 2000
 	allocProgram = `val l = List.tabulate (2000, fn i => i)
 val s = foldl (fn (x, acc) => x + acc) 0 l`
+	unaryProgram = `val l = List.tabulate (2000, fn i => i)
+val s = foldl (fn (x, acc) => ord (chr (x mod 256)) + acc) 0 l`
 )
 
 // TestExecAllocCeiling pins the allocations of executing allocProgram
@@ -22,7 +26,10 @@ val s = foldl (fn (x, acc) => x + acc) 0 l`
 // parameters, 17.96 when every curried level and clause thunk also
 // built its closure (DESIGN.md §4j, "Known calls" and "Records").
 // What remains is values — the list cell and its pair, the argument
-// tuple of f (x, acc), the boxed sum — not calls.
+// tuple of f (x, acc), the boxed sum — not calls. unaryProgram must
+// allocate no more: a primitive call passes its operands directly
+// (5.96, two more per element, when each call of chr and ord built
+// its argument slice).
 func TestExecAllocCeiling(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts differ under the race detector")
@@ -31,19 +38,25 @@ func TestExecAllocCeiling(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	u, err := s.Compile("alloc.sml", allocProgram)
-	if err != nil {
-		t.Fatal(err)
-	}
-	run := func() {
-		if err := compiler.Execute(s.Machine, u, s.Dyn.Copy(), nil, nil, 0); err != nil {
+	perElem := func(src string) float64 {
+		u, err := s.Compile("alloc.sml", src)
+		if err != nil {
 			t.Fatal(err)
 		}
+		run := func() {
+			if err := compiler.Execute(s.Machine, u, s.Dyn.Copy(), nil, nil, 0); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return testing.AllocsPerRun(10, run) / allocElems
 	}
-	perElem := testing.AllocsPerRun(10, run) / allocElems
-	t.Logf("%.2f allocations per element", perElem)
+	plain, unary := perElem(allocProgram), perElem(unaryProgram)
+	t.Logf("%.2f allocations per element, %.2f with two unary primitive calls", plain, unary)
 	const ceiling = 5
-	if perElem > ceiling {
-		t.Errorf("%.2f allocations per element, ceiling %d", perElem, ceiling)
+	if plain > ceiling {
+		t.Errorf("%.2f allocations per element, ceiling %d", plain, ceiling)
+	}
+	if unary > plain+0.5 {
+		t.Errorf("unary primitive calls: %.2f allocations per element, want no more than the plain fold's %.2f", unary, plain)
 	}
 }

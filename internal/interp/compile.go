@@ -151,7 +151,7 @@ func (f *CompiledFn) ParentOf(id int32) int32 {
 }
 
 // Small-int cache: boxing an IntV into a Value allocates, and the int
-// fast paths below produce results in a narrow band overwhelmingly
+// primitives (prim.go) produce results in a narrow band overwhelmingly
 // often. One shared boxed value is observationally identical to a
 // fresh one (IntV is immutable and compared by value).
 const (
@@ -893,7 +893,7 @@ func (c *comp) walk(e lambda.Exp) cnode {
 	case *lambda.Switch:
 		return c.switchNode(e)
 	case *lambda.Prim:
-		return c.prim(e.Op, e.Args)
+		return c.prim(e)
 	case *lambda.Builtin:
 		name := e.Name
 		return func(m *Machine, fr *Frame) Value {
@@ -1376,101 +1376,35 @@ func caseKeys[K any](cases []lambda.Case, key func(*lambda.Case) K) []K {
 	return out
 }
 
-// prim compiles a primitive application. The int fast paths inline the
-// overloaded arithmetic/comparison dispatch for the representation the
-// elaborated basis produces overwhelmingly often; every fast path
-// falls back to the shared Machine implementation on any other
-// representation, so semantics (overflow, Div, crashes) are identical.
-func (c *comp) prim(op string, es []lambda.Exp) cnode {
-	if len(es) == 2 {
-		a, b := c.walk(es[0]), c.walk(es[1])
-		if c.shape {
-			return nil
-		}
-		if f := binaryPrim(op, a, b); f != nil {
-			return f
-		}
-		return func(m *Machine, fr *Frame) Value {
-			return m.prim(op, []Value{a(m, fr), b(m, fr)})
-		}
+// prim compiles a primitive application to a direct call of the op's
+// table entry, resolved here, once per build or load: a call passes its
+// operands with no slice and dispatches on no name. An op whose operand
+// count is not its arity fails the walk, in the shape walk of a loaded
+// function too, so a forged Prim is refused at load.
+func (c *comp) prim(e *lambda.Prim) cnode {
+	p, err := primOf(e.Op, len(e.Args))
+	if err != nil {
+		c.fail("%v", err)
+		return nil
 	}
-	args := c.walkAll(es)
+	var a, b cnode
+	if len(e.Args) > 0 {
+		a = c.walk(e.Args[0])
+	}
+	if len(e.Args) > 1 {
+		b = c.walk(e.Args[1])
+	}
 	if c.shape {
 		return nil
 	}
-	return func(m *Machine, fr *Frame) Value {
-		vs := make([]Value, len(args))
-		for i, a := range args {
-			vs[i] = a(m, fr)
-		}
-		return m.prim(op, vs)
+	switch f0, f1, f2 := p.f0, p.f1, p.f2; len(e.Args) {
+	case 0:
+		return func(m *Machine, fr *Frame) Value { return f0(m) }
+	case 1:
+		return func(m *Machine, fr *Frame) Value { return f1(m, a(m, fr)) }
+	default:
+		return func(m *Machine, fr *Frame) Value { return f2(m, a(m, fr), b(m, fr)) }
 	}
-}
-
-// binaryPrim returns the inlined fast path of a two-argument prim over
-// its compiled operands, or nil when op has none. The operands are
-// captured directly, so a fast-path prim costs one closure to build.
-func binaryPrim(op string, a, b cnode) cnode {
-	switch op {
-	case "add":
-		return func(m *Machine, fr *Frame) Value {
-			va, vb := a(m, fr), b(m, fr)
-			if x, ok := va.(IntV); ok {
-				if y, ok := vb.(IntV); ok {
-					r := int64(x) + int64(y)
-					if (int64(x) > 0 && int64(y) > 0 && r < 0) ||
-						(int64(x) < 0 && int64(y) < 0 && r >= 0) {
-						m.raise(m.TagOverflow, nil)
-					}
-					return boxInt(r)
-				}
-			}
-			return m.arith(op, va, vb)
-		}
-	case "sub":
-		return func(m *Machine, fr *Frame) Value {
-			va, vb := a(m, fr), b(m, fr)
-			if x, ok := va.(IntV); ok {
-				if y, ok := vb.(IntV); ok {
-					r := int64(x) - int64(y)
-					if (int64(x) >= 0 && int64(y) < 0 && r < 0) ||
-						(int64(x) < 0 && int64(y) > 0 && r >= 0) {
-						m.raise(m.TagOverflow, nil)
-					}
-					return boxInt(r)
-				}
-			}
-			return m.arith(op, va, vb)
-		}
-	case "lt", "le", "gt", "ge":
-		return func(m *Machine, fr *Frame) Value {
-			va, vb := a(m, fr), b(m, fr)
-			if x, ok := va.(IntV); ok {
-				if y, ok := vb.(IntV); ok {
-					switch op {
-					case "lt":
-						return Bool(x < y)
-					case "le":
-						return Bool(x <= y)
-					case "gt":
-						return Bool(x > y)
-					default:
-						return Bool(x >= y)
-					}
-				}
-			}
-			return m.compare(op, va, vb)
-		}
-	case "eq":
-		return func(m *Machine, fr *Frame) Value {
-			return Bool(Eq(a(m, fr), b(m, fr)))
-		}
-	case "ne":
-		return func(m *Machine, fr *Frame) Value {
-			return Bool(!Eq(a(m, fr), b(m, fr)))
-		}
-	}
-	return nil
 }
 
 // Fork returns a machine sharing this machine's basis identities (the

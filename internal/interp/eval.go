@@ -3,10 +3,7 @@ package interp
 import (
 	"fmt"
 	"io"
-	"math"
 	"os"
-	"sort"
-	"strings"
 
 	"repro/internal/lambda"
 	"repro/internal/obs"
@@ -263,11 +260,18 @@ func (m *Machine) eval(e lambda.Exp, env *Env) Value {
 	case *lambda.Switch:
 		return m.evalSwitch(e, env)
 	case *lambda.Prim:
-		args := make([]Value, len(e.Args))
-		for i, a := range e.Args {
-			args[i] = m.eval(a, env)
+		p, err := primOf(e.Op, len(e.Args))
+		if err != nil {
+			m.crash("%v", err)
 		}
-		return m.prim(e.Op, args)
+		switch len(e.Args) {
+		case 0:
+			return p.f0(m)
+		case 1:
+			return p.f1(m, m.eval(e.Args[0], env))
+		}
+		a := m.eval(e.Args[0], env)
+		return p.f2(m, a, m.eval(e.Args[1], env))
 	case *lambda.Builtin:
 		v, ok := m.builtins[e.Name]
 		if !ok {
@@ -483,542 +487,4 @@ func (m *Machine) evalSwitch(e *lambda.Switch, env *Env) Value {
 		m.crash("non-exhaustive switch with no default")
 	}
 	return m.eval(e.Default, env)
-}
-
-// ---------------------------------------------------------------------
-// Primitives
-// ---------------------------------------------------------------------
-
-// prim implements the basis primitives. Arithmetic and comparison are
-// overloaded in SML; the elaborator guarantees homogeneous argument
-// types, so the implementation dispatches on the runtime representation.
-func (m *Machine) prim(op string, args []Value) Value {
-	switch op {
-	case "add", "sub", "mul":
-		return m.arith(op, args[0], args[1])
-	case "div":
-		return m.intdiv(args[0], args[1], false)
-	case "mod":
-		return m.intdiv(args[0], args[1], true)
-	case "quot", "rem":
-		a, ok1 := args[0].(IntV)
-		b, ok2 := args[1].(IntV)
-		if !ok1 || !ok2 {
-			return m.crash("%s of %s", op, String(args[0]))
-		}
-		if b == 0 {
-			m.raise(m.TagDiv, nil)
-		}
-		if op == "quot" {
-			return IntV(int64(a) / int64(b))
-		}
-		return IntV(int64(a) % int64(b))
-	case "fdiv":
-		a, b := m.realArg(args[0]), m.realArg(args[1])
-		return RealV(a / b)
-	case "neg":
-		switch a := args[0].(type) {
-		case IntV:
-			if a == math.MinInt64 {
-				m.raise(m.TagOverflow, nil)
-			}
-			return IntV(-a)
-		case RealV:
-			return RealV(-a)
-		case WordV:
-			return WordV(-a)
-		}
-		return m.crash("neg of %s", String(args[0]))
-	case "abs":
-		switch a := args[0].(type) {
-		case IntV:
-			if a < 0 {
-				if a == math.MinInt64 {
-					m.raise(m.TagOverflow, nil)
-				}
-				return IntV(-a)
-			}
-			return a
-		case RealV:
-			return RealV(math.Abs(float64(a)))
-		}
-		return m.crash("abs of %s", String(args[0]))
-	case "lt", "le", "gt", "ge":
-		return m.compare(op, args[0], args[1])
-	case "eq":
-		return Bool(Eq(args[0], args[1]))
-	case "ne":
-		return Bool(!Eq(args[0], args[1]))
-	case "concat":
-		a, b := m.strArg(args[0]), m.strArg(args[1])
-		return StrV(a + b)
-	case "size":
-		return IntV(len(m.strArg(args[0])))
-	case "str":
-		c, ok := args[0].(CharV)
-		if !ok {
-			return m.crash("str of %s", String(args[0]))
-		}
-		return StrV(string(byte(c)))
-	case "chr":
-		n, ok := args[0].(IntV)
-		if !ok {
-			return m.crash("chr of %s", String(args[0]))
-		}
-		if n < 0 || n > 255 {
-			m.raise(m.TagChr, nil)
-		}
-		return CharV(byte(n))
-	case "ord":
-		c, ok := args[0].(CharV)
-		if !ok {
-			return m.crash("ord of %s", String(args[0]))
-		}
-		return IntV(c)
-	case "explode":
-		s := m.strArg(args[0])
-		elems := make([]Value, len(s))
-		for i := 0; i < len(s); i++ {
-			elems[i] = CharV(s[i])
-		}
-		return List(elems)
-	case "implode":
-		elems, ok := GoList(args[0])
-		if !ok {
-			return m.crash("implode of %s", String(args[0]))
-		}
-		var sb strings.Builder
-		for _, e := range elems {
-			c, ok := e.(CharV)
-			if !ok {
-				return m.crash("implode of non-char list")
-			}
-			sb.WriteByte(byte(c))
-		}
-		return StrV(sb.String())
-	case "substring":
-		t, ok := Fields(args[0])
-		if !ok || len(t) != 3 {
-			return m.crash("substring arity")
-		}
-		s := m.strArg(t[0])
-		i, ok1 := t[1].(IntV)
-		n, ok2 := t[2].(IntV)
-		if !ok1 || !ok2 {
-			return m.crash("substring args")
-		}
-		if i < 0 || n < 0 || int(i+n) > len(s) {
-			m.raise(m.TagSubscript, nil)
-		}
-		return StrV(s[i : i+n])
-	case "real":
-		n, ok := args[0].(IntV)
-		if !ok {
-			return m.crash("real of %s", String(args[0]))
-		}
-		return RealV(float64(n))
-	case "floor":
-		r := m.realArg(args[0])
-		f := math.Floor(r)
-		if f > math.MaxInt64 || f < math.MinInt64 || math.IsNaN(f) {
-			m.raise(m.TagOverflow, nil)
-		}
-		return IntV(int64(f))
-	case "ceil":
-		r := m.realArg(args[0])
-		f := math.Ceil(r)
-		if f > math.MaxInt64 || f < math.MinInt64 || math.IsNaN(f) {
-			m.raise(m.TagOverflow, nil)
-		}
-		return IntV(int64(f))
-	case "round":
-		r := m.realArg(args[0])
-		f := math.RoundToEven(r)
-		if f > math.MaxInt64 || f < math.MinInt64 || math.IsNaN(f) {
-			m.raise(m.TagOverflow, nil)
-		}
-		return IntV(int64(f))
-	case "trunc":
-		r := m.realArg(args[0])
-		f := math.Trunc(r)
-		if f > math.MaxInt64 || f < math.MinInt64 || math.IsNaN(f) {
-			m.raise(m.TagOverflow, nil)
-		}
-		return IntV(int64(f))
-	case "sqrt":
-		return RealV(math.Sqrt(m.realArg(args[0])))
-	case "ln":
-		return RealV(math.Log(m.realArg(args[0])))
-	case "exp":
-		return RealV(math.Exp(m.realArg(args[0])))
-	case "sin":
-		return RealV(math.Sin(m.realArg(args[0])))
-	case "cos":
-		return RealV(math.Cos(m.realArg(args[0])))
-	case "atan":
-		return RealV(math.Atan(m.realArg(args[0])))
-	case "intToString":
-		n, ok := args[0].(IntV)
-		if !ok {
-			return m.crash("intToString of %s", String(args[0]))
-		}
-		s := fmt.Sprintf("%d", int64(n))
-		return StrV(strings.ReplaceAll(s, "-", "~"))
-	case "realToString":
-		return StrV(String(args[0]))
-	case "ref":
-		return &RefV{Cell: args[0]}
-	case "deref":
-		r, ok := args[0].(*RefV)
-		if !ok {
-			return m.crash("! of %s", String(args[0]))
-		}
-		return r.Cell
-	case "assign":
-		r, ok := args[0].(*RefV)
-		if !ok {
-			return m.crash(":= to %s", String(args[0]))
-		}
-		r.Cell = args[1]
-		return Unit()
-	case "print":
-		fmt.Fprint(m.Stdout, m.strArg(args[0]))
-		return Unit()
-	case "exnName":
-		ev, ok := args[0].(*ExnV)
-		if !ok {
-			return m.crash("exnName of %s", String(args[0]))
-		}
-		return StrV(ev.Tag.Name)
-	case "exnMatches":
-		// exnMatches(packet, tag): does the packet carry this tag?
-		ev, ok1 := args[0].(*ExnV)
-		tag, ok2 := args[1].(*ExnTag)
-		if !ok1 || !ok2 {
-			return m.crash("exnMatches of %s, %s", String(args[0]), String(args[1]))
-		}
-		return Bool(ev.Tag == tag)
-	case "raiseDiv":
-		m.raise(m.TagDiv, nil)
-	case "raiseMatch":
-		m.raise(m.TagMatch, nil)
-	case "raiseBind":
-		m.raise(m.TagBind, nil)
-	case "andb":
-		return WordV(m.wordArg(args[0]) & m.wordArg(args[1]))
-	case "orb":
-		return WordV(m.wordArg(args[0]) | m.wordArg(args[1]))
-	case "xorb":
-		return WordV(m.wordArg(args[0]) ^ m.wordArg(args[1]))
-	case "notb":
-		return WordV(^m.wordArg(args[0]))
-	case "lshift":
-		return WordV(m.wordArg(args[0]) << m.shiftArg(args[1]))
-	case "rshift":
-		return WordV(m.wordArg(args[0]) >> m.shiftArg(args[1]))
-	case "array":
-		t, ok := Fields(args[0])
-		if !ok || len(t) != 2 {
-			return m.crash("array arity")
-		}
-		n, ok := t[0].(IntV)
-		if !ok {
-			return m.crash("array size")
-		}
-		if n < 0 || n > 1<<28 {
-			m.raise(m.TagSize, nil)
-		}
-		elems := make([]Value, n)
-		for i := range elems {
-			elems[i] = t[1]
-		}
-		return &ArrV{Elems: elems}
-	case "arrayFromList":
-		elems, ok := GoList(args[0])
-		if !ok {
-			return m.crash("arrayFromList of %s", String(args[0]))
-		}
-		return &ArrV{Elems: elems}
-	case "asub":
-		t, ok := Fields(args[0])
-		if !ok || len(t) != 2 {
-			return m.crash("sub arity")
-		}
-		a, ok1 := t[0].(*ArrV)
-		i, ok2 := t[1].(IntV)
-		if !ok1 || !ok2 {
-			return m.crash("sub args")
-		}
-		if i < 0 || int(i) >= len(a.Elems) {
-			m.raise(m.TagSubscript, nil)
-		}
-		return a.Elems[i]
-	case "aupdate":
-		t, ok := Fields(args[0])
-		if !ok || len(t) != 3 {
-			return m.crash("update arity")
-		}
-		a, ok1 := t[0].(*ArrV)
-		i, ok2 := t[1].(IntV)
-		if !ok1 || !ok2 {
-			return m.crash("update args")
-		}
-		if i < 0 || int(i) >= len(a.Elems) {
-			m.raise(m.TagSubscript, nil)
-		}
-		a.Elems[i] = t[2]
-		return Unit()
-	case "alength":
-		a, ok := args[0].(*ArrV)
-		if !ok {
-			return m.crash("length of %s", String(args[0]))
-		}
-		return IntV(len(a.Elems))
-	case "vectorFromList":
-		elems, ok := GoList(args[0])
-		if !ok {
-			return m.crash("vectorFromList of %s", String(args[0]))
-		}
-		return VecV(elems)
-	case "vsub":
-		t, ok := Fields(args[0])
-		if !ok || len(t) != 2 {
-			return m.crash("Vector.sub arity")
-		}
-		v, ok1 := t[0].(VecV)
-		i, ok2 := t[1].(IntV)
-		if !ok1 || !ok2 {
-			return m.crash("Vector.sub args")
-		}
-		if i < 0 || int(i) >= len(v) {
-			m.raise(m.TagSubscript, nil)
-		}
-		return v[i]
-	case "vlength":
-		v, ok := args[0].(VecV)
-		if !ok {
-			return m.crash("Vector.length of %s", String(args[0]))
-		}
-		return IntV(len(v))
-	case "wordToInt":
-		w := m.wordArg(args[0])
-		if w > math.MaxInt64 {
-			m.raise(m.TagOverflow, nil)
-		}
-		return IntV(int64(w))
-	case "intToWord":
-		n, ok := args[0].(IntV)
-		if !ok {
-			return m.crash("intToWord of %s", String(args[0]))
-		}
-		return WordV(uint64(n))
-	}
-	return m.crash("unknown primitive %q", op)
-}
-
-func (m *Machine) arith(op string, a, b Value) Value {
-	switch x := a.(type) {
-	case IntV:
-		y, ok := b.(IntV)
-		if !ok {
-			return m.crash("%s of int and %s", op, String(b))
-		}
-		var r int64
-		var overflow bool
-		switch op {
-		case "add":
-			r = int64(x) + int64(y)
-			overflow = (int64(x) > 0 && int64(y) > 0 && r < 0) || (int64(x) < 0 && int64(y) < 0 && r >= 0)
-		case "sub":
-			r = int64(x) - int64(y)
-			overflow = (int64(x) >= 0 && int64(y) < 0 && r < 0) || (int64(x) < 0 && int64(y) > 0 && r >= 0)
-		case "mul":
-			r = int64(x) * int64(y)
-			overflow = x != 0 && (r/int64(x) != int64(y))
-		}
-		if overflow {
-			m.raise(m.TagOverflow, nil)
-		}
-		return IntV(r)
-	case RealV:
-		y, ok := b.(RealV)
-		if !ok {
-			return m.crash("%s of real and %s", op, String(b))
-		}
-		switch op {
-		case "add":
-			return RealV(x + y)
-		case "sub":
-			return RealV(x - y)
-		case "mul":
-			return RealV(x * y)
-		}
-	case WordV:
-		y, ok := b.(WordV)
-		if !ok {
-			return m.crash("%s of word and %s", op, String(b))
-		}
-		switch op {
-		case "add":
-			return WordV(x + y)
-		case "sub":
-			return WordV(x - y)
-		case "mul":
-			return WordV(x * y)
-		}
-	}
-	return m.crash("%s of %s", op, String(a))
-}
-
-// intdiv implements SML div/mod (flooring division) for int and word.
-func (m *Machine) intdiv(a, b Value, wantMod bool) Value {
-	switch x := a.(type) {
-	case IntV:
-		y, ok := b.(IntV)
-		if !ok {
-			return m.crash("div of int and %s", String(b))
-		}
-		if y == 0 {
-			m.raise(m.TagDiv, nil)
-		}
-		q := int64(x) / int64(y)
-		r := int64(x) % int64(y)
-		if r != 0 && (r < 0) != (int64(y) < 0) {
-			q--
-			r += int64(y)
-		}
-		if wantMod {
-			return IntV(r)
-		}
-		return IntV(q)
-	case WordV:
-		y, ok := b.(WordV)
-		if !ok {
-			return m.crash("div of word and %s", String(b))
-		}
-		if y == 0 {
-			m.raise(m.TagDiv, nil)
-		}
-		if wantMod {
-			return WordV(uint64(x) % uint64(y))
-		}
-		return WordV(uint64(x) / uint64(y))
-	}
-	return m.crash("div of %s", String(a))
-}
-
-func (m *Machine) compare(op string, a, b Value) Value {
-	var c int
-	switch x := a.(type) {
-	case IntV:
-		y, ok := b.(IntV)
-		if !ok {
-			return m.crash("compare int with %s", String(b))
-		}
-		c = cmpOrd(int64(x), int64(y))
-	case WordV:
-		y, ok := b.(WordV)
-		if !ok {
-			return m.crash("compare word with %s", String(b))
-		}
-		c = cmpOrd(uint64(x), uint64(y))
-	case RealV:
-		y, ok := b.(RealV)
-		if !ok {
-			return m.crash("compare real with %s", String(b))
-		}
-		c = cmpOrd(float64(x), float64(y))
-	case StrV:
-		y, ok := b.(StrV)
-		if !ok {
-			return m.crash("compare string with %s", String(b))
-		}
-		c = strings.Compare(string(x), string(y))
-	case CharV:
-		y, ok := b.(CharV)
-		if !ok {
-			return m.crash("compare char with %s", String(b))
-		}
-		c = cmpOrd(byte(x), byte(y))
-	default:
-		return m.crash("compare of %s", String(a))
-	}
-	switch op {
-	case "lt":
-		return Bool(c < 0)
-	case "le":
-		return Bool(c <= 0)
-	case "gt":
-		return Bool(c > 0)
-	case "ge":
-		return Bool(c >= 0)
-	}
-	return m.crash("unknown comparison %q", op)
-}
-
-func cmpOrd[T int64 | uint64 | float64 | byte](a, b T) int {
-	switch {
-	case a < b:
-		return -1
-	case a > b:
-		return 1
-	default:
-		return 0
-	}
-}
-
-func (m *Machine) strArg(v Value) string {
-	s, ok := v.(StrV)
-	if !ok {
-		m.crash("expected string, got %s", String(v))
-	}
-	return string(s)
-}
-
-func (m *Machine) realArg(v Value) float64 {
-	r, ok := v.(RealV)
-	if !ok {
-		m.crash("expected real, got %s", String(v))
-	}
-	return float64(r)
-}
-
-func (m *Machine) wordArg(v Value) uint64 {
-	w, ok := v.(WordV)
-	if !ok {
-		m.crash("expected word, got %s", String(v))
-	}
-	return uint64(w)
-}
-
-func (m *Machine) shiftArg(v Value) uint64 {
-	w, ok := v.(WordV)
-	if !ok {
-		m.crash("expected word shift amount, got %s", String(v))
-	}
-	if w > 63 {
-		return 63
-	}
-	return uint64(w)
-}
-
-// PrimNames lists the implemented primitive operators, sorted; used by
-// tests to keep the basis and the machine in sync.
-func PrimNames() []string {
-	names := []string{
-		"add", "sub", "mul", "div", "mod", "quot", "rem", "fdiv", "neg", "abs",
-		"lt", "le", "gt", "ge", "eq", "ne",
-		"concat", "size", "str", "chr", "ord", "explode", "implode",
-		"substring", "real", "floor", "ceil", "round", "trunc",
-		"sqrt", "ln", "exp", "sin", "cos", "atan",
-		"intToString", "realToString",
-		"ref", "deref", "assign", "print",
-		"exnName", "exnMatches", "raiseDiv", "raiseMatch", "raiseBind",
-		"andb", "orb", "xorb", "notb", "lshift", "rshift",
-		"wordToInt", "intToWord",
-		"array", "arrayFromList", "asub", "aupdate", "alength",
-		"vectorFromList", "vsub", "vlength",
-	}
-	sort.Strings(names)
-	return names
 }

@@ -2,6 +2,7 @@ package interp
 
 import (
 	"bytes"
+	"math"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -10,6 +11,18 @@ import (
 )
 
 // evalOK evaluates e in an empty environment, failing on error.
+// call applies op's table entry to args, as a compiled Prim does.
+func call(m *Machine, op lambda.Op, args ...Value) Value {
+	p := prims[op]
+	switch len(args) {
+	case 0:
+		return p.f0(m)
+	case 1:
+		return p.f1(m, args[0])
+	}
+	return p.f2(m, args[0], args[1])
+}
+
 func evalOK(t *testing.T, m *Machine, e lambda.Exp) Value {
 	t.Helper()
 	v, err := m.Eval(e, nil)
@@ -51,7 +64,7 @@ func TestClosuresAndLet(t *testing.T) {
 		LV: y, Bind: lint(10),
 		Body: &lambda.App{
 			Fn: &lambda.Fn{Param: x, Body: &lambda.Prim{
-				Op: "add", Args: []lambda.Exp{&lambda.Var{LV: x}, &lambda.Var{LV: y}},
+				Op: lambda.OpAdd, Args: []lambda.Exp{&lambda.Var{LV: x}, &lambda.Var{LV: y}},
 			}},
 			Arg: lint(32),
 		},
@@ -68,12 +81,12 @@ func TestFixRecursion(t *testing.T) {
 	n := g.Fresh()
 	// fix fact n = if n = 0 then 1 else n * fact (n - 1)
 	body := &lambda.If{
-		Cond: &lambda.Prim{Op: "eq", Args: []lambda.Exp{&lambda.Var{LV: n}, lint(0)}},
+		Cond: &lambda.Prim{Op: lambda.OpEq, Args: []lambda.Exp{&lambda.Var{LV: n}, lint(0)}},
 		Then: lint(1),
-		Else: &lambda.Prim{Op: "mul", Args: []lambda.Exp{
+		Else: &lambda.Prim{Op: lambda.OpMul, Args: []lambda.Exp{
 			&lambda.Var{LV: n},
 			&lambda.App{Fn: &lambda.Var{LV: fact}, Arg: &lambda.Prim{
-				Op: "sub", Args: []lambda.Exp{&lambda.Var{LV: n}, lint(1)},
+				Op: lambda.OpSub, Args: []lambda.Exp{&lambda.Var{LV: n}, lint(1)},
 			}},
 		}},
 	}
@@ -90,27 +103,27 @@ func TestFixRecursion(t *testing.T) {
 func TestArithPrims(t *testing.T) {
 	m := NewMachine()
 	cases := []struct {
-		op   string
+		op   lambda.Op
 		a, b Value
 		want Value
 	}{
-		{"add", IntV(2), IntV(3), IntV(5)},
-		{"add", RealV(1.5), RealV(2.5), RealV(4)},
-		{"add", WordV(7), WordV(8), WordV(15)},
-		{"sub", IntV(2), IntV(5), IntV(-3)},
-		{"mul", IntV(6), IntV(7), IntV(42)},
-		{"div", IntV(7), IntV(2), IntV(3)},
-		{"div", IntV(-7), IntV(2), IntV(-4)}, // flooring division
-		{"mod", IntV(-7), IntV(2), IntV(1)},  // sign follows divisor
-		{"mod", IntV(7), IntV(-2), IntV(-1)},
-		{"lt", IntV(1), IntV(2), Bool(true)},
-		{"ge", StrV("b"), StrV("a"), Bool(true)},
-		{"lt", CharV('a'), CharV('b'), Bool(true)},
-		{"eq", IntV(3), IntV(3), Bool(true)},
-		{"ne", StrV("x"), StrV("y"), Bool(true)},
+		{lambda.OpAdd, IntV(2), IntV(3), IntV(5)},
+		{lambda.OpAdd, RealV(1.5), RealV(2.5), RealV(4)},
+		{lambda.OpAdd, WordV(7), WordV(8), WordV(15)},
+		{lambda.OpSub, IntV(2), IntV(5), IntV(-3)},
+		{lambda.OpMul, IntV(6), IntV(7), IntV(42)},
+		{lambda.OpDiv, IntV(7), IntV(2), IntV(3)},
+		{lambda.OpDiv, IntV(-7), IntV(2), IntV(-4)}, // flooring division
+		{lambda.OpMod, IntV(-7), IntV(2), IntV(1)},  // sign follows divisor
+		{lambda.OpMod, IntV(7), IntV(-2), IntV(-1)},
+		{lambda.OpLt, IntV(1), IntV(2), Bool(true)},
+		{lambda.OpGe, StrV("b"), StrV("a"), Bool(true)},
+		{lambda.OpLt, CharV('a'), CharV('b'), Bool(true)},
+		{lambda.OpEq, IntV(3), IntV(3), Bool(true)},
+		{lambda.OpNe, StrV("x"), StrV("y"), Bool(true)},
 	}
 	for _, c := range cases {
-		got := m.prim(c.op, []Value{c.a, c.b})
+		got := call(m, c.op, c.a, c.b)
 		if !Eq(got, c.want) {
 			t.Errorf("%s(%s, %s) = %s, want %s", c.op, String(c.a), String(c.b),
 				String(got), String(c.want))
@@ -120,7 +133,7 @@ func TestArithPrims(t *testing.T) {
 
 func TestDivByZeroRaisesDiv(t *testing.T) {
 	m := NewMachine()
-	e := &lambda.Prim{Op: "div", Args: []lambda.Exp{lint(1), lint(0)}}
+	e := &lambda.Prim{Op: lambda.OpDiv, Args: []lambda.Exp{lint(1), lint(0)}}
 	_, err := m.Eval(e, nil)
 	ue, ok := err.(*UncaughtError)
 	if !ok || ue.Packet.Tag != m.TagDiv {
@@ -130,7 +143,7 @@ func TestDivByZeroRaisesDiv(t *testing.T) {
 
 func TestOverflowRaises(t *testing.T) {
 	m := NewMachine()
-	e := &lambda.Prim{Op: "add", Args: []lambda.Exp{
+	e := &lambda.Prim{Op: lambda.OpAdd, Args: []lambda.Exp{
 		lint(1<<62 + (1<<62 - 1)), lint(1),
 	}}
 	_, err := m.Eval(e, nil)
@@ -140,36 +153,49 @@ func TestOverflowRaises(t *testing.T) {
 	}
 }
 
+// TestSubstringOverflowRaisesSubscript: a start plus length past the
+// int range raises Subscript instead of slicing with a wrapped bound.
+func TestSubstringOverflowRaisesSubscript(t *testing.T) {
+	m := NewMachine()
+	e := &lambda.Prim{Op: lambda.OpSubstring, Args: []lambda.Exp{&lambda.Record{Fields: []lambda.Exp{
+		&lambda.Str{Val: "hello"}, lint(1), lint(math.MaxInt64),
+	}}}}
+	_, err := m.Eval(e, nil)
+	if ue, ok := err.(*UncaughtError); !ok || ue.Packet.Tag != m.TagSubscript {
+		t.Errorf("substring (\"hello\", 1, maxInt): %v, want uncaught Subscript", err)
+	}
+}
+
 func TestStringPrims(t *testing.T) {
 	m := NewMachine()
-	if m.prim("concat", []Value{StrV("ab"), StrV("cd")}) != StrV("abcd") {
+	if call(m, lambda.OpConcat, StrV("ab"), StrV("cd")) != StrV("abcd") {
 		t.Error("concat")
 	}
-	if m.prim("size", []Value{StrV("hello")}) != IntV(5) {
+	if call(m, lambda.OpSize, StrV("hello")) != IntV(5) {
 		t.Error("size")
 	}
-	if m.prim("ord", []Value{CharV('A')}) != IntV(65) {
+	if call(m, lambda.OpOrd, CharV('A')) != IntV(65) {
 		t.Error("ord")
 	}
-	if m.prim("chr", []Value{IntV(66)}) != CharV('B') {
+	if call(m, lambda.OpChr, IntV(66)) != CharV('B') {
 		t.Error("chr")
 	}
-	sub := m.prim("substring", []Value{tuple(StrV("hello"), IntV(1), IntV(3))})
+	sub := call(m, lambda.OpSubstring, tuple(StrV("hello"), IntV(1), IntV(3)))
 	if sub != StrV("ell") {
 		t.Error("substring")
 	}
-	lst, _ := GoList(m.prim("explode", []Value{StrV("hi")}))
+	lst, _ := GoList(call(m, lambda.OpExplode, StrV("hi")))
 	if len(lst) != 2 || lst[0] != CharV('h') {
 		t.Error("explode")
 	}
-	if m.prim("implode", []Value{List([]Value{CharV('o'), CharV('k')})}) != StrV("ok") {
+	if call(m, lambda.OpImplode, List([]Value{CharV('o'), CharV('k')})) != StrV("ok") {
 		t.Error("implode")
 	}
 }
 
 func TestIntToString(t *testing.T) {
 	m := NewMachine()
-	if m.prim("intToString", []Value{IntV(-42)}) != StrV("~42") {
+	if call(m, lambda.OpIntToString, IntV(-42)) != StrV("~42") {
 		t.Error("negative rendering")
 	}
 }
@@ -178,9 +204,10 @@ func TestHandleCatchesAndRethrows(t *testing.T) {
 	m := NewMachine()
 	var g lambda.Gen
 	p := g.Fresh()
-	// (raise Div) handle p => 7
+	divZero := &lambda.Prim{Op: lambda.OpDiv, Args: []lambda.Exp{lint(1), lint(0)}}
+	// (1 div 0) handle p => 7
 	e := &lambda.Handle{
-		Body:    &lambda.Prim{Op: "raiseDiv"},
+		Body:    divZero,
 		Param:   p,
 		Handler: lint(7),
 	}
@@ -189,12 +216,13 @@ func TestHandleCatchesAndRethrows(t *testing.T) {
 	}
 	// Handler that re-raises propagates out.
 	e2 := &lambda.Handle{
-		Body:    &lambda.Prim{Op: "raiseDiv"},
+		Body:    divZero,
 		Param:   p,
 		Handler: &lambda.Raise{Exp: &lambda.Var{LV: p}},
 	}
-	if _, err := m.Eval(e2, nil); err == nil {
-		t.Error("re-raise swallowed")
+	_, err := m.Eval(e2, nil)
+	if ue, ok := err.(*UncaughtError); !ok || ue.Packet.Tag != m.TagDiv {
+		t.Errorf("re-raise: %v, want uncaught Div", err)
 	}
 }
 
@@ -206,10 +234,10 @@ func TestExceptionTagsAreGenerative(t *testing.T) {
 		t.Error("distinct tag allocations compare equal")
 	}
 	packet := &ExnV{Tag: v1.(*ExnTag)}
-	if !Truth(m.prim("exnMatches", []Value{packet, v1})) {
+	if !Truth(call(m, lambda.OpExnMatches, packet, v1)) {
 		t.Error("tag does not match its own packet")
 	}
-	if Truth(m.prim("exnMatches", []Value{packet, v2})) {
+	if Truth(call(m, lambda.OpExnMatches, packet, v2)) {
 		t.Error("foreign tag matched")
 	}
 }
@@ -253,16 +281,16 @@ func TestSwitches(t *testing.T) {
 
 func TestRefs(t *testing.T) {
 	m := NewMachine()
-	r := m.prim("ref", []Value{IntV(1)})
-	if m.prim("deref", []Value{r}) != IntV(1) {
+	r := call(m, lambda.OpRef, IntV(1))
+	if call(m, lambda.OpDeref, r) != IntV(1) {
 		t.Error("deref")
 	}
-	m.prim("assign", []Value{r, IntV(2)})
-	if m.prim("deref", []Value{r}) != IntV(2) {
+	call(m, lambda.OpAssign, r, IntV(2))
+	if call(m, lambda.OpDeref, r) != IntV(2) {
 		t.Error("assign")
 	}
 	// Refs compare by identity.
-	r2 := m.prim("ref", []Value{IntV(2)})
+	r2 := call(m, lambda.OpRef, IntV(2))
 	if Eq(r, r2) {
 		t.Error("distinct refs equal")
 	}
@@ -275,7 +303,7 @@ func TestPrint(t *testing.T) {
 	m := NewMachine()
 	var out bytes.Buffer
 	m.Stdout = &out
-	m.prim("print", []Value{StrV("hello\n")})
+	call(m, lambda.OpPrint, StrV("hello\n"))
 	if out.String() != "hello\n" {
 		t.Errorf("print wrote %q", out.String())
 	}

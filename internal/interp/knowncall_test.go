@@ -193,7 +193,7 @@ func TestJoinPointTerms(t *testing.T) {
 	exn, x, j, k, p, h, y := g.Fresh(), g.Fresh(), g.Fresh(), g.Fresh(), g.Fresh(), g.Fresh(), g.Fresh()
 	v := func(lv lambda.LVar) lambda.Exp { return &lambda.Var{LV: lv} }
 	app := func(f lambda.LVar, a lambda.Exp) lambda.Exp { return &lambda.App{Fn: v(f), Arg: a} }
-	add := func(a, b lambda.Exp) lambda.Exp { return &lambda.Prim{Op: "add", Args: []lambda.Exp{a, b}} }
+	add := func(a, b lambda.Exp) lambda.Exp { return &lambda.Prim{Op: lambda.OpAdd, Args: []lambda.Exp{a, b}} }
 	// let exn = new E in fn x =>
 	//   let j = fn p => raise (E p + x) in
 	//   let k = fn p => p + x in
@@ -274,7 +274,7 @@ func TestJoinPointScoping(t *testing.T) {
 	v := func(lv lambda.LVar) lambda.Exp { return &lambda.Var{LV: lv} }
 	app := func(f lambda.LVar, a lambda.Exp) lambda.Exp { return &lambda.App{Fn: v(f), Arg: a} }
 	num := func(n int64) lambda.Exp { return &lambda.Int{Val: n} }
-	add := func(a, b lambda.Exp) lambda.Exp { return &lambda.Prim{Op: "add", Args: []lambda.Exp{a, b}} }
+	add := func(a, b lambda.Exp) lambda.Exp { return &lambda.Prim{Op: lambda.OpAdd, Args: []lambda.Exp{a, b}} }
 	for _, tc := range []struct {
 		name string
 		body lambda.Exp // under fn x, applied to 40
@@ -288,7 +288,7 @@ func TestJoinPointScoping(t *testing.T) {
 		//   j 1 + (let j = fn q => q * 10 in j 2 + (let z = j in z 3))
 		{"shadowed", &lambda.Let{LV: j, Bind: &lambda.Fn{Param: p, Body: add(v(p), v(x))},
 			Body: add(app(j, num(1)), &lambda.Let{LV: j,
-				Bind: &lambda.Fn{Param: q, Body: &lambda.Prim{Op: "mul", Args: []lambda.Exp{v(q), num(10)}}},
+				Bind: &lambda.Fn{Param: q, Body: &lambda.Prim{Op: lambda.OpMul, Args: []lambda.Exp{v(q), num(10)}}},
 				Body: add(app(j, num(2)), &lambda.Let{LV: z, Bind: v(j), Body: app(z, num(3))})})}, 91},
 	} {
 		term := &lambda.Fn{Param: x, Body: tc.body}

@@ -208,8 +208,9 @@ func TestLazyFirstCallRace(t *testing.T) {
 // section it forges an out-of-range slot and a delta deeper than the
 // open frames, and (separately) truncates the section by one byte
 // (counter code.load_errors). In the lambda segment it forges a bad
-// node tag and an element count past the end, and cuts the bin short
-// inside the helper's term (counter binfile.read_errors). Each must
+// node tag, an element count past the end and a primitive name the op
+// table does not hold, and cuts the bin short inside the helper's term
+// (counter binfile.read_errors). Each must
 // fail the bin read, and a build over the damaged store must recompile
 // the unit before any unit executes: rejection stays at load, not at a
 // first call that never comes.
@@ -300,6 +301,21 @@ func TestForgedHelperRejectedAtLoad(t *testing.T) {
 	rec.Lambda(&lambda.Record{})
 	recordTag := rec.Bytes()[0]
 	pastEnd := binary.AppendVarint([]byte{recordTag}, int64(len(good)))
+	// An op name in the helper's term, renamed in place to a name of
+	// the same length that the op table does not hold.
+	opAt, opName := -1, ""
+	for op := range lambda.NumOps {
+		name := op.String()
+		p := pickle.NewPickler(u.StatPid)
+		p.Lambda(&lambda.Prim{Op: op})
+		if i := bytes.Index(src, p.Bytes()[:2+len(name)]); i >= 0 {
+			opAt, opName = fnAt+i+2, name
+			break
+		}
+	}
+	if opAt < 0 {
+		t.Fatalf("helper term % x: want a primitive call", src)
+	}
 
 	const codeErr, readErr = "code.load_errors", "binfile.read_errors"
 	for _, tc := range []struct {
@@ -313,6 +329,7 @@ func TestForgedHelperRejectedAtLoad(t *testing.T) {
 		{"lambda-tag", patch(bodyAt, 0x7f), readErr},
 		{"lambda-count", patch(bodyAt, pastEnd...), readErr},
 		{"lambda-cut", bytes.Clone(good[:fnAt+len(src)/2]), readErr},
+		{"lambda-op", patch(opAt, bytes.Repeat([]byte{'?'}, len(opName))...), readErr},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			buf := obs.NewBuffer()

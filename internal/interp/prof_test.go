@@ -19,12 +19,12 @@ func factTerm() lambda.Exp {
 	fact := g.Fresh()
 	n := g.Fresh()
 	body := &lambda.If{
-		Cond: &lambda.Prim{Op: "eq", Args: []lambda.Exp{&lambda.Var{LV: n}, lint(0)}},
+		Cond: &lambda.Prim{Op: lambda.OpEq, Args: []lambda.Exp{&lambda.Var{LV: n}, lint(0)}},
 		Then: lint(1),
-		Else: &lambda.Prim{Op: "mul", Args: []lambda.Exp{
+		Else: &lambda.Prim{Op: lambda.OpMul, Args: []lambda.Exp{
 			&lambda.Var{LV: n},
 			&lambda.App{Fn: &lambda.Var{LV: fact}, Arg: &lambda.Prim{
-				Op: "sub", Args: []lambda.Exp{&lambda.Var{LV: n}, lint(1)},
+				Op: lambda.OpSub, Args: []lambda.Exp{&lambda.Var{LV: n}, lint(1)},
 			}},
 		}},
 	}

@@ -145,9 +145,9 @@ type Switch struct {
 	Default Exp // may be nil when exhaustive
 }
 
-// Prim applies a built-in primitive operator.
+// Prim applies a built-in primitive operator to Op.Arity() operands.
 type Prim struct {
-	Op   string
+	Op   Op
 	Args []Exp
 }
 

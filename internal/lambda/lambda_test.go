@@ -19,9 +19,9 @@ func sampleExp() Exp {
 	x := g.Fresh()
 	return &Fn{Param: x, Body: &Let{
 		LV:   g.Fresh(),
-		Bind: &Prim{Op: "add", Args: []Exp{&Var{LV: x}, &Int{Val: 1}}},
+		Bind: &Prim{Op: OpAdd, Args: []Exp{&Var{LV: x}, &Int{Val: 1}}},
 		Body: &If{
-			Cond: &Prim{Op: "lt", Args: []Exp{&Var{LV: x}, &Int{Val: 10}}},
+			Cond: &Prim{Op: OpLt, Args: []Exp{&Var{LV: x}, &Int{Val: 10}}},
 			Then: &Con{Tag: 1, Name: "SOME", Arg: &Var{LV: x}},
 			Else: &Con{Tag: 0, Name: "NONE"},
 		},

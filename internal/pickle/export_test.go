@@ -31,7 +31,7 @@ func poison(sl *termSlab) {
 	poisonEach(&sl.fnRefs, func(f **lambda.Fn) { *f = nil })
 	poisonEach(&sl.apps, func(a *lambda.App) { *a = lambda.App{} })
 	poisonEach(&sl.lets, func(l *lambda.Let) { *l = lambda.Let{LV: PoisonLVar} })
-	poisonEach(&sl.prims, func(p *lambda.Prim) { *p = lambda.Prim{Op: "poisoned"} })
+	poisonEach(&sl.prims, func(p *lambda.Prim) { *p = lambda.Prim{Op: lambda.NumOps} })
 	poisonEach(&sl.exps, func(e *lambda.Exp) { *e = nil })
 }
 

@@ -142,7 +142,7 @@ func (p *Pickler) Lambda(e lambda.Exp) {
 		}
 	case *lambda.Prim:
 		p.w.byteVal(lPrim)
-		p.w.string(e.Op)
+		p.w.string(e.Op.String())
 		p.w.int(len(e.Args))
 		for _, a := range e.Args {
 			p.Lambda(a)
@@ -186,9 +186,6 @@ type termSlab struct {
 	lets    slab[lambda.Let]
 	prims   slab[lambda.Prim]
 	exps    slab[lambda.Exp]
-	// ops interns Prim.Op: a unit uses a handful of distinct operators
-	// hundreds of times each.
-	ops map[string]string
 }
 
 // Every chunk has slabChunk elements. The size trades chunk count
@@ -271,14 +268,7 @@ func (sl *termSlab) rewind() {
 	sl.lets.rewind()
 	sl.prims.rewind()
 	sl.exps.rewind()
-	// Operator names are immutable strings, so the intern map carries
-	// over; only a forged bin could grow it past the real primitives.
-	if len(sl.ops) > maxInternedOps {
-		sl.ops = nil
-	}
 }
-
-const maxInternedOps = 256
 
 // Scratch decodes lambda terms that are read once and dropped: a load
 // builds a unit's root body from the term and a first call builds one
@@ -356,18 +346,15 @@ func (u *Unpickler) count() int {
 	return n
 }
 
-// op reads a Prim operator name, interned per slab.
-func (u *Unpickler) op() string {
+// op reads a Prim operator by its name, rejecting a name the op table
+// does not hold.
+func (u *Unpickler) op() lambda.Op {
 	b := u.r.stringBytes()
-	if s, ok := u.slab.ops[string(b)]; ok {
-		return s
+	op, ok := lambda.LookupOp(string(b))
+	if !ok && u.r.err == nil {
+		u.r.error("pickle: unknown primitive %q", b)
 	}
-	s := string(b)
-	if u.slab.ops == nil {
-		u.slab.ops = make(map[string]string)
-	}
-	u.slab.ops[s] = s
-	return s
+	return op
 }
 
 // exps decodes n expressions into a slab run; on a decode error the run

@@ -326,7 +326,7 @@ func TestASTRoundTrip(t *testing.T) {
 func TestLambdaRoundTrip(t *testing.T) {
 	e := &lambda.Fn{Param: 1, Body: &lambda.Let{
 		LV:   2,
-		Bind: &lambda.Prim{Op: "add", Args: []lambda.Exp{&lambda.Int{Val: 1}, &lambda.Var{LV: 1}}},
+		Bind: &lambda.Prim{Op: lambda.OpAdd, Args: []lambda.Exp{&lambda.Int{Val: 1}, &lambda.Var{LV: 1}}},
 		Body: &lambda.Switch{
 			Kind:  lambda.SwitchConTag,
 			Scrut: &lambda.Var{LV: 2},
