@@ -811,6 +811,30 @@ func BenchmarkApplyCurried(b *testing.B) {
 	}
 }
 
+// BenchmarkApplyArith folds over a 1,000-element list with
+// exec-heavy's fold shape, (acc * 31 + x) mod 1000003: each step runs a
+// chain of three arithmetic primitives whose intermediate ints lie
+// outside the small-int cache, so it gates the closure builder's
+// unboxed int operands (DESIGN.md §4j). The list is built once, by a
+// unit run before the timer starts.
+func BenchmarkApplyArith(b *testing.B) {
+	s := newSession(b)
+	if _, err := s.Run("list", "val l = List.tabulate (1000, fn i => (i * 97 + 500) mod 1009)"); err != nil {
+		b.Fatal(err)
+	}
+	u, err := s.Compile("bench", "val r = foldl (fn (x, acc) => (acc * 31 + x) mod 1000003) 7 l")
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		dyn := s.Dyn.Copy()
+		if err := compiler.Execute(s.Machine, u, dyn, nil, nil, 0); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkNewSession measures bootstrapping a session once the
 // process has compiled the prelude: the shared unit executes on a
 // fresh machine and dynamic environment, and the session's index

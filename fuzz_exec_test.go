@@ -111,6 +111,12 @@ func FuzzExecTreeVsClosure(f *testing.F) {
 	f.Add("fun c 0 _ (_, \"zero\") = \"origin\" | c n ((a, b), d) (e, s) = s ^ Int.toString (n + a + b + d + e)\nval r = c 0 ((1, 2), 3) (4, \"zero\") ^ c 5 ((1, 2), 3) (4, \"n=\")\nval f = c 1 ((1, 1), 1) (1, \"x\") = \"x5\"")
 	f.Add("fun g 0 0 = 1 | g 1 _ = 2\nval a = g 1 7\nval b = g 0 1")
 	f.Add("val p = (1, \"a\") = (1, \"a\")\nval q = (1, 2, 3) = (1, 2, 4)\nval r = ((1, 2), (3, 4, 5)) = ((1, 2), (3, 4, 5))\nval u = () = ()\nval w = {a = 1, b = 2, c = 3, d = 4} = {a = 1, b = 2, c = 3, d = 5}")
+	// Chains of arithmetic primitives, whose intermediate ints the
+	// closure builder keeps unboxed: a fold with exec-heavy's shape, and
+	// chains that raise Overflow and Div, mix in words and reals, and
+	// print from their operands.
+	f.Add("val xs = List.tabulate (50, fn i => (i * 97 + 500) mod 1009)\nval s = foldl (fn (x, acc) => (acc * 31 + x) mod 1000003) 7 xs\nval q = (s * s - s div 3) quot 7 + s rem 11")
+	f.Add("val m = ~4611686018427387904 - 4611686018427387904\nval a = (~1 * m + 1) handle Overflow => 1\nval b = (m div ~1 - 1) handle Overflow => 2\nval c = (5 mod (3 - 3) + 1) handle Div => 3\nval w = (0w5 * 0w7 + 0w1) mod 0w6\nval r = 1.5 * 2.0 - 0.25\nfun p s n = (print s; n)\nval d = p \"a\" 100000 * p \"b\" 3 + p \"c\" 9 mod p \"d\" 4")
 	for _, file := range workload.Generate(workload.Small()).Files {
 		f.Add(file.Source)
 	}

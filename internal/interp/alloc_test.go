@@ -11,13 +11,17 @@ import (
 // curried foldl, its match-compiled join points and tabulate's
 // non-tail recursion, over allocElems elements. unaryProgram folds the
 // same list through two unary primitives per element, whose results
-// (a char, a small int) need no allocation.
+// (a char, a small int) need no allocation. arithProgram folds it
+// through exec-heavy's chain of three arithmetic primitives, whose
+// intermediates lie outside the small-int cache.
 const (
 	allocElems   = 2000
 	allocProgram = `val l = List.tabulate (2000, fn i => i)
 val s = foldl (fn (x, acc) => x + acc) 0 l`
 	unaryProgram = `val l = List.tabulate (2000, fn i => i)
 val s = foldl (fn (x, acc) => ord (chr (x mod 256)) + acc) 0 l`
+	arithProgram = `val l = List.tabulate (2000, fn i => i)
+val s = foldl (fn (x, acc) => (acc * 31 + x) mod 1000003) 7 l`
 )
 
 // TestExecAllocCeiling pins the allocations of executing allocProgram
@@ -29,7 +33,9 @@ val s = foldl (fn (x, acc) => ord (chr (x mod 256)) + acc) 0 l`
 // tuple of f (x, acc), the boxed sum — not calls. unaryProgram must
 // allocate no more: a primitive call passes its operands directly
 // (5.96, two more per element, when each call of chr and ord built
-// its argument slice).
+// its argument slice). Nor must arithProgram: only the root of an
+// arithmetic chain boxes its result (6.01 when each intermediate was
+// boxed too).
 func TestExecAllocCeiling(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts differ under the race detector")
@@ -50,13 +56,16 @@ func TestExecAllocCeiling(t *testing.T) {
 		}
 		return testing.AllocsPerRun(10, run) / allocElems
 	}
-	plain, unary := perElem(allocProgram), perElem(unaryProgram)
-	t.Logf("%.2f allocations per element, %.2f with two unary primitive calls", plain, unary)
+	plain, unary, arith := perElem(allocProgram), perElem(unaryProgram), perElem(arithProgram)
+	t.Logf("%.2f allocations per element, %.2f with two unary primitive calls, %.2f with an arithmetic chain", plain, unary, arith)
 	const ceiling = 5
 	if plain > ceiling {
 		t.Errorf("%.2f allocations per element, ceiling %d", plain, ceiling)
 	}
 	if unary > plain+0.5 {
 		t.Errorf("unary primitive calls: %.2f allocations per element, want no more than the plain fold's %.2f", unary, plain)
+	}
+	if arith > plain+0.5 {
+		t.Errorf("arithmetic chain: %.2f allocations per element, want no more than the plain fold's %.2f", arith, plain)
 	}
 }

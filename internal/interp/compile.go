@@ -1381,11 +1381,31 @@ func caseKeys[K any](cases []lambda.Case, key func(*lambda.Case) K) []K {
 // operands with no slice and dispatches on no name. An op whose operand
 // count is not its arity fails the walk, in the shape walk of a loaded
 // function too, so a forged Prim is refused at load.
+//
+// The root of a chain of ops with int kernels takes its operands through
+// intOperand, so (acc * 31 + x) mod 1000003 boxes only the result of
+// its root. An op with no such operand, as in n - 1, takes the plain
+// f2 call, which costs less than an operand that may be either kind.
 func (c *comp) prim(e *lambda.Prim) cnode {
 	p, err := primOf(e.Op, len(e.Args))
 	if err != nil {
 		c.fail("%v", err)
 		return nil
+	}
+	if p.i2 != nil && (hasKernel(e.Args[0]) || hasKernel(e.Args[1])) {
+		a, b := c.intOperand(e.Args[0]), c.intOperand(e.Args[1])
+		if c.shape {
+			return nil
+		}
+		p := &prims[e.Op]
+		return func(m *Machine, fr *Frame) Value {
+			x, av := a.run(m, fr)
+			y, bv := b.run(m, fr)
+			if av == nil && bv == nil {
+				return boxInt(p.i2(m, x, y))
+			}
+			return p.f2(m, boxed(x, av), boxed(y, bv))
+		}
 	}
 	var a, b cnode
 	if len(e.Args) > 0 {
@@ -1405,6 +1425,72 @@ func (c *comp) prim(e *lambda.Prim) cnode {
 	default:
 		return func(m *Machine, fr *Frame) Value { return f2(m, a(m, fr), b(m, fr)) }
 	}
+}
+
+// inode is a compiled arithmetic primitive nested in another: it returns
+// its int result unboxed, or (0, v) with v the boxed result of a word or
+// real operation.
+type inode func(m *Machine, fr *Frame) (int64, Value)
+
+// operand is a compiled operand of an op with an int kernel: an inode
+// when the operand is itself such an op, else a cnode.
+type operand struct {
+	i inode
+	c cnode
+}
+
+// run evaluates the operand as an inode does.
+func (o operand) run(m *Machine, fr *Frame) (int64, Value) {
+	if o.i != nil {
+		return o.i(m, fr)
+	}
+	v := o.c(m, fr)
+	if n, ok := v.(IntV); ok {
+		return int64(n), nil
+	}
+	return 0, v
+}
+
+// hasKernel reports whether e applies an op with an int kernel.
+func hasKernel(e lambda.Exp) bool {
+	pe, ok := e.(*lambda.Prim)
+	return ok && pe.Op < lambda.NumOps && prims[pe.Op].i2 != nil
+}
+
+// boxed is an operand's value as a Value: v, or x boxed when v is nil.
+func boxed(x int64, v Value) Value {
+	if v != nil {
+		return v
+	}
+	return boxInt(x)
+}
+
+// intOperand compiles e as an operand of an op with an int kernel. When
+// e is an application of such an op itself, it becomes one inode, which
+// runs its own operands left to right, applies the kernel when both are
+// ints and falls back to f2 with boxed operands when they are not.
+func (c *comp) intOperand(e lambda.Exp) operand {
+	if !hasKernel(e) {
+		return operand{c: c.walk(e)}
+	}
+	pe := e.(*lambda.Prim)
+	if _, err := primOf(pe.Op, len(pe.Args)); err != nil {
+		c.fail("%v", err)
+		return operand{}
+	}
+	a, b := c.intOperand(pe.Args[0]), c.intOperand(pe.Args[1])
+	if c.shape {
+		return operand{}
+	}
+	p := &prims[pe.Op]
+	return operand{i: func(m *Machine, fr *Frame) (int64, Value) {
+		x, av := a.run(m, fr)
+		y, bv := b.run(m, fr)
+		if av == nil && bv == nil {
+			return p.i2(m, x, y), nil
+		}
+		return 0, p.f2(m, boxed(x, av), boxed(y, bv))
+	}}
 }
 
 // Fork returns a machine sharing this machine's basis identities (the

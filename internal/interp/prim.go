@@ -11,10 +11,17 @@ import (
 
 // primFn is one primitive's implementation, of the fixed arity its op
 // declares: f0, f1 or f2 is set, taking the operands directly.
+//
+// An int-capable binary op (add, sub, mul, div, mod, quot, rem) also
+// has i2, its int kernel: the op on unboxed ints, raising Overflow or
+// Div as SML does. f2's int case calls it, so each rule is written
+// once, and the closure builder calls it directly between arithmetic
+// primitives, whose intermediate results then stay unboxed (comp.prim).
 type primFn struct {
 	f0 func(m *Machine) Value
 	f1 func(m *Machine, a Value) Value
 	f2 func(m *Machine, a, b Value) Value
+	i2 func(m *Machine, x, y int64) int64
 }
 
 // primOf returns the implementation of a Prim of op with n operands.
@@ -33,13 +40,9 @@ func primOf(op lambda.Op, n int) (primFn, error) {
 // types, so each overloaded op dispatches on the runtime
 // representation, testing for the int case first.
 var prims = [lambda.NumOps]primFn{
-	lambda.OpAdd: {f2: func(m *Machine, a, b Value) Value {
+	lambda.OpAdd: {i2: addInt, f2: func(m *Machine, a, b Value) Value {
 		if x, y, ok := bothInts(a, b); ok {
-			r := x + y
-			if (x > 0 && y > 0 && r < 0) || (x < 0 && y < 0 && r >= 0) {
-				m.raise(m.TagOverflow, nil)
-			}
-			return boxInt(r)
+			return boxInt(addInt(m, x, y))
 		}
 		switch x := a.(type) {
 		case RealV:
@@ -53,13 +56,9 @@ var prims = [lambda.NumOps]primFn{
 		}
 		return m.crash("add of %s and %s", String(a), String(b))
 	}},
-	lambda.OpSub: {f2: func(m *Machine, a, b Value) Value {
+	lambda.OpSub: {i2: subInt, f2: func(m *Machine, a, b Value) Value {
 		if x, y, ok := bothInts(a, b); ok {
-			r := x - y
-			if (x >= 0 && y < 0 && r < 0) || (x < 0 && y > 0 && r >= 0) {
-				m.raise(m.TagOverflow, nil)
-			}
-			return boxInt(r)
+			return boxInt(subInt(m, x, y))
 		}
 		switch x := a.(type) {
 		case RealV:
@@ -73,13 +72,9 @@ var prims = [lambda.NumOps]primFn{
 		}
 		return m.crash("sub of %s and %s", String(a), String(b))
 	}},
-	lambda.OpMul: {f2: func(m *Machine, a, b Value) Value {
+	lambda.OpMul: {i2: mulInt, f2: func(m *Machine, a, b Value) Value {
 		if x, y, ok := bothInts(a, b); ok {
-			r := x * y
-			if x != 0 && r/x != y {
-				m.raise(m.TagOverflow, nil)
-			}
-			return boxInt(r)
+			return boxInt(mulInt(m, x, y))
 		}
 		switch x := a.(type) {
 		case RealV:
@@ -93,15 +88,23 @@ var prims = [lambda.NumOps]primFn{
 		}
 		return m.crash("mul of %s and %s", String(a), String(b))
 	}},
-	lambda.OpDiv: {f2: func(m *Machine, a, b Value) Value { return m.intdiv(a, b, false) }},
-	lambda.OpMod: {f2: func(m *Machine, a, b Value) Value { return m.intdiv(a, b, true) }},
-	lambda.OpQuot: {f2: func(m *Machine, a, b Value) Value {
-		x := m.intArg(a)
-		return boxInt(x / m.divisor(b))
+	lambda.OpDiv: {i2: divInt, f2: func(m *Machine, a, b Value) Value {
+		if x, y, ok := bothInts(a, b); ok {
+			return boxInt(divInt(m, x, y))
+		}
+		return m.wordDiv(a, b, false)
 	}},
-	lambda.OpRem: {f2: func(m *Machine, a, b Value) Value {
-		x := m.intArg(a)
-		return boxInt(x % m.divisor(b))
+	lambda.OpMod: {i2: modInt, f2: func(m *Machine, a, b Value) Value {
+		if x, y, ok := bothInts(a, b); ok {
+			return boxInt(modInt(m, x, y))
+		}
+		return m.wordDiv(a, b, true)
+	}},
+	lambda.OpQuot: {i2: quotInt, f2: func(m *Machine, a, b Value) Value {
+		return boxInt(quotInt(m, m.intArg(a), m.intArg(b)))
+	}},
+	lambda.OpRem: {i2: remInt, f2: func(m *Machine, a, b Value) Value {
+		return boxInt(remInt(m, m.intArg(a), m.intArg(b)))
 	}},
 	lambda.OpFdiv: {f2: func(m *Machine, a, b Value) Value {
 		return RealV(m.realArg(a) / m.realArg(b))
@@ -136,25 +139,29 @@ var prims = [lambda.NumOps]primFn{
 		if x, y, ok := bothInts(a, b); ok {
 			return Bool(x < y)
 		}
-		return Bool(m.compare(a, b) < 0)
+		c, ok := m.compare(a, b)
+		return Bool(ok && c < 0)
 	}},
 	lambda.OpLe: {f2: func(m *Machine, a, b Value) Value {
 		if x, y, ok := bothInts(a, b); ok {
 			return Bool(x <= y)
 		}
-		return Bool(m.compare(a, b) <= 0)
+		c, ok := m.compare(a, b)
+		return Bool(ok && c <= 0)
 	}},
 	lambda.OpGt: {f2: func(m *Machine, a, b Value) Value {
 		if x, y, ok := bothInts(a, b); ok {
 			return Bool(x > y)
 		}
-		return Bool(m.compare(a, b) > 0)
+		c, ok := m.compare(a, b)
+		return Bool(ok && c > 0)
 	}},
 	lambda.OpGe: {f2: func(m *Machine, a, b Value) Value {
 		if x, y, ok := bothInts(a, b); ok {
 			return Bool(x >= y)
 		}
-		return Bool(m.compare(a, b) >= 0)
+		c, ok := m.compare(a, b)
+		return Bool(ok && c >= 0)
 	}},
 	lambda.OpEq: {f2: func(_ *Machine, a, b Value) Value { return Bool(Eq(a, b)) }},
 	lambda.OpNe: {f2: func(_ *Machine, a, b Value) Value { return Bool(!Eq(a, b)) }},
@@ -240,8 +247,8 @@ var prims = [lambda.NumOps]primFn{
 	lambda.OpOrb:        {f2: func(m *Machine, a, b Value) Value { return WordV(m.wordArg(a) | m.wordArg(b)) }},
 	lambda.OpXorb:       {f2: func(m *Machine, a, b Value) Value { return WordV(m.wordArg(a) ^ m.wordArg(b)) }},
 	lambda.OpNotb:       {f1: func(m *Machine, a Value) Value { return WordV(^m.wordArg(a)) }},
-	lambda.OpLshift:     {f2: func(m *Machine, a, b Value) Value { return WordV(m.wordArg(a) << m.shiftArg(b)) }},
-	lambda.OpRshift:     {f2: func(m *Machine, a, b Value) Value { return WordV(m.wordArg(a) >> m.shiftArg(b)) }},
+	lambda.OpLshift:     {f2: func(m *Machine, a, b Value) Value { return WordV(m.wordArg(a) << m.wordArg(b)) }},
+	lambda.OpRshift:     {f2: func(m *Machine, a, b Value) Value { return WordV(m.wordArg(a) >> m.wordArg(b)) }},
 	lambda.OpWordToInt: {f1: func(m *Machine, a Value) Value {
 		w := m.wordArg(a)
 		if w > math.MaxInt64 {
@@ -292,69 +299,115 @@ func bothInts(a, b Value) (x, y int64, ok bool) {
 	return int64(i), int64(j), ok1 && ok2
 }
 
-// intdiv implements SML div/mod (flooring division) for int and word.
-func (m *Machine) intdiv(a, b Value, wantMod bool) Value {
-	switch x := a.(type) {
-	case IntV:
-		y := m.divisor(b)
-		q, r := int64(x)/y, int64(x)%y
-		if r != 0 && (r < 0) != (y < 0) {
-			q--
-			r += y
-		}
-		if wantMod {
-			return boxInt(r)
-		}
-		return boxInt(q)
-	case WordV:
-		y := m.wordArg(b)
-		if y == 0 {
-			m.raise(m.TagDiv, nil)
-		}
-		if wantMod {
-			return WordV(uint64(x) % y)
-		}
-		return WordV(uint64(x) / y)
+// The int kernels. Each raises Overflow where the exact result does not
+// fit in 64 bits, and the division kernels raise Div on a zero divisor
+// before anything else.
+
+func addInt(m *Machine, x, y int64) int64 {
+	r := x + y
+	if (x > 0 && y > 0 && r < 0) || (x < 0 && y < 0 && r >= 0) {
+		m.raise(m.TagOverflow, nil)
 	}
-	return m.crash("div of %s", String(a))
+	return r
 }
 
-// divisor returns an int divisor, raising Div when it is zero.
-func (m *Machine) divisor(v Value) int64 {
-	y := m.intArg(v)
+func subInt(m *Machine, x, y int64) int64 {
+	r := x - y
+	if (x >= 0 && y < 0 && r < 0) || (x < 0 && y > 0 && r >= 0) {
+		m.raise(m.TagOverflow, nil)
+	}
+	return r
+}
+
+// mulInt tests the product by dividing it back, which misses only
+// ~1 * minInt: that product wraps to minInt, and so does minInt div ~1.
+func mulInt(m *Machine, x, y int64) int64 {
+	r := x * y
+	if (x != 0 && r/x != y) || (x == -1 && y == math.MinInt64) {
+		m.raise(m.TagOverflow, nil)
+	}
+	return r
+}
+
+// divInt is SML's div, which rounds toward negative infinity.
+func divInt(m *Machine, x, y int64) int64 {
+	q := quotInt(m, x, y)
+	if x%y != 0 && (x < 0) != (y < 0) {
+		q--
+	}
+	return q
+}
+
+// modInt is SML's mod, whose result takes the divisor's sign.
+func modInt(m *Machine, x, y int64) int64 {
+	r := remInt(m, x, y)
+	if r != 0 && (r < 0) != (y < 0) {
+		r += y
+	}
+	return r
+}
+
+// quotInt is SML's quot, which rounds toward zero: minInt quot ~1 is
+// the one quotient that overflows.
+func quotInt(m *Machine, x, y int64) int64 {
 	if y == 0 {
 		m.raise(m.TagDiv, nil)
 	}
-	return y
+	if x == math.MinInt64 && y == -1 {
+		m.raise(m.TagOverflow, nil)
+	}
+	return x / y
+}
+
+func remInt(m *Machine, x, y int64) int64 {
+	if y == 0 {
+		m.raise(m.TagDiv, nil)
+	}
+	return x % y
+}
+
+// wordDiv implements div and mod on words, raising Div on a zero
+// divisor.
+func (m *Machine) wordDiv(a, b Value, wantMod bool) Value {
+	x, y := m.wordArg(a), m.wordArg(b)
+	if y == 0 {
+		m.raise(m.TagDiv, nil)
+	}
+	if wantMod {
+		return WordV(x % y)
+	}
+	return WordV(x / y)
 }
 
 // compare orders two values of one ordered type: negative, zero or
-// positive as a is less than, equal to or greater than b.
-func (m *Machine) compare(a, b Value) int {
+// positive as a is less than, equal to or greater than b. ok is false
+// when a real operand is NaN, which is unordered: <, <=, > and >= are
+// all false on it.
+func (m *Machine) compare(a, b Value) (c int, ok bool) {
 	switch x := a.(type) {
 	case IntV:
 		if y, ok := b.(IntV); ok {
-			return cmpOrd(x, y)
+			return cmpOrd(x, y), true
 		}
 	case WordV:
 		if y, ok := b.(WordV); ok {
-			return cmpOrd(x, y)
+			return cmpOrd(x, y), true
 		}
 	case RealV:
 		if y, ok := b.(RealV); ok {
-			return cmpOrd(x, y)
+			return cmpOrd(x, y), !math.IsNaN(float64(x)) && !math.IsNaN(float64(y))
 		}
 	case StrV:
 		if y, ok := b.(StrV); ok {
-			return strings.Compare(string(x), string(y))
+			return strings.Compare(string(x), string(y)), true
 		}
 	case CharV:
 		if y, ok := b.(CharV); ok {
-			return cmpOrd(x, y)
+			return cmpOrd(x, y), true
 		}
 	}
 	m.crash("compare %s with %s", String(a), String(b))
-	return 0
+	return 0, false
 }
 
 func cmpOrd[T IntV | WordV | RealV | CharV](a, b T) int {
@@ -428,10 +481,6 @@ func (m *Machine) wordArg(v Value) uint64 {
 		m.crash("expected word, got %s", String(v))
 	}
 	return uint64(w)
-}
-
-func (m *Machine) shiftArg(v Value) uint64 {
-	return min(m.wordArg(v), 63)
 }
 
 func (m *Machine) refArg(v Value) *RefV {

@@ -134,15 +134,16 @@ func primSamples() map[lambda.Op][][]lambda.Exp {
 	vec := prim(lambda.OpVectorFromList, list(i(1)))
 	ordered := [][]lambda.Exp{
 		{i(1), i(2)}, {s("b"), s("a")}, {ch('a'), ch('a')}, {r(1), r(2)}, {w(3), w(2)}, {i(1), s("x")},
+		{r(math.NaN()), r(1)}, {r(1), r(math.NaN())},
 	}
 	return map[lambda.Op][][]lambda.Exp{
 		lambda.OpAdd:            {{i(2), i(3)}, {r(1.5), r(2)}, {w(7), w(8)}, {i(math.MaxInt64), i(1)}, {i(1), s("x")}},
 		lambda.OpSub:            {{i(2), i(5)}, {i(math.MinInt64), i(1)}, {w(1), w(2)}, {r(1), r(3)}},
-		lambda.OpMul:            {{i(6), i(7)}, {i(1 << 40), i(1 << 40)}, {r(1.5), r(2)}, {w(3), w(5)}},
-		lambda.OpDiv:            {{i(-7), i(2)}, {i(1), i(0)}, {w(7), w(2)}},
-		lambda.OpMod:            {{i(-7), i(2)}, {i(7), i(-2)}, {w(7), w(0)}},
-		lambda.OpQuot:           {{i(-7), i(2)}, {i(1), i(0)}},
-		lambda.OpRem:            {{i(-7), i(2)}, {i(1), i(0)}},
+		lambda.OpMul:            {{i(6), i(7)}, {i(1 << 40), i(1 << 40)}, {i(-1), i(math.MinInt64)}, {i(math.MinInt64), i(-1)}, {r(1.5), r(2)}, {w(3), w(5)}},
+		lambda.OpDiv:            {{i(-7), i(2)}, {i(1), i(0)}, {i(math.MinInt64), i(-1)}, {w(7), w(2)}},
+		lambda.OpMod:            {{i(-7), i(2)}, {i(7), i(-2)}, {i(math.MinInt64), i(-1)}, {w(7), w(0)}},
+		lambda.OpQuot:           {{i(-7), i(2)}, {i(1), i(0)}, {i(math.MinInt64), i(-1)}},
+		lambda.OpRem:            {{i(-7), i(2)}, {i(1), i(0)}, {i(math.MinInt64), i(-1)}},
 		lambda.OpFdiv:           {{r(1), r(4)}},
 		lambda.OpNeg:            {{i(5)}, {i(math.MinInt64)}, {r(2.5)}, {w(1)}, {s("x")}},
 		lambda.OpAbs:            {{i(-5)}, {i(5)}, {r(-2)}, {i(math.MinInt64)}},
@@ -185,8 +186,8 @@ func primSamples() map[lambda.Op][][]lambda.Exp {
 		lambda.OpOrb:            {{w(12), w(10)}},
 		lambda.OpXorb:           {{w(12), w(10)}},
 		lambda.OpNotb:           {{w(0)}},
-		lambda.OpLshift:         {{w(1), w(70)}},
-		lambda.OpRshift:         {{w(256), w(4)}},
+		lambda.OpLshift:         {{w(1), w(63)}, {w(1), w(64)}, {w(1), w(70)}},
+		lambda.OpRshift:         {{w(256), w(4)}, {w(1 << 63), w(63)}, {w(1 << 63), w(64)}},
 		lambda.OpWordToInt:      {{w(5)}, {w(1 << 63)}},
 		lambda.OpIntToWord:      {{i(-1)}},
 		lambda.OpArray:          {{tup(i(3), s("x"))}, {tup(i(-1), i(0))}},
@@ -197,6 +198,115 @@ func primSamples() map[lambda.Op][][]lambda.Exp {
 		lambda.OpVectorFromList: {{list(i(1))}},
 		lambda.OpVsub:           {{tup(vec, i(0))}, {tup(vec, i(5))}},
 		lambda.OpVlength:        {{vec}},
+	}
+}
+
+// wantBoth checks that term renders as want under the tree walker and
+// the closure builder alike.
+func wantBoth(t *testing.T, term lambda.Exp, want string) {
+	t.Helper()
+	tree := runTree(term)
+	closure, err := runClosure(term)
+	if err != nil {
+		t.Fatalf("%s: %v", lambda.String(term), err)
+	}
+	if tree != want || closure != want {
+		t.Errorf("%s:\ntree:    %s\nclosure: %s\nwant:    %s", lambda.String(term), tree, closure, want)
+	}
+}
+
+// TestPrimEdgeResults pins what SML's Basis gives at the edges of the
+// int, real and word ops: ~1 * minInt, minInt div ~1 and minInt quot ~1
+// overflow, every ordering of a NaN is false, and a shift by the word
+// size or more gives 0.
+func TestPrimEdgeResults(t *testing.T) {
+	i := func(n int64) lambda.Exp { return &lambda.Int{Val: n} }
+	w := func(n uint64) lambda.Exp { return &lambda.Word{Val: n} }
+	r := func(x float64) lambda.Exp { return &lambda.Real{Val: x} }
+	prim := func(op lambda.Op, es ...lambda.Exp) lambda.Exp { return &lambda.Prim{Op: op, Args: es} }
+	const overflow = "error uncaught exception Overflow printed "
+	nan := prim(lambda.OpSqrt, r(-1))
+	for _, tc := range []struct {
+		term lambda.Exp
+		want string
+	}{
+		{prim(lambda.OpMul, i(-1), i(math.MinInt64)), overflow},
+		{prim(lambda.OpMul, i(math.MinInt64), i(-1)), overflow},
+		{prim(lambda.OpDiv, i(math.MinInt64), i(-1)), overflow},
+		{prim(lambda.OpQuot, i(math.MinInt64), i(-1)), overflow},
+		{prim(lambda.OpMod, i(math.MinInt64), i(-1)), "0 printed "},
+		{prim(lambda.OpRem, i(math.MinInt64), i(-1)), "0 printed "},
+		{prim(lambda.OpDiv, i(math.MinInt64), i(2)), "~4611686018427387904 printed "},
+		{prim(lambda.OpLt, nan, r(1)), "false printed "},
+		{prim(lambda.OpLe, nan, r(1)), "false printed "},
+		{prim(lambda.OpGt, nan, r(1)), "false printed "},
+		{prim(lambda.OpGe, nan, r(1)), "false printed "},
+		{prim(lambda.OpLe, r(1), nan), "false printed "},
+		{prim(lambda.OpGe, nan, nan), "false printed "},
+		{prim(lambda.OpLe, r(1), r(1)), "true printed "},
+		{prim(lambda.OpLshift, w(1), w(63)), "0wx8000000000000000 printed "},
+		{prim(lambda.OpLshift, w(1), w(64)), "0wx0 printed "},
+		{prim(lambda.OpLshift, w(1), w(70)), "0wx0 printed "},
+		{prim(lambda.OpRshift, w(1<<63), w(63)), "0wx1 printed "},
+		{prim(lambda.OpRshift, w(1<<63), w(64)), "0wx0 printed "},
+		{prim(lambda.OpRshift, w(1<<63), w(70)), "0wx0 printed "},
+	} {
+		wantBoth(t, tc.term, tc.want)
+	}
+}
+
+// TestNestedArith runs chains of arithmetic primitives, whose
+// intermediate ints the closure builder keeps unboxed, against the tree
+// walker: the same value or the same exception, the same output in the
+// same order, and the boxed fallback for word and real chains.
+func TestNestedArith(t *testing.T) {
+	i := func(n int64) lambda.Exp { return &lambda.Int{Val: n} }
+	w := func(n uint64) lambda.Exp { return &lambda.Word{Val: n} }
+	r := func(x float64) lambda.Exp { return &lambda.Real{Val: x} }
+	v := func(lv lambda.LVar) lambda.Exp { return &lambda.Var{LV: lv} }
+	prim := func(op lambda.Op, es ...lambda.Exp) lambda.Exp { return &lambda.Prim{Op: op, Args: es} }
+	// printing prints s, then evaluates e.
+	printing := func(s string, e lambda.Exp) lambda.Exp {
+		return &lambda.Let{LV: 9, Bind: prim(lambda.OpPrint, &lambda.Str{Val: s}), Body: e}
+	}
+	// fold is one step of exec-heavy's fold, (acc * 31 + x) mod 1000003,
+	// over acc and x bound by Let.
+	fold := func(acc, x lambda.Exp) lambda.Exp {
+		return &lambda.Let{LV: 2, Bind: acc, Body: &lambda.Let{LV: 3, Bind: x, Body: prim(lambda.OpMod,
+			prim(lambda.OpAdd, prim(lambda.OpMul, v(2), i(31)), v(3)), i(1000003))}}
+	}
+	const (
+		overflow = "error uncaught exception Overflow printed "
+		div      = "error uncaught exception Div printed "
+	)
+	for _, tc := range []struct {
+		name string
+		term lambda.Exp
+		want string
+	}{
+		{"fold", fold(i(987654), i(1008)), "618192 printed "},
+		{"fold-negative", fold(i(-987654), i(5)), "382824 printed "},
+		{"deep", prim(lambda.OpSub, prim(lambda.OpQuot, prim(lambda.OpMul, i(1<<40), i(3)), i(7)),
+			prim(lambda.OpRem, prim(lambda.OpDiv, i(-1<<41), i(3)), i(1000))), "471219269897 printed "},
+		{"inner-overflow", prim(lambda.OpSub, prim(lambda.OpMul, i(math.MaxInt64), i(2)), i(1)), overflow},
+		{"inner-neg-one-overflow", prim(lambda.OpAdd, prim(lambda.OpMul, i(-1), i(math.MinInt64)), i(0)), overflow},
+		{"inner-div-overflow", prim(lambda.OpMod, prim(lambda.OpDiv, i(math.MinInt64), i(-1)), i(7)), overflow},
+		{"root-overflow", prim(lambda.OpAdd, prim(lambda.OpMul, i(1<<31), i(1<<31)), i(math.MaxInt64)), overflow},
+		{"inner-zero-divisor", prim(lambda.OpAdd, prim(lambda.OpDiv, i(5), i(0)), i(1)), div},
+		{"computed-zero-divisor", prim(lambda.OpMod, i(10), prim(lambda.OpSub, i(1<<20), i(1<<20))), div},
+		{"word-chain", prim(lambda.OpMod, prim(lambda.OpAdd, prim(lambda.OpMul, w(1<<40), w(3)), w(1)), w(1000003)), "0wxf126d printed "},
+		{"word-zero-divisor", prim(lambda.OpAdd, prim(lambda.OpDiv, w(1), w(0)), w(1)), div},
+		{"real-chain", prim(lambda.OpSub, prim(lambda.OpMul, r(1.5), r(2)), r(0.25)), "2.75 printed "},
+		{"int-from-other-prim", prim(lambda.OpAdd, prim(lambda.OpSize, &lambda.Str{Val: "abc"}), prim(lambda.OpMul, i(10000), i(3))), "30003 printed "},
+		{"ill-typed", prim(lambda.OpAdd, prim(lambda.OpMul, i(2), i(3)), &lambda.Str{Val: "x"}), `error runtime crash: add of 6 and "x" printed `},
+		{"source-order", prim(lambda.OpAdd,
+			printing("a", prim(lambda.OpMul, printing("b", i(100000)), printing("c", i(3)))),
+			printing("d", prim(lambda.OpSub, printing("e", i(9)), printing("f", i(4))))), "300005 printed abcdef"},
+		{"source-order-raise", prim(lambda.OpAdd,
+			printing("a", prim(lambda.OpDiv, printing("b", i(1)), printing("c", i(0)))),
+			printing("d", i(1))), "error uncaught exception Div printed abc"},
+	} {
+		t.Run(tc.name, func(t *testing.T) { wantBoth(t, tc.term, tc.want) })
 	}
 }
 
@@ -214,6 +324,11 @@ func TestForgedPrimArityRejected(t *testing.T) {
 	}{
 		{"add-one-operand", &lambda.Prim{Op: lambda.OpAdd, Args: []lambda.Exp{&lambda.Var{LV: 1}}}, []byte{0, 0}},
 		{"size-no-operand", &lambda.Prim{Op: lambda.OpSize}, []byte{}},
+		// Inside an arithmetic chain, whose inner ops compile to int nodes.
+		{"mul-one-operand-in-chain", &lambda.Prim{Op: lambda.OpAdd, Args: []lambda.Exp{
+			&lambda.Prim{Op: lambda.OpMul, Args: []lambda.Exp{&lambda.Var{LV: 1}}}, &lambda.Int{Val: 1}}}, []byte{0, 0}},
+		{"mod-three-operands-in-chain", &lambda.Prim{Op: lambda.OpSub, Args: []lambda.Exp{&lambda.Int{Val: 1},
+			&lambda.Prim{Op: lambda.OpMod, Args: []lambda.Exp{&lambda.Var{LV: 1}, &lambda.Int{Val: 2}, &lambda.Int{Val: 3}}}}}, []byte{0, 0}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			root := &lambda.Fn{Param: 1, Body: tc.prim}
