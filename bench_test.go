@@ -21,7 +21,6 @@ import (
 	"repro/internal/binfile"
 	"repro/internal/compiler"
 	"repro/internal/core"
-	"repro/internal/dynenv"
 	"repro/internal/elab"
 	"repro/internal/env"
 	"repro/internal/interp"
@@ -750,41 +749,37 @@ func BenchmarkPipelineRehydrate(b *testing.B) {
 
 // ---------------------------------------------------------------------
 // Compiled-execution engine (DESIGN.md §4j): hot apply and unit
-// execution, with the reference tree walker as the apply baseline.
-// These four are in benchgate's gated set (scripts/benchgate), so a
-// PR that regresses the compiled engine's apply or exec time fails CI.
+// execution. These are in benchgate's gated set (scripts/benchgate), so
+// a PR that regresses the compiled engine's apply or exec time fails
+// CI. The reference tree walker's baseline for ApplyHot lives next to
+// the walker, in internal/interp, ungated.
 // ---------------------------------------------------------------------
 
 // applyHotSource is apply-dominated: fib 20 is ~10k two-argument-free
 // applications per execution, so the frame/slot machinery is the whole
-// cost and the tree-vs-closure delta is the engine's headline number.
+// cost.
 const applyHotSource = `
 fun fib n = if n < 2 then n else fib (n-1) + fib (n-2)
 val r = fib 20
 `
 
-// BenchmarkApplyHot runs the unit through the reference walker
-// (Machine.Eval, the "tree" case) and through its compiled form.
+// BenchmarkApplyHot runs the unit's compiled form. The one case keeps
+// its subbenchmark name, ApplyHot/closure, which benchgate compares
+// across commits.
 func BenchmarkApplyHot(b *testing.B) {
-	for _, c := range []struct {
-		name string
-		exec func(*interp.Machine, *compiler.Unit, *dynenv.Env) error
-	}{{"tree", execTree}, {"closure", execClosure}} {
-		b.Run(c.name, func(b *testing.B) {
-			s := newSession(b)
-			u, err := s.Compile("bench", applyHotSource)
-			if err != nil {
+	b.Run("closure", func(b *testing.B) {
+		s := newSession(b)
+		u, err := s.Compile("bench", applyHotSource)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if err := compiler.Execute(s.Machine, u, s.Dyn.Copy(), nil, nil, 0); err != nil {
 				b.Fatal(err)
 			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				dyn := s.Dyn.Copy()
-				if err := c.exec(s.Machine, u, dyn); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
+		}
+	})
 }
 
 // BenchmarkApplyCurried folds over a 1,000-element list with the

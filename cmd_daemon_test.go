@@ -27,6 +27,9 @@ import (
 // startDaemonCmd launches `irm daemon`, waits for the socket
 // announcement, and returns the socket path, the command (for
 // signalling), and a channel that yields all stderr once it exits.
+// Receive from the channel before calling Wait: Wait closes the pipe
+// once the process has exited, and the reader would lose the lines it
+// has not scanned yet.
 func startDaemonCmd(t *testing.T, bin string, args ...string) (string, *exec.Cmd, chan string) {
 	t.Helper()
 	cmd := exec.Command(bin, append([]string{"daemon"}, args...)...)
@@ -139,10 +142,10 @@ func TestDaemonCLI(t *testing.T) {
 
 	// SIGTERM: graceful drain, socket removed, clean exit.
 	cmd.Process.Signal(syscall.SIGTERM)
+	log := <-logCh
 	if err := cmd.Wait(); err != nil {
 		t.Fatalf("daemon exit after SIGTERM: %v", err)
 	}
-	log := <-logCh
 	if !strings.Contains(log, "irm: daemon draining") || !strings.Contains(log, "irm: daemon drained") {
 		t.Fatalf("daemon log missing drain announcements:\n%s", log)
 	}
@@ -239,10 +242,10 @@ func TestDaemonClientDrainExits(t *testing.T) {
 	if err := daemon.NewClient(socket).Drain(); err != nil {
 		t.Fatalf("drain request: %v", err)
 	}
+	log := <-logCh
 	if err := cmd.Wait(); err != nil {
 		t.Fatalf("daemon exit after client drain: %v", err)
 	}
-	log := <-logCh
 	if !strings.Contains(log, "irm: daemon drained") {
 		t.Fatalf("daemon log missing drained announcement:\n%s", log)
 	}

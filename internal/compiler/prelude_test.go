@@ -59,7 +59,7 @@ val out = n + m + String.size str + e
 // that two sessions may legitimately share.
 func refIdentity(v interp.Value) any {
 	switch v := v.(type) {
-	case *interp.CompiledClosure, *interp.Closure, *interp.ExnTag, *interp.RefV, *interp.ArrV:
+	case *interp.CompiledClosure, *interp.ExnTag, *interp.RefV, *interp.ArrV:
 		return v
 	}
 	if fs, ok := interp.Fields(v); ok && len(fs) > 0 {

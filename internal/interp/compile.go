@@ -2,11 +2,11 @@ package interp
 
 // The compiled-execution engine (ROADMAP "compile codeUnits to
 // closures"): a one-pass compiler from lambda terms to trees of Go
-// closures over array-indexed activation frames. Where the tree walker
-// resolves every variable by an O(n) scan of the linked Env list at
-// each occurrence, this backend resolves each occurrence once, at
-// compile time, to a (depth delta, slot index) coordinate; at run time
-// a variable reference is one or two pointer hops plus an array index.
+// closures over array-indexed activation frames. Where a tree walker
+// resolves every variable by a scan of a linked environment at each
+// occurrence, this backend resolves each occurrence once, at compile
+// time, to a (depth delta, slot index) coordinate; at run time a
+// variable reference is one or two pointer hops plus an array index.
 //
 // The coordinate assignment — the "slot layout" — is the only output
 // of resolution, so it is what gets pickled into the bin file's code
@@ -208,9 +208,7 @@ var (
 )
 
 // CompiledClosure pairs a compiled function with its captured frame
-// chain — the compiled engine's counterpart of *Closure. The two
-// closure forms interoperate: Machine.apply dispatches on either, so a
-// tree-built value can be applied by compiled code and vice versa.
+// chain: the one function value Machine.apply applies.
 type CompiledClosure struct {
 	Fn  *CompiledFn
 	Env *Frame
@@ -840,7 +838,7 @@ func (c *comp) walk(e lambda.Exp) cnode {
 		}
 	case *lambda.NewExnTag:
 		// Exception declarations are generative: a fresh tag identity
-		// per evaluation, exactly like the tree walker.
+		// per evaluation.
 		name := e.Name
 		return func(*Machine, *Frame) Value { return &ExnTag{Name: name} }
 	case *lambda.ExnCon:

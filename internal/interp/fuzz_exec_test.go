@@ -1,14 +1,16 @@
+package interp_test
+
 // Differential fuzzing of the compiled-closure engine against the
-// reference tree walker (DESIGN.md §4j): on any source, executing the
-// unit through Machine.Eval and executing its compiled form must print
-// the same bytes, fail with the same error, and leave the same export
-// values. Step budgets are the one sanctioned divergence — the two
-// count steps at different granularities — so budget-exceeded runs are
-// skipped, not compared.
-package repro
+// reference tree walker (treewalk_test.go, DESIGN.md §4j): on any
+// source, executing the unit through Machine.Eval and executing its
+// compiled form must print the same bytes, fail with the same error,
+// and leave the same export values. Step budgets are the one sanctioned
+// divergence — the two count steps at different granularities — so
+// budget-exceeded runs are skipped, not compared.
 
 import (
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -24,7 +26,9 @@ import (
 // execTree is compiler.Execute with the reference tree walker in place
 // of the compiled form: it evaluates the unit's term to a closure,
 // applies that to the import vector, and binds the exports. Its errors
-// read as Execute's do.
+// read as Execute's do. It is the one tree-execution harness: the fuzz
+// target, the known-call tests and BenchmarkApplyHot's tree case all
+// run units through it.
 func execTree(m *interp.Machine, u *compiler.Unit, dyn *dynenv.Env) error {
 	imports, slots := interp.NewRecord(len(u.Imports))
 	for i, p := range u.Imports {
@@ -121,7 +125,7 @@ func FuzzExecTreeVsClosure(f *testing.F) {
 		f.Add(file.Source)
 	}
 	// The known-call programs: join points and curried chains (§4j).
-	known, err := filepath.Glob("testdata/knowncall/*.sml")
+	known, err := filepath.Glob("../../testdata/knowncall/*.sml")
 	if err != nil || len(known) == 0 {
 		f.Fatalf("no known-call seeds (%v)", err)
 	}
@@ -146,6 +150,36 @@ func FuzzExecTreeVsClosure(f *testing.F) {
 		}
 		if tExp != cExp {
 			t.Fatalf("export mismatch:\ntree:\n%s\nclosure:\n%s\nsource:\n%s", tExp, cExp, src)
+		}
+	})
+}
+
+// applyHotSource is apply-dominated: fib 20 is ~10k applications per
+// execution. The root package's BenchmarkApplyHot/closure, which
+// benchgate gates, runs the same unit compiled.
+const applyHotSource = `
+fun fib n = if n < 2 then n else fib (n-1) + fib (n-2)
+val r = fib 20
+`
+
+// BenchmarkApplyHot runs the unit through the reference walker: the
+// baseline the compiled engine's ApplyHot/closure is read against.
+// Ungated, since the walker is test code.
+func BenchmarkApplyHot(b *testing.B) {
+	b.Run("tree", func(b *testing.B) {
+		s, err := compiler.NewSession(io.Discard)
+		if err != nil {
+			b.Fatal(err)
+		}
+		u, err := s.Compile("bench", applyHotSource)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if err := execTree(s.Machine, u, s.Dyn.Copy()); err != nil {
+				b.Fatal(err)
+			}
 		}
 	})
 }

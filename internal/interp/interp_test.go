@@ -327,6 +327,7 @@ func TestValueString(t *testing.T) {
 		want string
 	}{
 		{IntV(-3), "~3"},
+		{IntV(math.MinInt64), "~9223372036854775808"},
 		{RealV(1.5), "1.5"},
 		{StrV("a\"b"), `"a\"b"`},
 		{CharV('x'), `#"x"`},

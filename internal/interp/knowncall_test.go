@@ -80,7 +80,7 @@ func runKnown(t *testing.T, src, mode string, budget uint64) knownRun {
 	}
 	m.Steps, m.MaxSteps = 0, budget
 	if mode == "tree" {
-		err = execTreeUnit(m, u, s)
+		err = execTree(m, u, s.Dyn)
 	} else {
 		err = compiler.Execute(m, u, s.Dyn, nil, nil, 0)
 	}
@@ -96,31 +96,6 @@ func runKnown(t *testing.T, src, mode string, budget uint64) knownRun {
 	}
 	r.exports = strings.Join(exp, "; ")
 	return r
-}
-
-// execTreeUnit is compiler.Execute through the reference walker.
-func execTreeUnit(m *interp.Machine, u *compiler.Unit, s *compiler.Session) error {
-	imports, slots := interp.NewRecord(len(u.Imports))
-	for i, p := range u.Imports {
-		v, err := s.Dyn.MustLookup(p)
-		if err != nil {
-			return err
-		}
-		slots[i] = v
-	}
-	f, err := m.Eval(u.Code, nil)
-	if err != nil {
-		return err
-	}
-	res, err := m.Apply(f, imports)
-	if err != nil {
-		return err
-	}
-	rec, _ := interp.Fields(res)
-	for i, v := range rec {
-		s.Dyn.Bind(u.ExportPid(i), v)
-	}
-	return nil
 }
 
 func TestKnownCallsMatchReference(t *testing.T) {

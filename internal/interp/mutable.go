@@ -2,20 +2,20 @@ package interp
 
 // ReachesMutable reports whether v can reach a mutable cell — a ref or
 // an array — through immutable structure: records, vectors, constructor
-// arguments, exception payloads, and closure captures (compiled frames
-// and the reference walker's environments). The parallel exec scheduler uses it to
-// decide whether a unit's imports expose shared mutable state, in which
-// case the unit's execution must be serialized in commit order
-// (DESIGN.md §4j).
+// arguments, exception payloads, and closure captures (the frames a
+// closure's chain links). The parallel exec scheduler uses it to decide
+// whether a unit's imports expose shared mutable state, in which case
+// the unit's execution must be serialized in commit order (DESIGN.md
+// §4j).
 //
 // The walk stops *at* a ref or array without reading through it
 // (RefV.Cell and ArrV.Elems are never dereferenced), so it touches only
 // memory that is immutable once a value has escaped its creating
-// execution: record/vector spines, constructor cells, environment
-// links, and the activation frames of completed calls. That makes the
-// scan safe to run concurrently with executions that mutate cells —
-// everything behind the first mutable boundary is exactly what they
-// mutate, and exactly what the scan never visits.
+// execution: record/vector spines, constructor cells, and the
+// activation frames of completed calls. That makes the scan safe to
+// run concurrently with executions that mutate cells — everything
+// behind the first mutable boundary is exactly what they mutate, and
+// exactly what the scan never visits.
 //
 // The verdict is stable: a value from which no mutable cell is
 // reachable is hereditarily immutable, so no later mutation anywhere
@@ -66,9 +66,9 @@ func (s *MutScanner) ReachesMutable(v Value) bool {
 
 // visited reports whether node is already in the visited set, entering
 // it otherwise: pointer-identity nodes (constructor cells, closures,
-// env links, frames) are visited once, which both bounds shared-
-// structure walks and terminates the cycles recursive closures create
-// through their own environments.
+// frames) are visited once, which both bounds shared-structure walks
+// and terminates the cycles recursive closures create through their
+// own frames.
 func (s *MutScanner) visited(node any) bool {
 	if _, ok := s.seen[node]; ok {
 		return true
@@ -103,11 +103,6 @@ func (s *MutScanner) value(v Value) bool {
 			return false
 		}
 		return s.value(v.Arg)
-	case *Closure:
-		if v == nil || s.visited(v) {
-			return false
-		}
-		return s.env(v.Env)
 	case *CompiledClosure:
 		if v == nil || s.visited(v) {
 			return false
@@ -121,18 +116,6 @@ func (s *MutScanner) value(v Value) bool {
 			if s.value(e) {
 				return true
 			}
-		}
-	}
-	return false
-}
-
-func (s *MutScanner) env(e *Env) bool {
-	for ; e != nil; e = e.next {
-		if s.visited(e) {
-			return false
-		}
-		if e.v != nil && s.value(e.v) {
-			return true
 		}
 	}
 	return false

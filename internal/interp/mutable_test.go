@@ -3,8 +3,6 @@ package interp
 import (
 	"math/rand"
 	"testing"
-
-	"repro/internal/lambda"
 )
 
 func TestReachesMutableImmutable(t *testing.T) {
@@ -50,23 +48,10 @@ func TestReachesMutableCells(t *testing.T) {
 	}
 }
 
-// A closure capturing a ref in its environment is reachable mutable
-// state — applying it can read or write the cell — for both engine
-// representations.
+// A closure capturing a ref in its frame chain is reachable mutable
+// state — applying it can read or write the cell.
 func TestReachesMutableThroughClosures(t *testing.T) {
 	r := &RefV{Cell: IntV(0)}
-
-	var env *Env
-	env = env.Bind(lambda.LVar(1), IntV(1))
-	pure := &Closure{Body: &lambda.Int{Val: 0}, Env: env}
-	if ReachesMutable(pure) {
-		t.Error("tree closure over immutable env reported mutable")
-	}
-	capt := &Closure{Body: &lambda.Int{Val: 0}, Env: env.Bind(lambda.LVar(2), r)}
-	if !ReachesMutable(capt) {
-		t.Error("tree closure capturing a ref reported immutable")
-	}
-
 	fr := newFrame(nil, 2)
 	fr.slots[0] = IntV(1)
 	cpure := &CompiledClosure{Fn: &CompiledFn{NSlots: 2}, Env: fr}
@@ -81,17 +66,9 @@ func TestReachesMutableThroughClosures(t *testing.T) {
 	}
 }
 
-// Recursive closures are cyclic through their own environment; the
-// visited set must terminate the walk.
+// Recursive closures are cyclic through their own frame; the visited
+// set must terminate the walk.
 func TestReachesMutableCyclicClosure(t *testing.T) {
-	var env *Env
-	c := &Closure{Body: &lambda.Int{Val: 0}}
-	env = env.Bind(lambda.LVar(3), c)
-	c.Env = env
-	if ReachesMutable(c) {
-		t.Error("pure recursive closure reported mutable")
-	}
-
 	fr := newFrame(nil, 1)
 	cc := &CompiledClosure{Fn: &CompiledFn{NSlots: 1}, Env: fr}
 	fr.slots[0] = cc

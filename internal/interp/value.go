@@ -18,9 +18,8 @@ package interp
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
-
-	"repro/internal/lambda"
 )
 
 // Value is an ML runtime value.
@@ -63,13 +62,6 @@ type ConV struct {
 	Arg  Value // nil for nullary constructors
 }
 
-// Closure is a function value.
-type Closure struct {
-	Param lambda.LVar
-	Body  lambda.Exp
-	Env   *Env
-}
-
 // RefV is a mutable reference cell.
 type RefV struct{ Cell Value }
 
@@ -88,21 +80,20 @@ type ExnV struct {
 	Arg Value // nil for nullary exceptions
 }
 
-func (IntV) isValue()     {}
-func (WordV) isValue()    {}
-func (RealV) isValue()    {}
-func (StrV) isValue()     {}
-func (CharV) isValue()    {}
-func (RecordV) isValue()  {}
-func (*tuple2) isValue()  {}
-func (*tuple3) isValue()  {}
-func (*ConV) isValue()    {}
-func (*Closure) isValue() {}
-func (*RefV) isValue()    {}
-func (*ArrV) isValue()    {}
-func (VecV) isValue()     {}
-func (*ExnTag) isValue()  {}
-func (*ExnV) isValue()    {}
+func (IntV) isValue()    {}
+func (WordV) isValue()   {}
+func (RealV) isValue()   {}
+func (StrV) isValue()    {}
+func (CharV) isValue()   {}
+func (RecordV) isValue() {}
+func (*tuple2) isValue() {}
+func (*tuple3) isValue() {}
+func (*ConV) isValue()   {}
+func (*RefV) isValue()   {}
+func (*ArrV) isValue()   {}
+func (VecV) isValue()    {}
+func (*ExnTag) isValue() {}
+func (*ExnV) isValue()   {}
 
 // Unit is the unit value.
 func Unit() Value { return RecordV(nil) }
@@ -275,11 +266,7 @@ func writeValue(sb *strings.Builder, v Value, depth int) {
 	}
 	switch v := v.(type) {
 	case IntV:
-		if v < 0 {
-			fmt.Fprintf(sb, "~%d", -v)
-		} else {
-			fmt.Fprintf(sb, "%d", v)
-		}
+		sb.WriteString(strings.Replace(strconv.FormatInt(int64(v), 10), "-", "~", 1))
 	case WordV:
 		fmt.Fprintf(sb, "0wx%x", uint64(v))
 	case RealV:
@@ -310,8 +297,6 @@ func writeValue(sb *strings.Builder, v Value, depth int) {
 			sb.WriteByte(' ')
 			writeValue(sb, v.Arg, depth+1)
 		}
-	case *Closure:
-		sb.WriteString("fn")
 	case *CompiledClosure:
 		sb.WriteString("fn")
 	case *RefV:
