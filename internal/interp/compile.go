@@ -103,6 +103,18 @@ type CompiledFn struct {
 	// agree by construction. A join point (comp.joinLet) creates no
 	// closure, so it does not make the frames it is bound in escape.
 	escapes bool
+
+	// borrows reports whether a call may lend this function a tuple
+	// argument it takes back when the call returns: the function's
+	// frame does not escape, and every read of its parameter is the
+	// record of a Select in the function's own activation — never a
+	// read from a nested function or a join point's body, which run in
+	// frames of their own. Such a body keeps the fields it selects but
+	// never the tuple itself. A frame that escapes would keep the tuple
+	// in its slot 0, where MutScanner reads the frames of completed
+	// calls. Decided by the same walk as escapes, so CompileFn and
+	// LoadFn agree by construction.
+	borrows bool
 }
 
 // fnTable is the per-unit side table shared by every CompiledFn of one
@@ -298,8 +310,7 @@ type loc struct {
 type comp struct {
 	resolve bool
 	scope   map[lambda.LVar]loc // resolve mode only
-	nslots  []int               // per open frame: slots allocated so far
-	escaped []bool              // per open frame: captured by some closure
+	frames  []openFrame         // the open frames, outermost first
 	out     []byte              // resolve mode: section being built
 	in      []byte              // decode mode: section being read
 	pos     int
@@ -328,6 +339,16 @@ type comp struct {
 
 	hdrs []CompiledFn // newFn's current chunk
 }
+
+// openFrame is the walk's state of one open frame.
+type openFrame struct {
+	nslots  int  // slots allocated so far
+	escaped bool // captured by some closure
+	keeps   bool // its parameter is read other than selected from in place
+}
+
+// borrows is CompiledFn.borrows of the frame's function.
+func (f openFrame) borrows() bool { return !f.escaped && !f.keeps }
 
 // joinFn is one join point in scope: its binder and its function.
 type joinFn struct {
@@ -365,7 +386,7 @@ func (c *comp) coord(lv lambda.LVar) (delta, slot int) {
 			c.fail("unbound lambda variable v%d", lv)
 			return 0, 0
 		}
-		delta = len(c.nslots) - l.depth
+		delta = len(c.frames) - l.depth
 		c.out = binary.AppendUvarint(c.out, uint64(delta))
 		c.out = binary.AppendUvarint(c.out, uint64(l.slot))
 		return delta, l.slot
@@ -375,11 +396,11 @@ func (c *comp) coord(lv lambda.LVar) (delta, slot int) {
 	if c.err != nil {
 		return 0, 0
 	}
-	if d >= uint64(len(c.nslots)) {
-		c.fail("code section: depth delta %d with %d frames open", d, len(c.nslots))
+	if d >= uint64(len(c.frames)) {
+		c.fail("code section: depth delta %d with %d frames open", d, len(c.frames))
 		return 0, 0
 	}
-	if s >= uint64(c.nslots[len(c.nslots)-1-int(d)]) {
+	if s >= uint64(c.frames[len(c.frames)-1-int(d)].nslots) {
 		c.fail("code section: slot %d not yet allocated at delta %d", s, d)
 		return 0, 0
 	}
@@ -388,9 +409,9 @@ func (c *comp) coord(lv lambda.LVar) (delta, slot int) {
 
 // alloc claims the next slot of the innermost open frame.
 func (c *comp) alloc() int {
-	s := c.nslots[len(c.nslots)-1]
-	c.nslots[len(c.nslots)-1] = s + 1
-	return s
+	top := &c.frames[len(c.frames)-1]
+	top.nslots++
+	return top.nslots - 1
 }
 
 // bind enters lv at the given slot of the innermost frame, returning
@@ -400,7 +421,7 @@ func (c *comp) bind(lv lambda.LVar, slot int) (loc, bool) {
 		return loc{}, false
 	}
 	old, had := c.scope[lv]
-	c.scope[lv] = loc{depth: len(c.nslots), slot: slot}
+	c.scope[lv] = loc{depth: len(c.frames), slot: slot}
 	return old, had
 }
 
@@ -445,9 +466,9 @@ func (c *comp) fn(e *lambda.Fn) *CompiledFn {
 		f.at, f.start = e.Pos, int32(c.pos)
 	}
 	c.fnids = append(c.fnids, id)
-	var nslots int
-	f.body, nslots, f.escapes, f.inner = c.frame(e)
-	f.NSlots = int32(nslots)
+	var fr openFrame
+	f.body, fr, f.inner = c.frame(e)
+	f.NSlots, f.escapes, f.borrows = int32(fr.nslots), fr.escaped, fr.borrows()
 	c.fnids = c.fnids[:len(c.fnids)-1]
 	c.shape = shape
 	if deferred {
@@ -477,11 +498,10 @@ func (c *comp) newFn() *CompiledFn {
 
 // frame walks a function body in a fresh frame whose slot 0 holds the
 // parameter, returning the body's code (nil in shape mode), the
-// frame's width, whether the frame escapes, and the body's function
-// when the body is a literal Fn (CompiledFn.inner).
-func (c *comp) frame(e *lambda.Fn) (body cnode, nslots int, escapes bool, inner *CompiledFn) {
-	c.nslots = append(c.nslots, 1)
-	c.escaped = append(c.escaped, false)
+// frame's final state, and the body's function when the body is a
+// literal Fn (CompiledFn.inner).
+func (c *comp) frame(e *lambda.Fn) (body cnode, fr openFrame, inner *CompiledFn) {
+	c.frames = append(c.frames, openFrame{nslots: 1})
 	old, had := c.bind(e.Param, 0)
 	if fn, ok := e.Body.(*lambda.Fn); ok {
 		body, inner = c.closure(fn)
@@ -489,10 +509,10 @@ func (c *comp) frame(e *lambda.Fn) (body cnode, nslots int, escapes bool, inner 
 		body = c.walk(e.Body)
 	}
 	c.unbind(e.Param, old, had)
-	top := len(c.nslots) - 1
-	nslots, escapes = c.nslots[top], c.escaped[top]
-	c.nslots, c.escaped = c.nslots[:top], c.escaped[:top]
-	return body, nslots, escapes, inner
+	top := len(c.frames) - 1
+	fr = c.frames[top]
+	c.frames = c.frames[:top]
+	return body, fr, inner
 }
 
 // code returns f's body, building it first if f is still pending.
@@ -527,11 +547,10 @@ func (f *CompiledFn) force(m *Machine) {
 	}
 	c := &comp{in: t.section[:f.end], pos: int(f.start), tab: t, forcing: true, next: f.ID + 1}
 	for p := t.parents[f.ID]; p >= 0; p = t.parents[p] {
-		c.nslots = append(c.nslots, int(t.fns[p].NSlots))
+		c.frames = append(c.frames, openFrame{nslots: int(t.fns[p].NSlots)})
 	}
-	slices.Reverse(c.nslots)
-	c.escaped = make([]bool, len(c.nslots))
-	body, _, _, _ := c.frame(term)
+	slices.Reverse(c.frames)
+	body, _, _ := c.frame(term)
 	if c.err != nil || c.pos != int(f.end) {
 		m.crash("building function %d of %s: %v (at byte %d of %d)", f.ID, t.unit, c.err, c.pos, f.end)
 	}
@@ -566,8 +585,8 @@ func Force(m *Machine, f *CompiledFn) { f.code(m) }
 // markEscapes records that a closure is created at the current point:
 // its captured chain includes every open frame.
 func (c *comp) markEscapes() {
-	for i := range c.escaped {
-		c.escaped[i] = true
+	for i := range c.frames {
+		c.frames[i].escaped = true
 	}
 }
 
@@ -609,27 +628,7 @@ func (c *comp) walk(e lambda.Exp) cnode {
 	}
 	switch e := e.(type) {
 	case *lambda.Var:
-		delta, slot := c.coord(e.LV)
-		if c.shape {
-			return nil
-		}
-		if delta <= 1 && slot < sharedSlots {
-			return slotReaders[delta][slot]
-		}
-		switch delta {
-		case 0:
-			return func(m *Machine, fr *Frame) Value { return fr.slots[slot] }
-		case 1:
-			return func(m *Machine, fr *Frame) Value { return fr.up.slots[slot] }
-		default:
-			return func(m *Machine, fr *Frame) Value {
-				f := fr
-				for i := 0; i < delta; i++ {
-					f = f.up
-				}
-				return f.slots[slot]
-			}
-		}
+		return c.read(e.LV, false)
 	case *lambda.Int:
 		if e.Val >= sharedConstLo && e.Val <= sharedConstHi {
 			return intConsts[e.Val-sharedConstLo]
@@ -664,7 +663,12 @@ func (c *comp) walk(e lambda.Exp) cnode {
 			return r
 		}
 	case *lambda.Select:
-		rec := c.walk(e.Rec)
+		var rec cnode
+		if v, ok := e.Rec.(*lambda.Var); ok {
+			rec = c.read(v.LV, true)
+		} else {
+			rec = c.walk(e.Rec)
+		}
 		if c.shape {
 			return nil
 		}
@@ -762,6 +766,9 @@ func (c *comp) walk(e lambda.Exp) cnode {
 		}
 		if k := chainLen(e); k > 1 {
 			return c.chain(e, k)
+		}
+		if n := tupleArity(e.Arg); n != 0 {
+			return c.tupleCall(e, n)
 		}
 		fnc := c.walk(e.Fn)
 		argc := c.walk(e.Arg)
@@ -947,6 +954,37 @@ func (c *comp) walk(e lambda.Exp) cnode {
 	c.fail("unknown lambda node %T", e)
 	return func(m *Machine, fr *Frame) Value {
 		return m.crash("uncompilable node %T", e)
+	}
+}
+
+// read compiles a read of lv. A read of slot 0, a frame's parameter,
+// marks that frame as keeping its parameter (CompiledFn.borrows) unless
+// selected says the read is the record of a Select and it runs in the
+// parameter's own activation, at depth delta 0.
+func (c *comp) read(lv lambda.LVar, selected bool) cnode {
+	delta, slot := c.coord(lv)
+	if slot == 0 && (delta != 0 || !selected) {
+		c.frames[len(c.frames)-1-delta].keeps = true
+	}
+	if c.shape {
+		return nil
+	}
+	if delta <= 1 && slot < sharedSlots {
+		return slotReaders[delta][slot]
+	}
+	switch delta {
+	case 0:
+		return func(m *Machine, fr *Frame) Value { return fr.slots[slot] }
+	case 1:
+		return func(m *Machine, fr *Frame) Value { return fr.up.slots[slot] }
+	default:
+		return func(m *Machine, fr *Frame) Value {
+			f := fr
+			for i := 0; i < delta; i++ {
+				f = f.up
+			}
+			return f.slots[slot]
+		}
 	}
 }
 
@@ -1255,6 +1293,98 @@ func (c *comp) chainArgs(e *lambda.App, k int, args []cnode) cnode {
 	return head
 }
 
+// tupleArity returns the field count of e when e is a 2- or 3-field
+// Record under a chain, possibly empty, of Lets that bind no function —
+// the shape in which the elaborator binds a tuple's fields before
+// building it — else 0.
+func tupleArity(e lambda.Exp) int {
+	for {
+		switch t := e.(type) {
+		case *lambda.Let:
+			if _, isFn := t.Bind.(*lambda.Fn); isFn {
+				return 0
+			}
+			e = t.Body
+		case *lambda.Record:
+			if n := len(t.Fields); n == 2 || n == 3 {
+				return n
+			}
+			return 0
+		default:
+			return 0
+		}
+	}
+}
+
+// filler is a compiled tuple argument: it runs the argument's Lets and
+// writes its fields to dst.
+type filler func(m *Machine, fr *Frame, dst []Value)
+
+// tupleCall compiles f a, where a is a tuple of n fields (tupleArity).
+// The function, the Lets and the fields run in the order plain
+// application runs them. When the callee borrows (CompiledFn.borrows),
+// the fields go into a tuple lent from the machine's pool for the
+// call; otherwise into a new record, as plain application builds it.
+func (c *comp) tupleCall(e *lambda.App, n int) cnode {
+	fnc := c.walk(e.Fn)
+	fill := c.tuple(e.Arg)
+	if c.shape {
+		return nil
+	}
+	return func(m *Machine, fr *Frame) Value {
+		f := fnc(m, fr)
+		cl, ok := f.(*CompiledClosure)
+		if ok && cl.Fn.borrows {
+			return m.lend(cl, fr, fill, n)
+		}
+		r, vs := NewRecord(n)
+		fill(m, fr, vs)
+		if ok {
+			return m.callFn(cl.Fn, cl.Env, r)
+		}
+		return m.apply(f, r)
+	}
+}
+
+// tuple walks a tuple argument as walk walks its Lets and Record: each
+// Let's binding, its slot and its body, then the fields in order.
+func (c *comp) tuple(e lambda.Exp) filler {
+	if l, ok := e.(*lambda.Let); ok {
+		bindc := c.walk(l.Bind)
+		slot := c.alloc()
+		old, had := c.bind(l.LV, slot)
+		body := c.tuple(l.Body)
+		c.unbind(l.LV, old, had)
+		if c.shape {
+			return nil
+		}
+		return func(m *Machine, fr *Frame, dst []Value) {
+			fr.slots[slot] = bindc(m, fr)
+			body(m, fr, dst)
+		}
+	}
+	fs := e.(*lambda.Record).Fields
+	a, b := c.walk(fs[0]), c.walk(fs[1])
+	if len(fs) == 2 {
+		if c.shape {
+			return nil
+		}
+		return func(m *Machine, fr *Frame, dst []Value) {
+			dst[0] = a(m, fr)
+			dst[1] = b(m, fr)
+		}
+	}
+	z := c.walk(fs[2])
+	if c.shape {
+		return nil
+	}
+	return func(m *Machine, fr *Frame, dst []Value) {
+		dst[0] = a(m, fr)
+		dst[1] = b(m, fr)
+		dst[2] = z(m, fr)
+	}
+}
+
 func (c *comp) switchNode(e *lambda.Switch) cnode {
 	scrut := c.walk(e.Scrut)
 	var bodies []cnode
@@ -1497,14 +1627,14 @@ func (c *comp) intOperand(e lambda.Exp) operand {
 // stage runs units on. Values built by a fork are interchangeable with
 // the parent's: identity-bearing comparisons (exception tags) work
 // because the basis tags are shared, not copied. The caller sets
-// Stdout and Obs before use. The fork's frame pool starts empty: a
-// pool is never shared across goroutines, so only a machine done on
-// the fork's own goroutine may pass it one (HandOff).
+// Stdout and Obs before use. The fork's frame and tuple pools start
+// empty: a pool is never shared across goroutines, so only a machine
+// done on the fork's own goroutine may pass it one (HandOff).
 func (m *Machine) Fork() *Machine {
 	f := *m
 	f.Steps = 0
 	f.Obs = nil
-	f.framePool = nil
+	f.pool = nil
 	if m.prof != nil {
 		// Profiling is inherited by enablement only: the fork gets its
 		// own sample window, countdown, and shadow stack (all per-unit
@@ -1515,10 +1645,10 @@ func (m *Machine) Fork() *Machine {
 	return &f
 }
 
-// HandOff moves m's frame pool to next, so one goroutine running fork
-// after fork — an exec worker, one unit after another — keeps its
-// pooled frames instead of growing them anew per unit. m must be done
-// evaluating, and next must run on m's goroutine.
+// HandOff moves m's frame and tuple pools to next, so one goroutine
+// running fork after fork — an exec worker, one unit after another —
+// keeps its pooled frames and tuples instead of growing them anew per
+// unit. m must be done evaluating, and next must run on m's goroutine.
 func (m *Machine) HandOff(next *Machine) {
-	next.framePool, m.framePool = m.framePool, nil
+	next.pool, m.pool = m.pool, nil
 }

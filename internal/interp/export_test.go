@@ -11,6 +11,9 @@ import (
 // Escapes reports whether f's activation frames can outlive a call.
 func Escapes(f *CompiledFn) bool { return f.escapes }
 
+// Borrows reports whether a call may lend f a tuple argument.
+func Borrows(f *CompiledFn) bool { return f.borrows }
+
 // InnerID returns the ID of f's curried inner function, or -1.
 func InnerID(f *CompiledFn) int32 {
 	if f.inner == nil {

@@ -136,6 +136,11 @@ func FuzzExecTreeVsClosure(f *testing.F) {
 		}
 		f.Add(string(src))
 	}
+	// Borrowed argument tuples (§4j): callees that must and must not
+	// borrow.
+	for _, tc := range borrowCases {
+		f.Add(tc.src)
+	}
 	f.Fuzz(func(t *testing.T, src string) {
 		tOut, tExp, tErr := execWith(execTree, src)
 		cOut, cExp, cErr := execWith(execClosure, src)

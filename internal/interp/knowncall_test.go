@@ -43,10 +43,12 @@ func knownCalls(t *testing.T) map[string]string {
 	return progs
 }
 
-// knownRun is what one execution shows an observer.
+// knownRun is what one execution shows an observer, and the export
+// values themselves.
 type knownRun struct {
 	out, exports, err string
 	steps             uint64
+	values            []interp.Value
 }
 
 // runKnown compiles src in a fresh session and executes it: "tree"
@@ -93,6 +95,7 @@ func runKnown(t *testing.T, src, mode string, budget uint64) knownRun {
 	for i := 0; i < u.NumSlots; i++ {
 		v, _ := s.Dyn.Lookup(u.ExportPid(i))
 		exp = append(exp, interp.String(v))
+		r.values = append(r.values, v)
 	}
 	r.exports = strings.Join(exp, "; ")
 	return r

@@ -55,8 +55,8 @@ func eagerByID(t *testing.T, code *lambda.Fn) (*interp.CompiledFn, []*interp.Com
 
 // TestLazyLoadMatchesEager forces every function of every golden-corpus
 // unit's LoadFn program and checks each header against CompileFn's:
-// frame width, escape flag, profiler ID, parent and curried inner
-// function. Each function's term, decoded as its first call decodes
+// frame width, escape and borrow flags, profiler ID, parent and curried
+// inner function. Each function's term, decoded as its first call decodes
 // it, must re-pickle to exactly the bytes of its subtree in the bin.
 // A cold build (every unit compiled eagerly) and a warm one (every
 // unit loaded lazily) must print the same output and take the same
@@ -69,6 +69,7 @@ func TestLazyLoadMatchesEager(t *testing.T) {
 	}
 	sort.Strings(names)
 	m := interp.NewMachine()
+	borrowing := 0
 	for _, pname := range names {
 		p := corpus[pname]
 		store := core.NewMemStore()
@@ -123,14 +124,21 @@ func TestLazyLoadMatchesEager(t *testing.T) {
 					t.Errorf("%s/%s fn %d: still pending after forcing", pname, u.Name, id)
 				}
 				e := byID[id]
+				if interp.Borrows(e) {
+					borrowing++
+				}
 				if f.ID != int32(id) || f.NSlots != e.NSlots || interp.Escapes(f) != interp.Escapes(e) ||
+					interp.Borrows(f) != interp.Borrows(e) ||
 					lazy.ParentOf(f.ID) != eager.ParentOf(e.ID) || interp.InnerID(f) != interp.InnerID(e) {
-					t.Errorf("%s/%s fn %d: lazy {id %d slots %d escapes %v parent %d inner %d}, eager {id %d slots %d escapes %v parent %d inner %d}",
-						pname, u.Name, id, f.ID, f.NSlots, interp.Escapes(f), lazy.ParentOf(f.ID), interp.InnerID(f),
-						e.ID, e.NSlots, interp.Escapes(e), eager.ParentOf(e.ID), interp.InnerID(e))
+					t.Errorf("%s/%s fn %d: lazy {id %d slots %d escapes %v borrows %v parent %d inner %d}, eager {id %d slots %d escapes %v borrows %v parent %d inner %d}",
+						pname, u.Name, id, f.ID, f.NSlots, interp.Escapes(f), interp.Borrows(f), lazy.ParentOf(f.ID), interp.InnerID(f),
+						e.ID, e.NSlots, interp.Escapes(e), interp.Borrows(e), eager.ParentOf(e.ID), interp.InnerID(e))
 				}
 			}
 		}
+	}
+	if borrowing == 0 {
+		t.Error("no corpus function borrows: the borrow flag comparison is vacuous")
 	}
 }
 

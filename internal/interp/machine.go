@@ -42,12 +42,11 @@ type Machine struct {
 	// the evaluation loop — so an observed machine pays nothing on the
 	// hot path.
 	Obs obs.Recorder
-	// framePool recycles non-escaping activation frames (see
-	// CompiledFn.escapes) and the frames of saturated curried calls
-	// (applyChain). Per-machine, like the machine itself: never shared
-	// across goroutines. Fork starts its copy empty; HandOff passes a
+	// pool recycles what a call is done with when it returns, made on
+	// first use. Per-machine, like the machine itself: never shared
+	// across goroutines. Fork starts without one; HandOff passes a
 	// finished machine's pool to the next fork on the same goroutine.
-	framePool []*Frame
+	pool *pools
 	// prof, when non-nil, is the SML-level execution profiler's state
 	// (prof.go). The disabled fast path costs exactly one nil check in
 	// step and one in apply; Fork propagates enablement with fresh
@@ -215,18 +214,76 @@ func (m *Machine) applyChain(f Value, fr *Frame, args []cnode) Value {
 	return v
 }
 
+// pools holds a machine's recycled frames and tuples: the frames of
+// non-escaping activations (CompiledFn.escapes) and of saturated
+// curried calls (applyChain), and the tuples lent to borrowing callees
+// (lend).
+type pools struct {
+	frames  []*Frame
+	pairs   []*tuple2
+	triples []*tuple3
+}
+
+// pools returns the machine's pools, making them on first use.
+func (m *Machine) pools() *pools {
+	if m.pool == nil {
+		m.pool = new(pools)
+	}
+	return m.pool
+}
+
+// lend calls c with the n-field tuple fill writes, in a tuple from the
+// pool that goes back, cleared, when the call returns: c borrows
+// (CompiledFn.borrows), so nothing can hold the tuple by then. An
+// exception unwinding past the call skips the return, as it skips a
+// frame's in callFn; the tuple is then simply collected.
+func (m *Machine) lend(c *CompiledClosure, fr *Frame, fill filler, n int) Value {
+	p := m.pools()
+	if n == 2 {
+		t := take(&p.pairs)
+		fill(m, fr, t[:])
+		v := m.callFn(c.Fn, c.Env, t)
+		give(&p.pairs, t)
+		return v
+	}
+	t := take(&p.triples)
+	fill(m, fr, t[:])
+	v := m.callFn(c.Fn, c.Env, t)
+	give(&p.triples, t)
+	return v
+}
+
+// take returns a tuple from pool, or a new one when it is empty.
+func take[T tuple2 | tuple3](pool *[]*T) *T {
+	k := len(*pool)
+	if k == 0 {
+		return new(T)
+	}
+	t := (*pool)[k-1]
+	*pool = (*pool)[:k-1]
+	return t
+}
+
+// give clears t and returns it to pool.
+func give[T tuple2 | tuple3](pool *[]*T, t *T) {
+	var zero T
+	*t = zero
+	*pool = append(*pool, t)
+}
+
 // getFrame returns an n-slot frame under up, from the pool when it has
 // one. Slots are cleared on release, never on reuse — a slot read is
 // always dominated by a write in the same activation (binders dominate
 // uses), so stale values are unreachable and only need dropping for
 // the collector's sake.
 func (m *Machine) getFrame(up *Frame, n int) *Frame {
-	k := len(m.framePool)
+	p := m.pools()
+	k := len(p.frames)
 	if k == 0 {
 		return newFrame(up, n)
 	}
-	fr := m.framePool[k-1]
-	m.framePool = m.framePool[:k-1]
+	fr := p.frames[k-1]
+	p.frames = p.frames[:k-1]
 	fr.up = up
 	if n <= cap(fr.slots) {
 		fr.slots = fr.slots[:n]
@@ -240,5 +297,6 @@ func (m *Machine) getFrame(up *Frame, n int) *Frame {
 func (m *Machine) putFrame(fr *Frame) {
 	fr.up = nil
 	clear(fr.slots)
-	m.framePool = append(m.framePool, fr)
+	p := m.pools()
+	p.frames = append(p.frames, fr)
 }

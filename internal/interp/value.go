@@ -7,11 +7,11 @@
 // program is carried in explicit value vectors — never in global
 // variables of the host.
 //
-// Concurrency: a Machine, with its frame pool, is confined to a single
-// goroutine. The IRM executes units concurrently, each on its own
-// Machine.Fork run by one exec worker goroutine; a worker hands its
-// frame pool from one unit's fork to the next (Machine.HandOff), and
-// no pool is shared between workers. Compiled code is shared: a
+// Concurrency: a Machine, with its pool of frames and argument tuples,
+// is confined to a single goroutine. The IRM executes units
+// concurrently, each on its own Machine.Fork run by one exec worker
+// goroutine; a worker hands its pool from one unit's fork to the next
+// (Machine.HandOff), and no pool is shared between workers. Compiled code is shared: a
 // function's body is built once, on its first call from any goroutine,
 // and immutable after.
 package interp

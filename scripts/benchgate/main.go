@@ -6,11 +6,12 @@
 // benchgate decides pass/fail, so the gate works even where installing
 // x/perf is impossible.
 //
-// Per benchmark name the minimum ns/op across repetitions is compared
-// — the best observed run is the least noisy estimate of the code's
-// floor, which is what a perf gate should police. Allocation counts
-// (present when the run used -benchmem) are deterministic, so their
-// gate is tight: BenchmarkPipelineRehydrate's allocs/op pins the load
+// Per benchmark name the median ns/op across repetitions is compared:
+// one unusually fast or slow repetition on either side moves a median
+// little, where a comparison of minimums fails the gate on a single
+// fast base run. Allocation counts (present when the run used
+// -benchmem) are deterministic, so the minimum allocs/op is compared
+// and its gate is tight: BenchmarkPipelineRehydrate's allocs/op pins the load
 // path's per-unit allocation, BenchmarkPipelineParse's and
 // BenchmarkPipelineCompile's pin the compile path's per-node
 // allocation, and BenchmarkNewSession's pins a session to executing
@@ -23,6 +24,7 @@ import (
 	"bufio"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"regexp"
 	"sort"
@@ -33,11 +35,22 @@ import (
 // allocThreshold is the allowed allocs/op rise, percent.
 const allocThreshold = 2.0
 
-// result is one benchmark's best observed figures.
+// result is one benchmark's figures across repetitions: the median
+// ns/op and the minimum allocs/op.
 type result struct {
 	ns        float64
 	allocs    float64
 	hasAllocs bool
+}
+
+// median returns the median of xs, which it sorts; xs is not empty.
+func median(xs []float64) float64 {
+	sort.Float64s(xs)
+	n := len(xs)
+	if n%2 == 1 {
+		return xs[n/2]
+	}
+	return (xs[n/2-1] + xs[n/2]) / 2
 }
 
 // field returns the value preceding unit in a benchmark line's fields.
@@ -52,8 +65,8 @@ func field(fields []string, unit string) (float64, bool) {
 }
 
 // parseBench reads `go test -bench` output and returns, per benchmark
-// name (with the -N GOMAXPROCS suffix stripped), the minimum ns/op and
-// allocs/op observed across repetitions.
+// name (with the -N GOMAXPROCS suffix stripped), the median ns/op and
+// the minimum allocs/op observed across repetitions.
 func parseBench(path string) (map[string]result, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -61,6 +74,7 @@ func parseBench(path string) (map[string]result, error) {
 	}
 	defer f.Close()
 	best := make(map[string]result)
+	ns := make(map[string][]float64)
 	sc := bufio.NewScanner(f)
 	for sc.Scan() {
 		fields := strings.Fields(sc.Text())
@@ -71,15 +85,13 @@ func parseBench(path string) (map[string]result, error) {
 		if i := strings.LastIndex(name, "-"); i > 0 {
 			name = name[:i]
 		}
-		ns, ok := field(fields, "ns/op")
+		v, ok := field(fields, "ns/op")
 		if !ok {
 			continue
 		}
+		ns[name] = append(ns[name], v)
 		allocs, hasAllocs := field(fields, "allocs/op")
-		old, seen := best[name]
-		if !seen || ns < old.ns {
-			old.ns = ns
-		}
+		old := best[name]
 		if hasAllocs && (!old.hasAllocs || allocs < old.allocs) {
 			old.allocs, old.hasAllocs = allocs, true
 		}
@@ -87,6 +99,11 @@ func parseBench(path string) (map[string]result, error) {
 	}
 	if err := sc.Err(); err != nil {
 		return nil, err
+	}
+	for name, vs := range ns {
+		r := best[name]
+		r.ns = median(vs)
+		best[name] = r
 	}
 	return best, nil
 }
@@ -128,42 +145,7 @@ func main() {
 		os.Exit(2)
 	}
 
-	names := make([]string, 0, len(base))
-	for n := range base {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	gated, failed := 0, 0
-	for _, n := range names {
-		if !re.MatchString(n) {
-			continue
-		}
-		hd, ok := head[n]
-		if !ok {
-			fmt.Printf("benchgate: %-28s missing from head (skipped)\n", n)
-			continue
-		}
-		gated++
-		bs := base[n]
-		delta := pctRise(bs.ns, hd.ns)
-		verdict := "ok"
-		if delta > *threshold {
-			verdict = "FAIL"
-			failed++
-		}
-		fmt.Printf("benchgate: %-28s base %10.0f ns/op  head %10.0f ns/op  %+6.1f%%  %s\n",
-			n, bs.ns, hd.ns, delta, verdict)
-		if bs.hasAllocs && hd.hasAllocs {
-			delta := pctRise(bs.allocs, hd.allocs)
-			verdict := "ok"
-			if delta > allocThreshold {
-				verdict = "FAIL"
-				failed++
-			}
-			fmt.Printf("benchgate: %-28s base %10.0f allocs/op  head %10.0f allocs/op  %+6.1f%%  %s\n",
-				n, bs.allocs, hd.allocs, delta, verdict)
-		}
-	}
+	gated, failed := compare(os.Stdout, base, head, re, *threshold)
 	if gated == 0 {
 		fmt.Fprintf(os.Stderr, "benchgate: no benchmark matched %q in %s\n", *match, flag.Arg(0))
 		os.Exit(2)
@@ -175,4 +157,47 @@ func main() {
 	}
 	fmt.Printf("benchgate: %d gated benchmarks within ns/op +%.0f%%, allocs/op +%.0f%%\n",
 		gated, *threshold, allocThreshold)
+}
+
+// compare gates head against base for every base benchmark re matches,
+// writing one line per figure to w, and returns how many benchmarks it
+// gated and how many figures regressed: ns/op by more than threshold
+// percent, allocs/op by more than allocThreshold.
+func compare(w io.Writer, base, head map[string]result, re *regexp.Regexp, threshold float64) (gated, failed int) {
+	names := make([]string, 0, len(base))
+	for n := range base {
+		names = append(names, n)
+	}
+	sort.Strings(names)
+	for _, n := range names {
+		if !re.MatchString(n) {
+			continue
+		}
+		hd, ok := head[n]
+		if !ok {
+			fmt.Fprintf(w, "benchgate: %-28s missing from head (skipped)\n", n)
+			continue
+		}
+		gated++
+		bs := base[n]
+		delta := pctRise(bs.ns, hd.ns)
+		verdict := "ok"
+		if delta > threshold {
+			verdict = "FAIL"
+			failed++
+		}
+		fmt.Fprintf(w, "benchgate: %-28s base %10.0f ns/op  head %10.0f ns/op  %+6.1f%%  %s\n",
+			n, bs.ns, hd.ns, delta, verdict)
+		if bs.hasAllocs && hd.hasAllocs {
+			delta := pctRise(bs.allocs, hd.allocs)
+			verdict := "ok"
+			if delta > allocThreshold {
+				verdict = "FAIL"
+				failed++
+			}
+			fmt.Fprintf(w, "benchgate: %-28s base %10.0f allocs/op  head %10.0f allocs/op  %+6.1f%%  %s\n",
+				n, bs.allocs, hd.allocs, delta, verdict)
+		}
+	}
+	return gated, failed
 }
