@@ -845,16 +845,18 @@ func BenchmarkNewSession(b *testing.B) {
 
 // BenchmarkExecCold measures compiling and running: every iteration
 // resolves the unit's term to a fresh compiled form (interp.CompileFn)
-// and executes that, so it pays slot resolution before running.
+// and executes that, so it pays slot resolution before running, and
+// each nested function's first-call build while running.
 func BenchmarkExecCold(b *testing.B) {
 	s := newSession(b)
 	u, err := s.Compile("bench", applyHotSource)
 	if err != nil {
 		b.Fatal(err)
 	}
+	term := u.Term()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		prog, _, err := interp.CompileFn(u.Name, u.Code)
+		prog, _, _, err := interp.CompileFn(u.Name, term)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -1,7 +1,9 @@
 // Package binfile implements the on-disk representation of compiled
 // units — the paper's "bin" files (§3, §6): the unit name, the
 // intrinsic static pid, the import pid vector, the dehydrated export
-// static environment, and the compiled code.
+// static environment, and the compiled code: the pickled term and its
+// code section, which a compiled unit already holds in bin form
+// (compiler.Unit.TermBytes, CodeBytes) and a read unit keeps.
 //
 // Reading a bin file rehydrates the environment against a context
 // index; a reference to an interface that is not loaded (or whose
@@ -39,7 +41,7 @@ import (
 // After the lambda segment comes a code section — the compiled
 // engine's slot layout (uvarint length prefix, then the stream
 // interp.CompileFn produced) — so warm builds rebuild the closure form
-// without re-resolving the term. The section does not feed the
+// without re-resolving the term, exactly as Compile built it. The section does not feed the
 // intrinsic-pid hash. Any other magic fails the read, and the store
 // recompiles.
 const Magic = "SMLBIN04"
@@ -81,9 +83,9 @@ func checkMagic(data []byte) error {
 // segment is derived from it by patching the recorded provisional-
 // stamp sites with permanent stamps — no second traversal. The output
 // is byte-identical to the slow path either way (the golden invariant
-// of DESIGN.md §4f, pinned by TestBinfileGolden). The code section is
-// the unit's CodeBytes, which Compile and Read both set; a unit
-// without one is an error.
+// of DESIGN.md §4f, pinned by TestBinfileGolden). The lambda segment
+// and the code section are the unit's TermBytes and CodeBytes, which
+// Compile and Read both set; a unit without them is an error.
 func Encode(u *compiler.Unit, rec obs.Recorder) (out []byte, err error) {
 	defer func() {
 		if err != nil {
@@ -92,44 +94,34 @@ func Encode(u *compiler.Unit, rec obs.Recorder) (out []byte, err error) {
 			obs.Count(rec, "binfile.bytes_written", int64(len(out)))
 		}
 	}()
-	code := u.CodeBytes
-	if code == nil {
-		return nil, fmt.Errorf("binfile: write %s: no code section", u.Name)
+	term, code := u.TermBytes, u.CodeBytes
+	if term == nil || code == nil {
+		return nil, fmt.Errorf("binfile: write %s: no code", u.Name)
 	}
-	term := u.Term()
 
 	p := pickle.NewPickler(u.StatPid)
 	p.Header(u.Name, u.StatPid, u.Imports, u.NumSlots)
-	header := p.Bytes()
-
-	if ep := u.EnvPickle; ep != nil {
-		out = make([]byte, 0, len(Magic)+len(header)+ep.PermanentSize(u.StatPid)+len(code)+512)
-		out = append(out, Magic...)
-		out = append(out, header...)
-		out = ep.AppendPermanent(out, u.StatPid)
-		lp := pickle.NewPickler(u.StatPid)
-		lp.Lambda(term)
-		if err := lp.Err(); err != nil {
+	ep := u.EnvPickle
+	if ep == nil {
+		p.Env(u.Env)
+		if err := p.Err(); err != nil {
 			return nil, fmt.Errorf("binfile: write %s: %v", u.Name, err)
 		}
-		out = append(out, lp.Bytes()...)
-		return appendCodeSection(out, code), nil
 	}
-
-	p.Env(u.Env)
-	p.Lambda(term)
-	if err := p.Err(); err != nil {
-		return nil, fmt.Errorf("binfile: write %s: %v", u.Name, err)
+	head := p.Bytes() // the header, and the env segment when ep is nil
+	size := len(Magic) + len(head) + len(term) + binary.MaxVarintLen64 + len(code)
+	if ep != nil {
+		size += ep.PermanentSize(u.StatPid)
 	}
-	out = make([]byte, 0, len(Magic)+len(p.Bytes())+binary.MaxVarintLen64+len(code))
+	out = make([]byte, 0, size)
 	out = append(out, Magic...)
-	out = append(out, p.Bytes()...)
-	return appendCodeSection(out, code), nil
-}
-
-func appendCodeSection(out, code []byte) []byte {
+	out = append(out, head...)
+	if ep != nil {
+		out = ep.AppendPermanent(out, u.StatPid)
+	}
+	out = append(out, term...)
 	out = binary.AppendUvarint(out, uint64(len(code)))
-	return append(out, code...)
+	return append(out, code...), nil
 }
 
 // Read rehydrates a unit from bin-file bytes, resolving external

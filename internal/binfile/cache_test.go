@@ -34,7 +34,7 @@ func TestEncodeFusedMatchesLegacy(t *testing.T) {
 	}
 
 	legacy := &compiler.Unit{
-		Name: u.Name, StatPid: u.StatPid, Env: u.Env, Code: u.Code,
+		Name: u.Name, StatPid: u.StatPid, Env: u.Env, TermBytes: u.TermBytes,
 		Imports: u.Imports, NumSlots: u.NumSlots, CodeBytes: u.CodeBytes,
 	}
 	slow, err := Encode(legacy, nil)

@@ -11,7 +11,9 @@
 //
 // A Unit carries the exported static environment, the closed code
 // (λ imports . exports), the import pid vector, and the intrinsic
-// static pid of its interface.
+// static pid of its interface. The code is kept as a bin keeps it — the
+// pickled term and the code section — and in compiled form; a compiled
+// unit and one read from a bin hold the same three.
 //
 // The basis is compiled code like any other unit: the SML prelude is
 // compiled once per process, and every Session executes that one unit
@@ -59,11 +61,6 @@ type Unit struct {
 	// Env is the exported static environment (one layer; its parent is
 	// the compilation context and is not part of the unit).
 	Env *env.Env
-	// Code is the unit's closed code: λ(import-vector).(export-record),
-	// as Compile built it. A unit read from a bin leaves it nil and
-	// keeps the term's bytes instead (TermBytes); Term returns the code
-	// either way.
-	Code *lambda.Fn
 	// Imports lists the dynamic pids the code expects, in vector order.
 	Imports []pid.Pid
 	// NumSlots is the width of the export record; export slot i is
@@ -82,42 +79,40 @@ type Unit struct {
 	// overhead measurement (counter time.hash_ns).
 	HashTime time.Duration
 
-	// Prog is Code in compiled form (interp.CompileFn): the closure
-	// tree Execute applies. Compile sets it, and a bin read rebuilds
-	// it from CodeBytes, so every unit that can execute has one.
+	// Prog is the unit's code in compiled form: the program Execute
+	// applies. Compile builds it with interp.CompileFn, and a bin read
+	// with interp.LoadFn, from TermBytes and CodeBytes both times, so
+	// the two are one form: the root body built, every nested function
+	// built on its first call (DESIGN.md §4j, "Lazy function bodies").
 	Prog *interp.CompiledFn
 	// CodeBytes is the serialized slot layout of Prog — the bin
 	// file's code section. It does not feed StatPid: the intrinsic
 	// pid covers only the canonical env pickle.
 	CodeBytes []byte
-	// CodeTime is the duration of the closure compilation inside
-	// Compile (counter code.compile_ns).
+	// CodeTime is the duration of the term pickle and the closure
+	// compilation inside Compile (counter code.compile_ns).
 	CodeTime time.Duration
 
-	// TermBytes is the bin file's lambda segment: the pickled Code of a
-	// unit read from a bin, validated at load. It aliases the bin
-	// buffer, as CodeBytes does, so keeping it costs nothing.
+	// TermBytes is the unit's closed code λ(import-vector).(export-
+	// record), pickled: the bin file's lambda segment. Compile pickles
+	// it; a unit read from a bin keeps the segment, validated at load,
+	// aliasing the bin buffer as CodeBytes does.
 	TermBytes []byte
 	termOnce  sync.Once
 	term      *lambda.Fn
 }
 
-// Term returns the unit's code: Code for a compiled unit, and for a
-// unit read from a bin the term decoded from TermBytes, once, on the
-// first call. Loading builds the compiled form without keeping a term
-// (DESIGN.md §4j, "Lazy terms"), so only profile symbolization and
-// re-encoding (binfile.Encode) pay for one. It returns nil only for a
-// unit that has neither.
+// Term returns the unit's code, decoded from TermBytes once, on the
+// first call. Neither compiling nor loading keeps a term (DESIGN.md
+// §4j, "Lazy terms"): only profile symbolization pays for one. It
+// returns nil for a unit without TermBytes.
 func (u *Unit) Term() *lambda.Fn {
-	if u.Code != nil {
-		return u.Code
-	}
 	u.termOnce.Do(func() {
 		if u.TermBytes == nil {
 			return
 		}
-		// The segment decoded without error when the bin was read, so
-		// decoding the same bytes again cannot fail.
+		// The segment was pickled by Compile or decoded without error
+		// when the bin was read, so decoding it again cannot fail.
 		u.term, _ = pickle.DecodeTerm(u.TermBytes)
 	})
 	return u.term
@@ -197,12 +192,13 @@ func CompileDecs(name string, decs []ast.Dec, context *env.Env) (*Unit, error) {
 		}
 	}
 
-	// Compile the closed code to the closure form (§3: the codeUnit is
-	// compiled code). An elaborated term always resolves — a failure
-	// here is an internal invariant break, reported like any other
-	// compile error rather than panicking the build.
+	// Pickle the closed code into the bin's lambda segment and compile
+	// it to the closure form (§3: the codeUnit is compiled code), as a
+	// bin read loads it. An elaborated term always pickles and resolves
+	// — a failure here is an internal invariant break, reported like
+	// any other compile error rather than panicking the build.
 	t1 := time.Now()
-	prog, codeBytes, cerr := interp.CompileFn(name, res.Code)
+	prog, termBytes, codeBytes, cerr := interp.CompileFn(name, res.Code)
 	if cerr != nil {
 		return nil, &CompileError{Unit: name, Msgs: []string{"code generation: " + cerr.Error()}}
 	}
@@ -216,7 +212,6 @@ func CompileDecs(name string, decs []ast.Dec, context *env.Env) (*Unit, error) {
 		Name:      name,
 		StatPid:   statPid,
 		Env:       res.Env,
-		Code:      res.Code,
 		Imports:   res.ImportPids,
 		NumSlots:  len(res.Slots),
 		Warnings:  warnings,
@@ -225,6 +220,7 @@ func CompileDecs(name string, decs []ast.Dec, context *env.Env) (*Unit, error) {
 		Prog:      prog,
 		CodeBytes: codeBytes,
 		CodeTime:  codeDur,
+		TermBytes: termBytes,
 	}, nil
 }
 

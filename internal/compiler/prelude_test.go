@@ -1,6 +1,7 @@
 package compiler
 
 import (
+	"bytes"
 	"io"
 	"strings"
 	"sync"
@@ -134,6 +135,52 @@ func TestPreludeCompiledOnceSessionsIsolated(t *testing.T) {
 	}
 	if len(owners) < n {
 		t.Fatalf("only %d session-owned prelude values across %d sessions", len(owners), n)
+	}
+}
+
+// TestPreludeFirstCallRace has sessions on several goroutines make the
+// first calls of the shared prelude's functions at once (run it under
+// -race; alone, they are the process's first calls). The prelude's
+// program is built as any compiled unit's is: a nested function's body
+// is built on its first call, by whichever session makes it. Every
+// session must print the same, and then forcing every function of the
+// prelude, each session in its own order, must find it built or build
+// it once.
+func TestPreludeFirstCallRace(t *testing.T) {
+	const n = 4
+	const src = `val l = List.tabulate (6, fn i => i * i)
+val _ = print (String.concatWith "," (map Int.toString (rev l)))
+val _ = print (" " ^ Int.toString (foldl op+ 0 l) ^ " " ^ Int.toString (length (List.filter (fn x => x > 4) l)))
+val _ = print (" " ^ String.concat (String.tokens Char.isSpace " a b  c ") ^ "\n")`
+	const want = "25,16,9,4,1,0 55 3 abc\n"
+	sessions := make([]*Session, n)
+	outs := make([]*bytes.Buffer, n)
+	for i := range sessions {
+		sessions[i], outs[i] = mustSession(t)
+	}
+	fns := interp.LoadedFuncs(sessions[0].Units[0].Prog)
+	start := make(chan struct{})
+	errs := make([]error, n)
+	var wg sync.WaitGroup
+	for i, s := range sessions {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			if _, errs[i] = s.Run("race.sml", src); errs[i] != nil {
+				return
+			}
+			for k := range fns {
+				interp.Force(s.Machine, fns[(k+i*len(fns)/n)%len(fns)])
+			}
+		}()
+	}
+	close(start)
+	wg.Wait()
+	for i := range sessions {
+		if errs[i] != nil || outs[i].String() != want {
+			t.Errorf("session %d printed %q (%v), want %q", i, outs[i].String(), errs[i], want)
+		}
 	}
 }
 

@@ -12,6 +12,7 @@ package interp_test
 import (
 	"fmt"
 	"io"
+	"slices"
 	"sync"
 	"testing"
 
@@ -19,7 +20,6 @@ import (
 	"repro/internal/interp"
 	"repro/internal/lambda"
 	"repro/internal/pickle"
-	"repro/internal/pid"
 )
 
 // borrowCase is a program, what it prints, and the export slot of the
@@ -116,15 +116,19 @@ func TestBorrowJoinPointBody(t *testing.T) {
 				Body: &lambda.Let{LV: b, Bind: &lambda.Int{Val: 2},
 					Body: &lambda.Record{Fields: []lambda.Exp{v(a), v(b)}}}}}}}
 
-		eager, fnOf, err := interp.IndexFns(root)
+		compiled, _, _, err := interp.CompileFn("term", root)
 		if err != nil {
 			t.Fatal(err)
 		}
-		loaded := loadTerm(t, root)
-		id := fnOf[callee].ID
-		for mode, cf := range map[string]*interp.CompiledFn{"compiled": fnOf[callee], "loaded": interp.LoadedFuncs(loaded)[id]} {
-			if interp.Borrows(cf) == join {
-				t.Errorf("join %v, %s: callee borrows %v", join, mode, interp.Borrows(cf))
+		progs := map[string]*interp.CompiledFn{"compiled": compiled, "loaded": loadTerm(t, root)}
+		for mode, prog := range progs {
+			fns := interp.LoadedFuncs(prog)
+			i := slices.IndexFunc(fns, func(f *interp.CompiledFn) bool { return f.Pos == callee.Pos })
+			if i < 0 {
+				t.Fatalf("join %v, %s: no function at the callee's offset %d", join, mode, callee.Pos)
+			}
+			if interp.Borrows(fns[i]) == join {
+				t.Errorf("join %v, %s: callee borrows %v", join, mode, interp.Borrows(fns[i]))
 			}
 		}
 		m := interp.NewMachine()
@@ -135,7 +139,7 @@ func TestBorrowJoinPointBody(t *testing.T) {
 		if err != nil || ref != interp.IntV(42) {
 			t.Fatalf("join %v, reference: %v (%v), want 42", join, ref, err)
 		}
-		for mode, prog := range map[string]*interp.CompiledFn{"compiled": eager, "loaded": loaded} {
+		for mode, prog := range progs {
 			got, err := m.Apply(&interp.CompiledClosure{Fn: prog}, interp.Unit())
 			if err != nil || got != interp.IntV(42) {
 				t.Errorf("join %v, %s: %v (%v), want 42", join, mode, got, err)
@@ -144,20 +148,14 @@ func TestBorrowJoinPointBody(t *testing.T) {
 	}
 }
 
-// loadTerm compiles root, pickles it, and loads the pickled term with
-// its code section as a bin load does.
+// loadTerm compiles root and loads its pickled term with its code
+// section as a bin load does.
 func loadTerm(t *testing.T, root *lambda.Fn) *interp.CompiledFn {
 	t.Helper()
-	_, section, err := interp.CompileFn("term", root)
+	_, term, section, err := interp.CompileFn("term", root)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pk := pickle.NewPickler(pid.Pid{})
-	pk.Lambda(root)
-	if err := pk.Err(); err != nil {
-		t.Fatal(err)
-	}
-	term := pk.Bytes()
 	sc := pickle.GetScratch()
 	defer sc.Release()
 	e, _, err := sc.Lambda(term, 0)

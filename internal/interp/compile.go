@@ -13,9 +13,11 @@ package interp
 // section (binfile V2): per Var in DFS order, the uvarint pair
 // (depth delta, slot). Binder slots are recomputed from the term shape
 // itself at load, so warm builds rebuild the compiled form without
-// ever constructing an LVar scope map (see DESIGN.md §4j). A loaded
-// unit's nested functions are validated at load but built on their
-// first call ("Lazy function bodies", DESIGN.md §4j).
+// ever constructing an LVar scope map (see DESIGN.md §4j). A compiled
+// and a loaded unit are then one form: the root body is built, and
+// every nested function is built on its first call from the unit's
+// pickled term and its code section ("Lazy function bodies",
+// DESIGN.md §4j).
 
 import (
 	"encoding/binary"
@@ -57,8 +59,8 @@ func newFrame(up *Frame, n int) *Frame {
 type cnode func(m *Machine, fr *Frame) Value
 
 // CompiledFn is a function's code in compiled form. Its fields are
-// ordered to pack the header into 56 bytes: LoadFn allocates one per
-// function of every loaded unit.
+// ordered to pack the header into 64 bytes: CompileFn and LoadFn
+// allocate one per function of every unit.
 type CompiledFn struct {
 	body cnode
 	// inner is the function this one's body is, when the body is a
@@ -81,16 +83,22 @@ type CompiledFn struct {
 	// ID nor tab is serialized: the bin code section stays byte-for-
 	// byte what it was without the profiler.
 	ID int32
+	// Parent is the ID of the lexically enclosing function, -1 for the
+	// root.
+	Parent int32
+	// Pos is the offset of the function's term in the unit's lambda
+	// segment, 0 for the root: the Pos of its Fn in the segment decoded,
+	// by which the profiler's symbolizer finds the function's name.
+	Pos int32
 
-	// A function nested in a LoadFn unit is loaded without its body:
+	// A nested function is compiled or loaded without its body:
 	// pending stays set until the first application decodes its term
-	// from byte at of the unit's lambda segment and builds body from it
-	// and the section bytes [start, end), all of which LoadFn has
-	// already validated. nested counts the functions inside this one —
-	// their IDs follow this one's in DFS preorder — so that building
+	// from byte Pos of the unit's lambda segment and builds body from it
+	// and the section bytes [start, end), which CompileFn wrote and
+	// LoadFn has validated. nested counts the functions inside this one
+	// — their IDs follow this one's in DFS preorder — so that building
 	// this body links to their headers and skips their bytes.
 	pending    atomic.Bool
-	at         int32
 	start, end int32
 	nested     int32
 
@@ -120,46 +128,26 @@ type CompiledFn struct {
 // fnTable is the per-unit side table shared by every CompiledFn of one
 // compiled term: the unit name (fixed when CompileFn or LoadFn builds
 // the table, so a program shared by many machines is never written
-// once built) and each function's lexically enclosing function, indexed
-// by ID (-1 for the root). A LoadFn table also holds every function's
-// header, by ID, and the lambda segment and code section the pending
-// bodies are read from; mu serializes building them, and built counts
-// the bodies built so far.
+// once built), every function's header by ID, and the lambda segment
+// and code section the pending bodies are read from; mu serializes
+// building them, and built counts the bodies built so far.
 type fnTable struct {
 	unit    string
-	parents []int32
 	fns     []*CompiledFn
 	term    []byte
 	section []byte
 	mu      sync.Mutex
 	built   int
+
+	// A unit of up to len(inline) functions keeps fns here, so its
+	// table grows without allocating.
+	inline [4]*CompiledFn
 }
 
-// Unit returns the name of the unit the function belongs to, as given
-// to CompileFn or LoadFn: the name the profiler attributes its samples
-// to.
-func (f *CompiledFn) Unit() string {
-	if f == nil || f.tab == nil {
-		return ""
-	}
-	return f.tab.unit
-}
-
-// NumFuncs returns how many functions the compiled term contains.
-func (f *CompiledFn) NumFuncs() int {
-	if f == nil || f.tab == nil {
-		return 0
-	}
-	return len(f.tab.parents)
-}
-
-// ParentOf returns the ID of the lexically enclosing function of id,
-// or -1 for the root (and for out-of-range ids).
-func (f *CompiledFn) ParentOf(id int32) int32 {
-	if f == nil || f.tab == nil || id < 0 || int(id) >= len(f.tab.parents) {
-		return -1
-	}
-	return f.tab.parents[id]
+func newTable(unit string, term, section []byte) *fnTable {
+	t := &fnTable{unit: unit, term: term, section: section}
+	t.fns = t.inline[:0]
+	return t
 }
 
 // Small-int cache: boxing an IntV into a Value allocates, and the int
@@ -229,33 +217,44 @@ type CompiledClosure struct {
 func (*CompiledClosure) isValue() {}
 
 // CompileFn compiles unit's code (the λ(import-vector).(exports)
-// function of §3) to the closure form, returning it with the
-// serialized slot layout — the bin file's code section.
-func CompileFn(unit string, fn *lambda.Fn) (*CompiledFn, []byte, error) {
-	c := &comp{resolve: true, scope: make(map[lambda.LVar]loc), tab: &fnTable{unit: unit}}
-	cf := c.fn(fn)
+// function of §3) to the closure form. It pickles fn (pickle.EncodeTerm,
+// which sets each Fn's Pos) and resolves it, returning the program with
+// the pickled term and the serialized slot layout — the bin file's
+// lambda segment and code section.
+//
+// The program is the one LoadFn builds from that term and section: the
+// root body is built, and every nested function gets its header and is
+// built on its first call, from its subtree of the term decoded again
+// and its bytes of the section. Nothing built keeps a node of fn.
+func CompileFn(unit string, fn *lambda.Fn) (prog *CompiledFn, term, section []byte, err error) {
+	if term, err = pickle.EncodeTerm(fn); err != nil {
+		return nil, nil, nil, err
+	}
+	c := &comp{resolve: true, scope: make(map[lambda.LVar]loc), tab: newTable(unit, term, nil)}
+	prog = c.fn(fn)
 	if c.err != nil {
-		return nil, nil, c.err
+		return nil, nil, nil, c.err
 	}
 	if c.out == nil {
 		c.out = []byte{}
 	}
-	return cf, c.out, nil
+	c.tab.section = c.out
+	return prog, term, c.out, nil
 }
 
 // LoadFn rebuilds the compiled form from the term plus a code section
 // produced by CompileFn, skipping scope resolution entirely. Every
 // coordinate is validated against the frames the term itself declares,
 // and the section must be consumed exactly, so a corrupt or forged
-// section yields an error — never a mis-indexed frame. Only the root
-// body is built here: every nested function gets its header (ID,
-// parent, frame width, escape flag, and the offset of its term in the
-// lambda segment term that fn was decoded from) and is built on its
-// first call, from its subtree decoded again. Nothing built keeps a
-// node of fn, so fn may be a pickle.Scratch term, released once
-// LoadFn returns (DESIGN.md §4j, "Lazy terms").
+// section yields an error — never a mis-indexed frame. As in CompileFn,
+// only the root body is built here: every nested function gets its
+// header (ID, parent, frame width, escape flag, and the offset of its
+// term in the lambda segment term that fn was decoded from) and is
+// built on its first call. Nothing built keeps a node of fn, so fn may
+// be a pickle.Scratch term, released once LoadFn returns (DESIGN.md
+// §4j, "Lazy terms").
 func LoadFn(unit string, fn *lambda.Fn, term, section []byte) (*CompiledFn, error) {
-	c := &comp{in: section, lazy: true, tab: &fnTable{unit: unit, term: term, section: section}}
+	c := &comp{in: section, tab: newTable(unit, term, section)}
 	cf := c.fn(fn)
 	if c.err != nil {
 		return nil, c.err
@@ -264,28 +263,6 @@ func LoadFn(unit string, fn *lambda.Fn, term, section []byte) (*CompiledFn, erro
 		return nil, fmt.Errorf("code section: %d trailing bytes", len(section)-c.pos)
 	}
 	return cf, nil
-}
-
-// IndexFns replays CompileFn's resolve walk over root, additionally
-// recording which *lambda.Fn node became which compiled function. The
-// returned map is the bridge the profiler's symbolizer uses to give
-// symbol names, which live on the term, the function IDs the compiled
-// engine assigns — same walk, same IDs, by construction. Fn nodes
-// consumed by the walk's beta-reduction (literal-lambda redexes, such
-// as a primitive's eta-expansion in an unsaturated call like op+ p)
-// never become functions and so are absent from the map.
-func IndexFns(root *lambda.Fn) (*CompiledFn, map[*lambda.Fn]*CompiledFn, error) {
-	c := &comp{
-		resolve: true,
-		scope:   make(map[lambda.LVar]loc),
-		tab:     &fnTable{},
-		fnOf:    make(map[*lambda.Fn]*CompiledFn),
-	}
-	cf := c.fn(root)
-	if c.err != nil {
-		return nil, nil, c.err
-	}
-	return cf, c.fnOf, nil
 }
 
 // loc is a binder's coordinate: the frame that holds it (by absolute
@@ -304,9 +281,9 @@ type loc struct {
 //
 // The shape flag makes the same walk build nothing: it still reads
 // and validates every coordinate, allocates every slot and numbers
-// every function, but returns before each closure is built. LoadFn
-// walks nested functions that way, and forcing a pending function
-// later re-walks just its body in build mode.
+// every function, but returns before each closure is built. CompileFn
+// and LoadFn walk nested functions that way, and forcing a pending
+// function later re-walks just its body in build mode, in decode mode.
 type comp struct {
 	resolve bool
 	scope   map[lambda.LVar]loc // resolve mode only
@@ -317,18 +294,14 @@ type comp struct {
 	err     error
 
 	// Profiler identity, assigned by the same walk that assigns slots:
-	// tab collects each function's parent in DFS preorder; fnids is
-	// the stack of open function IDs; fnOf, when non-nil (IndexFns),
-	// additionally maps term nodes to their compiled functions.
+	// tab collects each function's header in DFS preorder; fnids is the
+	// stack of open function IDs.
 	tab   *fnTable
 	fnids []int32
-	fnOf  map[*lambda.Fn]*CompiledFn
 
-	// lazy (LoadFn) defers nested functions: they are walked in shape
-	// mode. forcing marks the walk of one pending body, in which each
-	// nested function is linked to its header (tab.fns[next]) and its
-	// bytes skipped.
-	lazy    bool
+	// Nested functions are walked in shape mode. forcing marks the
+	// walk of one pending body, in which each nested function is linked
+	// to its header (tab.fns[next]) and its bytes skipped.
 	shape   bool
 	forcing bool
 	next    int32
@@ -448,38 +421,39 @@ func (c *comp) fn(e *lambda.Fn) *CompiledFn {
 		c.pos = int(f.end)
 		return f
 	}
-	id := int32(len(c.tab.parents))
-	parent := int32(-1)
-	if len(c.fnids) > 0 {
-		parent = c.fnids[len(c.fnids)-1]
-	}
-	c.tab.parents = append(c.tab.parents, parent)
 	f := c.newFn()
-	f.ID, f.tab = id, c.tab
-	deferred := c.lazy && parent >= 0
-	shape := c.shape
-	if c.lazy {
-		c.tab.fns = append(c.tab.fns, f)
+	f.ID, f.Parent, f.tab = int32(len(c.tab.fns)), -1, c.tab
+	if len(c.fnids) > 0 {
+		f.Parent = c.fnids[len(c.fnids)-1]
 	}
+	c.tab.fns = append(c.tab.fns, f)
+	deferred := f.Parent >= 0
+	shape := c.shape
 	if deferred {
 		c.shape = true
-		f.at, f.start = e.Pos, int32(c.pos)
+		f.Pos, f.start = e.Pos, c.offset()
 	}
-	c.fnids = append(c.fnids, id)
+	c.fnids = append(c.fnids, f.ID)
 	var fr openFrame
 	f.body, fr, f.inner = c.frame(e)
 	f.NSlots, f.escapes, f.borrows = int32(fr.nslots), fr.escaped, fr.borrows()
 	c.fnids = c.fnids[:len(c.fnids)-1]
 	c.shape = shape
 	if deferred {
-		f.end = int32(c.pos)
-		f.nested = int32(len(c.tab.parents)) - 1 - id
+		f.end = c.offset()
+		f.nested = int32(len(c.tab.fns)) - 1 - f.ID
 		f.pending.Store(true)
 	}
-	if c.fnOf != nil {
-		c.fnOf[e] = f
-	}
 	return f
+}
+
+// offset is the walk's position in the code section: the bytes written
+// so far in resolve mode, read so far in decode mode.
+func (c *comp) offset() int32 {
+	if c.resolve {
+		return int32(len(c.out))
+	}
+	return int32(c.pos)
 }
 
 // fnChunk is how many function headers newFn allocates at once.
@@ -525,7 +499,8 @@ func (f *CompiledFn) code(m *Machine) cnode {
 
 // force builds a pending function's body: it decodes the function's
 // subtree of the lambda segment into a scratch slab and runs the same
-// walk LoadFn ran, now in build mode over just this function's bytes.
+// walk CompileFn or LoadFn ran, now in build and decode mode over just
+// this function's bytes, with the machine's open-frame stack (pools).
 // The enclosing frames are given their final widths — LoadFn validated
 // the subtree and every coordinate against the narrower widths of the
 // definition point, so neither re-read can fail. The body is published
@@ -545,8 +520,9 @@ func (f *CompiledFn) force(m *Machine) {
 	if err != nil {
 		m.crash("decoding function %d of %s: %v", f.ID, t.unit, err)
 	}
-	c := &comp{in: t.section[:f.end], pos: int(f.start), tab: t, forcing: true, next: f.ID + 1}
-	for p := t.parents[f.ID]; p >= 0; p = t.parents[p] {
+	pl := m.pools()
+	c := comp{in: t.section[:f.end], pos: int(f.start), tab: t, forcing: true, next: f.ID + 1, frames: pl.open[:0]}
+	for p := f.Parent; p >= 0; p = t.fns[p].Parent {
 		c.frames = append(c.frames, openFrame{nslots: int(t.fns[p].NSlots)})
 	}
 	slices.Reverse(c.frames)
@@ -554,6 +530,7 @@ func (f *CompiledFn) force(m *Machine) {
 	if c.err != nil || c.pos != int(f.end) {
 		m.crash("building function %d of %s: %v (at byte %d of %d)", f.ID, t.unit, c.err, c.pos, f.end)
 	}
+	pl.open = c.frames[:0]
 	f.body = body
 	t.built++
 	f.pending.Store(false)
@@ -562,20 +539,20 @@ func (f *CompiledFn) force(m *Machine) {
 // decodeTerm decodes a loaded function's term into sc, returning it
 // with the offset just past it in the lambda segment.
 func (f *CompiledFn) decodeTerm(sc *pickle.Scratch) (*lambda.Fn, int, error) {
-	e, end, err := sc.Lambda(f.tab.term, int(f.at))
+	e, end, err := sc.Lambda(f.tab.term, int(f.Pos))
 	if err != nil {
 		return nil, 0, err
 	}
 	fn, ok := e.(*lambda.Fn)
 	if !ok {
-		return nil, 0, fmt.Errorf("term at byte %d is %T, not a function", f.at, e)
+		return nil, 0, fmt.Errorf("term at byte %d is %T, not a function", f.Pos, e)
 	}
 	return fn, end, nil
 }
 
-// LoadedFuncs returns every function header of a LoadFn program by ID,
-// the root first (nil for a CompileFn program). With Force it lets a
-// caller build every function of a loaded unit ahead of its first call.
+// LoadedFuncs returns every function header of a program by ID, the
+// root first. With Force it lets a caller build every function of a
+// unit ahead of its first call.
 func LoadedFuncs(root *CompiledFn) []*CompiledFn { return root.tab.fns }
 
 // Force builds f's body now if it is still pending, exactly as its

@@ -25,11 +25,11 @@ func InnerID(f *CompiledFn) int32 {
 // Pending reports whether f's body is still to be built.
 func Pending(f *CompiledFn) bool { return f.pending.Load() }
 
-// Span returns the code-section byte range of a LoadFn function's body.
+// Span returns the code-section byte range of a nested function's body.
 func Span(f *CompiledFn) (start, end int) { return int(f.start), int(f.end) }
 
-// TermAt returns the lambda-segment offset of a LoadFn function's term.
-func TermAt(f *CompiledFn) int { return int(f.at) }
+// Nested returns how many functions are nested in f.
+func Nested(f *CompiledFn) int { return int(f.nested) }
 
 // Builds reports how many pending bodies of root's unit have been built.
 func Builds(root *CompiledFn) int {
@@ -38,7 +38,7 @@ func Builds(root *CompiledFn) int {
 	return root.tab.built
 }
 
-// DecodedTerm decodes a LoadFn function's term as its first call does,
+// DecodedTerm decodes a nested function's term as its first call does,
 // returning it with the lambda-segment bytes it was decoded from. The
 // term is valid until release is called.
 func DecodedTerm(f *CompiledFn) (term *lambda.Fn, src []byte, release func(), err error) {
@@ -48,7 +48,7 @@ func DecodedTerm(f *CompiledFn) (term *lambda.Fn, src []byte, release func(), er
 		sc.Release()
 		return nil, nil, nil, err
 	}
-	return term, f.tab.term[f.at:end], sc.Release, nil
+	return term, f.tab.term[f.Pos:end], sc.Release, nil
 }
 
 // IsJoin reports whether l's function is a join point: every use of

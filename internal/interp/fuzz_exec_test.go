@@ -38,7 +38,7 @@ func execTree(m *interp.Machine, u *compiler.Unit, dyn *dynenv.Env) error {
 		}
 		slots[i] = v
 	}
-	closure, err := m.Eval(u.Code, nil)
+	closure, err := m.Eval(u.Term(), nil)
 	var result interp.Value
 	if err == nil {
 		result, err = m.Apply(closure, imports)

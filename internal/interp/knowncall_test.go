@@ -197,7 +197,7 @@ func TestJoinPointTerms(t *testing.T) {
 		}}}
 	}
 	run := func(term lambda.Exp) (interp.Value, uint64, []*interp.CompiledFn) {
-		prog, fnOf, err := interp.IndexFns(&lambda.Fn{Param: g.Fresh(), Body: term})
+		prog, _, _, err := interp.CompileFn("term", &lambda.Fn{Param: g.Fresh(), Body: term})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -210,11 +210,7 @@ func TestJoinPointTerms(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		fns := make([]*interp.CompiledFn, prog.NumFuncs())
-		for _, cf := range fnOf {
-			fns[cf.ID] = cf
-		}
-		return r, m.Steps, fns
+		return r, m.Steps, interp.LoadedFuncs(prog)
 	}
 	jv, jsteps, jfns := run(body(false))
 	cv, csteps, cfns := run(body(true))
@@ -270,7 +266,7 @@ func TestJoinPointScoping(t *testing.T) {
 				Body: add(app(j, num(2)), &lambda.Let{LV: z, Bind: v(j), Body: app(z, num(3))})})}, 91},
 	} {
 		term := &lambda.Fn{Param: x, Body: tc.body}
-		prog, _, err := interp.CompileFn("term", &lambda.Fn{Param: g.Fresh(), Body: term})
+		prog, _, _, err := interp.CompileFn("term", &lambda.Fn{Param: g.Fresh(), Body: term})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -305,7 +301,7 @@ func TestClassifyAllocatesNothing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lets := letFns(u.Code, nil)
+	lets := letFns(u.Term(), nil)
 	if len(lets) == 0 {
 		t.Fatal("no Let-bound functions in the program")
 	}

@@ -1,10 +1,10 @@
 package interp_test
 
-// Lazy function bodies (DESIGN.md §4j): LoadFn builds a unit's root
-// body and defers every nested function to its first call. These tests
-// pin that the deferred form is the eager one, that concurrent first
-// calls agree, and that a forged section is still rejected at load even
-// where it lies in a function that never runs.
+// Lazy function bodies (DESIGN.md §4j): CompileFn and LoadFn build a
+// unit's root body and defer every nested function to its first call.
+// These tests pin that a compiled unit is the loaded one, that
+// concurrent first calls agree, and that a forged section is still
+// rejected at load even where it lies in a function that never runs.
 
 import (
 	"bytes"
@@ -39,29 +39,18 @@ func buildOnce(t *testing.T, store core.Store, files []core.File) (*compiler.Ses
 	return s, m, col, out.String()
 }
 
-// eagerByID compiles code eagerly and returns its functions by ID.
-func eagerByID(t *testing.T, code *lambda.Fn) (*interp.CompiledFn, []*interp.CompiledFn) {
-	t.Helper()
-	root, fnOf, err := interp.IndexFns(code)
-	if err != nil {
-		t.Fatal(err)
-	}
-	byID := make([]*interp.CompiledFn, root.NumFuncs())
-	for _, f := range fnOf {
-		byID[f.ID] = f
-	}
-	return root, byID
-}
-
-// TestLazyLoadMatchesEager forces every function of every golden-corpus
-// unit's LoadFn program and checks each header against CompileFn's:
-// frame width, escape and borrow flags, profiler ID, parent and curried
-// inner function. Each function's term, decoded as its first call decodes
-// it, must re-pickle to exactly the bytes of its subtree in the bin.
-// A cold build (every unit compiled eagerly) and a warm one (every
-// unit loaded lazily) must print the same output and take the same
-// number of steps.
-func TestLazyLoadMatchesEager(t *testing.T) {
+// TestLazyCompiledMatchesLoaded compiles every golden-corpus unit as a
+// cold build does and checks that the program is the one a warm build
+// loads from the unit's bin: the unit's TermBytes are the bin's lambda
+// segment and its CodeBytes the code section, byte for byte; Compile
+// builds only the root body, as LoadFn does; and every function header
+// (ID, parent, frame width, escape and borrow flags, curried inner
+// function, term offset, section span and nested count) is LoadFn's.
+// Each function's term, decoded as its first call decodes it, must
+// re-pickle to exactly the bytes of its subtree in the bin. Executing
+// the compiled units must print what the cold and the warm build
+// print, and the two builds must take the same number of steps.
+func TestLazyCompiledMatchesLoaded(t *testing.T) {
 	corpus := workload.GoldenCorpus()
 	names := make([]string, 0, len(corpus))
 	for n := range corpus {
@@ -74,71 +63,101 @@ func TestLazyLoadMatchesEager(t *testing.T) {
 		p := corpus[pname]
 		store := core.NewMemStore()
 		_, _, coldCol, coldOut := buildOnce(t, store, p.Files)
-		s, warm, warmCol, warmOut := buildOnce(t, store, p.Files)
-		if warm.Stats.Loaded != len(p.Files) {
-			t.Fatalf("%s: warm build loaded %d of %d units", pname, warm.Stats.Loaded, len(p.Files))
+		warm, wm, warmCol, warmOut := buildOnce(t, store, p.Files)
+		if wm.Stats.Loaded != len(p.Files) {
+			t.Fatalf("%s: warm build loaded %d of %d units", pname, wm.Stats.Loaded, len(p.Files))
 		}
 		if warmOut != coldOut {
-			t.Errorf("%s: lazily loaded program printed %q, compiled one %q", pname, warmOut, coldOut)
+			t.Errorf("%s: loaded program printed %q, compiled one %q", pname, warmOut, coldOut)
 		}
 		cs, ws := coldCol.Counters()["exec.steps"], warmCol.Counters()["exec.steps"]
 		if cs == 0 || ws != cs {
 			t.Errorf("%s: steps %d loaded vs %d compiled", pname, ws, cs)
 		}
-		for _, u := range s.Units {
-			if u.Name == "$prelude" {
-				continue
-			}
-			if u.Code != nil || u.TermBytes == nil {
-				t.Fatalf("%s/%s: loaded unit keeps a term (%v) or no term bytes", pname, u.Name, u.Code != nil)
-			}
-			eager, byID := eagerByID(t, u.Term())
-			if _, sec, err := interp.CompileFn(u.Name, u.Term()); err != nil || !bytes.Equal(sec, u.CodeBytes) {
-				t.Fatalf("%s/%s: recompiled section differs from the bin's (%v)", pname, u.Name, err)
-			}
-			lazy, err := interp.LoadFn(u.Name, u.Term(), u.TermBytes, u.CodeBytes)
+		sources := make(map[string]string, len(p.Files))
+		for _, f := range p.Files {
+			sources[f.Name] = f.Source
+		}
+		var out bytes.Buffer
+		s, err := compiler.NewSession(&out)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, lu := range warm.Units[1:] {
+			where := pname + "/" + lu.Name
+			u, err := s.Compile(lu.Name, sources[lu.Name])
 			if err != nil {
-				t.Fatalf("%s/%s: %v", pname, u.Name, err)
+				t.Fatalf("%s: %v", where, err)
 			}
-			fns := interp.LoadedFuncs(lazy)
-			if len(fns) != len(byID) || lazy.NumFuncs() != len(byID) {
-				t.Fatalf("%s/%s: %d lazy functions, %d eager", pname, u.Name, len(fns), len(byID))
+			if interp.Builds(u.Prog) != 0 {
+				t.Errorf("%s: Compile built %d nested bodies, want none", where, interp.Builds(u.Prog))
 			}
-			for id, f := range fns {
-				if interp.Pending(f) != (id > 0) {
-					t.Errorf("%s/%s fn %d: pending=%v before any call", pname, u.Name, id, interp.Pending(f))
+			if !bytes.Equal(u.TermBytes, lu.TermBytes) || !bytes.Equal(u.CodeBytes, lu.CodeBytes) {
+				t.Fatalf("%s: compiled term %d bytes and section %d, the bin's %d and %d",
+					where, len(u.TermBytes), len(u.CodeBytes), len(lu.TermBytes), len(lu.CodeBytes))
+			}
+			loaded, err := interp.LoadFn(lu.Name, lu.Term(), lu.TermBytes, lu.CodeBytes)
+			if err != nil {
+				t.Fatalf("%s: %v", where, err)
+			}
+			cfns, lfns := interp.LoadedFuncs(u.Prog), interp.LoadedFuncs(loaded)
+			if len(cfns) != len(lfns) {
+				t.Fatalf("%s: %d compiled functions, %d loaded", where, len(cfns), len(lfns))
+			}
+			for id, f := range lfns {
+				c := cfns[id]
+				if ch, lh := header(c), header(f); ch != lh {
+					t.Errorf("%s fn %d: compiled %+v, loaded %+v", where, id, ch, lh)
+				}
+				if interp.Pending(f) != (id > 0) || interp.Pending(c) != (id > 0) {
+					t.Errorf("%s fn %d: pending %v compiled, %v loaded, before any call",
+						where, id, interp.Pending(c), interp.Pending(f))
+				}
+				if interp.Borrows(f) {
+					borrowing++
 				}
 				term, src, release, err := interp.DecodedTerm(f)
 				if err != nil {
-					t.Fatalf("%s/%s fn %d: decoding its term: %v", pname, u.Name, id, err)
+					t.Fatalf("%s fn %d: decoding its term: %v", where, id, err)
 				}
-				p := pickle.NewPickler(u.StatPid)
-				p.Lambda(term)
-				if err := p.Err(); err != nil || !bytes.Equal(p.Bytes(), src) {
-					t.Errorf("%s/%s fn %d: first-call term re-pickles to %d bytes (%v), its subtree in the bin is %d",
-						pname, u.Name, id, len(p.Bytes()), err, len(src))
+				got, err := pickle.EncodeTerm(term)
+				if err != nil || !bytes.Equal(got, src) {
+					t.Errorf("%s fn %d: first-call term re-pickles to %d bytes (%v), its subtree in the bin is %d",
+						where, id, len(got), err, len(src))
 				}
 				release()
 				interp.Force(m, f)
 				if interp.Pending(f) {
-					t.Errorf("%s/%s fn %d: still pending after forcing", pname, u.Name, id)
-				}
-				e := byID[id]
-				if interp.Borrows(e) {
-					borrowing++
-				}
-				if f.ID != int32(id) || f.NSlots != e.NSlots || interp.Escapes(f) != interp.Escapes(e) ||
-					interp.Borrows(f) != interp.Borrows(e) ||
-					lazy.ParentOf(f.ID) != eager.ParentOf(e.ID) || interp.InnerID(f) != interp.InnerID(e) {
-					t.Errorf("%s/%s fn %d: lazy {id %d slots %d escapes %v borrows %v parent %d inner %d}, eager {id %d slots %d escapes %v borrows %v parent %d inner %d}",
-						pname, u.Name, id, f.ID, f.NSlots, interp.Escapes(f), interp.Borrows(f), lazy.ParentOf(f.ID), interp.InnerID(f),
-						e.ID, e.NSlots, interp.Escapes(e), interp.Borrows(e), eager.ParentOf(e.ID), interp.InnerID(e))
+					t.Errorf("%s fn %d: still pending after forcing", where, id)
 				}
 			}
+			if err := compiler.Execute(s.Machine, u, s.Dyn, nil, nil, 0); err != nil {
+				t.Fatalf("%s: %v", where, err)
+			}
+			s.Accept(u)
+		}
+		if out.String() != coldOut {
+			t.Errorf("%s: compiled units printed %q, the build %q", pname, out.String(), coldOut)
 		}
 	}
 	if borrowing == 0 {
 		t.Error("no corpus function borrows: the borrow flag comparison is vacuous")
+	}
+}
+
+// fnHeader is everything a function's header says, but its body.
+type fnHeader struct {
+	ID, Parent, Pos, Inner, NSlots int32
+	Escapes, Borrows               bool
+	Start, End, Nested             int
+}
+
+func header(f *interp.CompiledFn) fnHeader {
+	start, end := interp.Span(f)
+	return fnHeader{
+		ID: f.ID, Parent: f.Parent, Pos: f.Pos, Inner: interp.InnerID(f), NSlots: f.NSlots,
+		Escapes: interp.Escapes(f), Borrows: interp.Borrows(f),
+		Start: start, End: end, Nested: interp.Nested(f),
 	}
 }
 
@@ -178,9 +197,8 @@ func TestLazyFirstCallRace(t *testing.T) {
 	if !ok || !interp.Pending(tri.Fn) {
 		t.Fatalf("export is %T (pending %v), want a closure over a pending function", v, ok && interp.Pending(tri.Fn))
 	}
-	if lu.Code != nil || interp.Builds(lu.Prog) != 0 {
-		t.Fatalf("before the first call: unit keeps a term %v, %d bodies built; want none",
-			lu.Code != nil, interp.Builds(lu.Prog))
+	if interp.Builds(lu.Prog) != 0 {
+		t.Fatalf("before the first call: %d bodies built; want none", interp.Builds(lu.Prog))
 	}
 	const n = 8
 	start := make(chan struct{})
@@ -251,7 +269,7 @@ func TestForgedHelperRejectedAtLoad(t *testing.T) {
 	fns := interp.LoadedFuncs(u.Prog)
 	helper := fns[0]
 	for _, f := range fns {
-		if u.Prog.ParentOf(f.ID) == 0 {
+		if f.Parent == 0 {
 			helper = f
 		}
 	}
@@ -300,23 +318,27 @@ func TestForgedHelperRejectedAtLoad(t *testing.T) {
 	}
 	param := binary.PutVarint(make([]byte, binary.MaxVarintLen64), int64(term.Param))
 	release()
-	fnAt := lam + interp.TermAt(helper)
+	fnAt := lam + int(helper.Pos)
 	bodyAt := fnAt + 1 + param
 	if len(src) < 16 {
 		t.Fatalf("helper term % x: want a body of some size", src)
 	}
-	rec := pickle.NewPickler(u.StatPid)
-	rec.Lambda(&lambda.Record{})
-	recordTag := rec.Bytes()[0]
+	rec, err := pickle.EncodeTerm(&lambda.Record{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	recordTag := rec[0]
 	pastEnd := binary.AppendVarint([]byte{recordTag}, int64(len(good)))
 	// An op name in the helper's term, renamed in place to a name of
 	// the same length that the op table does not hold.
 	opAt, opName := -1, ""
 	for op := range lambda.NumOps {
 		name := op.String()
-		p := pickle.NewPickler(u.StatPid)
-		p.Lambda(&lambda.Prim{Op: op})
-		if i := bytes.Index(src, p.Bytes()[:2+len(name)]); i >= 0 {
+		p, err := pickle.EncodeTerm(&lambda.Prim{Op: op})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i := bytes.Index(src, p[:2+len(name)]); i >= 0 {
 			opAt, opName = fnAt+i+2, name
 			break
 		}

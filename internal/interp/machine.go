@@ -216,12 +216,14 @@ func (m *Machine) applyChain(f Value, fr *Frame, args []cnode) Value {
 
 // pools holds a machine's recycled frames and tuples: the frames of
 // non-escaping activations (CompiledFn.escapes) and of saturated
-// curried calls (applyChain), and the tuples lent to borrowing callees
-// (lend).
+// curried calls (applyChain), the tuples lent to borrowing callees
+// (lend), and the open-frame stack a first call builds a body under
+// (CompiledFn.force), which builds no other body meanwhile.
 type pools struct {
 	frames  []*Frame
 	pairs   []*tuple2
 	triples []*tuple3
+	open    []openFrame
 }
 
 // pools returns the machine's pools, making them on first use.

@@ -55,7 +55,7 @@ val r = (raise E) handle E => 0`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	code := lambda.String(u.Code)
+	code := lambda.String(u.Term())
 	for op := range lambda.NumOps {
 		if !bound[op] && !strings.Contains(code, "%"+op.String()+"(") {
 			t.Errorf("op %s is neither bound by the basis nor emitted by the elaborator", op)
@@ -94,7 +94,7 @@ func runTree(term lambda.Exp) string {
 // runClosure compiles term as the body of a function, applies it with
 // the closure builder's engine, and renders the result as runTree does.
 func runClosure(term lambda.Exp) (string, error) {
-	cf, _, err := interp.CompileFn("prim.sml", &lambda.Fn{Param: 1, Body: term})
+	cf, _, _, err := interp.CompileFn("prim.sml", &lambda.Fn{Param: 1, Body: term})
 	if err != nil {
 		return "", err
 	}
@@ -332,7 +332,7 @@ func TestForgedPrimArityRejected(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			root := &lambda.Fn{Param: 1, Body: tc.prim}
-			if _, _, err := interp.CompileFn("forged.sml", root); err == nil {
+			if _, _, _, err := interp.CompileFn("forged.sml", root); err == nil {
 				t.Error("CompileFn accepted the forged Prim")
 			}
 			if _, err := interp.LoadFn("forged.sml", root, nil, tc.coords); err == nil || !strings.Contains(err.Error(), "operands") {
@@ -346,6 +346,9 @@ func TestForgedPrimArityRejected(t *testing.T) {
 			}
 			if _, err := interp.LoadFn("forged.sml", nested, nil, coords); err == nil || !strings.Contains(err.Error(), "operands") {
 				t.Errorf("LoadFn of a nested function: %v, want an operand-count error", err)
+			}
+			if _, _, _, err := interp.CompileFn("forged.sml", nested); err == nil || !strings.Contains(err.Error(), "operands") {
+				t.Errorf("CompileFn of a nested function: %v, want an operand-count error", err)
 			}
 		})
 	}

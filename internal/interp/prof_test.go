@@ -40,7 +40,7 @@ func factTerm() lambda.Exp {
 func TestProfilingPreservesSteps(t *testing.T) {
 	run := func(profiled bool) (uint64, Value) {
 		// Param 0 is never issued by lambda.Gen, so it shadows nothing.
-		prog, _, err := CompileFn("u", &lambda.Fn{Body: factTerm()})
+		prog, _, _, err := CompileFn("u", &lambda.Fn{Body: factTerm()})
 		if err != nil {
 			t.Fatal(err)
 		}

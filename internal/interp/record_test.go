@@ -128,7 +128,7 @@ var engines = []engine{
 		return m.Apply(f, arg)
 	}},
 	{"compiled", func(m *Machine, fn *lambda.Fn, arg Value) (Value, error) {
-		cf, _, err := CompileFn("record_test", fn)
+		cf, _, _, err := CompileFn("record_test", fn)
 		if err != nil {
 			return nil, err
 		}

@@ -31,6 +31,7 @@ func poison(sl *termSlab) {
 	poisonEach(&sl.fnRefs, func(f **lambda.Fn) { *f = nil })
 	poisonEach(&sl.apps, func(a *lambda.App) { *a = lambda.App{} })
 	poisonEach(&sl.lets, func(l *lambda.Let) { *l = lambda.Let{LV: PoisonLVar} })
+	poisonEach(&sl.ifs, func(i *lambda.If) { *i = lambda.If{} })
 	poisonEach(&sl.prims, func(p *lambda.Prim) { *p = lambda.Prim{Op: lambda.NumOps} })
 	poisonEach(&sl.exps, func(e *lambda.Exp) { *e = nil })
 }

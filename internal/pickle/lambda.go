@@ -36,130 +36,144 @@ const (
 	lHandle
 )
 
-// Lambda writes a lambda expression.
-func (p *Pickler) Lambda(e lambda.Exp) {
+// EncodeTerm pickles a lambda term: for a unit's code, the bin's lambda
+// segment. It sets each Fn's Pos to the Fn's offset in the result — the
+// offset a decode of the result gives it (Scratch.Lambda) — which is
+// where the compiled engine reads a function's term back to build its
+// body on the first call (DESIGN.md §4j, "Lazy function bodies").
+func EncodeTerm(e lambda.Exp) ([]byte, error) {
+	w := writer{buf: make([]byte, 0, 1024)}
+	w.lambda(e)
+	if w.err != nil {
+		return nil, w.err
+	}
+	return w.buf, nil
+}
+
+func (w *writer) lambda(e lambda.Exp) {
 	switch e := e.(type) {
 	case *lambda.Var:
-		p.w.byteVal(lVar)
-		p.w.int(int(e.LV))
+		w.byteVal(lVar)
+		w.int(int(e.LV))
 	case *lambda.Int:
-		p.w.byteVal(lInt)
-		p.w.varint(e.Val)
+		w.byteVal(lInt)
+		w.varint(e.Val)
 	case *lambda.Word:
-		p.w.byteVal(lWord)
-		p.w.uvarint(e.Val)
+		w.byteVal(lWord)
+		w.uvarint(e.Val)
 	case *lambda.Real:
-		p.w.byteVal(lReal)
-		p.w.float64(e.Val)
+		w.byteVal(lReal)
+		w.float64(e.Val)
 	case *lambda.Str:
-		p.w.byteVal(lStr)
-		p.w.string(e.Val)
+		w.byteVal(lStr)
+		w.string(e.Val)
 	case *lambda.Char:
-		p.w.byteVal(lChar)
-		p.w.byteVal(e.Val)
+		w.byteVal(lChar)
+		w.byteVal(e.Val)
 	case *lambda.Record:
-		p.w.byteVal(lRecord)
-		p.w.int(len(e.Fields))
+		w.byteVal(lRecord)
+		w.int(len(e.Fields))
 		for _, f := range e.Fields {
-			p.Lambda(f)
+			w.lambda(f)
 		}
 	case *lambda.Select:
-		p.w.byteVal(lSelect)
-		p.w.int(e.Idx)
-		p.Lambda(e.Rec)
+		w.byteVal(lSelect)
+		w.int(e.Idx)
+		w.lambda(e.Rec)
 	case *lambda.Fn:
-		p.w.byteVal(lFn)
-		p.w.int(int(e.Param))
-		p.Lambda(e.Body)
+		e.Pos = int32(len(w.buf))
+		w.byteVal(lFn)
+		w.int(int(e.Param))
+		w.lambda(e.Body)
 	case *lambda.Fix:
-		p.w.byteVal(lFix)
-		p.w.int(len(e.Names))
+		w.byteVal(lFix)
+		w.int(len(e.Names))
 		for i, n := range e.Names {
-			p.w.int(int(n))
-			p.Lambda(e.Fns[i])
+			w.int(int(n))
+			w.lambda(e.Fns[i])
 		}
-		p.Lambda(e.Body)
+		w.lambda(e.Body)
 	case *lambda.App:
-		p.w.byteVal(lApp)
-		p.Lambda(e.Fn)
-		p.Lambda(e.Arg)
+		w.byteVal(lApp)
+		w.lambda(e.Fn)
+		w.lambda(e.Arg)
 	case *lambda.Let:
-		p.w.byteVal(lLet)
-		p.w.int(int(e.LV))
-		p.Lambda(e.Bind)
-		p.Lambda(e.Body)
+		w.byteVal(lLet)
+		w.int(int(e.LV))
+		w.lambda(e.Bind)
+		w.lambda(e.Body)
 	case *lambda.Con:
-		p.w.byteVal(lCon)
-		p.w.int(e.Tag)
-		p.w.string(e.Name)
+		w.byteVal(lCon)
+		w.int(e.Tag)
+		w.string(e.Name)
 		if e.Arg != nil {
-			p.w.bool(true)
-			p.Lambda(e.Arg)
+			w.bool(true)
+			w.lambda(e.Arg)
 		} else {
-			p.w.bool(false)
+			w.bool(false)
 		}
 	case *lambda.Decon:
-		p.w.byteVal(lDecon)
-		p.Lambda(e.Exp)
+		w.byteVal(lDecon)
+		w.lambda(e.Exp)
 	case *lambda.NewExnTag:
-		p.w.byteVal(lNewExnTag)
-		p.w.string(e.Name)
+		w.byteVal(lNewExnTag)
+		w.string(e.Name)
 	case *lambda.ExnCon:
-		p.w.byteVal(lExnCon)
-		p.Lambda(e.Tag)
+		w.byteVal(lExnCon)
+		w.lambda(e.Tag)
 		if e.Arg != nil {
-			p.w.bool(true)
-			p.Lambda(e.Arg)
+			w.bool(true)
+			w.lambda(e.Arg)
 		} else {
-			p.w.bool(false)
+			w.bool(false)
 		}
 	case *lambda.ExnDecon:
-		p.w.byteVal(lExnDecon)
-		p.Lambda(e.Exp)
+		w.byteVal(lExnDecon)
+		w.lambda(e.Exp)
 	case *lambda.If:
-		p.w.byteVal(lIf)
-		p.Lambda(e.Cond)
-		p.Lambda(e.Then)
-		p.Lambda(e.Else)
+		w.byteVal(lIf)
+		w.lambda(e.Cond)
+		w.lambda(e.Then)
+		w.lambda(e.Else)
 	case *lambda.Switch:
-		p.w.byteVal(lSwitch)
-		p.w.byteVal(byte(e.Kind))
-		p.Lambda(e.Scrut)
-		p.w.int(e.Span)
-		p.w.int(len(e.Cases))
+		w.byteVal(lSwitch)
+		w.byteVal(byte(e.Kind))
+		w.lambda(e.Scrut)
+		w.int(e.Span)
+		w.int(len(e.Cases))
 		for _, c := range e.Cases {
-			p.w.int(c.Tag)
-			p.w.varint(c.IntKey)
-			p.w.uvarint(c.WordKey)
-			p.w.string(c.StrKey)
-			p.Lambda(c.Body)
+			w.int(c.Tag)
+			w.varint(c.IntKey)
+			w.uvarint(c.WordKey)
+			w.string(c.StrKey)
+			w.lambda(c.Body)
 		}
 		if e.Default != nil {
-			p.w.bool(true)
-			p.Lambda(e.Default)
+			w.bool(true)
+			w.lambda(e.Default)
 		} else {
-			p.w.bool(false)
+			w.bool(false)
 		}
 	case *lambda.Prim:
-		p.w.byteVal(lPrim)
-		p.w.string(e.Op.String())
-		p.w.int(len(e.Args))
+		w.byteVal(lPrim)
+		w.string(e.Op.String())
+		w.int(len(e.Args))
 		for _, a := range e.Args {
-			p.Lambda(a)
+			w.lambda(a)
 		}
 	case *lambda.Builtin:
-		p.w.byteVal(lBuiltin)
-		p.w.string(e.Name)
+		w.byteVal(lBuiltin)
+		w.string(e.Name)
 	case *lambda.Raise:
-		p.w.byteVal(lRaise)
-		p.Lambda(e.Exp)
+		w.byteVal(lRaise)
+		w.lambda(e.Exp)
 	case *lambda.Handle:
-		p.w.byteVal(lHandle)
-		p.Lambda(e.Body)
-		p.w.int(int(e.Param))
-		p.Lambda(e.Handler)
+		w.byteVal(lHandle)
+		w.lambda(e.Body)
+		w.int(int(e.Param))
+		w.lambda(e.Handler)
 	default:
-		p.w.error("pickle: unknown lambda node %T", e)
+		w.error("pickle: unknown lambda node %T", e)
 	}
 }
 
@@ -184,6 +198,7 @@ type termSlab struct {
 	fnRefs  slab[*lambda.Fn]
 	apps    slab[lambda.App]
 	lets    slab[lambda.Let]
+	ifs     slab[lambda.If]
 	prims   slab[lambda.Prim]
 	exps    slab[lambda.Exp]
 }
@@ -266,6 +281,7 @@ func (sl *termSlab) rewind() {
 	sl.fnRefs.rewind()
 	sl.apps.rewind()
 	sl.lets.rewind()
+	sl.ifs.rewind()
 	sl.prims.rewind()
 	sl.exps.rewind()
 }
@@ -456,9 +472,11 @@ func (u *Unpickler) Lambda() lambda.Exp {
 	case lExnDecon:
 		return &lambda.ExnDecon{Exp: u.Lambda()}
 	case lIf:
-		c := u.Lambda()
-		t := u.Lambda()
-		return &lambda.If{Cond: c, Then: t, Else: u.Lambda()}
+		i := sl.ifs.new()
+		i.Cond = u.Lambda()
+		i.Then = u.Lambda()
+		i.Else = u.Lambda()
+		return i
 	case lSwitch:
 		sw := &lambda.Switch{Kind: lambda.SwitchKind(u.r.byteVal())}
 		sw.Scrut = u.Lambda()

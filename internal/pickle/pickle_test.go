@@ -340,18 +340,24 @@ func TestLambdaRoundTrip(t *testing.T) {
 			},
 		},
 	}}
-	p := NewPickler(pid.Zero)
-	p.Lambda(e)
-	if p.Err() != nil {
-		t.Fatal(p.Err())
+	e.Body.(*lambda.Let).Bind = &lambda.App{Fn: &lambda.Fn{Param: 4, Body: &lambda.Var{LV: 4}}, Arg: e.Body.(*lambda.Let).Bind}
+	data, err := EncodeTerm(e)
+	if err != nil {
+		t.Fatal(err)
 	}
-	u := NewUnpickler(p.Bytes(), NewIndex())
+	u := NewUnpickler(data, NewIndex())
 	out := u.Lambda()
 	if u.Err() != nil {
 		t.Fatal(u.Err())
 	}
 	if lambda.String(out) != lambda.String(e) {
 		t.Errorf("lambda round trip:\n%s\n%s", lambda.String(e), lambda.String(out))
+	}
+	// EncodeTerm gives each Fn the Pos its decode gets.
+	inner := e.Body.(*lambda.Let).Bind.(*lambda.App).Fn.(*lambda.Fn)
+	outInner := out.(*lambda.Fn).Body.(*lambda.Let).Bind.(*lambda.App).Fn.(*lambda.Fn)
+	if e.Pos != 0 || inner.Pos == 0 || inner.Pos != outInner.Pos || data[inner.Pos] != lFn {
+		t.Errorf("Fn offsets: encoded %d and %d, decoded inner %d", e.Pos, inner.Pos, outInner.Pos)
 	}
 }
 

@@ -127,15 +127,16 @@ func NewBuilder(period uint64) *Builder {
 	}
 }
 
-// AddUnit symbolizes one unit — its compiled term's function IDs get
-// SML binding-path names from the export environment and source lines
-// from the unit source — so the functions appearing in subsequent (or
-// prior) samples resolve to readable rows. Idempotent per unit name.
-func (b *Builder) AddUnit(name string, code *lambda.Fn, exports *env.Env, source string) {
+// AddUnit symbolizes one unit — the function IDs of its program prog
+// get SML binding-path names from its term code (decoded from the
+// unit's lambda segment) and export environment, and source lines from
+// the unit source — so the functions appearing in subsequent (or prior)
+// samples resolve to readable rows. Idempotent per unit name.
+func (b *Builder) AddUnit(name string, code *lambda.Fn, prog *interp.CompiledFn, exports *env.Env, source string) {
 	if _, done := b.syms[name]; done {
 		return
 	}
-	b.syms[name] = symbolizeUnit(code, exports, source)
+	b.syms[name] = symbolizeUnit(code, prog, exports, source)
 }
 
 // Add merges one unit execution's raw profile. Call in commit order.

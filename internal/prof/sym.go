@@ -4,9 +4,10 @@ package prof
 // source spans, so function identities are recovered structurally. The
 // unit's code is λ(imports).(export-record); the export environment
 // says which record slot holds which SML binding, and the term's
-// Let/Fix spine says which *lambda.Fn flowed into each slot. Replaying
-// interp.IndexFns assigns the same DFS function IDs the compiled
-// engine uses, tying names to IDs. Functions not reachable from an
+// Let/Fix spine says which *lambda.Fn flowed into each slot. Each
+// function of the compiled program records the offset of its Fn in the
+// unit's lambda segment, which is that Fn's Pos in the decoded term,
+// tying names to IDs. Functions not reachable from an
 // export slot (local helpers, inner anonymous functions) inherit the
 // nearest named ancestor's path with an "<fnN>" suffix; source lines
 // come from a lexical scan of the unit source for the binding's
@@ -29,15 +30,16 @@ type sym struct {
 // structure members.
 const maxStrDepth = 6
 
-func symbolizeUnit(code *lambda.Fn, exports *env.Env, source string) []sym {
-	if code == nil {
+func symbolizeUnit(code *lambda.Fn, prog *interp.CompiledFn, exports *env.Env, source string) []sym {
+	if code == nil || prog == nil {
 		return nil
 	}
-	root, fnOf, err := interp.IndexFns(code)
-	if err != nil {
-		return nil
+	fns := interp.LoadedFuncs(prog)
+	idAt := make(map[int32]int32, len(fns))
+	for _, f := range fns {
+		idAt[f.Pos] = f.ID
 	}
-	n := root.NumFuncs()
+	n := len(fns)
 	names := make([]string, n)
 	names[0] = "<unit>"
 
@@ -51,20 +53,12 @@ func symbolizeUnit(code *lambda.Fn, exports *env.Env, source string) []sym {
 		delete(binds, lv)
 	}
 
-	idOf := func(e lambda.Exp) (int32, bool) {
-		e = deref(e, binds)
-		fn, ok := e.(*lambda.Fn)
-		if !ok {
-			return 0, false
-		}
-		cf, ok := fnOf[fn]
-		if !ok {
-			return 0, false
-		}
-		return cf.ID, true
-	}
 	assign := func(name string, e lambda.Exp) {
-		if id, ok := idOf(e); ok && names[id] == "" {
+		fn, ok := deref(e, binds).(*lambda.Fn)
+		if !ok {
+			return
+		}
+		if id, ok := idAt[fn.Pos]; ok && names[id] == "" {
 			names[id] = name
 		}
 	}
@@ -82,7 +76,7 @@ func symbolizeUnit(code *lambda.Fn, exports *env.Env, source string) []sym {
 			continue
 		}
 		base := "<unit>"
-		for p := root.ParentOf(int32(id)); p >= 0; p = root.ParentOf(p) {
+		for p := fns[id].Parent; p >= 0; p = fns[p].Parent {
 			if names[p] != "" {
 				base = names[p]
 				break
@@ -105,7 +99,7 @@ func symbolizeUnit(code *lambda.Fn, exports *env.Env, source string) []sym {
 	// Synthesized names inherit their named ancestor's line.
 	for id := 1; id < n; id++ {
 		if out[id].line == 0 {
-			if p := root.ParentOf(int32(id)); p >= 0 {
+			if p := fns[id].Parent; p >= 0 {
 				out[id].line = out[p].line
 			}
 		}
