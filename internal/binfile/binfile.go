@@ -44,12 +44,14 @@ import (
 // without re-resolving the term, exactly as Compile built it. The section does not feed the
 // intrinsic-pid hash. Any other magic fails the read, and the store
 // recompiles.
-const Magic = "SMLBIN04"
+const Magic = "SMLBIN05"
 
 // retiredMagics are the formats Magic replaced: SMLBIN01 carried no
 // code section, SMLBIN02 the eta-expanded primitive call, SMLBIN03 the
-// tuple every curried clausal function built from its parameters.
-var retiredMagics = []string{"SMLBIN01", "SMLBIN02", "SMLBIN03"}
+// tuple every curried clausal function built from its parameters, and
+// SMLBIN04 the alias every one-parameter clausal function bound its
+// parameter to.
+var retiredMagics = []string{"SMLBIN01", "SMLBIN02", "SMLBIN03", "SMLBIN04"}
 
 // ErrRetiredMagic is the error Read and ReadHeader wrap for a bin in a
 // retired format: a bin this version no longer reads, not a damaged

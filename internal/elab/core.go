@@ -743,17 +743,15 @@ func (el *Elaborator) elabFunBind(e *env.Env, fb *ast.FunBind, pos token.Pos) (t
 		params[i] = el.lg.Fresh()
 	}
 
-	// The match scrutinee is the single parameter, bound to sv, or the
-	// tuple of parameters — a virtual root, never built: genRecordPat
+	// The match scrutinee is the single parameter itself, or the tuple
+	// of parameters — a virtual root, never built: genRecordPat
 	// resolves each column of the clause tuple straight to its
 	// parameter.
 	var scrutTy types.Ty
 	var scrutExp lambda.Exp
-	var sv lambda.LVar
 	if n == 1 {
-		sv = el.lg.Fresh()
 		scrutTy = paramTys[0]
-		scrutExp = &lambda.Var{LV: sv}
+		scrutExp = &lambda.Var{LV: params[0]}
 	} else {
 		scrutTy = types.Tuple(paramTys...)
 		fields := make([]lambda.Exp, n)
@@ -782,12 +780,8 @@ func (el *Elaborator) elabFunBind(e *env.Env, fb *ast.FunBind, pos token.Pos) (t
 		&lambda.Prim{Op: lambda.OpRaiseMatch}, pos, true, "fun "+fb.Name)
 	el.unify(pos, matchResTy, resTy, "fun result")
 
-	// Assemble: fn p1 => let sv = p1 in match, or
-	// fn p1 => ... fn pn => match.
+	// Assemble: fn p1 => ... fn pn => match.
 	body := matchCode
-	if n == 1 {
-		body = &lambda.Let{LV: sv, Bind: &lambda.Var{LV: params[0]}, Body: body}
-	}
 	for i := n - 1; i >= 0; i-- {
 		body = &lambda.Fn{Param: params[i], Body: body}
 	}

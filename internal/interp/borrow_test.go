@@ -60,6 +60,9 @@ var borrowCases = []borrowCase{
 		"11227", 0, true},
 	{"raises", "exception E of int\nval f = fn (x, y) => if x = 0 then raise E y else x + y\nval a = f (0, 5) handle E n => n * 2\nval b = f (1, 2)\nval c = f (2, f (0, 7)) handle E n => n + 100\nval d = f (3, f (4, 5))\nval _ = print (Int.toString a ^ \" \" ^ Int.toString b ^ \" \" ^ Int.toString c ^ \" \" ^ Int.toString d)",
 		"10 3 107 12", 1, true},
+	// A clausal function matches on its parameter itself, with no alias.
+	{"fun-tuple", "fun loop (n, acc) = if n = 0 then acc else loop (n - 1, acc + n)\nfun f (x, y) = x * 100 + y\nval r = f (loop (10, 0), loop (3, 1))\nval _ = print (Int.toString r)",
+		"5507", 0, true},
 }
 
 func TestBorrowMatchesReference(t *testing.T) {
