@@ -53,7 +53,9 @@ type prelude struct {
 // prelude on first use. Stamps are permanent and derive from the
 // prelude's intrinsic pid, so the objects every session resolves
 // against are the ones user bins reference, whichever process built
-// them.
+// them. As in any compiled unit, each nested function's body is built
+// on its first call, by whichever session makes it; its program's
+// table lock makes concurrent first calls build it once.
 var sharedPrelude = sync.OnceValues(func() (*prelude, error) {
 	decs, errs := parser.Parse(PreludeSource)
 	if len(errs) > 0 {

@@ -294,10 +294,8 @@ type comp struct {
 	err     error
 
 	// Profiler identity, assigned by the same walk that assigns slots:
-	// tab collects each function's header in DFS preorder; fnids is the
-	// stack of open function IDs.
-	tab   *fnTable
-	fnids []int32
+	// tab collects each function's header in DFS preorder.
+	tab *fnTable
 
 	// Nested functions are walked in shape mode. forcing marks the
 	// walk of one pending body, in which each nested function is linked
@@ -315,9 +313,10 @@ type comp struct {
 
 // openFrame is the walk's state of one open frame.
 type openFrame struct {
-	nslots  int  // slots allocated so far
-	escaped bool // captured by some closure
-	keeps   bool // its parameter is read other than selected from in place
+	nslots  int   // slots allocated so far
+	fn      int32 // the ID of the function it is an activation of
+	escaped bool  // captured by some closure
+	keeps   bool  // its parameter is read other than selected from in place
 }
 
 // borrows is CompiledFn.borrows of the frame's function.
@@ -423,8 +422,8 @@ func (c *comp) fn(e *lambda.Fn) *CompiledFn {
 	}
 	f := c.newFn()
 	f.ID, f.Parent, f.tab = int32(len(c.tab.fns)), -1, c.tab
-	if len(c.fnids) > 0 {
-		f.Parent = c.fnids[len(c.fnids)-1]
+	if len(c.frames) > 0 {
+		f.Parent = c.frames[len(c.frames)-1].fn
 	}
 	c.tab.fns = append(c.tab.fns, f)
 	deferred := f.Parent >= 0
@@ -433,11 +432,9 @@ func (c *comp) fn(e *lambda.Fn) *CompiledFn {
 		c.shape = true
 		f.Pos, f.start = e.Pos, c.offset()
 	}
-	c.fnids = append(c.fnids, f.ID)
 	var fr openFrame
-	f.body, fr, f.inner = c.frame(e)
+	f.body, fr, f.inner = c.frame(e, f.ID)
 	f.NSlots, f.escapes, f.borrows = int32(fr.nslots), fr.escaped, fr.borrows()
-	c.fnids = c.fnids[:len(c.fnids)-1]
 	c.shape = shape
 	if deferred {
 		f.end = c.offset()
@@ -470,12 +467,12 @@ func (c *comp) newFn() *CompiledFn {
 	return f
 }
 
-// frame walks a function body in a fresh frame whose slot 0 holds the
-// parameter, returning the body's code (nil in shape mode), the
-// frame's final state, and the body's function when the body is a
+// frame walks the body of function id in a fresh frame whose slot 0
+// holds the parameter, returning the body's code (nil in shape mode),
+// the frame's final state, and the body's function when the body is a
 // literal Fn (CompiledFn.inner).
-func (c *comp) frame(e *lambda.Fn) (body cnode, fr openFrame, inner *CompiledFn) {
-	c.frames = append(c.frames, openFrame{nslots: 1})
+func (c *comp) frame(e *lambda.Fn, id int32) (body cnode, fr openFrame, inner *CompiledFn) {
+	c.frames = append(c.frames, openFrame{nslots: 1, fn: id})
 	old, had := c.bind(e.Param, 0)
 	if fn, ok := e.Body.(*lambda.Fn); ok {
 		body, inner = c.closure(fn)
@@ -523,10 +520,10 @@ func (f *CompiledFn) force(m *Machine) {
 	pl := m.pools()
 	c := comp{in: t.section[:f.end], pos: int(f.start), tab: t, forcing: true, next: f.ID + 1, frames: pl.open[:0]}
 	for p := f.Parent; p >= 0; p = t.fns[p].Parent {
-		c.frames = append(c.frames, openFrame{nslots: int(t.fns[p].NSlots)})
+		c.frames = append(c.frames, openFrame{nslots: int(t.fns[p].NSlots), fn: p})
 	}
 	slices.Reverse(c.frames)
-	body, _, _ := c.frame(term)
+	body, _, _ := c.frame(term, f.ID)
 	if c.err != nil || c.pos != int(f.end) {
 		m.crash("building function %d of %s: %v (at byte %d of %d)", f.ID, t.unit, c.err, c.pos, f.end)
 	}
