@@ -148,10 +148,10 @@ func runBins(f *cli.Flags, paths []string) {
 	if f.Profile != "" {
 		b := prof.NewBuilder(session.Machine.ProfilePeriod())
 		for _, u := range session.Units {
-			b.AddUnit(u.Name, u.Term(), u.Prog, u.Env, compiler.PreludeSource)
+			b.AddUnit(u, compiler.PreludeSource)
 		}
 		for _, u := range units {
-			b.AddUnit(u.Name, u.Term(), u.Prog, u.Env, "")
+			b.AddUnit(u, "")
 		}
 		for _, up := range session.Machine.TakeUnitProfiles() {
 			b.Add(up)

@@ -47,7 +47,7 @@ func FuzzBinfileRead(f *testing.F) {
 		if err != nil || u.Prog == nil {
 			return
 		}
-		for _, fn := range interp.LoadedFuncs(u.Prog) {
+		for _, fn := range interp.Funcs(u.Prog) {
 			forceOrCrash(t, m, fn)
 		}
 	})

@@ -63,7 +63,7 @@ func TestScratchConcurrentReads(t *testing.T) {
 					errs <- fmt.Errorf("unit %d round %d printed %q, want %q", i, r, out.String(), want[i])
 					return
 				}
-				for _, fn := range interp.LoadedFuncs(u.Prog) {
+				for _, fn := range interp.Funcs(u.Prog) {
 					interp.Force(s.Machine, fn)
 				}
 				again, err := Encode(u, nil)

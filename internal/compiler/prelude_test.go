@@ -158,7 +158,7 @@ val _ = print (" " ^ String.concat (String.tokens Char.isSpace " a b  c ") ^ "\n
 	for i := range sessions {
 		sessions[i], outs[i] = mustSession(t)
 	}
-	fns := interp.LoadedFuncs(sessions[0].Units[0].Prog)
+	fns := interp.Funcs(sessions[0].Units[0].Prog)
 	start := make(chan struct{})
 	errs := make([]error, n)
 	var wg sync.WaitGroup

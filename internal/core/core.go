@@ -402,7 +402,7 @@ func (m *Manager) BuildUnder(parent *obs.Span, files []File) (*compiler.Session,
 		session.Machine.StartProfile(m.ProfilePeriod)
 		m.profB = prof.NewBuilder(session.Machine.ProfilePeriod())
 		for _, u := range session.Units {
-			m.profB.AddUnit(u.Name, u.Term(), u.Prog, u.Env, compiler.PreludeSource)
+			m.profB.AddUnit(u, compiler.PreludeSource)
 		}
 		defer func() {
 			m.Prof = m.profB.Finish()

@@ -745,7 +745,7 @@ func (m *Manager) commitUnit(res *unitResult, ed *execDone, col *obs.Collector,
 	// the schedule. A failing unit's partial profile merges too,
 	// exactly as a sequential run would have accumulated it.
 	if m.profB != nil {
-		m.profB.AddUnit(name, res.unit.Term(), res.unit.Prog, res.unit.Env, t.source)
+		m.profB.AddUnit(res.unit, t.source)
 		for _, up := range ed.prof {
 			m.profB.Add(up)
 		}

@@ -125,7 +125,7 @@ func TestBorrowJoinPointBody(t *testing.T) {
 		}
 		progs := map[string]*interp.CompiledFn{"compiled": compiled, "loaded": loadTerm(t, root)}
 		for mode, prog := range progs {
-			fns := interp.LoadedFuncs(prog)
+			fns := interp.Funcs(prog)
 			i := slices.IndexFunc(fns, func(f *interp.CompiledFn) bool { return f.Pos == callee.Pos })
 			if i < 0 {
 				t.Fatalf("join %v, %s: no function at the callee's offset %d", join, mode, callee.Pos)

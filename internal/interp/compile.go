@@ -283,7 +283,7 @@ type loc struct {
 // and validates every coordinate, allocates every slot and numbers
 // every function, but returns before each closure is built. CompileFn
 // and LoadFn walk nested functions that way, and forcing a pending
-// function later re-walks just its body in build mode, in decode mode.
+// function later re-walks just its body in build and decode mode.
 type comp struct {
 	resolve bool
 	scope   map[lambda.LVar]loc // resolve mode only
@@ -497,10 +497,10 @@ func (f *CompiledFn) code(m *Machine) cnode {
 // force builds a pending function's body: it decodes the function's
 // subtree of the lambda segment into a scratch slab and runs the same
 // walk CompileFn or LoadFn ran, now in build and decode mode over just
-// this function's bytes, with the machine's open-frame stack (pools).
-// The enclosing frames are given their final widths — LoadFn validated
-// the subtree and every coordinate against the narrower widths of the
-// definition point, so neither re-read can fail. The body is published
+// this function's bytes, on the machine's pooled open-frame stack. The
+// enclosing frames are given their final widths — CompileFn resolved,
+// or LoadFn validated, the subtree and every coordinate against the
+// narrower widths of the definition point, so neither re-read can fail. The body is published
 // by the release store of pending, which the lock-free check in code
 // pairs with; the table lock makes concurrent first calls build it
 // once.
@@ -533,7 +533,7 @@ func (f *CompiledFn) force(m *Machine) {
 	f.pending.Store(false)
 }
 
-// decodeTerm decodes a loaded function's term into sc, returning it
+// decodeTerm decodes a nested function's term into sc, returning it
 // with the offset just past it in the lambda segment.
 func (f *CompiledFn) decodeTerm(sc *pickle.Scratch) (*lambda.Fn, int, error) {
 	e, end, err := sc.Lambda(f.tab.term, int(f.Pos))
@@ -547,10 +547,10 @@ func (f *CompiledFn) decodeTerm(sc *pickle.Scratch) (*lambda.Fn, int, error) {
 	return fn, end, nil
 }
 
-// LoadedFuncs returns every function header of a program by ID, the
-// root first. With Force it lets a caller build every function of a
+// Funcs returns every function header of a program by ID, the root
+// first. With Force it lets a caller build every function of a
 // unit ahead of its first call.
-func LoadedFuncs(root *CompiledFn) []*CompiledFn { return root.tab.fns }
+func Funcs(root *CompiledFn) []*CompiledFn { return root.tab.fns }
 
 // Force builds f's body now if it is still pending, exactly as its
 // first call would.

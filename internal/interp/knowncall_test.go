@@ -210,7 +210,7 @@ func TestJoinPointTerms(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return r, m.Steps, interp.LoadedFuncs(prog)
+		return r, m.Steps, interp.Funcs(prog)
 	}
 	jv, jsteps, jfns := run(body(false))
 	cv, csteps, cfns := run(body(true))

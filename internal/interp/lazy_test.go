@@ -100,7 +100,7 @@ func TestLazyCompiledMatchesLoaded(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: %v", where, err)
 			}
-			cfns, lfns := interp.LoadedFuncs(u.Prog), interp.LoadedFuncs(loaded)
+			cfns, lfns := interp.Funcs(u.Prog), interp.Funcs(loaded)
 			if len(cfns) != len(lfns) {
 				t.Fatalf("%s: %d compiled functions, %d loaded", where, len(cfns), len(lfns))
 			}
@@ -266,7 +266,7 @@ func TestForgedHelperRejectedAtLoad(t *testing.T) {
 	if err := compiler.Execute(s.Machine, u, s.Dyn, nil, nil, 0); err != nil {
 		t.Fatal(err)
 	}
-	fns := interp.LoadedFuncs(u.Prog)
+	fns := interp.Funcs(u.Prog)
 	helper := fns[0]
 	for _, f := range fns {
 		if f.Parent == 0 {

@@ -25,9 +25,8 @@ import (
 	"strconv"
 	"sync"
 
-	"repro/internal/env"
+	"repro/internal/compiler"
 	"repro/internal/interp"
-	"repro/internal/lambda"
 )
 
 // ReportSchema identifies the JSON report format.
@@ -127,16 +126,16 @@ func NewBuilder(period uint64) *Builder {
 	}
 }
 
-// AddUnit symbolizes one unit — the function IDs of its program prog
-// get SML binding-path names from its term code (decoded from the
-// unit's lambda segment) and export environment, and source lines from
-// the unit source — so the functions appearing in subsequent (or prior)
-// samples resolve to readable rows. Idempotent per unit name.
-func (b *Builder) AddUnit(name string, code *lambda.Fn, prog *interp.CompiledFn, exports *env.Env, source string) {
-	if _, done := b.syms[name]; done {
+// AddUnit symbolizes one unit — the function IDs of its program get
+// SML binding-path names from its term and export environment, and
+// source lines from the unit source — so the functions appearing in
+// subsequent (or prior) samples resolve to readable rows. Idempotent
+// per unit name.
+func (b *Builder) AddUnit(u *compiler.Unit, source string) {
+	if _, done := b.syms[u.Name]; done {
 		return
 	}
-	b.syms[name] = symbolizeUnit(code, prog, exports, source)
+	b.syms[u.Name] = symbolizeUnit(u.Term(), u.Prog, u.Env, source)
 }
 
 // Add merges one unit execution's raw profile. Call in commit order.

@@ -34,7 +34,7 @@ func symbolizeUnit(code *lambda.Fn, prog *interp.CompiledFn, exports *env.Env, s
 	if code == nil || prog == nil {
 		return nil
 	}
-	fns := interp.LoadedFuncs(prog)
+	fns := interp.Funcs(prog)
 	idAt := make(map[int32]int32, len(fns))
 	for _, f := range fns {
 		idAt[f.Pos] = f.ID
