@@ -41,9 +41,9 @@ import (
 // After the lambda segment comes a code section — the compiled
 // engine's slot layout (uvarint length prefix, then the stream
 // interp.CompileFn produced) — so warm builds rebuild the closure form
-// without re-resolving the term, exactly as Compile built it. The section does not feed the
-// intrinsic-pid hash. Any other magic fails the read, and the store
-// recompiles.
+// without re-resolving the term, exactly as Compile built it. The
+// section does not feed the intrinsic-pid hash. Any other magic fails
+// the read, and the store recompiles.
 const Magic = "SMLBIN05"
 
 // retiredMagics are the formats Magic replaced: SMLBIN01 carried no

@@ -57,11 +57,11 @@ type Select struct {
 	Rec Exp
 }
 
-// Fn is a one-argument function. Pos is where a decoded Fn starts in
-// the lambda segment it was decoded from (internal/pickle), so a
-// loaded function can find its term again without keeping the node;
-// it is zero for a term the elaborator built, and pickling ignores it.
-// It sits in the padding after Param, so the node does not grow.
+// Fn is a one-argument function. Pos is where the Fn starts in the
+// lambda segment it was decoded from or pickled into (internal/pickle),
+// so a compiled function can find its term again without keeping the
+// node; pickling sets it and writes nothing of it. It sits in the
+// padding after Param, so the node does not grow.
 type Fn struct {
 	Param LVar
 	Pos   int32
