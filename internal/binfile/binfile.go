@@ -44,14 +44,15 @@ import (
 // without re-resolving the term, exactly as Compile built it. The
 // section does not feed the intrinsic-pid hash. Any other magic fails
 // the read, and the store recompiles.
-const Magic = "SMLBIN05"
+const Magic = "SMLBIN06"
 
 // retiredMagics are the formats Magic replaced: SMLBIN01 carried no
 // code section, SMLBIN02 the eta-expanded primitive call, SMLBIN03 the
-// tuple every curried clausal function built from its parameters, and
+// tuple every curried clausal function built from its parameters,
 // SMLBIN04 the alias every one-parameter clausal function bound its
-// parameter to.
-var retiredMagics = []string{"SMLBIN01", "SMLBIN02", "SMLBIN03", "SMLBIN04"}
+// parameter to, and SMLBIN05 the bindings no export can reach, which
+// lambda.Prune now drops before the term is pickled.
+var retiredMagics = []string{"SMLBIN01", "SMLBIN02", "SMLBIN03", "SMLBIN04", "SMLBIN05"}
 
 // ErrRetiredMagic is the error Read and ReadHeader wrap for a bin in a
 // retired format: a bin this version no longer reads, not a damaged

@@ -89,8 +89,8 @@ type Unit struct {
 	// file's code section. It does not feed StatPid: the intrinsic
 	// pid covers only the canonical env pickle.
 	CodeBytes []byte
-	// CodeTime is the duration of the term pickle and the closure
-	// compilation inside Compile (counter code.compile_ns).
+	// CodeTime is the duration of the pruning, the term pickle and the
+	// closure compilation inside Compile (counter code.compile_ns).
 	CodeTime time.Duration
 
 	// TermBytes is the unit's closed code λ(import-vector).(export-
@@ -192,13 +192,14 @@ func CompileDecs(name string, decs []ast.Dec, context *env.Env) (*Unit, error) {
 		}
 	}
 
-	// Pickle the closed code into the bin's lambda segment and compile
-	// it to the closure form (§3: the codeUnit is compiled code), as a
-	// bin read loads it. An elaborated term always pickles and resolves
-	// — a failure here is an internal invariant break, reported like
-	// any other compile error rather than panicking the build.
+	// Drop the bindings no export can reach (lambda.Prune), then pickle
+	// the closed code into the bin's lambda segment and compile it to
+	// the closure form (§3: the codeUnit is compiled code), as a bin
+	// read loads it. An elaborated term always pickles and resolves — a
+	// failure here is an internal invariant break, reported like any
+	// other compile error rather than panicking the build.
 	t1 := time.Now()
-	prog, termBytes, codeBytes, cerr := interp.CompileFn(name, res.Code)
+	prog, termBytes, codeBytes, cerr := interp.CompileFn(name, lambda.Prune(res.Code))
 	if cerr != nil {
 		return nil, &CompileError{Unit: name, Msgs: []string{"code generation: " + cerr.Error()}}
 	}

@@ -759,19 +759,8 @@ func (c *comp) walk(e lambda.Exp) cnode {
 			return m.apply(f, arg)
 		}
 	case *lambda.Let:
-		if fn, isFn := e.Bind.(*lambda.Fn); isFn {
-			switch classify(e.Body, e.LV) {
-			case useNone:
-				// A dead closure binding (the match compiler's unreached
-				// raise-Match arm is the common case) would force every
-				// frame under it to be marked escaping. Creating a
-				// closure is pure, so dropping the binding is
-				// unobservable — and it keeps hot first-order frames
-				// poolable.
-				return c.walk(e.Body)
-			case useJoin:
-				return c.joinLet(e, fn)
-			}
+		if fn, isFn := e.Bind.(*lambda.Fn); isFn && isJoin(e.Body, e.LV) {
+			return c.joinLet(e, fn)
 		}
 		bindc := c.walk(e.Bind)
 		slot := c.alloc()
@@ -1001,50 +990,32 @@ func (c *comp) restore(saves []scopeSave) {
 	}
 }
 
-// varUse is how a Let-bound function's variable is used in the Let's
-// body (classify).
-type varUse uint8
-
-const (
-	// useNone: lv does not occur free; the binding is dead.
-	useNone varUse = iota
-	// useJoin: every occurrence is the function of a direct call
-	// App(Var lv, arg) in the binding's own frame — not under a nested
-	// Fn or Fix function, and not itself applied again — and the body
-	// never rebinds lv. The binding is a join point (joinLet).
-	useJoin
-	// useOther: any other use; the binding builds its closure.
-	useOther
-)
-
-// classify reports how lv is used in body, a Let's body. It is a pure
-// function of the term shape, so every mode of the walk agrees, and it
-// allocates nothing: it runs for every Let-bound function of every
-// loaded unit's shape walk.
-func classify(body lambda.Exp, lv lambda.LVar) varUse {
+// isJoin reports whether a Let binding lv to a function, with body
+// body, is a join point (joinLet): every occurrence of lv is the
+// function of a direct call App(Var lv, arg) in the binding's own frame
+// — not under a nested Fn or Fix function, and not itself applied
+// again — and the body never rebinds lv. A binding nothing reads is
+// one too, vacuously: lambda.Prune drops such bindings before a term is
+// pickled, so only a forged bin holds one, and it builds no closure.
+// isJoin is a pure function of the term shape, so every mode of the
+// walk agrees, and it allocates nothing: it runs for every Let-bound
+// function of every loaded unit's shape walk.
+func isJoin(body lambda.Exp, lv lambda.LVar) bool {
 	s := useScan{lv: lv}
 	s.exp(body, false)
-	switch {
-	case !s.used:
-		return useNone
-	case s.other || s.shadowed:
-		return useOther
-	}
-	return useJoin
+	return !s.other && !s.shadowed
 }
 
-// useScan is classify's walk state. used is exactly "lv occurs free":
-// a binder of lv cuts the search below it, as scoping requires, and an
-// unknown node kind conservatively counts as a use.
+// useScan is isJoin's walk state: a binder of lv cuts the search
+// below it, as scoping requires, and an unknown node kind
+// conservatively counts as a use other than a join call.
 type useScan struct {
 	lv       lambda.LVar
-	used     bool // lv occurs free
 	other    bool // some occurrence is not a join call
 	shadowed bool // the body rebinds lv
 }
 
 func (s *useScan) use(join bool) {
-	s.used = true
 	s.other = s.other || !join
 }
 
@@ -1158,7 +1129,7 @@ func (s *useScan) fn(f *lambda.Fn, nested bool) {
 	s.exp(f.Body, nested)
 }
 
-// joinLet compiles a Let that binds a join point (useJoin): a function
+// joinLet compiles a Let that binds a join point (isJoin): a function
 // only ever called directly in this frame. It builds no closure and so
 // marks no open frame escaping; each call runs the function on a frame
 // whose parent is the current frame — the chain the closure would have
@@ -1203,7 +1174,7 @@ func (c *comp) joinCall(lv lambda.LVar, fn *CompiledFn, arg lambda.Exp) cnode {
 // chainLen counts the arguments of the application chain e heads: e's
 // own and one per App in function position below it, down to a head
 // that is not an App, or is a literal-function redex (which runs in
-// place). A join call is never such an inner App (useJoin).
+// place). A join call is never such an inner App (isJoin).
 func chainLen(e *lambda.App) int {
 	k := 1
 	for {

@@ -53,4 +53,4 @@ func DecodedTerm(f *CompiledFn) (term *lambda.Fn, src []byte, release func(), er
 
 // IsJoin reports whether l's function is a join point: every use of
 // its binder in l's body is a direct call in the binding's frame.
-func IsJoin(l *lambda.Let) bool { return classify(l.Body, l.LV) == useJoin }
+func IsJoin(l *lambda.Let) bool { return isJoin(l.Body, l.LV) }

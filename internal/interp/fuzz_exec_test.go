@@ -6,7 +6,10 @@ package interp_test
 // compiled form must print the same bytes, fail with the same error,
 // and leave the same export values. Step budgets are the one sanctioned
 // divergence — the two count steps at different granularities — so
-// budget-exceeded runs are skipped, not compared.
+// budget-exceeded runs are skipped, not compared. The tree walker also
+// runs the unit's term as elaborated and as lambda.Prune leaves it:
+// the two must print the same bytes and end in the same result or
+// error, and the pruned term may take no more steps.
 
 import (
 	"fmt"
@@ -19,7 +22,10 @@ import (
 
 	"repro/internal/compiler"
 	"repro/internal/dynenv"
+	"repro/internal/elab"
 	"repro/internal/interp"
+	"repro/internal/lambda"
+	"repro/internal/parser"
 	"repro/internal/workload"
 )
 
@@ -98,6 +104,48 @@ func execWith(exec func(*interp.Machine, *compiler.Unit, *dynenv.Env) error, src
 	return out.String(), strings.Join(lines, "\n"), ""
 }
 
+// treeRun elaborates src in a fresh session and runs its term, pruned
+// or as elaborated, through the tree walker, returning what it printed,
+// its export record or error, and the steps it took. ok is false for a
+// source that does not compile.
+func treeRun(src string, prune bool) (stdout, result string, steps uint64, ok bool) {
+	var out strings.Builder
+	s, err := compiler.NewSession(&out)
+	if err != nil {
+		return "", "", 0, false
+	}
+	s.Machine.MaxSteps = 200_000
+	decs, perrs := parser.Parse(src)
+	if len(perrs) > 0 {
+		return "", "", 0, false
+	}
+	res, errs := elab.ElabUnit(decs, s.Context)
+	if len(errs) > 0 {
+		return "", "", 0, false
+	}
+	code := res.Code
+	if prune {
+		code = lambda.Prune(code)
+	}
+	imports, slots := interp.NewRecord(len(res.ImportPids))
+	for i, p := range res.ImportPids {
+		if slots[i], ok = s.Dyn.Lookup(p); !ok {
+			return "", "", 0, false
+		}
+	}
+	steps0 := s.Machine.Steps
+	closure, err := s.Machine.Eval(code, nil)
+	var v interp.Value
+	if err == nil {
+		v, err = s.Machine.Apply(closure, imports)
+	}
+	result = "error: " + fmt.Sprint(err)
+	if err == nil {
+		result = interp.String(v)
+	}
+	return out.String(), result, s.Machine.Steps - steps0, true
+}
+
 func FuzzExecTreeVsClosure(f *testing.F) {
 	f.Add("val x = 1 + 2")
 	f.Add("fun fib n = if n < 2 then n else fib (n-1) + fib (n-2)\nval r = fib 12")
@@ -155,6 +203,18 @@ func FuzzExecTreeVsClosure(f *testing.F) {
 		}
 		if tExp != cExp {
 			t.Fatalf("export mismatch:\ntree:\n%s\nclosure:\n%s\nsource:\n%s", tExp, cExp, src)
+		}
+
+		rOut, rRes, rSteps, ok := treeRun(src, false)
+		pOut, pRes, pSteps, _ := treeRun(src, true)
+		if !ok || strings.Contains(rRes, "step budget") {
+			return
+		}
+		if pOut != rOut || pRes != rRes {
+			t.Fatalf("pruned term differs:\nelaborated: %q %s\npruned:     %q %s\nsource:\n%s", rOut, rRes, pOut, pRes, src)
+		}
+		if pSteps > rSteps {
+			t.Fatalf("pruned term took %d steps, elaborated %d\nsource:\n%s", pSteps, rSteps, src)
 		}
 	})
 }

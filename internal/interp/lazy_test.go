@@ -229,17 +229,19 @@ func TestLazyFirstCallRace(t *testing.T) {
 	}
 }
 
-// TestForgedHelperRejectedAtLoad corrupts a generated unit's last
-// hidden helper hN — a function nothing ever applies. In the code
+// TestForgedHelperRejectedAtLoad corrupts a function that a generated
+// unit's bin keeps but nothing ever applies: u000's exported f1, which
+// only u001's f1 calls, and nothing calls that. (The unit's hidden
+// helpers are not in the bin: lambda.Prune drops them.) In the code
 // section it forges an out-of-range slot and a delta deeper than the
 // open frames, and (separately) truncates the section by one byte
 // (counter code.load_errors). In the lambda segment it forges a bad
 // node tag, an element count past the end and a primitive name the op
-// table does not hold, and cuts the bin short inside the helper's term
-// (counter binfile.read_errors). Each must
-// fail the bin read, and a build over the damaged store must recompile
-// the unit before any unit executes: rejection stays at load, not at a
-// first call that never comes.
+// table does not hold, and cuts the bin short inside the function's
+// term (counter binfile.read_errors). Each must fail the bin read, and
+// a build over the damaged store must recompile the unit before any
+// unit executes: rejection stays at load, not at a first call that
+// never comes.
 func TestForgedHelperRejectedAtLoad(t *testing.T) {
 	p := workload.Generate(workload.Config{
 		Shape: workload.Chain, Units: 3, LinesPerUnit: 25, FunsPerUnit: 2,
@@ -254,7 +256,8 @@ func TestForgedHelperRejectedAtLoad(t *testing.T) {
 	}
 	good := entry.Bin
 
-	// Locate hN: the root's last child, left pending by a full run.
+	// Locate f1: the second of the root's children, which are the
+	// unit's exported functions f0 and f1 in source order.
 	s, err := compiler.NewSession(io.Discard)
 	if err != nil {
 		t.Fatal(err)
@@ -266,25 +269,28 @@ func TestForgedHelperRejectedAtLoad(t *testing.T) {
 	if err := compiler.Execute(s.Machine, u, s.Dyn, nil, nil, 0); err != nil {
 		t.Fatal(err)
 	}
-	fns := interp.Funcs(u.Prog)
-	helper := fns[0]
-	for _, f := range fns {
+	var roots []*interp.CompiledFn
+	for _, f := range interp.Funcs(u.Prog) {
 		if f.Parent == 0 {
-			helper = f
+			roots = append(roots, f)
 		}
 	}
-	if !interp.Pending(helper) {
-		t.Fatalf("fn %d ran; want the never-applied helper", helper.ID)
+	if len(roots) != 2 {
+		t.Fatalf("%d functions under the root, want f0 and f1", len(roots))
 	}
-	start, end := interp.Span(helper)
+	f1 := roots[1]
+	if !interp.Pending(f1) {
+		t.Fatalf("fn %d ran; want the never-applied f1", f1.ID)
+	}
+	start, end := interp.Span(f1)
 	sec := len(good) - len(u.CodeBytes)
 	body := good[sec+start : sec+end]
 	if len(body) < 2 {
-		t.Fatalf("helper body % x: want at least one coordinate", body)
+		t.Fatalf("f1 body % x: want at least one coordinate", body)
 	}
 	for _, b := range body {
 		if b >= 0x80 {
-			t.Fatalf("helper body % x: want single-byte coordinates", body)
+			t.Fatalf("f1 body % x: want single-byte coordinates", body)
 		}
 	}
 	pair := -1 // the first (delta, slot) pair at delta 0
@@ -295,7 +301,7 @@ func TestForgedHelperRejectedAtLoad(t *testing.T) {
 		}
 	}
 	if pair < 0 {
-		t.Fatalf("helper body % x: no delta-0 coordinate", body)
+		t.Fatalf("f1 body % x: no delta-0 coordinate", body)
 	}
 
 	patch := func(off int, b ...byte) []byte {
@@ -308,20 +314,20 @@ func TestForgedHelperRejectedAtLoad(t *testing.T) {
 	truncated := binary.AppendUvarint(bytes.Clone(good[:sec-lenPrefix]), uint64(n-1))
 	truncated = append(truncated, good[sec:len(good)-1]...)
 
-	// The helper's term in the lambda segment, which ends where the
-	// code section's length prefix starts: its Fn tag, its parameter,
-	// then the first node of its body.
+	// f1's term in the lambda segment, which ends where the code
+	// section's length prefix starts: its Fn tag, its parameter, then
+	// the first node of its body.
 	lam := sec - lenPrefix - len(u.TermBytes)
-	term, src, release, err := interp.DecodedTerm(helper)
+	term, src, release, err := interp.DecodedTerm(f1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	param := binary.PutVarint(make([]byte, binary.MaxVarintLen64), int64(term.Param))
 	release()
-	fnAt := lam + int(helper.Pos)
+	fnAt := lam + int(f1.Pos)
 	bodyAt := fnAt + 1 + param
 	if len(src) < 16 {
-		t.Fatalf("helper term % x: want a body of some size", src)
+		t.Fatalf("f1 term % x: want a body of some size", src)
 	}
 	rec, err := pickle.EncodeTerm(&lambda.Record{})
 	if err != nil {
@@ -329,8 +335,8 @@ func TestForgedHelperRejectedAtLoad(t *testing.T) {
 	}
 	recordTag := rec[0]
 	pastEnd := binary.AppendVarint([]byte{recordTag}, int64(len(good)))
-	// An op name in the helper's term, renamed in place to a name of
-	// the same length that the op table does not hold.
+	// An op name in f1's term, renamed in place to a name of the same
+	// length that the op table does not hold.
 	opAt, opName := -1, ""
 	for op := range lambda.NumOps {
 		name := op.String()
@@ -344,7 +350,7 @@ func TestForgedHelperRejectedAtLoad(t *testing.T) {
 		}
 	}
 	if opAt < 0 {
-		t.Fatalf("helper term % x: want a primitive call", src)
+		t.Fatalf("f1 term % x: want a primitive call", src)
 	}
 
 	const codeErr, readErr = "code.load_errors", "binfile.read_errors"

@@ -8,6 +8,8 @@
 // Concurrency: terms are immutable after construction and safe to
 // share across goroutines. The one exception is a term decoded into a
 // pickle.Scratch, whose nodes are reused once the scratch is released.
+// Prune changes no node it is given, and concurrent calls each take
+// their own state from a pool.
 package lambda
 
 import (

@@ -86,6 +86,36 @@ func TestSymbolization(t *testing.T) {
 	}
 }
 
+// TestStructureFunctionsNamed: a function of a structure is named by
+// its path — through an ascription, a nested structure and a functor
+// application — since lambda.Prune forwards each member's Select from
+// the structure's record to the function's own variable.
+func TestStructureFunctionsNamed(t *testing.T) {
+	const src = `
+signature S = sig val fib : int -> int end
+structure A : S = struct fun fib n = if n < 2 then n else fib (n-1) + fib (n-2) end
+structure C = struct structure D = struct fun h z = z * 2 end end
+functor F (X : sig val n : int end) = struct fun g y = y + X.n end
+structure B = F (struct val n = 1 end)
+val r = A.fib 10 + C.D.h 4 + B.g 2
+`
+	m := core.NewManager()
+	m.ProfilePeriod = 64
+	if _, err := m.Build([]core.File{{Name: "s.sml", Source: src}}); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"A.fib", "C.D.h", "B.g"} {
+		findFunc(t, m.Prof, "s.sml", name)
+	}
+	var buf bytes.Buffer
+	if err := m.Prof.WriteFolded(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(buf.String(), "s.sml:A.fib") {
+		t.Errorf("folded output lacks s.sml:A.fib frames:\n%s", buf.String())
+	}
+}
+
 func TestReportDeterministicAcrossJobs(t *testing.T) {
 	var want []byte
 	for _, jobs := range []int{1, 4, 8} {

@@ -302,9 +302,10 @@ func unitSource(cfg Config, i int, deps []int) string {
 	}
 	fmt.Fprintf(&sb, "  val tag = \"u%03d\"\n", i)
 
-	// Hidden helpers pad the unit to the configured size; they are
-	// thinned away by the signature ascription, so editing them is an
-	// implementation-only change.
+	// Hidden helpers pad the unit's source to the configured size. The
+	// signature ascription thins them away, so editing them is an
+	// implementation-only change, and since nothing calls them,
+	// lambda.Prune drops them: the bin holds none of their code.
 	lines := sb.Len()/24 + 6 // rough lines-so-far estimate
 	h := 0
 	for lines < cfg.LinesPerUnit-4 {
