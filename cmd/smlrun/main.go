@@ -125,7 +125,7 @@ func runBins(f *cli.Flags, paths []string) {
 		if err != nil {
 			cli.Fatal(fmt.Errorf("%s: %v", bi.path, err))
 		}
-		session.Index.AddEnv(u.Env)
+		session.Index.Add(u.StatPid, u.Owned)
 		units = append(units, u)
 	}
 	for _, bi := range infos {

@@ -13,13 +13,15 @@
 package main
 
 import (
+	"errors"
 	"fmt"
+	"io"
 	"log"
 	"os"
+	"slices"
 
 	"repro/internal/binfile"
 	"repro/internal/compiler"
-	"repro/internal/interp"
 	"repro/internal/linker"
 )
 
@@ -45,68 +47,80 @@ var plugins = map[string]string{
 }
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run drives the three phases, printing to w.
+func run(w io.Writer) error {
 	// Phase 1: a "build machine" session compiles the host API and the
 	// plugins, producing portable bin files.
-	build, err := compiler.NewSession(os.Stdout)
+	build, err := compiler.NewSession(w)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	hostUnit, err := build.Run("host", hostAPI)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("host interface pid: %s\n", hostUnit.StatPid.Short())
+	fmt.Fprintf(w, "host interface pid: %s\n", hostUnit.StatPid.Short())
 
 	bins := map[string][]byte{}
 	hostBin, err := binfile.Encode(hostUnit, nil)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	bins["host"] = hostBin
 
-	for name, src := range plugins {
-		u, err := build.Compile("plugin-"+name, src)
+	names := make([]string, 0, len(plugins))
+	for name := range plugins {
+		names = append(names, name)
+	}
+	slices.Sort(names)
+	for _, name := range names {
+		u, err := build.Compile("plugin-"+name, plugins[name])
 		if err != nil {
-			fmt.Printf("plugin %q rejected at compile time:\n  %v\n", name, err)
+			fmt.Fprintf(w, "plugin %q rejected at compile time:\n  %v\n", name, err)
 			continue
 		}
 		data, err := binfile.Encode(u, nil)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		bins["plugin-"+name] = data
-		fmt.Printf("plugin %q compiled: %d bin bytes, imports %d pids\n",
+		fmt.Fprintf(w, "plugin %q compiled: %d bin bytes, imports %d pids\n",
 			name, len(data), len(u.Imports))
 	}
 
 	// Phase 2: a fresh "production" session (fresh basis, fresh
 	// prelude) rehydrates the bins and runs them under type-safe
 	// linkage. Nothing but bytes crossed the boundary.
-	fmt.Println("\n--- fresh session: rehydrate, verify, link, run ---")
-	prod, err := compiler.NewSession(os.Stdout)
+	fmt.Fprintln(w, "\n--- fresh session: rehydrate, verify, link, run ---")
+	prod, err := compiler.NewSession(w)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	var units []*compiler.Unit
 	for _, name := range []string{"host", "plugin-greeter"} {
 		u, err := binfile.Read(bins[name], prod.Index, nil, nil)
 		if err != nil {
-			log.Fatalf("rehydrate %s: %v", name, err)
+			return fmt.Errorf("rehydrate %s: %v", name, err)
 		}
-		prod.Index.AddEnv(u.Env)
+		prod.Index.Add(u.StatPid, u.Owned)
 		units = append(units, u)
 	}
 	if err := linker.Run(prod.Machine, units, prod.Dyn, nil, nil); err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	// Phase 3: demonstrate the link-time safety net. Recompile the
 	// host with a *changed interface* and show the stale plugin bin is
 	// refused before execution.
-	fmt.Println("\n--- host interface changed; stale plugin must not link ---")
-	prod2, err := compiler.NewSession(os.Stdout)
+	fmt.Fprintln(w, "\n--- host interface changed; stale plugin must not link ---")
+	prod2, err := compiler.NewSession(w)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	newHost, err := prod2.Run("host", `
 		structure Host = struct
@@ -116,19 +130,19 @@ func main() {
 		end
 	`)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	stalePlugin, err := binfile.Read(bins["plugin-greeter"], prod2.Index, nil, nil)
 	if err != nil {
 		// Rehydration itself may already fail: the old host interface
 		// is not in this session's context.
-		fmt.Printf("rehydration refused the stale bin: %v\n", err)
-		return
+		fmt.Fprintf(w, "rehydration refused the stale bin: %v\n", err)
+		return nil
 	}
 	errs := linker.Verify([]*compiler.Unit{newHost, stalePlugin}, prod2.Dyn)
 	if len(errs) == 0 {
-		log.Fatal("BUG: stale plugin linked against incompatible host")
+		return errors.New("BUG: stale plugin linked against incompatible host")
 	}
-	fmt.Printf("linker refused the stale bin: %v\n", errs[0])
-	_ = interp.String
+	fmt.Fprintf(w, "linker refused the stale bin: %v\n", errs[0])
+	return nil
 }

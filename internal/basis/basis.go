@@ -50,6 +50,18 @@ var (
 	ListTycon = &types.Tycon{Stamp: permStamp(), Name: "list", Arity: 1, Kind: types.KindData, Eq: true}
 )
 
+// stamped lists the primitive tycons in the order their stamps were
+// drawn.
+var stamped = []any{
+	IntTycon, RealTycon, StringTycon, CharTycon, WordTycon,
+	ExnTycon, RefTycon, ArrayTycon, VectorTycon, UnitTycon, BoolTycon, ListTycon,
+}
+
+// Stamped returns the basis's stamped objects by ordinal, its table in
+// a pickle.Index: entry i-1 is the tycon stamped {BasisPid, i}. The
+// slice is shared and must not be modified.
+func Stamped() []any { return stamped }
+
 // Built-in data constructors.
 var (
 	FalseCon, TrueCon *types.DataCon
@@ -129,10 +141,8 @@ func init() {
 func PrimEnv() *env.Env {
 	e := env.New(nil)
 
-	for _, tc := range []*types.Tycon{
-		IntTycon, RealTycon, StringTycon, CharTycon, WordTycon,
-		ExnTycon, RefTycon, ArrayTycon, VectorTycon, UnitTycon, BoolTycon, ListTycon,
-	} {
+	for _, obj := range stamped {
+		tc := obj.(*types.Tycon)
 		e.DefineTycon(tc.Name, tc)
 	}
 

@@ -102,3 +102,26 @@ func TestDeterministicOrder(t *testing.T) {
 		t.Log("basis order is insertion order (expected)")
 	}
 }
+
+// TestStampedByOrdinal: the basis's ordinal table lists every stamped
+// primitive object, entry i-1 stamped {BasisPid, i}, and PrimEnv binds
+// exactly those tycons.
+func TestStampedByOrdinal(t *testing.T) {
+	objs := Stamped()
+	if int64(len(objs)) != stampIndex {
+		t.Fatalf("Stamped has %d objects, %d stamps were drawn", len(objs), stampIndex)
+	}
+	e := PrimEnv()
+	for i, obj := range objs {
+		tc, ok := obj.(*types.Tycon)
+		if !ok {
+			t.Fatalf("entry %d is a %T", i, obj)
+		}
+		if tc.Stamp.Origin != BasisPid || tc.Stamp.Index != int64(i+1) {
+			t.Errorf("entry %d (%s) stamped %s", i, tc.Name, tc.Stamp)
+		}
+		if got, _ := e.LookupTycon(tc.Name); got != tc {
+			t.Errorf("PrimEnv binds %s to another tycon", tc.Name)
+		}
+	}
+}

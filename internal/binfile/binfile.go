@@ -6,20 +6,23 @@
 // (compiler.Unit.TermBytes, CodeBytes) and a read unit keeps.
 //
 // Reading a bin file rehydrates the environment against a context
-// index; a reference to an interface that is not loaded (or whose
-// provider was recompiled to a different interface) fails here, before
-// anything can be linked — the first layer of type-safe linkage.
+// (pickle.Resolver): each stub names its origin unit's pid and an
+// ordinal in that unit's table of stamped objects. A reference to an
+// interface that is not in the context (or whose provider was
+// recompiled to a different interface) fails here, before anything
+// can be linked — the first layer of type-safe linkage. The unit read
+// carries its own table (compiler.Unit.Owned) for the units after it.
 //
 // The package has one writer, Encode, and one reader, Read; either
 // takes a nil obs.Recorder, and Read takes a nil pickle.EnvCache for
 // no caching.
 //
-// Concurrency: Encode is pure over its input. Read resolves stubs in
-// the pickle.Index it is given, so concurrent readers must use private
-// overlay indexes (pickle.NewOverlay) over a frozen shared base — the
-// discipline the parallel scheduler in internal/core follows. The
-// pickle.EnvCache Read consults is safe to share between any number of
-// concurrent readers and Managers.
+// Concurrency: Encode is pure over its input. Read only reads the
+// resolver it is given, so concurrent readers may share one that
+// nothing writes meanwhile (the parallel scheduler in internal/core
+// gives each load its own view of tables published before the load
+// starts). The pickle.EnvCache Read consults is safe to share between
+// any number of concurrent readers and Managers.
 package binfile
 
 import (
@@ -128,8 +131,8 @@ func Encode(u *compiler.Unit, rec obs.Recorder) (out []byte, err error) {
 }
 
 // Read rehydrates a unit from bin-file bytes, resolving external
-// references in the context index ix. It accounts bytes and failures
-// on rec (counters binfile.bytes_read, binfile.read_errors).
+// references in ctx. It accounts bytes and failures on rec (counters
+// binfile.bytes_read, binfile.read_errors).
 //
 // A non-nil cache is a pid-keyed environment cache (counters
 // cache.env_hits, cache.env_misses, cache.env_evictions). On a hit —
@@ -154,7 +157,7 @@ func Encode(u *compiler.Unit, rec obs.Recorder) (out []byte, err error) {
 // that function's first call, and Unit.Term decodes the whole term on
 // demand (DESIGN.md §4j, "Lazy terms"). Both slices alias data, which
 // must therefore not be modified once read.
-func Read(data []byte, ix *pickle.Index, cache *pickle.EnvCache, rec obs.Recorder) (_ *compiler.Unit, err error) {
+func Read(data []byte, ctx pickle.Resolver, cache *pickle.EnvCache, rec obs.Recorder) (_ *compiler.Unit, err error) {
 	obs.Count(rec, "binfile.bytes_read", int64(len(data)))
 	defer func() {
 		if err != nil {
@@ -165,19 +168,20 @@ func Read(data []byte, ix *pickle.Index, cache *pickle.EnvCache, rec obs.Recorde
 		return nil, err
 	}
 	stream := data[len(Magic):]
-	u := pickle.NewUnpickler(stream, ix)
+	u := pickle.NewUnpickler(stream, ctx)
 	name, statPid, imports, numSlots := u.Header()
 	if err := u.Err(); err != nil {
 		return nil, fmt.Errorf("binfile: read %s: %v", name, err)
 	}
 
 	var envLayer *env.Env
+	var owned []any
 	envStart := u.Pos()
 	if cache != nil {
 		if ce := cache.Lookup(statPid); ce != nil &&
 			bytes.HasPrefix(stream[envStart:], ce.EnvBytes) {
 			obs.Count(rec, "cache.env_hits", 1)
-			envLayer = ce.Env
+			envLayer, owned = ce.Env, ce.Owned
 			u.Skip(len(ce.EnvBytes))
 		}
 	}
@@ -189,9 +193,10 @@ func Read(data []byte, ix *pickle.Index, cache *pickle.EnvCache, rec obs.Recorde
 		if err := u.Err(); err != nil {
 			return nil, fmt.Errorf("binfile: read %s: %v", name, err)
 		}
+		owned = u.Owned()
 		if cache != nil {
 			seg := append([]byte(nil), stream[envStart:u.Pos()]...)
-			ce := &pickle.CachedEnv{Env: envLayer, EnvBytes: seg, Objs: u.TableLen()}
+			ce := &pickle.CachedEnv{Env: envLayer, EnvBytes: seg, Objs: u.TableLen(), Owned: owned}
 			obs.Count(rec, "cache.env_evictions", int64(cache.Insert(statPid, ce)))
 		}
 	}
@@ -228,6 +233,7 @@ func Read(data []byte, ix *pickle.Index, cache *pickle.EnvCache, rec obs.Recorde
 		Name:      name,
 		StatPid:   statPid,
 		Env:       envLayer,
+		Owned:     owned,
 		Imports:   imports,
 		NumSlots:  numSlots,
 		Prog:      prog,
@@ -243,7 +249,7 @@ func ReadHeader(data []byte) (name string, statPid pid.Pid, imports []pid.Pid, n
 	if err := checkMagic(data); err != nil {
 		return "", pid.Zero, nil, 0, err
 	}
-	u := pickle.NewUnpickler(data[len(Magic):], pickle.NewIndex())
+	u := pickle.NewUnpickler(data[len(Magic):], nil)
 	name, statPid, imports, numSlots = u.Header()
 	return name, statPid, imports, numSlots, u.Err()
 }

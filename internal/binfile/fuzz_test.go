@@ -6,16 +6,17 @@ import (
 
 	"repro/internal/compiler"
 	"repro/internal/interp"
-	"repro/internal/pickle"
 )
 
 // FuzzBinfileRead: rehydrating arbitrary bytes must never panic. (A
 // mutated bin can decode into a structurally valid unit; the linker's
 // type-safe linkage is the layer that rejects semantic corruption.)
-// Every function of a unit that loads is then built, as its first call
+// Stubs resolve against a session that holds the seed units. Every
+// function of a unit that loads is then built, as its first call
 // would build it, so the first-call decode of a lambda subtree is
 // fuzzed too: it may fail only through Machine.crash, and after a
-// successful load it should not fail at all.
+// successful load it should not fail at all. Beside the seed unit's
+// bin, the corpus seeds the forged stamps of forgedStampBins.
 func FuzzBinfileRead(f *testing.F) {
 	var sink bytes.Buffer
 	s, err := compiler.NewSession(&sink)
@@ -37,13 +38,16 @@ func FuzzBinfileRead(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(data)
+	for _, fb := range forgedStampBins(f, s) {
+		f.Add(fb.bin)
+	}
 	f.Add(data[:len(data)/2])
 	f.Add(append([]byte(Magic), 0xFF, 0x00, 0x7F))
 	f.Add([]byte(Magic))
 	f.Add([]byte{})
 	m := interp.NewMachine()
 	f.Fuzz(func(t *testing.T, data []byte) {
-		u, err := Read(data, pickle.NewIndex(), nil, nil)
+		u, err := Read(data, s.Index, nil, nil)
 		if err != nil || u.Prog == nil {
 			return
 		}

@@ -69,6 +69,14 @@ type Unit struct {
 	// Warnings are non-fatal elaboration diagnostics.
 	Warnings []string
 
+	// Owned lists the unit's own stamped objects by ordinal: Owned[i-1]
+	// is the tycon, structure or functor stamped {StatPid, i}, the i-th
+	// the canonical pickle of Env reached. Compile takes it from the
+	// pickle (EnvPickle.Provisional), a bin read from the decoded env
+	// (pickle.Unpickler.Owned). It is the unit's table in a
+	// pickle.Index: the objects other units' stubs may name.
+	Owned []any
+
 	// EnvPickle, when non-nil, is the canonical dehydration of Env
 	// produced by the compile's single hash-and-pickle traversal;
 	// binfile.Encode derives the bin stream from it by stamp patching
@@ -216,6 +224,7 @@ func CompileDecs(name string, decs []ast.Dec, context *env.Env) (*Unit, error) {
 		Imports:   res.ImportPids,
 		NumSlots:  len(res.Slots),
 		Warnings:  warnings,
+		Owned:     ep.Provisional(),
 		EnvPickle: ep,
 		HashTime:  hashDur,
 		Prog:      prog,

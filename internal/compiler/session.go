@@ -18,11 +18,12 @@ import (
 // and the rehydration index grow as units are compiled or loaded.
 //
 // Every session starts from the one process-wide prelude (the basis
-// compiled once, see NewSession): its unit, its static context and the
-// frozen stamp index over that context are shared and never written.
-// A session owns only its machine, its dynamic environment and the
-// index overlay above the shared index; Accept layers each new unit
-// over the context instead of mutating a layer in place.
+// compiled once, see NewSession): its unit and its static context are
+// shared and never written. A session owns its machine, its dynamic
+// environment and its index, which starts with the basis's and the
+// prelude's ordinal tables; Accept layers each new unit over the
+// context instead of mutating a layer in place, and registers the
+// unit's table in the index in O(1).
 type Session struct {
 	Machine *interp.Machine
 	// Context is the accumulated static environment: basis, prelude,
@@ -30,48 +31,46 @@ type Session struct {
 	Context *env.Env
 	// Dyn is the accumulated dynamic environment.
 	Dyn *dynenv.Env
-	// Index is the stamp index over everything loaded so far, used to
-	// rehydrate bin files (§4): an overlay over the shared prelude
-	// index (PreludeIndex).
+	// Index resolves stubs against the basis, the prelude and every
+	// unit accepted so far, to rehydrate bin files (§4).
 	Index *pickle.Index
 	// Units records the session's units in order; the first is the
 	// shared prelude unit.
 	Units []*Unit
 }
 
-// prelude is the basis compiled once per process: the "$prelude" unit,
-// whose export layer unit.Env sits over the primitive basis and is the
-// context every session starts from, and the stamp index over both
-// layers. All of it is immutable once built, so any number of
-// sessions, on any goroutines, share it.
-type prelude struct {
-	unit  *Unit
-	index *pickle.Index
+// preludeIndex returns a new index holding the basis's and the
+// prelude's ordinal tables.
+func preludeIndex(prelude *Unit) *pickle.Index {
+	ix := pickle.NewIndex()
+	ix.Add(basis.BasisPid, basis.Stamped())
+	ix.Add(prelude.StatPid, prelude.Owned)
+	return ix
 }
 
 // sharedPrelude parses, elaborates, hashes and closure-compiles the
-// prelude on first use. Stamps are permanent and derive from the
+// prelude on first use: the "$prelude" unit, whose export layer Env
+// sits over the primitive basis and is the context every session
+// starts from. It is immutable once built, so any number of sessions,
+// on any goroutines, share it. Stamps are permanent and derive from the
 // prelude's intrinsic pid, so the objects every session resolves
 // against are the ones user bins reference, whichever process built
 // them. As in any compiled unit, each nested function's body is built
 // on its first call, by whichever session makes it; its program's
 // table lock makes concurrent first calls build it once.
-var sharedPrelude = sync.OnceValues(func() (*prelude, error) {
+var sharedPrelude = sync.OnceValues(func() (*Unit, error) {
 	decs, errs := parser.Parse(PreludeSource)
 	if len(errs) > 0 {
 		return nil, errs[0]
 	}
-	prim := basis.PrimEnv()
-	u, err := CompileDecs("$prelude", decs, prim)
+	u, err := CompileDecs("$prelude", decs, basis.PrimEnv())
 	if err != nil {
 		return nil, err
 	}
-	// A session never encodes the prelude, so the pickle goes.
+	// A session never encodes the prelude, so the pickle goes; its
+	// ordinal table (Owned) stays.
 	u.EnvPickle = nil
-	ix := pickle.NewIndex()
-	ix.AddEnv(prim)
-	ix.AddEnv(u.Env)
-	return &prelude{unit: u, index: ix}, nil
+	return u, nil
 })
 
 // NewSession builds a session over the shared compiled prelude (§3:
@@ -86,28 +85,24 @@ func NewSession(stdout io.Writer) (*Session, error) {
 	}
 	s := &Session{
 		Machine: interp.NewMachine(),
-		Context: p.unit.Env,
+		Context: p.Env,
 		Dyn:     dynenv.New(),
-		Index:   pickle.NewOverlay(p.index),
-		Units:   []*Unit{p.unit},
+		Index:   preludeIndex(p),
+		Units:   []*Unit{p},
 	}
 	if stdout != nil {
 		s.Machine.Stdout = stdout
 	}
-	if err := Execute(s.Machine, p.unit, s.Dyn, nil, nil, 0); err != nil {
+	if err := Execute(s.Machine, p, s.Dyn, nil, nil, 0); err != nil {
 		return nil, fmt.Errorf("bootstrapping prelude: %v", err)
 	}
 	return s, nil
 }
 
-// PreludeIndex returns the shared, frozen stamp index over the basis
-// and the prelude that every session's Index overlays. The parallel
-// scheduler hands it to its workers as the base of their private
-// rehydration overlays.
-func (s *Session) PreludeIndex() *pickle.Index {
-	p, _ := sharedPrelude()
-	return p.index
-}
+// PreludeIndex returns a new index over the basis and the prelude
+// alone, which the parallel scheduler's load resolvers read, and
+// nothing writes, while the session's own Index grows.
+func (s *Session) PreludeIndex() *pickle.Index { return preludeIndex(s.Units[0]) }
 
 // Compile compiles a unit against the current context without
 // executing it or extending the session.
@@ -134,8 +129,9 @@ func (s *Session) runUnit(u *Unit) (*Unit, error) {
 	return u, nil
 }
 
-// Accept extends the session's static context and index with an
-// already-executed unit (used by the IRM after loading bin files).
+// Accept extends the session's static context with an already-executed
+// unit (used by the IRM after loading bin files) and registers the
+// unit's ordinal table in its index.
 func (s *Session) Accept(u *Unit) {
 	if u.Env.Parent() == nil || u.Env.Parent() != s.Context {
 		// Layer the unit's exports over the current context even when
@@ -147,6 +143,6 @@ func (s *Session) Accept(u *Unit) {
 	} else {
 		s.Context = u.Env
 	}
-	s.Index.AddEnv(u.Env)
+	s.Index.Add(u.StatPid, u.Owned)
 	s.Units = append(s.Units, u)
 }

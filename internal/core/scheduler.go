@@ -43,6 +43,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/bits"
 	"runtime"
 	"sort"
 	"sync"
@@ -58,6 +59,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/pickle"
 	"repro/internal/pid"
+	"repro/internal/stamps"
 )
 
 // unitTask is the immutable input of one worker invocation: everything
@@ -71,9 +73,10 @@ type unitTask struct {
 	srcHash pid.Pid
 	corrupt bool // the store flagged this unit's entry corrupt in phase 1
 
-	depNames []string   // direct deps, sorted by name (the Entry contract)
-	depPids  []pid.Pid  // their current interface pids, aligned with depNames
-	depEnvs  []*env.Env // their export environments, in topological order
+	depNames []string     // direct deps, sorted by name (the Entry contract)
+	depPids  []pid.Pid    // their current interface pids, aligned with depNames
+	depIdx   []int        // their topological indexes, ascending
+	ctx      loadResolver // what a load of the unit's bin may resolve
 
 	depRecompiled bool // some direct dep was recompiled this build
 	depAtRisk     bool // some dep (transitively, through loads) recompiled
@@ -174,7 +177,7 @@ func (m *Manager) schedule(col *obs.Collector, gen int, bspan *obs.Span,
 	// Frozen shared inputs. Workers read these concurrently; nothing
 	// mutates them until every worker has drained. The session is
 	// fresh, so its context is basis + prelude and the prelude's
-	// process-wide index already covers it.
+	// process-wide index covers it.
 	baseCtx := session.Context
 	baseIx := session.PreludeIndex()
 
@@ -184,21 +187,33 @@ func (m *Manager) schedule(col *obs.Collector, gen int, bspan *obs.Span,
 	}
 	waiting := make([]int, n)      // unresolved direct deps per unit
 	dependents := make([][]int, n) // reverse edges
+	// ancestors: unit i's row of words bits, bit j set when j is a
+	// transitive import of i. Every edge points back in the order, so
+	// one pass in order fills every row from its deps' finished rows.
+	words := (n + 63) / 64
+	ancestors := make([]uint64, n*words)
 	for i, info := range order {
+		row := ancestors[i*words : (i+1)*words]
 		for _, d := range deps[info.Name] {
 			j := idxOf[d]
 			dependents[j] = append(dependents[j], i)
 			waiting[i]++
+			row[j/64] |= 1 << (j % 64)
+			for w, word := range ancestors[j*words : (j+1)*words] {
+				row[w] |= word
+			}
 		}
 	}
 
 	// Cross-unit decision state, owned by the scheduler goroutine: a
 	// unit's pids/recompiled/atRisk are published here when its worker
-	// finishes, and read when a dependent is dispatched.
+	// finishes, and read when a dependent is dispatched. units[i] is
+	// written then too, before any dependent is dispatched, and workers
+	// read only the entries of a unit's ancestors (loadResolver).
 	currentPids := make(map[string]pid.Pid, n)
 	recompiled := make(map[string]bool, n)
 	atRisk := make(map[string]bool, n)
-	envs := make([]*env.Env, n)
+	units := make([]*compiler.Unit, n)
 	results := make([]*unitResult, n)
 
 	ctx, cancel := context.WithCancel(context.Background())
@@ -237,7 +252,7 @@ func (m *Manager) schedule(col *obs.Collector, gen int, bspan *obs.Span,
 						break
 					}
 				}
-				resultCh <- m.runUnit(t, lane, gen, bspan, baseCtx, baseIx)
+				resultCh <- m.runUnit(t, lane, gen, bspan, baseCtx)
 				inflight.Add(-1)
 			}
 		}()
@@ -334,14 +349,11 @@ func (m *Manager) schedule(col *obs.Collector, gen int, bspan *obs.Span,
 			depIdx = append(depIdx, idxOf[d])
 		}
 		sort.Ints(depIdx)
-		depEnvs := make([]*env.Env, len(depIdx))
-		for k, j := range depIdx {
-			depEnvs[k] = envs[j]
-		}
 		dispatchCh <- &unitTask{
 			idx: i, info: info, source: sources[name],
 			entry: entries[name], srcHash: srcHashes[name], corrupt: corrupt[name],
-			depNames: depNames, depPids: depPids, depEnvs: depEnvs,
+			depNames: depNames, depPids: depPids, depIdx: depIdx,
+			ctx:           loadResolver{base: baseIx, units: units, ancestors: ancestors[i*words : (i+1)*words]},
 			depRecompiled: depRecompiled, depAtRisk: depAtRisk,
 		}
 	}
@@ -472,7 +484,7 @@ func (m *Manager) schedule(col *obs.Collector, gen int, bspan *obs.Span,
 				}
 			} else {
 				name := res.task.info.Name
-				envs[i] = res.unit.Env
+				units[i] = res.unit
 				currentPids[name] = res.unit.StatPid
 				recompiled[name] = res.recompiled
 				atRisk[name] = res.atRisk
@@ -542,12 +554,37 @@ func runExec(res *unitResult, mtpl, frames *interp.Machine, dyn *dynenv.Env, lan
 	}
 }
 
+// loadResolver resolves the stubs of one unit's bin (DESIGN.md §4c):
+// the basis's and the prelude's objects through the frozen base index,
+// any other origin by a scan of the unit's ancestors for the unit whose
+// interface pid it is. What a load resolves thus depends on the import
+// DAG alone, never on which other units happen to have finished.
+type loadResolver struct {
+	base      *pickle.Index
+	units     []*compiler.Unit // the build's units, by topological index
+	ancestors []uint64         // bit j set: units[j] is a transitive import
+}
+
+func (r *loadResolver) Lookup(s stamps.Stamp) (any, bool) {
+	if obj, ok := r.base.Lookup(s); ok {
+		return obj, true
+	}
+	for w, word := range r.ancestors {
+		for ; word != 0; word &= word - 1 {
+			if u := r.units[w*64+bits.TrailingZeros64(word)]; u.StatPid == s.Origin {
+				return pickle.At(u.Owned, s.Index)
+			}
+		}
+	}
+	return nil, false
+}
+
 // runUnit is the worker half of one unit's turn: decide reuse, then
 // rehydrate the cached bin or compile from source. It touches no shared
 // mutable state — counters go to a private buffer, diagnostics into the
 // result — so any number of runUnit calls may overlap.
 func (m *Manager) runUnit(t *unitTask, lane, gen int, bspan *obs.Span,
-	baseCtx *env.Env, baseIx *pickle.Index) *unitResult {
+	baseCtx *env.Env) *unitResult {
 
 	name := t.info.Name
 	buf := obs.NewBuffer()
@@ -574,15 +611,10 @@ func (m *Manager) runUnit(t *unitTask, lane, gen int, bspan *obs.Span,
 	binUnreadable, corruptBin := false, false
 	if reuse {
 		lspan := uspan.Child(obs.CatPhase, "load")
-		// Rehydrate against a private overlay: the frozen base plus
-		// this unit's dependency environments, never the (mutable)
+		// Rehydrate against the unit's ancestors, never the (mutable)
 		// session index. The process-wide EnvCache sits in front of the
 		// decode: a warm interface pid skips the env segment entirely.
-		ix := pickle.NewOverlay(baseIx)
-		for _, de := range t.depEnvs {
-			ix.AddEnv(de)
-		}
-		u, err := binfile.Read(t.entry.Bin, ix, m.envCache(), buf)
+		u, err := binfile.Read(t.entry.Bin, &t.ctx, m.envCache(), buf)
 		lspan.End()
 		if err == nil {
 			res.unit = u
@@ -635,8 +667,8 @@ func (m *Manager) runUnit(t *unitTask, lane, gen int, bspan *obs.Span,
 	// topological order (later definers shadow, as in the sequential
 	// context chain). See DESIGN.md §4e for the equivalence argument.
 	layer := env.New(baseCtx)
-	for _, de := range t.depEnvs {
-		de.CopyInto(layer)
+	for _, j := range t.depIdx {
+		t.ctx.units[j].Env.CopyInto(layer)
 	}
 	// The scan phase parsed every changed source (depend.Info.Decs);
 	// only a recompile of an unchanged source, whose info came from the

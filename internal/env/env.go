@@ -19,6 +19,7 @@ package env
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/ast"
 	"repro/internal/pid"
@@ -173,6 +174,10 @@ type Env struct {
 func New(parent *Env) *Env {
 	return &Env{parent: parent}
 }
+
+// Grow makes room in e for n more bindings, so defining them does not
+// regrow its order.
+func (e *Env) Grow(n int) { e.order = slices.Grow(e.order, n) }
 
 // Parent returns the environment this one extends.
 func (e *Env) Parent() *Env { return e.parent }

@@ -262,7 +262,7 @@ func TestForgedHelperRejectedAtLoad(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	u, err := binfile.Read(good, pickle.NewOverlay(s.Index), nil, nil)
+	u, err := binfile.Read(good, s.Index, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -373,7 +373,7 @@ func TestForgedHelperRejectedAtLoad(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			_, err = binfile.Read(tc.bin, pickle.NewOverlay(s.Index), nil, buf)
+			_, err = binfile.Read(tc.bin, s.Index, nil, buf)
 			if err == nil {
 				t.Fatal("forged bin loaded")
 			}

@@ -13,15 +13,18 @@ import (
 const DefaultEnvCacheBudget = 64 << 20
 
 // CachedEnv is one EnvCache entry: a rehydrated export environment,
-// the exact bin-stream bytes it was decoded from, and the number of
-// objects decoded. EnvBytes is the guard that keeps the cache sound: a
-// hit is only served when the candidate bin's env segment is
-// byte-identical, so a recompilation that kept the interface pid but
-// changed anything else can never be answered with this entry.
+// the exact bin-stream bytes it was decoded from, the number of
+// objects decoded, and the environment's own stamped objects by
+// ordinal (Unpickler.Owned), which a hit hands to the unit it reads.
+// EnvBytes is the guard that keeps the cache sound: a hit is only
+// served when the candidate bin's env segment is byte-identical, so a
+// recompilation that kept the interface pid but changed anything else
+// can never be answered with this entry.
 type CachedEnv struct {
 	Env      *env.Env
 	EnvBytes []byte
 	Objs     int // back-reference table size of the env segment
+	Owned    []any
 }
 
 // cost estimates the entry's in-core footprint: the retained segment

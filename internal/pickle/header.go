@@ -16,14 +16,19 @@ func (p *Pickler) Header(name string, statPid pid.Pid, imports []pid.Pid, numSlo
 	p.w.int(numSlots)
 }
 
-// Header reads a bin-file header.
+// Header reads a bin-file header. The static pid it reads is the
+// origin of the unit's own stamps (see Owned).
 func (u *Unpickler) Header() (name string, statPid pid.Pid, imports []pid.Pid, numSlots int) {
 	name = u.r.string()
 	statPid = u.r.pid()
+	u.origin = statPid
 	n := u.r.int()
 	if n < 0 || n > 1<<20 {
 		u.r.error("pickle: bad import count")
 		return name, statPid, nil, 0
+	}
+	if n > 0 { // sized by the bytes left, which a forged count cannot raise
+		imports = make([]pid.Pid, 0, min(n, u.left()/pid.Size))
 	}
 	for i := 0; i < n && u.r.err == nil; i++ {
 		imports = append(imports, u.r.pid())

@@ -112,7 +112,6 @@ type EnvPickle struct {
 	sites    []stampSite
 	pidSites []pidSite
 	prov     []any
-	objs     int
 }
 
 // CanonicalEnv dehydrates e exactly once, in canonical form: the
@@ -132,7 +131,6 @@ func CanonicalEnv(e *env.Env) (*EnvPickle, error) {
 		sites:    p.sites,
 		pidSites: p.pidSites,
 		prov:     p.provisional,
-		objs:     int(p.nextID),
 	}, nil
 }
 
@@ -140,12 +138,9 @@ func CanonicalEnv(e *env.Env) (*EnvPickle, error) {
 func (ep *EnvPickle) Bytes() []byte { return ep.data }
 
 // Provisional returns the provisionally stamped objects in traversal
-// order, for AssignPermanentStamps.
+// order, for AssignPermanentStamps: entry i-1 gets ordinal i, so the
+// slice is also the unit's ordinal table (compiler.Unit.Owned).
 func (ep *EnvPickle) Provisional() []any { return ep.prov }
-
-// ObjCount reports how many objects the stream registers in the
-// back-reference table — the rehydration table size.
-func (ep *EnvPickle) ObjCount() int { return ep.objs }
 
 // AppendPermanent appends the bin-file form of the environment to dst:
 // the canonical stream with every provisional-stamp site patched to

@@ -94,7 +94,7 @@ func TestStubResolution(t *testing.T) {
 	// Context index holds A's actual object.
 	ctxTycon := mkTycon("int", unitA, 1)
 	ix := NewIndex()
-	ix.AddTycon(ctxTycon)
+	ix.Add(unitA, []any{ctxTycon})
 
 	out := unpickleEnv(t, data, ix)
 	vb, _ := out.LocalVal("y")
@@ -388,33 +388,67 @@ func TestOverloadVarDefaultsDuringPickle(t *testing.T) {
 }
 
 func TestIndexCoverage(t *testing.T) {
-	// Index walks nested structures, functor closures, and schemes.
-	inner := mkTycon("inner", unitA, 11)
+	// A unit's own objects, in nested structures and functor closures
+	// too, are listed by ordinal when it pickles and when it is read,
+	// and the index resolves each stamp to its object.
+	prov := func(i int64) stamps.Stamp { return stamps.Stamp{Index: 100 + i} }
+	inner := &types.Tycon{Stamp: prov(1), Name: "inner", Kind: types.KindPrim}
 	closEnv := env.New(nil)
 	closEnv.DefineTycon("inner", inner)
 	fct := &env.Functor{
-		Stamp: permanent(unitA, 12), Name: "F", ParamName: "X",
+		Stamp: prov(2), Name: "F", ParamName: "X",
 		ParamSig: &ast.SigSigExp{}, Body: &ast.StructStrExp{}, Closure: closEnv,
 	}
-	subStr := &env.Structure{Stamp: permanent(unitA, 13), Env: env.New(nil)}
+	subStr := &env.Structure{Stamp: prov(3), Env: env.New(nil)}
 	e := env.New(nil)
 	e.DefineFct("F", &env.FctBind{Fct: fct})
 	e.DefineStr("S", &env.StrBind{Str: subStr, Slot: 0})
 
+	ep, err := CanonicalEnv(e)
+	if err != nil {
+		t.Fatal(err)
+	}
+	AssignPermanentStamps(ep.Provisional(), unitA)
+	p := NewPickler(unitA)
+	p.Header("a", unitA, nil, 1)
+	p.Env(e)
+	u := NewUnpickler(p.Bytes(), nil)
+	u.Header()
+	u.Env()
+	if err := u.Err(); err != nil {
+		t.Fatal(err)
+	}
+	read := u.Owned()
+	objs := []any{fct, inner, subStr} // traversal order
+	if len(ep.Provisional()) != len(objs) || len(read) != len(objs) {
+		t.Fatalf("compiled %d, read %d own objects, want %d",
+			len(ep.Provisional()), len(read), len(objs))
+	}
 	ix := NewIndex()
-	ix.AddEnv(e)
-	if _, err := ix.LookupTycon(inner.Stamp); err != nil {
-		t.Error("closure tycon not indexed")
+	ix.Add(unitA, ep.Provisional())
+	for i, obj := range objs {
+		s, _ := stampOf(obj)
+		if s != permanent(unitA, int64(i+1)) {
+			t.Errorf("object %d stamped %s", i, s)
+		}
+		if got, ok := ix.Lookup(s); !ok || got != obj {
+			t.Errorf("stamp %s resolves to %v", s, got)
+		}
+		if rs, _ := stampOf(read[i]); rs != s {
+			t.Errorf("read object %d stamped %s, want %s", i, rs, s)
+		}
 	}
-	if _, err := ix.LookupStructure(subStr.Stamp); err != nil {
-		t.Error("structure not indexed")
+	if _, err := lookup[*types.Tycon](ix, inner.Stamp, "tycon"); err != nil {
+		t.Error(err)
 	}
-	if _, err := ix.LookupFunctor(fct.Stamp); err != nil {
-		t.Error("functor not indexed")
-	}
-	// Wrong-kind lookup fails cleanly.
-	if _, err := ix.LookupStructure(inner.Stamp); err == nil {
+	// Wrong kind, an ordinal past the table and an unknown origin fail.
+	if _, err := lookup[*env.Structure](ix, inner.Stamp, "structure"); err == nil {
 		t.Error("kind confusion accepted")
+	}
+	for _, s := range []stamps.Stamp{permanent(unitA, 0), permanent(unitA, 4), permanent(unitB, 1)} {
+		if _, ok := ix.Lookup(s); ok {
+			t.Errorf("stamp %s resolved", s)
+		}
 	}
 }
 

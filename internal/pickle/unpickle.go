@@ -2,17 +2,20 @@ package pickle
 
 import (
 	"repro/internal/env"
+	"repro/internal/pid"
 	"repro/internal/stamps"
 	"repro/internal/types"
 )
 
-// Unpickler rehydrates static-environment objects against a context
-// index.
+// Unpickler rehydrates static-environment objects, resolving stubs
+// against a context Resolver.
 type Unpickler struct {
-	r     reader
-	index *Index
-	table []any     // backref table, in registration order
-	slab  *termSlab // lambda nodes; made on the first Lambda call
+	r      reader
+	ctx    Resolver
+	table  []any     // backref table, in registration order
+	slab   *termSlab // lambda nodes; made on the first Lambda call
+	origin pid.Pid   // the unit's pid, read by Header
+	owned  int64     // the highest own ordinal decoded (see own)
 }
 
 // tableCapFor estimates the initial back-reference table size from the
@@ -31,12 +34,12 @@ func tableCapFor(streamLen int) int {
 const tableInitMax = 64
 
 // NewUnpickler returns an unpickler decoding data, resolving stubs in
-// ix. The cursor is zero-copy: data must not be mutated while the
-// unpickler reads from it.
-func NewUnpickler(data []byte, ix *Index) *Unpickler {
+// ctx; a nil ctx resolves none. The cursor is zero-copy: data must not
+// be mutated while the unpickler reads from it.
+func NewUnpickler(data []byte, ctx Resolver) *Unpickler {
 	return &Unpickler{
-		r:     reader{data: data},
-		index: ix,
+		r:   reader{data: data},
+		ctx: ctx,
 	}
 }
 
@@ -73,6 +76,37 @@ func (u *Unpickler) register(obj any) {
 		u.table = make([]any, 0, tableCapFor(u.left()))
 	}
 	u.table = append(u.table, obj)
+}
+
+// own checks the stamp of an inline object: one of the unit's own
+// origin repeats an ordinal or is the next one, so a forged ordinal can
+// neither skip an entry nor size the table Owned makes.
+func (u *Unpickler) own(s stamps.Stamp) {
+	if s.Origin != u.origin {
+		return
+	}
+	if s.Index == u.owned+1 {
+		u.owned++
+	} else if s.Index < 1 || s.Index > u.owned {
+		u.r.error("pickle: own stamp %s out of sequence (next is %d)", s, u.owned+1)
+	}
+}
+
+// Owned returns the unit's own stamped objects by ordinal, its table in
+// an Index: entry i-1 is the first inline object decoded with stamp
+// {origin, i}, origin being the pid Header read. Call it only after a
+// decode without error.
+func (u *Unpickler) Owned() []any {
+	if u.owned == 0 {
+		return nil
+	}
+	owned := make([]any, u.owned)
+	for _, obj := range u.table {
+		if s, ok := stampOf(obj); ok && s.Origin == u.origin && owned[s.Index-1] == nil {
+			owned[s.Index-1] = obj
+		}
+	}
+	return owned
 }
 
 func (u *Unpickler) backref(id uint64) any {
@@ -126,6 +160,8 @@ func (u *Unpickler) Env() *env.Env {
 		u.r.error("pickle: bad env size")
 		return e
 	}
+	// An entry costs at least its namespace byte and its name's length.
+	e.Grow(min(n, u.left()/2))
 	for i := 0; i < n && u.r.err == nil; i++ {
 		ns := env.Namespace(u.r.byteVal())
 		name := u.r.string()
@@ -195,7 +231,7 @@ func (u *Unpickler) Structure() *env.Structure {
 		return s
 	case tagStub:
 		st := u.r.stamp()
-		s, err := u.index.LookupStructure(st)
+		s, err := lookup[*env.Structure](u.ctx, st, "structure")
 		if err != nil {
 			u.r.error("%v", err)
 			return &env.Structure{Stamp: st, Env: env.New(nil)}
@@ -209,6 +245,7 @@ func (u *Unpickler) Structure() *env.Structure {
 	s := &env.Structure{}
 	u.register(s)
 	s.Stamp = u.stamp()
+	u.own(s.Stamp)
 	s.NumSlots = u.r.int()
 	s.Env = u.Env()
 	return s
@@ -227,7 +264,7 @@ func (u *Unpickler) Functor() *env.Functor {
 		return f
 	case tagStub:
 		st := u.r.stamp()
-		f, err := u.index.LookupFunctor(st)
+		f, err := lookup[*env.Functor](u.ctx, st, "functor")
 		if err != nil {
 			u.r.error("%v", err)
 			return &env.Functor{Stamp: st}
@@ -241,6 +278,7 @@ func (u *Unpickler) Functor() *env.Functor {
 	f := &env.Functor{}
 	u.register(f)
 	f.Stamp = u.stamp()
+	u.own(f.Stamp)
 	f.Name = u.r.string()
 	f.ParamName = u.r.string()
 	f.ParamSig = u.SigExp()
@@ -270,7 +308,7 @@ func (u *Unpickler) Tycon() *types.Tycon {
 		return tc
 	case tagStub:
 		st := u.r.stamp()
-		tc, err := u.index.LookupTycon(st)
+		tc, err := lookup[*types.Tycon](u.ctx, st, "tycon")
 		if err != nil {
 			u.r.error("%v", err)
 			return &types.Tycon{Stamp: st, Name: "?lost"}
@@ -284,6 +322,7 @@ func (u *Unpickler) Tycon() *types.Tycon {
 	tc := &types.Tycon{}
 	u.register(tc)
 	tc.Stamp = u.stamp()
+	u.own(tc.Stamp)
 	tc.Name = u.r.string()
 	tc.Arity = u.r.int()
 	tc.Kind = types.TyconKind(u.r.byteVal())

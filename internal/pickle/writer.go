@@ -8,9 +8,9 @@
 // back-referenced afterwards (avoiding the exponential blow-up of a
 // naive tree copy). Objects whose stamp originates in a *different*
 // unit are written as stubs: just their stamp. Rehydration replaces
-// each stub with the real in-core object found by stamp lookup in an
-// indexed context environment built from the importing session's
-// already-loaded units.
+// each stub with the real in-core object found by stamp lookup in a
+// Resolver: the origin pid selects a unit's table of stamped objects
+// by ordinal (Index), and the ordinal selects the object.
 //
 // Stamps are written in alpha-converted form: a stamp still provisional
 // (created by the compilation being pickled) is encoded as its ordinal
@@ -25,16 +25,17 @@
 // produces the alpha-converted stream together with the byte offsets of
 // every provisional-stamp encoding, and EnvPickle.AppendPermanent
 // derives the bin-file form by patching those offsets with permanent
-// stamps — no second traversal (DESIGN.md §4f).
+// stamps — no second traversal (DESIGN.md §4f). The same order lists
+// a unit's own stamped objects by ordinal: EnvPickle.Provisional when
+// it compiles, Unpickler.Owned when a bin is read.
 //
 // Concurrency: a Pickler or Unpickler is per-unit, single-goroutine
 // state. An EnvPickle is immutable once built and may be read from any
-// goroutine. The Index supports a freeze-base/private-overlay
-// discipline (NewOverlay): a base index that is no longer written may
-// be shared read-only by any number of concurrent overlay readers —
-// see the Index type's documentation. An EnvCache is a process-wide
-// shared structure, safe for concurrent use; the environments it hands
-// out are immutable by contract (see EnvCache).
+// goroutine. An Index is written by one goroutine; one that is no
+// longer written may be read by any number (see Index). An EnvCache is
+// a process-wide shared structure, safe for concurrent use; the
+// environments and ordinal tables it hands out are immutable by
+// contract (see EnvCache).
 package pickle
 
 import (

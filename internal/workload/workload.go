@@ -92,7 +92,8 @@ func Small() Config {
 // (which regenerates the file) and TestBinfileGolden (which enforces
 // it), so the two can never drift apart. Beside three generated
 // projects it holds clausalProject, which pins the code shape of
-// curried clausal functions.
+// curried clausal functions, and crossUnitProject, whose bins carry
+// stubs into other user units.
 func GoldenCorpus() map[string]*Project {
 	return map[string]*Project{
 		"layered-30": Generate(Config{
@@ -107,7 +108,76 @@ func GoldenCorpus() map[string]*Project {
 			Shape: Diamond, Units: 16, LinesPerUnit: 15,
 			FunsPerUnit: 2, FanIn: 3, LayerWidth: 8, Seed: 3,
 		}),
-		"clausal-3": clausalProject(),
+		"clausal-3":   clausalProject(),
+		"crossunit-6": crossUnitProject(),
+	}
+}
+
+// crossUnitProject is a hand-written project whose bins carry stubs
+// into other user units, which the generated projects' bins do not
+// (theirs point only at the basis and the prelude): geometry.sml
+// exports a datatype, an exception, a structure, a signature and a
+// functor; shapes.sml uses the datatype in its exported types,
+// re-exports the structure and ascribes the signature; counters.sml
+// applies the functor; safe.sml handles the exception; grow.sml reaches
+// the datatype only through shapes.sml, which is its one dependency.
+// main.sml prints "10 27 0 3\n#2 10 25\n".
+func crossUnitProject() *Project {
+	return &Project{
+		Files: []core.File{
+			{Name: "geometry.sml", Source: `datatype shape = Circle of int | Square of int
+exception Negative of int
+signature COUNTER = sig
+  type t
+  val zero : t
+  val next : t -> t
+  val show : t -> string
+  val start : shape
+end
+structure Geometry = struct
+  fun area (Circle r) = 3 * r * r
+    | area (Square s) = s * s
+  fun check n = if n < 0 then raise Negative n else n
+end
+functor MakeCounter (S : sig val step : int end) : COUNTER = struct
+  type t = int
+  val zero = 0
+  fun next n = n + S.step
+  fun show n = Int.toString n
+  val start = Square S.step
+end
+`},
+			{Name: "shapes.sml", Source: `structure Shapes = struct
+  structure G = Geometry
+  val unit = Square 1
+  fun scale k (Circle r) = Circle (k * r)
+    | scale k (Square s) = Square (k * s)
+  fun pair (a : shape, b : shape) = (a, b)
+end
+structure Ticker : COUNTER = struct
+  type t = int
+  val zero = 0
+  fun next n = n + 1
+  fun show n = "#" ^ Int.toString n
+  val start = Circle 0
+end
+`},
+			{Name: "counters.sml", Source: `structure Fives = MakeCounter (struct val step = 5 end)
+val fives = Fives.next (Fives.next Fives.zero)
+`},
+			{Name: "safe.sml", Source: `fun safeArea s = Geometry.check (Geometry.area s) handle Negative n => 0 - n
+val checked = Geometry.check (0 - 3) handle Negative n => 0 - n
+`},
+			{Name: "grow.sml", Source: `val (grown, small) = Shapes.pair (Shapes.scale 3 Shapes.unit, Shapes.unit)
+val grownArea = Shapes.G.area grown + Shapes.G.area small
+`},
+			{Name: "main.sml", Source: `val _ = print (Int.toString grownArea ^ " " ^ Int.toString (safeArea (Square 5) + 2) ^ " "
+  ^ Int.toString (safeArea (Circle 0)) ^ " " ^ Int.toString checked ^ "\n")
+val _ = print (Ticker.show (Ticker.next (Ticker.next Ticker.zero)) ^ " " ^ Fives.show fives ^ " "
+  ^ Int.toString (Geometry.area Fives.start) ^ "\n")
+`},
+		},
+		Deps: [][]int{nil, {0}, {0}, {0}, {1}, {1, 2, 3, 4}},
 	}
 }
 
