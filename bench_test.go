@@ -830,6 +830,40 @@ func BenchmarkApplyArith(b *testing.B) {
 	}
 }
 
+// applyConsSource builds a tabulated 1,000-element list and folds it,
+// then inserts 200 keys into a binary tree of 3-field nodes and folds
+// that.
+const applyConsSource = `
+datatype t = L | N of t * int * t
+fun ins (x, L) = N (L, x, L)
+  | ins (x, t as N (l, v, r)) =
+      if x < v then N (ins (x, l), v, r) else if x > v then N (l, v, ins (x, r)) else t
+fun sum (L, acc) = acc
+  | sum (N (l, v, r), acc) = sum (r, sum (l, acc + v))
+val s = foldl (fn (x, acc) => x + acc) 0 (List.tabulate (1000, fn i => i))
+val t = foldl ins L (List.tabulate (200, fn i => (i * 61) mod 211))
+val u = sum (t, s)
+`
+
+// BenchmarkApplyCons runs applyConsSource: every list cell and tree
+// node is a constructor applied to a tuple, which the closure builder
+// builds as one allocation (DESIGN.md §4j, "Constructor cells"), so it
+// gates that path as ApplyArith gates the int kernels.
+func BenchmarkApplyCons(b *testing.B) {
+	s := newSession(b)
+	u, err := s.Compile("bench", applyConsSource)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		dyn := s.Dyn.Copy()
+		if err := compiler.Execute(s.Machine, u, dyn, nil, nil, 0); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkNewSession measures bootstrapping a session once the
 // process has compiled the prelude: the shared unit executes on a
 // fresh machine and dynamic environment, and the session's index

@@ -17,8 +17,10 @@ import (
 	"repro/internal/core"
 	"repro/internal/linker"
 	"repro/internal/obs"
+	"repro/internal/pickle"
 	"repro/internal/pid"
 	"repro/internal/prof"
+	"repro/internal/stamps"
 )
 
 func main() {
@@ -77,14 +79,19 @@ func runBins(f *cli.Flags, paths []string) {
 	}
 
 	// First pass: headers only, to order rehydration so providers load
-	// before dependents regardless of argument order.
+	// before dependents regardless of argument order: a bin loads after
+	// the providers of its imports and, found as its stubs are resolved
+	// (originLoader), after the origins of its stubs, which a bin that
+	// takes only types from another unit names without importing it.
+	// The first bin given for a pid provides it.
 	type binInfo struct {
 		path    string
 		data    []byte
-		exports map[pid.Pid]bool
 		imports []pid.Pid
 	}
 	infos := make([]*binInfo, 0, len(paths))
+	byPid := map[pid.Pid]*binInfo{}
+	provider := map[pid.Pid]*binInfo{}
 	for _, path := range paths {
 		data, err := os.ReadFile(path)
 		if err != nil {
@@ -94,34 +101,30 @@ func runBins(f *cli.Flags, paths []string) {
 		if err != nil {
 			cli.Fatal(fmt.Errorf("%s: %v", path, err))
 		}
-		bi := &binInfo{path: path, data: data, imports: imports, exports: map[pid.Pid]bool{}}
-		for i := 0; i < numSlots; i++ {
-			bi.exports[statPid.Plus(uint64(i+1))] = true
+		bi := &binInfo{path: path, data: data, imports: imports}
+		if byPid[statPid] == nil {
+			byPid[statPid] = bi
 		}
-		infos = append(infos, bi)
-	}
-	providerOf := func(p pid.Pid) *binInfo {
-		for _, bi := range infos {
-			if bi.exports[p] {
-				return bi
+		for i := 0; i < numSlots; i++ {
+			if p := statPid.Plus(uint64(i + 1)); provider[p] == nil {
+				provider[p] = bi
 			}
 		}
-		return nil
+		infos = append(infos, bi)
 	}
 	loaded := map[*binInfo]bool{}
 	var units []*compiler.Unit
 	var load func(bi *binInfo)
 	load = func(bi *binInfo) {
-		if loaded[bi] {
+		if bi == nil || loaded[bi] {
 			return
 		}
 		loaded[bi] = true
 		for _, im := range bi.imports {
-			if p := providerOf(im); p != nil && p != bi {
-				load(p)
-			}
+			load(provider[im])
 		}
-		u, err := binfile.Read(bi.data, session.Index, nil, nil)
+		ctx := originLoader{session.Index, func(origin pid.Pid) { load(byPid[origin]) }}
+		u, err := binfile.Read(bi.data, ctx, nil, nil)
 		if err != nil {
 			cli.Fatal(fmt.Errorf("%s: %v", bi.path, err))
 		}
@@ -164,4 +167,20 @@ func runBins(f *cli.Flags, paths []string) {
 	if runErr != nil {
 		cli.Fatal(runErr)
 	}
+}
+
+// originLoader resolves stubs in the session's index. A stub whose
+// origin the index does not hold yet first loads the bin of that
+// origin, if one was given, which registers its objects.
+type originLoader struct {
+	ix   *pickle.Index
+	load func(origin pid.Pid)
+}
+
+func (r originLoader) Lookup(s stamps.Stamp) (any, bool) {
+	if obj, ok := r.ix.Lookup(s); ok {
+		return obj, true
+	}
+	r.load(s.Origin)
+	return r.ix.Lookup(s)
 }

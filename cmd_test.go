@@ -81,6 +81,30 @@ func TestCommandLineTools(t *testing.T) {
 		}
 	})
 
+	// A bin that takes only a type from another unit names it in its
+	// stubs but not in its imports: it must link after that unit in
+	// either argument order, with the same output.
+	t.Run("smlrun-bin-type-only-dependency", func(t *testing.T) {
+		dir := filepath.Join(work, "typeonly")
+		if err := os.MkdirAll(dir, 0o755); err != nil {
+			t.Fatal(err)
+		}
+		a, b := filepath.Join(dir, "a.sml"), filepath.Join(dir, "b.sml")
+		writeFile(t, a, "datatype t = A | B\n")
+		writeFile(t, b, "type u = t\nval _ = print \"b\\n\"\n")
+		if out, err := runTool(t, tools["smlc"], "", "-d", dir, a, b); err != nil {
+			t.Fatalf("smlc: %v\n%s", err, out)
+		}
+		aBin, bBin := filepath.Join(dir, "a.bin"), filepath.Join(dir, "b.bin")
+		for _, order := range [][]string{{aBin, bBin}, {bBin, aBin}} {
+			out, err := runTool(t, tools["smlrun"], "", "-bin", order[0], order[1])
+			if err != nil || out != "b\n" {
+				t.Errorf("smlrun -bin %s %s: %v, output %q; want \"b\\n\"",
+					filepath.Base(order[0]), filepath.Base(order[1]), err, out)
+			}
+		}
+	})
+
 	// A link set whose units lack their provider fails verification:
 	// smlrun prints every failure on its own line, runs nothing, and
 	// exits non-zero.

@@ -126,13 +126,6 @@ func (f *FS) WritePoints() int {
 	return f.points
 }
 
-// Crashed reports whether the simulated crash has happened.
-func (f *FS) Crashed() bool {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.crashed
-}
-
 var errTorn = errors.New("faultfs: torn write marker")
 
 // enter registers one write point and decides the operation's fate.

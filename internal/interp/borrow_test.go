@@ -63,6 +63,69 @@ var borrowCases = []borrowCase{
 	// A clausal function matches on its parameter itself, with no alias.
 	{"fun-tuple", "fun loop (n, acc) = if n = 0 then acc else loop (n - 1, acc + n)\nfun f (x, y) = x * 100 + y\nval r = f (loop (10, 0), loop (3, 1))\nval _ = print (Int.toString r)",
 		"5507", 0, true},
+	// The argument is a constructor cell's own pair, taken out by a
+	// pattern: a plain call, never lent, so the pair is never given
+	// back to the pool, and the lent tuple of f (3, 4) is not the cell's.
+	{"decon-pair", deconPairSource, "12 34 12 12", 0, true},
+}
+
+// deconPairSource passes the pair of a constructor cell, built as one
+// allocation, to a borrowing callee, between lent calls of the same
+// callee, and reads the cell again after them.
+const deconPairSource = `datatype p = P of int * int
+val f = fn (x, y) => x * 10 + y
+fun g (P q) = f q
+val v = P (1, 2)
+val a = g v
+val b = f (3, 4)
+val c = g v
+val d = case v of P (x, y) => x * 10 + y
+val _ = print (Int.toString a ^ " " ^ Int.toString b ^ " " ^ Int.toString c ^ " " ^ Int.toString d)`
+
+// TestBorrowDeconPairNotPooled pins that a borrowing callee applied to
+// a constructor cell's pair does not give it to the tuple pool: lend
+// gives back only the tuples it took.
+func TestBorrowDeconPairNotPooled(t *testing.T) {
+	s, err := compiler.NewSession(io.Discard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	u, err := s.Compile("decon.sml", deconPairSource)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := compiler.Execute(s.Machine, u, s.Dyn, nil, nil, 0); err != nil {
+		t.Fatal(err)
+	}
+	lookup := func(i int) interp.Value {
+		v, _ := s.Dyn.Lookup(u.ExportPid(i))
+		return v
+	}
+	f, g, v := lookup(0), lookup(1), lookup(2)
+	if c, ok := f.(*interp.CompiledClosure); !ok || !interp.Borrows(c.Fn) {
+		t.Fatalf("f = %v: want a borrowing closure", f)
+	}
+	cell, ok := v.(*interp.ConV)
+	if !ok {
+		t.Fatalf("v = %s, not a constructed value", interp.String(v))
+	}
+	pair := cell.Arg
+	for i := range 3 {
+		if got, err := s.Machine.Apply(g, v); err != nil || got != interp.IntV(12) {
+			t.Fatalf("call %d: g v = %v (%v), want 12", i, got, err)
+		}
+		if interp.Pooled(s.Machine, pair) {
+			t.Fatalf("call %d: the cell's pair is in the tuple pool", i)
+		}
+		arg, fs := interp.NewRecord(2)
+		fs[0], fs[1] = interp.IntV(3), interp.IntV(4)
+		if got, err := s.Machine.Apply(f, arg); err != nil || got != interp.IntV(34) {
+			t.Fatalf("call %d: f (3, 4) = %v (%v), want 34", i, got, err)
+		}
+	}
+	if got := interp.String(v); got != "P (1, 2)" {
+		t.Errorf("v = %s after the calls, want P (1, 2)", got)
+	}
 }
 
 func TestBorrowMatchesReference(t *testing.T) {

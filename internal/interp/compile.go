@@ -720,6 +720,9 @@ func (c *comp) walk(e lambda.Exp) cnode {
 		// so CompileFn and LoadFn agree and the section stream stays
 		// aligned.
 		if fn, ok := e.Fn.(*lambda.Fn); ok {
+			if con, n := redexCon(fn, e.Arg); n != 0 {
+				return c.conRedex(fn, con, e.Arg, n)
+			}
 			argc := c.walk(e.Arg)
 			slot := c.alloc()
 			old, had := c.bind(fn.Param, slot)
@@ -784,6 +787,9 @@ func (c *comp) walk(e lambda.Exp) cnode {
 			// identical to a fresh one per evaluation.
 			v := &ConV{Tag: e.Tag, Name: e.Name}
 			return func(*Machine, *Frame) Value { return v }
+		}
+		if n := tupleArity(e.Arg); n != 0 {
+			return c.conCell(e, n, c.tuple(e.Arg), -1)
 		}
 		tag, name := e.Tag, e.Name
 		argc := c.walk(e.Arg)
@@ -1327,6 +1333,83 @@ func (c *comp) tuple(e lambda.Exp) filler {
 		dst[0] = a(m, fr)
 		dst[1] = b(m, fr)
 		dst[2] = z(m, fr)
+	}
+}
+
+// conCell2 and conCell3 are a constructor and its 2- or 3-field tuple
+// argument in one allocation: a list cell, SOME (a, b), N (l, v, r).
+// The ConV's Arg points at the tuple inside the cell, so every reader
+// sees an ordinary *ConV and an ordinary *tuple2 or *tuple3 (DESIGN.md
+// §4j, "Constructor cells").
+type (
+	conCell2 struct {
+		con    ConV
+		fields tuple2
+	}
+	conCell3 struct {
+		con    ConV
+		fields tuple3
+	}
+)
+
+// redexCon returns fn's constructor when fn is fn p => Con(t, Var p),
+// the constructor function the elaborator applies to a constructor's
+// argument, with arg's field count when arg is a tuple (tupleArity);
+// else nil and 0.
+func redexCon(fn *lambda.Fn, arg lambda.Exp) (*lambda.Con, int) {
+	con, ok := fn.Body.(*lambda.Con)
+	if !ok {
+		return nil, 0
+	}
+	if v, ok := con.Arg.(*lambda.Var); !ok || v.LV != fn.Param {
+		return nil, 0
+	}
+	return con, tupleArity(arg)
+}
+
+// conRedex compiles the redex (fn p => Con(t, Var p)) a, where a is a
+// tuple of n fields, to one constructor cell. It walks what the plain
+// redex walks, in the same order — a's Lets and fields, p's slot, then
+// the coordinate of the read of p, which must name that slot — so the
+// code section and every later slot are the plain path's. The cell's
+// tuple goes into p's slot, as the plain path's record does.
+func (c *comp) conRedex(fn *lambda.Fn, con *lambda.Con, arg lambda.Exp, n int) cnode {
+	fill := c.tuple(arg)
+	slot := c.alloc()
+	old, had := c.bind(fn.Param, slot)
+	if d, s := c.coord(fn.Param); d != 0 || s != slot {
+		c.fail("code section: constructor argument read at (%d, %d), not its slot (0, %d)", d, s, slot)
+	}
+	c.unbind(fn.Param, old, had)
+	return c.conCell(con, n, fill, slot)
+}
+
+// conCell compiles constructor e applied to the n-field tuple fill
+// writes, built as one cell. A slot of -1 stores the tuple nowhere.
+func (c *comp) conCell(e *lambda.Con, n int, fill filler, slot int) cnode {
+	if c.shape {
+		return nil
+	}
+	tag, name := e.Tag, e.Name
+	if n == 2 {
+		return func(m *Machine, fr *Frame) Value {
+			cell := new(conCell2)
+			fill(m, fr, cell.fields[:])
+			cell.con = ConV{Tag: tag, Name: name, Arg: &cell.fields}
+			if slot >= 0 {
+				fr.slots[slot] = cell.con.Arg
+			}
+			return &cell.con
+		}
+	}
+	return func(m *Machine, fr *Frame) Value {
+		cell := new(conCell3)
+		fill(m, fr, cell.fields[:])
+		cell.con = ConV{Tag: tag, Name: name, Arg: &cell.fields}
+		if slot >= 0 {
+			fr.slots[slot] = cell.con.Arg
+		}
+		return &cell.con
 	}
 }
 

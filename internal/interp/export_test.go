@@ -1,6 +1,8 @@
 package interp
 
 import (
+	"slices"
+
 	"repro/internal/lambda"
 	"repro/internal/pickle"
 )
@@ -54,3 +56,18 @@ func DecodedTerm(f *CompiledFn) (term *lambda.Fn, src []byte, release func(), er
 // IsJoin reports whether l's function is a join point: every use of
 // its binder in l's body is a direct call in the binding's frame.
 func IsJoin(l *lambda.Let) bool { return isJoin(l.Body, l.LV) }
+
+// Pooled reports whether v is one of the tuples m's pool holds for
+// lending.
+func Pooled(m *Machine, v Value) bool {
+	if m.pool == nil {
+		return false
+	}
+	switch t := v.(type) {
+	case *tuple2:
+		return slices.Contains(m.pool.pairs, t)
+	case *tuple3:
+		return slices.Contains(m.pool.triples, t)
+	}
+	return false
+}

@@ -169,6 +169,15 @@ func FuzzExecTreeVsClosure(f *testing.F) {
 	// print from their operands.
 	f.Add("val xs = List.tabulate (50, fn i => (i * 97 + 500) mod 1009)\nval s = foldl (fn (x, acc) => (acc * 31 + x) mod 1000003) 7 xs\nval q = (s * s - s div 3) quot 7 + s rem 11")
 	f.Add("val m = ~4611686018427387904 - 4611686018427387904\nval a = (~1 * m + 1) handle Overflow => 1\nval b = (m div ~1 - 1) handle Overflow => 2\nval c = (5 mod (3 - 3) + 1) handle Div => 3\nval w = (0w5 * 0w7 + 0w1) mod 0w6\nval r = 1.5 * 2.0 - 0.25\nfun p s n = (print s; n)\nval d = p \"a\" 100000 * p \"b\" 3 + p \"c\" 9 mod p \"d\" 4")
+	// Constructor cells, built as one allocation (§4j): nested lists, a
+	// tree insert over a 3-field constructor, equality of constructed
+	// values, a cell holding a ref, and cells whose field raises while
+	// the cell is built.
+	f.Add("val xss = [[1, 2], [], [3]] :: [[4]] :: []\nval n = map length xss\nval f = foldr (fn (x, acc) => x @ acc) [] (hd xss)\nval s = foldl op+ 0 (List.concat (map List.concat xss))\nval e = xss = [[[1, 2], [], [3]], [[4]]]")
+	f.Add("datatype t = L | N of t * int * t\nfun ins (x, L) = N (L, x, L)\n  | ins (x, t as N (l, v, r)) = if x < v then N (ins (x, l), v, r) else if x > v then N (l, v, ins (x, r)) else t\nfun walk L = [] | walk (N (l, v, r)) = walk l @ v :: walk r\nval t = foldl ins L [5, 3, 8, 1, 4, 7, 9, 5]\nval w = walk t\nval e = t = ins (5, t)")
+	f.Add("datatype 'a p = P of 'a * 'a | Q of int * 'a * bool\nval a = [P (1, 2), Q (3, 4, true)] = [P (1, 2), Q (3, 4, true)]\nval b = Q (3, 4, true) = Q (3, 4, false)\nval c = SOME (1, \"x\") = SOME (1, \"x\")\nval d = (1 :: 2 :: [], P ([1], [])) = ([1, 2], P ([1], [2]))")
+	f.Add("datatype c = C of int ref * int\nval r = ref 1\nval x = C (r, 2)\nval _ = r := 5\nval y = case x of C (s, n) => !s + n\nval l = [(r, 1)]\nval _ = (case l of (s, _) :: _ => s := 7 | [] => ())\nval z = !r")
+	f.Add("exception E of int\ndatatype t = N of int * int * int\nfun boom n = if n > 2 then raise E n else n\nval a = (N (1, boom 3, 4); 0) handle E n => n\nval b = (boom 1 :: boom 5 :: []) handle E n => [n]\nval c = SOME (boom 2, boom 9) handle E n => SOME (n, n)")
 	for _, file := range workload.Generate(workload.Small()).Files {
 		f.Add(file.Source)
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"repro/internal/lambda"
 )
@@ -26,7 +27,8 @@ func ints(n int) []Value {
 
 // TestRecordArities checks every reader of records on arities 0-4,
 // which span all three representations: equality, printing, list
-// cells, the mutability scan and Select, in both engines.
+// cells, the mutability scan and Select, in both engines; and the same
+// readers on constructor cells over 2 and 3 fields.
 func TestRecordArities(t *testing.T) {
 	for n := 0; n <= 4; n++ {
 		t.Run(fmt.Sprint(n), func(t *testing.T) {
@@ -81,6 +83,37 @@ func TestRecordArities(t *testing.T) {
 			_, isList := GoList(&ConV{Tag: 1, Name: "::", Arg: tuple(cellArg...)})
 			if isList != (n == 2) {
 				t.Errorf("GoList of a cell over %d fields: ok=%v", n, isList)
+			}
+
+			// A constructor cell, built with its tuple as one allocation,
+			// reads as a ConV over an ordinary record.
+			if n == 2 || n == 3 {
+				cell := compiledCon(t, "C", ints(n)...)
+				plain := &ConV{Tag: 1, Name: "C", Arg: r}
+				if !Eq(cell, plain) || !Eq(plain, cell) {
+					t.Error("constructor cell differs from an equal constructed value")
+				}
+				if Eq(cell, &ConV{Tag: 1, Name: "C", Arg: tuple(ints(n + 1)...)}) {
+					t.Error("constructor cell equals one over a wider record")
+				}
+				if got := String(cell); got != "C "+want {
+					t.Errorf("String of a cell = %q, want %q", got, "C "+want)
+				}
+				if fs, ok := Fields(cell.(*ConV).Arg); !ok || !eqAll(fs, ints(n)) {
+					t.Errorf("Fields of a cell's argument = %v, %v", fs, ok)
+				}
+				_, isList := GoList(compiledCon(t, "::", cellArg...))
+				if isList != (n == 2) {
+					t.Errorf("GoList of a compiled cell over %d fields: ok=%v", n, isList)
+				}
+				if ReachesMutable(cell) {
+					t.Error("immutable constructor cell reaches a mutable cell")
+				}
+				vs := ints(n)
+				vs[n-1] = &RefV{Cell: IntV(0)}
+				if !ReachesMutable(compiledCon(t, "C", vs...)) {
+					t.Error("constructor cell with a ref field does not reach it")
+				}
 			}
 
 			// Mutability: a ref in the last field is reached.
@@ -142,4 +175,47 @@ func selectIn(eng engine, idx int, rec Value) (Value, error) {
 	p := g.Fresh()
 	fn := &lambda.Fn{Param: p, Body: &lambda.Select{Idx: idx, Rec: &lambda.Var{LV: p}}}
 	return eng.apply(NewMachine(), fn, rec)
+}
+
+// compiledCon builds the constructed value name (vs...) with the closure
+// builder, from the shape the elaborator gives a constructor applied to
+// a tuple: fn p => (fn q => name q) (let a0 = #0 p in ... in (a0, ...)).
+// It fails the test unless the value is a constructor cell, its ConV
+// and tuple in one allocation.
+func compiledCon(t *testing.T, name string, vs ...Value) Value {
+	t.Helper()
+	var g lambda.Gen
+	p, q := g.Fresh(), g.Fresh()
+	lets := make([]lambda.LVar, len(vs))
+	fields := make([]lambda.Exp, len(vs))
+	for i := range vs {
+		lets[i] = g.Fresh()
+		fields[i] = &lambda.Var{LV: lets[i]}
+	}
+	var arg lambda.Exp = &lambda.Record{Fields: fields}
+	for i := len(vs) - 1; i >= 0; i-- {
+		arg = &lambda.Let{LV: lets[i], Bind: &lambda.Select{Idx: i, Rec: &lambda.Var{LV: p}}, Body: arg}
+	}
+	con := &lambda.Fn{Param: q, Body: &lambda.Con{Tag: 1, Name: name, Arg: &lambda.Var{LV: q}}}
+	fn := &lambda.Fn{Param: p, Body: &lambda.App{Fn: con, Arg: arg}}
+	cf, _, _, err := CompileFn("record_test", fn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v, err := NewMachine().Apply(&CompiledClosure{Fn: cf}, tuple(vs...))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cv := v.(*ConV)
+	var inCell Value
+	switch len(vs) {
+	case 2:
+		inCell = &(*conCell2)(unsafe.Pointer(cv)).fields
+	case 3:
+		inCell = &(*conCell3)(unsafe.Pointer(cv)).fields
+	}
+	if cv.Arg != inCell {
+		t.Fatalf("%s over %d fields: the argument is not in the constructor's cell", name, len(vs))
+	}
+	return v
 }
