@@ -864,6 +864,34 @@ func BenchmarkApplyCons(b *testing.B) {
 	}
 }
 
+// applyTailSource is the ROADMAP's tail loop: 100,000 iterations of a
+// clausal function whose second clause, a join point, calls the loop
+// in tail position.
+const applyTailSource = `
+fun loop (0, acc) = acc | loop (n, acc) = loop (n - 1, acc + 1)
+val r = loop (100000, 0)
+`
+
+// BenchmarkApplyTail runs applyTailSource: every call is a tail call,
+// which the caller's callFn makes in its own loop, recycling each
+// step's frame before the next step takes one (DESIGN.md §4j, "Tail
+// calls"), so it gates the trampoline as ApplyHot gates plain
+// application.
+func BenchmarkApplyTail(b *testing.B) {
+	s := newSession(b)
+	u, err := s.Compile("bench", applyTailSource)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		dyn := s.Dyn.Copy()
+		if err := compiler.Execute(s.Machine, u, dyn, nil, nil, 0); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkNewSession measures bootstrapping a session once the
 // process has compiled the prelude: the shared unit executes on a
 // fresh machine and dynamic environment, and the session's index

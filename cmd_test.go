@@ -186,6 +186,23 @@ func TestCommandLineTools(t *testing.T) {
 		}
 	})
 
+	// A loop written as tail recursion runs in constant Go stack: a
+	// million iterations once ended the process with a fatal stack
+	// overflow (DESIGN.md §4j, "Tail calls").
+	t.Run("smlrun-tail-loop", func(t *testing.T) {
+		loopPath := filepath.Join(work, "loop.sml")
+		writeFile(t, loopPath, `fun loop (0, acc) = acc | loop (n, acc) = loop (n - 1, acc + 1)
+val _ = print (Int.toString (loop (1000000, 0)) ^ "\n")
+`)
+		out, err := runTool(t, tools["smlrun"], "", loopPath)
+		if err != nil {
+			t.Fatalf("smlrun: %v\n%s", err, out)
+		}
+		if out != "1000000\n" {
+			t.Errorf("program output %q, want 1000000", out)
+		}
+	})
+
 	t.Run("irm-build-incremental", func(t *testing.T) {
 		groupPath := filepath.Join(work, "prog.cm")
 		writeFile(t, groupPath, "lib.sml\nmain.sml\n")

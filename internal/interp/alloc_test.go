@@ -137,3 +137,43 @@ val lit = fn (x : int, y : int) => [x, y]`
 		}
 	}
 }
+
+// TestFoldReusesPool pins what proper tail calls save a fresh machine:
+// on a Machine.Fork, whose pools start empty, folding the prelude's
+// curried foldl over a 2,000-element tabulated list adds only a few
+// allocations to tabulating it. The fold's steps are tail calls, so
+// the frames of each step go back to the pool before the next step
+// takes its own, and the fold runs on the frames tabulate's non-tail
+// recursion left there. When every call was a Go call, the fold held
+// four frames per element until it returned and added 6,002 frames
+// and 2,000 slot arrays. The sum stays in the small-int cache, so
+// the fold boxes no value. TestExecAllocCeiling runs on a warm pool
+// and cannot see this.
+func TestFoldReusesPool(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts differ under the race detector")
+	}
+	s, err := compiler.NewSession(io.Discard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	onFork := func(src string) float64 {
+		u, err := s.Compile("pool.sml", src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return testing.AllocsPerRun(10, func() {
+			if err := compiler.Execute(s.Machine.Fork(), u, s.Dyn.Copy(), nil, nil, 0); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	tab := onFork(`val l = List.tabulate (2000, fn i => i)`)
+	fold := onFork(`val l = List.tabulate (2000, fn i => i)
+val s = foldl (fn (_, n) => n + 1) 0 l`)
+	t.Logf("tabulate %.0f allocations, with the fold %.0f", tab, fold)
+	const ceiling = 16
+	if fold-tab > ceiling {
+		t.Errorf("the fold adds %.0f allocations to tabulate's %.0f on a fresh fork, ceiling %d", fold-tab, tab, ceiling)
+	}
+}

@@ -477,7 +477,7 @@ func (c *comp) frame(e *lambda.Fn, id int32) (body cnode, fr openFrame, inner *C
 	if fn, ok := e.Body.(*lambda.Fn); ok {
 		body, inner = c.closure(fn)
 	} else {
-		body = c.walk(e.Body)
+		body = c.exp(e.Body, true)
 	}
 	c.unbind(e.Param, old, had)
 	top := len(c.frames) - 1
@@ -591,7 +591,18 @@ func (c *comp) walkAll(es []lambda.Exp) []cnode {
 	return out
 }
 
-func (c *comp) walk(e lambda.Exp) cnode {
+// walk compiles e in a position that is not a tail position.
+func (c *comp) walk(e lambda.Exp) cnode { return c.exp(e, false) }
+
+// exp compiles e. tail reports whether e is in tail position — its
+// value is the value of the body of the function it runs in — where a
+// call is a tail call (DESIGN.md §4j, "Tail calls"): its code returns
+// the call to the callFn running the body, whose trampoline makes it. A function's
+// body is in tail position, and so are the body of a Let, Fix or redex,
+// the arms of an If or Switch, and a handler, when they are in it
+// themselves; a handled body never is. Tail position is a property of
+// the term, so the walk's slots and coordinates do not depend on it.
+func (c *comp) exp(e lambda.Exp, tail bool) cnode {
 	if c.shape {
 		switch e.(type) {
 		case *lambda.Int, *lambda.Word, *lambda.Real, *lambda.Str, *lambda.Char,
@@ -695,7 +706,7 @@ func (c *comp) walk(e lambda.Exp) cnode {
 				fns[i].fn = f
 			}
 		}
-		body := c.walk(e.Body)
+		body := c.exp(e.Body, tail)
 		c.restore(saves)
 		if c.shape {
 			return nil
@@ -726,7 +737,7 @@ func (c *comp) walk(e lambda.Exp) cnode {
 			argc := c.walk(e.Arg)
 			slot := c.alloc()
 			old, had := c.bind(fn.Param, slot)
-			bodyc := c.walk(fn.Body)
+			bodyc := c.exp(fn.Body, tail)
 			c.unbind(fn.Param, old, had)
 			if c.shape {
 				return nil
@@ -738,19 +749,24 @@ func (c *comp) walk(e lambda.Exp) cnode {
 		}
 		if v, ok := e.Fn.(*lambda.Var); ok {
 			if fn := c.joinOf(v.LV); fn != nil {
-				return c.joinCall(v.LV, fn, e.Arg)
+				return c.joinCall(v.LV, fn, e.Arg, tail)
 			}
 		}
 		if k := chainLen(e); k > 1 {
-			return c.chain(e, k)
+			return c.chain(e, k, tail)
 		}
 		if n := tupleArity(e.Arg); n != 0 {
-			return c.tupleCall(e, n)
+			return c.tupleCall(e, n, tail)
 		}
 		fnc := c.walk(e.Fn)
 		argc := c.walk(e.Arg)
 		if c.shape {
 			return nil
+		}
+		if tail {
+			return func(m *Machine, fr *Frame) Value {
+				return m.tailApply(fnc(m, fr), argc(m, fr))
+			}
 		}
 		return func(m *Machine, fr *Frame) Value {
 			// apply does not inline: calling callFn straight from here
@@ -763,12 +779,12 @@ func (c *comp) walk(e lambda.Exp) cnode {
 		}
 	case *lambda.Let:
 		if fn, isFn := e.Bind.(*lambda.Fn); isFn && isJoin(e.Body, e.LV) {
-			return c.joinLet(e, fn)
+			return c.joinLet(e, fn, tail)
 		}
 		bindc := c.walk(e.Bind)
 		slot := c.alloc()
 		old, had := c.bind(e.LV, slot)
-		bodyc := c.walk(e.Body)
+		bodyc := c.exp(e.Body, tail)
 		c.unbind(e.LV, old, had)
 		if c.shape {
 			return nil
@@ -853,8 +869,8 @@ func (c *comp) walk(e lambda.Exp) cnode {
 		}
 	case *lambda.If:
 		condc := c.walk(e.Cond)
-		thenc := c.walk(e.Then)
-		elsec := c.walk(e.Else)
+		thenc := c.exp(e.Then, tail)
+		elsec := c.exp(e.Else, tail)
 		if c.shape {
 			return nil
 		}
@@ -865,7 +881,7 @@ func (c *comp) walk(e lambda.Exp) cnode {
 			return elsec(m, fr)
 		}
 	case *lambda.Switch:
-		return c.switchNode(e)
+		return c.switchNode(e, tail)
 	case *lambda.Prim:
 		return c.prim(e)
 	case *lambda.Builtin:
@@ -894,7 +910,7 @@ func (c *comp) walk(e lambda.Exp) cnode {
 		bodyc := c.walk(e.Body)
 		slot := c.alloc()
 		old, had := c.bind(e.Param, slot)
-		handlerc := c.walk(e.Handler)
+		handlerc := c.exp(e.Handler, tail)
 		c.unbind(e.Param, old, had)
 		if c.shape {
 			return nil
@@ -1141,14 +1157,14 @@ func (s *useScan) fn(f *lambda.Fn, nested bool) {
 // whose parent is the current frame — the chain the closure would have
 // captured. The binder's slot is still allocated, so every later slot
 // and coordinate is what it would be otherwise, but it stays empty.
-func (c *comp) joinLet(e *lambda.Let, bind *lambda.Fn) cnode {
+func (c *comp) joinLet(e *lambda.Let, bind *lambda.Fn, tail bool) cnode {
 	fn := c.fn(bind)
 	slot := c.alloc()
 	old, had := c.bind(e.LV, slot)
 	if !c.shape {
 		c.joins = append(c.joins, joinFn{lv: e.LV, fn: fn})
 	}
-	body := c.walk(e.Body)
+	body := c.exp(e.Body, tail)
 	if !c.shape {
 		c.joins = c.joins[:len(c.joins)-1]
 	}
@@ -1168,10 +1184,17 @@ func (c *comp) joinOf(lv lambda.LVar) *CompiledFn {
 
 // joinCall compiles a direct call of a join point. The callee's Var
 // coordinate is still read (or emitted), keeping the section stream
-// aligned, though the call never reads the empty slot it names.
-func (c *comp) joinCall(lv lambda.LVar, fn *CompiledFn, arg lambda.Exp) cnode {
+// aligned, though the call never reads the empty slot it names. In
+// tail position the join's frame takes the current frame as parent,
+// which the trampoline then holds (tailCall).
+func (c *comp) joinCall(lv lambda.LVar, fn *CompiledFn, arg lambda.Exp, tail bool) cnode {
 	c.coord(lv)
 	argc := c.walk(arg)
+	if tail {
+		return func(m *Machine, fr *Frame) Value {
+			return m.tailCall(fn, fr, argc(m, fr), nil, 0)
+		}
+	}
 	return func(m *Machine, fr *Frame) Value {
 		return m.callFn(fn, fr, argc(m, fr))
 	}
@@ -1200,7 +1223,7 @@ func chainLen(e *lambda.App) int {
 // f a1 ... ak, for applyChain. A two-argument chain, the common case,
 // captures its arguments directly, so building it allocates just the
 // closure; a longer one adds its argument list.
-func (c *comp) chain(e *lambda.App, k int) cnode {
+func (c *comp) chain(e *lambda.App, k int, tail bool) cnode {
 	var pair [2]cnode
 	var many, dst []cnode
 	switch {
@@ -1218,11 +1241,11 @@ func (c *comp) chain(e *lambda.App, k int) cnode {
 	if k == len(pair) {
 		a0, a1 := pair[0], pair[1]
 		return func(m *Machine, fr *Frame) Value {
-			return m.applyChain(head(m, fr), fr, []cnode{a0, a1})
+			return m.applyChain(head(m, fr), fr, []cnode{a0, a1}, tail)
 		}
 	}
 	return func(m *Machine, fr *Frame) Value {
-		return m.applyChain(head(m, fr), fr, many)
+		return m.applyChain(head(m, fr), fr, many, tail)
 	}
 }
 
@@ -1276,7 +1299,7 @@ type filler func(m *Machine, fr *Frame, dst []Value)
 // application runs them. When the callee borrows (CompiledFn.borrows),
 // the fields go into a tuple lent from the machine's pool for the
 // call; otherwise into a new record, as plain application builds it.
-func (c *comp) tupleCall(e *lambda.App, n int) cnode {
+func (c *comp) tupleCall(e *lambda.App, n int, tail bool) cnode {
 	fnc := c.walk(e.Fn)
 	fill := c.tuple(e.Arg)
 	if c.shape {
@@ -1286,14 +1309,17 @@ func (c *comp) tupleCall(e *lambda.App, n int) cnode {
 		f := fnc(m, fr)
 		cl, ok := f.(*CompiledClosure)
 		if ok && cl.Fn.borrows {
-			return m.lend(cl, fr, fill, n)
+			return m.lend(cl, fr, fill, n, tail)
 		}
 		r, vs := NewRecord(n)
 		fill(m, fr, vs)
-		if ok {
-			return m.callFn(cl.Fn, cl.Env, r)
+		switch {
+		case !ok:
+			return m.apply(f, r)
+		case tail:
+			return m.tailCall(cl.Fn, cl.Env, r, nil, 0)
 		}
-		return m.apply(f, r)
+		return m.callFn(cl.Fn, cl.Env, r)
 	}
 }
 
@@ -1413,21 +1439,21 @@ func (c *comp) conCell(e *lambda.Con, n int, fill filler, slot int) cnode {
 	}
 }
 
-func (c *comp) switchNode(e *lambda.Switch) cnode {
+func (c *comp) switchNode(e *lambda.Switch, tail bool) cnode {
 	scrut := c.walk(e.Scrut)
 	var bodies []cnode
 	if !c.shape {
 		bodies = make([]cnode, len(e.Cases))
 	}
 	for i, cs := range e.Cases {
-		b := c.walk(cs.Body)
+		b := c.exp(cs.Body, tail)
 		if bodies != nil {
 			bodies[i] = b
 		}
 	}
 	var def cnode
 	if e.Default != nil {
-		def = c.walk(e.Default)
+		def = c.exp(e.Default, tail)
 	}
 	if c.shape {
 		return nil

@@ -71,3 +71,11 @@ func Pooled(m *Machine, v Value) bool {
 	}
 	return false
 }
+
+// PooledFrames reports how many frames m's pool holds.
+func PooledFrames(m *Machine) int {
+	if m.pool == nil {
+		return 0
+	}
+	return len(m.pool.frames)
+}

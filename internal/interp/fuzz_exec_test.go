@@ -178,6 +178,14 @@ func FuzzExecTreeVsClosure(f *testing.F) {
 	f.Add("datatype 'a p = P of 'a * 'a | Q of int * 'a * bool\nval a = [P (1, 2), Q (3, 4, true)] = [P (1, 2), Q (3, 4, true)]\nval b = Q (3, 4, true) = Q (3, 4, false)\nval c = SOME (1, \"x\") = SOME (1, \"x\")\nval d = (1 :: 2 :: [], P ([1], [])) = ([1, 2], P ([1], [2]))")
 	f.Add("datatype c = C of int ref * int\nval r = ref 1\nval x = C (r, 2)\nval _ = r := 5\nval y = case x of C (s, n) => !s + n\nval l = [(r, 1)]\nval _ = (case l of (s, _) :: _ => s := 7 | [] => ())\nval z = !r")
 	f.Add("exception E of int\ndatatype t = N of int * int * int\nfun boom n = if n > 2 then raise E n else n\nval a = (N (1, boom 3, 4); 0) handle E n => n\nval b = (boom 1 :: boom 5 :: []) handle E n => [n]\nval c = SOME (boom 2, boom 9) handle E n => SOME (n, n)")
+	// Tail calls (§4j), beside the known-call programs tail-calls and
+	// tail-handle: an over-saturated chain and a partial application
+	// in tail position, a tail call through a stored closure, a loop
+	// whose frame its closures capture, handlers whose own calls are
+	// tail calls, and a raise from deep in a loop of tail calls.
+	f.Add("fun k a b = fn c => a + b + c\nfun t (0, acc) = acc | t (n, acc) = t (n - 1, k 1 2 acc)\nfun u n = if n = 0 then k 0 0 else u (n - 1)\nval r = t (30, 0) + u 5 7\nval s = (fn f => f 3) (u 2)")
+	f.Add("val r = ref (fn (n : int) => n)\nfun g n = if n = 0 then 0 else (!r) (n - 1)\nval _ = r := g\nval a = g 40\nfun keep (0, ks) = ks | keep (n, ks) = let val m = n * 2 in keep (n - 1, (fn () => m) :: ks) end\nval b = foldl (fn (k, s) => k () + s) 0 (keep (10, []))")
+	f.Add("exception E of int\nfun down 0 = raise E 0 | down n = if n mod 7 = 0 then (down (n - 1) handle E k => raise E (k + n)) else down (n - 1)\nval a = down 30 handle E k => k\nfun h (n, acc) = (if n = 0 then acc else raise E n) handle E k => h (k - 1, acc + k)\nval b = h (20, 0)")
 	for _, file := range workload.Generate(workload.Small()).Files {
 		f.Add(file.Source)
 	}

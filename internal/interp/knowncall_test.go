@@ -1,8 +1,9 @@
 package interp_test
 
 // Known calls (DESIGN.md §4j): join points and saturated curried
-// chains run without building the closures plain application would.
-// Neither may be observable. Each program here runs through the
+// chains run without building the closures plain application would,
+// and calls in tail position run in the caller's trampoline. None of
+// it may be observable. Each program here runs through the
 // reference walker (Machine.Eval), which must print the same and
 // export the same values, and through the compiled form — freshly
 // compiled, loaded from its bin, and with the profiler on, where
@@ -111,6 +112,8 @@ func TestKnownCallsMatchReference(t *testing.T) {
 		"join-handle":       "zero~95none\n~1\n",
 		"fold-tabulate":     "40425 50\n",
 		"prim-saturation":   "lrus21xy66\n",
+		"tail-calls":        "40 60 25 false 210 190 10\n",
+		"tail-handle":       "24 0 105 1003\n",
 	}
 	progs := knownCalls(t)
 	if len(progs) != len(want) {
@@ -143,7 +146,7 @@ func TestKnownCallsMatchReference(t *testing.T) {
 // far, same error.
 func TestKnownCallsStepBudget(t *testing.T) {
 	progs := knownCalls(t)
-	for _, name := range []string{"curried-effects", "over-saturated", "join-handle", "partial-stored", "prim-saturation"} {
+	for _, name := range []string{"curried-effects", "over-saturated", "join-handle", "partial-stored", "prim-saturation", "tail-calls", "tail-handle"} {
 		src := progs[name]
 		total := runKnown(t, src, "closure", 0).steps
 		for budget := uint64(1); budget < total; budget++ {

@@ -52,6 +52,10 @@ type Machine struct {
 	// step and one in apply; Fork propagates enablement with fresh
 	// per-fork state.
 	prof *machProf
+	// tc is the call in tail position a body has just returned, which
+	// the trampoline of the callFn running the body makes next
+	// (tailCall).
+	tc tailCall
 
 	// Pre-allocated basis exception tags.
 	TagMatch, TagBind, TagDiv, TagOverflow *ExnTag
@@ -138,48 +142,164 @@ func (m *Machine) apply(fn, arg Value) Value {
 	return m.crash("application of non-function %s", String(fn))
 }
 
+// tailApply is apply in tail position: it hands the call to the
+// trampoline (tailCall) instead of making it.
+func (m *Machine) tailApply(fn, arg Value) Value {
+	if c, ok := fn.(*CompiledClosure); ok {
+		return m.tailCall(c.Fn, c.Env, arg, nil, 0)
+	}
+	return m.crash("application of non-function %s", String(fn))
+}
+
+// tailCall is a call a body makes in tail position (DESIGN.md §4j,
+// "Tail calls"): the body returns the machine's one tailCall, and the
+// callFn running that body makes the call in its trampoline's loop, so
+// a tail call grows no Go stack. lent is the tuple lent to fn, which
+// goes back to the pool when fn's body returns; held counts the pooled
+// frames above env (a saturated chain's curried levels) that go back
+// then too.
+type tailCall struct {
+	fn   *CompiledFn
+	env  *Frame
+	arg  Value
+	lent Value
+	held int
+}
+
+func (*tailCall) isValue() {}
+
+// tailCall records a call in tail position and returns the value that
+// tells the trampoline to make it.
+func (m *Machine) tailCall(fn *CompiledFn, env *Frame, arg, lent Value, held int) Value {
+	m.tc = tailCall{fn: fn, env: env, arg: arg, lent: lent, held: held}
+	return &m.tc
+}
+
 // callFn runs cf on arg in a frame whose parent is env: the one call
-// path of the compiled engine, shared by apply, join calls and curried
-// chains. It counts one step per application, so MaxSteps still
-// bounds divergence — any infinite loop in the lambda language
-// recurses through callFn.
+// path of the compiled engine, shared by apply, join calls and the
+// calls of curried chains and lent tuples (enter). It counts one step
+// per application, so MaxSteps still bounds divergence — any infinite
+// loop in the lambda language recurses through callFn, or loops in
+// trampoline. A call whose body does not return a tail call, the
+// common case, is done here; trampoline finishes the others. Neither
+// path keeps cf live across the body, so the common one saves and
+// restores only m and fr around it.
 func (m *Machine) callFn(cf *CompiledFn, env *Frame, arg Value) Value {
 	m.step()
 	if m.prof != nil {
-		return m.callProf(cf, env, arg)
+		return m.callProf(cf, env, arg, nil)
 	}
 	if cf.escapes {
 		fr := newFrame(env, int(cf.NSlots))
 		fr.slots[0] = arg
-		return cf.code(m)(m, fr)
+		v := cf.code(m)(m, fr)
+		if _, tail := v.(*tailCall); tail {
+			return m.trampoline(fr, false, v, nil, 0)
+		}
+		return v
 	}
-	// Non-escaping frame: recycle it through the machine's pool. An
-	// exception unwinding past this call skips the release; the frame
-	// is then simply collected like any other.
 	fr := m.getFrame(env, int(cf.NSlots))
 	fr.slots[0] = arg
 	v := cf.code(m)(m, fr)
-	m.putFrame(fr)
+	if _, tail := v.(*tailCall); tail {
+		return m.trampoline(fr, true, v, nil, 0)
+	}
+	m.putFrames(fr, 1)
 	return v
 }
 
+// enter is callFn for a call with a tuple to give back or frames to
+// release when cf's body returns: lent and held are as in tailCall.
+func (m *Machine) enter(cf *CompiledFn, env *Frame, arg, lent Value, held int) Value {
+	m.step()
+	if m.prof != nil {
+		return m.callProf(cf, env, arg, lent)
+	}
+	fr := m.frameOf(cf, env, arg)
+	v := cf.code(m)(m, fr)
+	return m.trampoline(fr, !cf.escapes, v, lent, held)
+}
+
+// trampoline finishes a call whose body returned v in frame fr, which
+// is pooled unless it escapes: while v is a tail call, it makes that
+// call in the same Go frame, counting its step exactly where the call
+// would have, so a tail loop grows no Go stack. lent and held are as
+// in tailCall, for fr's activation.
+//
+// A pooled frame goes back when its body returns, before a tail call
+// takes the callee's frame — unless the tail call is a join call,
+// whose callee runs under this very frame: then the frame is held
+// until the join's body returns, with the frames held above it. Only a
+// pooled frame holds any: a join's frame escapes only if its binding
+// frame does, and a chain pools its levels only when its callee does
+// not escape. An exception unwinding past the call skips the release;
+// the frames are then simply collected like any other.
+func (m *Machine) trampoline(fr *Frame, pooled bool, v, lent Value, held int) Value {
+	for {
+		if lent != nil {
+			m.giveBack(lent)
+		}
+		t, ok := v.(*tailCall)
+		switch {
+		case !ok:
+			if pooled {
+				m.putFrames(fr, held+1)
+			}
+			return v
+		case t.env == fr:
+			if pooled {
+				held++
+			}
+		default:
+			if pooled {
+				m.putFrames(fr, held+1)
+			}
+			held = t.held
+		}
+		cf, env, arg := t.fn, t.env, t.arg
+		lent = t.lent
+		*t = tailCall{}
+		m.step()
+		fr, pooled = m.frameOf(cf, env, arg), !cf.escapes
+		v = cf.code(m)(m, fr)
+	}
+}
+
+// frameOf returns cf's activation frame under env, with arg in slot 0:
+// from the pool unless the frame escapes.
+func (m *Machine) frameOf(cf *CompiledFn, env *Frame, arg Value) *Frame {
+	var fr *Frame
+	if cf.escapes {
+		fr = newFrame(env, int(cf.NSlots))
+	} else {
+		fr = m.getFrame(env, int(cf.NSlots))
+	}
+	fr.slots[0] = arg
+	return fr
+}
+
 // applyChain applies f to the values of args in turn, as the nested
-// applications f a1 ... ak would. When f is a compiled closure of a
+// applications f a1 ... ak would; in tail position (tail) it makes the
+// last application a tail call. When f is a compiled closure of a
 // curried function (CompiledFn.inner), each level the chain saturates
 // is entered without building the closure it would return: the level's
 // step is counted and its argument written to a frame that becomes the
 // next level's parent, in the original order of steps and argument
 // evaluations. Those frames come from the pool only when the final
 // callee's frame does not escape — then nothing can capture them — and
-// go back after that call. Anything else, and every profiled call,
-// takes plain apply.
-func (m *Machine) applyChain(f Value, fr *Frame, args []cnode) Value {
+// go back when that callee's body returns (tailCall.held). Anything
+// else, and every profiled call, takes plain apply.
+func (m *Machine) applyChain(f Value, fr *Frame, args []cnode, tail bool) Value {
 	c, ok := f.(*CompiledClosure)
 	if !ok || m.prof != nil {
-		for _, a := range args {
+		last := len(args) - 1
+		for _, a := range args[:last] {
 			f = m.apply(f, a(m, fr))
 		}
-		return f
+		if tail {
+			return m.tailApply(f, args[last](m, fr))
+		}
+		return m.apply(f, args[last](m, fr))
 	}
 	cf, env := c.Fn, c.Env
 	n, last := 0, cf
@@ -200,15 +320,19 @@ func (m *Machine) applyChain(f Value, fr *Frame, args []cnode) Value {
 		env, cf = w, cf.inner
 		arg = args[i](m, fr)
 	}
-	v := m.callFn(cf, env, arg)
+	held := 0
 	if pooled {
-		for i := 0; i < n; i++ {
-			up := env.up
-			m.putFrame(env)
-			env = up
-		}
+		held = n
 	}
-	for _, a := range args[n+1:] {
+	rest := args[n+1:]
+	if tail && len(rest) == 0 {
+		return m.tailCall(cf, env, arg, nil, held)
+	}
+	v := m.enter(cf, env, arg, nil, held)
+	for i, a := range rest {
+		if tail && i == len(rest)-1 {
+			return m.tailApply(v, a(m, fr))
+		}
 		v = m.apply(v, a(m, fr))
 	}
 	return v
@@ -235,24 +359,39 @@ func (m *Machine) pools() *pools {
 }
 
 // lend calls c with the n-field tuple fill writes, in a tuple from the
-// pool that goes back, cleared, when the call returns: c borrows
-// (CompiledFn.borrows), so nothing can hold the tuple by then. An
+// pool that goes back, cleared, when c's body returns (tailCall.lent):
+// c borrows (CompiledFn.borrows), so nothing can hold the tuple by
+// then. In tail position (tail) the call is a tail call, and the tuple
+// goes back when the body of the call the trampoline makes returns. An
 // exception unwinding past the call skips the return, as it skips a
 // frame's in callFn; the tuple is then simply collected.
-func (m *Machine) lend(c *CompiledClosure, fr *Frame, fill filler, n int) Value {
+func (m *Machine) lend(c *CompiledClosure, fr *Frame, fill filler, n int, tail bool) Value {
 	p := m.pools()
+	var t Value
 	if n == 2 {
-		t := take(&p.pairs)
-		fill(m, fr, t[:])
-		v := m.callFn(c.Fn, c.Env, t)
-		give(&p.pairs, t)
-		return v
+		pair := take(&p.pairs)
+		fill(m, fr, pair[:])
+		t = pair
+	} else {
+		triple := take(&p.triples)
+		fill(m, fr, triple[:])
+		t = triple
 	}
-	t := take(&p.triples)
-	fill(m, fr, t[:])
-	v := m.callFn(c.Fn, c.Env, t)
-	give(&p.triples, t)
-	return v
+	if tail {
+		return m.tailCall(c.Fn, c.Env, t, t, 0)
+	}
+	return m.enter(c.Fn, c.Env, t, t, 0)
+}
+
+// giveBack returns a tuple lend took to the pool.
+func (m *Machine) giveBack(t Value) {
+	p := m.pools()
+	switch t := t.(type) {
+	case *tuple2:
+		give(&p.pairs, t)
+	case *tuple3:
+		give(&p.triples, t)
+	}
 }
 
 // take returns a tuple from pool, or a new one when it is empty.
@@ -295,10 +434,15 @@ func (m *Machine) getFrame(up *Frame, n int) *Frame {
 	return fr
 }
 
-// putFrame returns a frame nothing references any more to the pool.
-func (m *Machine) putFrame(fr *Frame) {
-	fr.up = nil
-	clear(fr.slots)
+// putFrames returns fr and the n-1 frames above it, which nothing
+// references any more, to the pool.
+func (m *Machine) putFrames(fr *Frame, n int) {
 	p := m.pools()
-	p.frames = append(p.frames, fr)
+	for ; n > 0; n-- {
+		up := fr.up
+		fr.up = nil
+		clear(fr.slots)
+		p.frames = append(p.frames, fr)
+		fr = up
+	}
 }

@@ -245,20 +245,46 @@ func (p *machProf) pop() {
 }
 
 // callProf is Machine.callFn with profiling on — the one branch the
-// disabled fast path pays for is the nil check in callFn itself. The
-// shadow-stack pop rides a defer so an ML exception unwinding through
-// the application (an *MLRaise panic en route to its handler) leaves
-// the stack balanced. Frame pooling is skipped: every application
-// allocates its frame, making the alloc attribution exact and the
-// machine's behavior independent of pool state.
-func (m *Machine) callProf(cf *CompiledFn, env *Frame, arg Value) Value {
-	if p := m.prof; p.cur != nil && cf.tab != nil {
-		p.push(cf)
-		defer p.pop()
+// disabled fast path pays for is the nil check in callFn itself. It
+// runs tail calls in the same loop: the callee's step is counted while
+// the caller is still innermost, and then the callee's shadow frame
+// replaces the caller's, so a sampled stack leaves out the frames tail
+// calls elide. The shadow-stack pop rides a defer so an ML exception
+// unwinding through the application (an *MLRaise panic en route to its
+// handler) leaves the stack balanced. Frame pooling is skipped: every
+// application allocates its frame, making the alloc attribution exact
+// and the machine's behavior independent of pool state.
+func (m *Machine) callProf(cf *CompiledFn, env *Frame, arg, lent Value) Value {
+	p := m.prof
+	pushed := false
+	defer func() {
+		if pushed {
+			p.pop()
+		}
+	}()
+	for {
+		if p.cur != nil && cf.tab != nil {
+			p.push(cf)
+			pushed = true
+		}
+		fr := newFrame(env, int(cf.NSlots))
+		fr.slots[0] = arg
+		v := cf.code(m)(m, fr)
+		if lent != nil {
+			m.giveBack(lent)
+		}
+		t, ok := v.(*tailCall)
+		if !ok {
+			return v
+		}
+		cf, env, arg, lent = t.fn, t.env, t.arg, t.lent
+		*t = tailCall{}
+		m.step()
+		if pushed {
+			p.pop()
+			pushed = false
+		}
 	}
-	fr := newFrame(env, int(cf.NSlots))
-	fr.slots[0] = arg
-	return cf.code(m)(m, fr)
 }
 
 // flatten turns the accumulator's maps into the sorted, value-keyed

@@ -122,7 +122,7 @@ func pctRise(base, head float64) float64 {
 
 func main() {
 	threshold := flag.Float64("threshold", 10, "max allowed ns/op regression, percent")
-	match := flag.String("match", `Pipeline(Parse|Compile|Hash|Pickle|Rehydrate)|Exec(Cold|Warm)|Apply(Hot|Curried|Arith|Cons)|NewSession`,
+	match := flag.String("match", `Pipeline(Parse|Compile|Hash|Pickle|Rehydrate)|Exec(Cold|Warm)|Apply(Hot|Curried|Arith|Cons|Tail)|NewSession`,
 		"regexp selecting which benchmarks gate the build")
 	flag.Parse()
 	if flag.NArg() != 2 {
