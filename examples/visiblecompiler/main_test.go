@@ -14,7 +14,7 @@ func TestOutput(t *testing.T) {
 		"host interface pid: 77844cb7",
 		`plugin "broken" rejected at compile time:`,
 		"  plugin-broken: 2:27: function application: type mismatch: int * int vs string",
-		`plugin "greeter" compiled: 283 bin bytes, imports 2 pids`,
+		`plugin "greeter" compiled: 271 bin bytes, imports 2 pids`,
 		"",
 		"--- fresh session: rehydrate, verify, link, run ---",
 		"[host] hello from plugin, host version 1.0",

@@ -47,15 +47,17 @@ import (
 // without re-resolving the term, exactly as Compile built it. The
 // section does not feed the intrinsic-pid hash. Any other magic fails
 // the read, and the store recompiles.
-const Magic = "SMLBIN06"
+const Magic = "SMLBIN07"
 
 // retiredMagics are the formats Magic replaced: SMLBIN01 carried no
 // code section, SMLBIN02 the eta-expanded primitive call, SMLBIN03 the
 // tuple every curried clausal function built from its parameters,
 // SMLBIN04 the alias every one-parameter clausal function bound its
-// parameter to, and SMLBIN05 the bindings no export can reach, which
-// lambda.Prune now drops before the term is pickled.
-var retiredMagics = []string{"SMLBIN01", "SMLBIN02", "SMLBIN03", "SMLBIN04", "SMLBIN05"}
+// parameter to, SMLBIN05 the bindings no export can reach, which
+// lambda.Prune now drops before the term is pickled, and SMLBIN06 the
+// constructor function applied to its argument and the Lets a tuple
+// bound its fields with, which the elaborator no longer emits.
+var retiredMagics = []string{"SMLBIN01", "SMLBIN02", "SMLBIN03", "SMLBIN04", "SMLBIN05", "SMLBIN06"}
 
 // ErrRetiredMagic is the error Read and ReadHeader wrap for a bin in a
 // retired format: a bin this version no longer reads, not a damaged

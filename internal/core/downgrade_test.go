@@ -102,8 +102,10 @@ func TestEntryChecksumDowngradeRejected(t *testing.T) {
 // section), SMLBIN02 (the code section of the eta-expanded primitive
 // call), SMLBIN03 (the tuple a curried clausal function built from
 // its parameters), SMLBIN04 (the alias a one-parameter clausal
-// function bound its parameter to) and SMLBIN05 (the bindings no
-// export can reach, before lambda.Prune). The bin must fail to load
+// function bound its parameter to), SMLBIN05 (the bindings no export
+// can reach, before lambda.Prune) and SMLBIN06 (the constructor
+// function applied to its argument, and the Lets a tuple bound its
+// fields with). The bin must fail to load
 // and its unit be recompiled; output and every stored bin then equal a
 // cold build's.
 // A retired format is stale, not damaged, so the unit is counted
@@ -117,7 +119,7 @@ func TestLegacyBinMagicRecompiled(t *testing.T) {
 	for _, tc := range []struct {
 		magic   string
 		corrupt int
-	}{{"SMLBIN01", 0}, {"SMLBIN02", 0}, {"SMLBIN03", 0}, {"SMLBIN04", 0}, {"SMLBIN05", 0}, {"SMLBIN99", 1}} {
+	}{{"SMLBIN01", 0}, {"SMLBIN02", 0}, {"SMLBIN03", 0}, {"SMLBIN04", 0}, {"SMLBIN05", 0}, {"SMLBIN06", 0}, {"SMLBIN99", 1}} {
 		magic := tc.magic
 		t.Run(magic, func(t *testing.T) {
 			dir := t.TempDir()

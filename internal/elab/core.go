@@ -117,22 +117,29 @@ func (el *Elaborator) elabExp(e *env.Env, x ast.Exp) (types.Ty, lambda.Exp) {
 		if len(x.Fields) == 0 {
 			return types.Unit(), lambda.Unit()
 		}
-		// Evaluate fields in source order, then assemble in canonical
-		// label order.
 		n := len(x.Fields)
 		labels := fieldLabels(n, func(i int) string { return x.Fields[i].Label })
 		tys := make([]types.Ty, n)
-		lets := make([]lambda.Let, n)
+		codes := make([]lambda.Exp, n)
 		for i, f := range x.Fields {
-			tys[i], lets[i].Bind = el.elabExp(e, f.Exp)
-			lets[i].LV = el.lg.Fresh()
+			tys[i], codes[i] = el.elabExp(e, f.Exp)
 		}
 		rec, err := types.NewRecord(labels, tys)
 		if err != nil {
 			el.errorf(x.Pos, "%v", err)
 			return types.Unit(), lambda.Unit()
 		}
-		// Map canonical position -> source lvar.
+		// Fields evaluate in source order. Written in canonical label
+		// order, as every tuple is, they are the record's fields as they
+		// stand; otherwise each is let-bound in source order and the
+		// record assembled in canonical order from the variables.
+		if inLabelOrder(rec.Labels, x.Fields) {
+			return rec, &lambda.Record{Fields: codes}
+		}
+		lets := make([]lambda.Let, n)
+		for i, c := range codes {
+			lets[i] = lambda.Let{LV: el.lg.Fresh(), Bind: c}
+		}
 		vars := make([]lambda.Var, n)
 		fields := make([]lambda.Exp, n)
 		for ci, cl := range rec.Labels {
@@ -169,6 +176,9 @@ func (el *Elaborator) elabExp(e *env.Env, x ast.Exp) (types.Ty, lambda.Exp) {
 					return t, c
 				}
 			}
+			if vb.Con != nil && vb.Con.HasArg {
+				return el.elabConApp(e, x, vb, acc, ty)
+			}
 			ft, fc = ty, el.valCode(v, vb, acc)
 		} else {
 			ft, fc = el.elabExp(e, x.Fn)
@@ -176,6 +186,12 @@ func (el *Elaborator) elabExp(e *env.Env, x ast.Exp) (types.Ty, lambda.Exp) {
 		at, ac := el.elabExp(e, x.Arg)
 		res := types.NewVar(el.level)
 		el.unify(expPos(x.Arg), ft, &types.Arrow{From: at, To: res}, "function application")
+		// A head that elaborated to a function literal (fn x => e,
+		// #label, an eta-expanded primitive) binds the argument to its
+		// parameter in place: no term applies a literal function.
+		if fn, ok := fc.(*lambda.Fn); ok {
+			return res, &lambda.Let{LV: fn.Param, Bind: ac, Body: fn.Body}
+		}
 		return res, &lambda.App{Fn: fc, Arg: ac}
 
 	case *ast.TypedExp:
@@ -271,22 +287,63 @@ func (el *Elaborator) elabExp(e *env.Env, x ast.Exp) (types.Ty, lambda.Exp) {
 
 	case *ast.ListExp:
 		elemTy := types.NewVar(el.level)
-		code := lambda.Exp(&lambda.Con{Tag: 0, Name: "nil"})
-		// Build back-to-front; evaluation order front-to-back via lets.
-		lets := make([]lambda.Let, len(x.Exps))
+		cells := make([]listCell, len(x.Exps))
 		for i, sub := range x.Exps {
 			t, c := el.elabExp(e, sub)
 			el.unify(expPos(sub), t, elemTy, "list element")
-			lets[i] = lambda.Let{LV: el.lg.Fresh(), Bind: c}
+			cells[i].fields[0] = c
 		}
-		for i := len(lets) - 1; i >= 0; i-- {
-			code = &lambda.Con{Tag: 1, Name: "::", Arg: &lambda.Record{
-				Fields: []lambda.Exp{&lambda.Var{LV: lets[i].LV}, code},
-			}}
+		// Each cell evaluates its element before its tail, so the
+		// elements evaluate in source order.
+		code := lambda.Exp(&lambda.Con{Tag: 0, Name: "nil"})
+		for i := len(cells) - 1; i >= 0; i-- {
+			cl := &cells[i]
+			cl.fields[1] = code
+			cl.rec = lambda.Record{Fields: cl.fields[:]}
+			cl.con = lambda.Con{Tag: 1, Name: "::", Arg: &cl.rec}
+			code = &cl.con
 		}
-		return basis.List(elemTy), letChain(lets, code)
+		return basis.List(elemTy), code
 	}
 	panic("elab: unknown expression form")
+}
+
+// inLabelOrder reports whether a record's fields are written in the
+// canonical order of its labels.
+func inLabelOrder(labels []string, fields []ast.RecordExpField) bool {
+	for i, l := range labels {
+		if fields[i].Label != l {
+			return false
+		}
+	}
+	return true
+}
+
+// listCell holds the nodes of one cell of a list literal, x :: rest, so
+// that a literal's cells are one allocation.
+type listCell struct {
+	con    lambda.Con
+	rec    lambda.Record
+	fields [2]lambda.Exp
+}
+
+// elabConApp compiles the application x of a constructor that takes an
+// argument, whose instantiated type is ft, straight to the constructor
+// over the argument's code: Con(t, arg), or ExnCon(tag, arg) for an
+// exception constructor, whose tag is looked up before the argument is
+// elaborated, as for the constructor used as a value (valCode).
+func (el *Elaborator) elabConApp(e *env.Env, x *ast.AppExp, vb *env.ValBind, acc valRef, ft types.Ty) (types.Ty, lambda.Exp) {
+	var tag lambda.Exp
+	if vb.IsExnCon() {
+		tag = el.exnTagAccess(expPos(x.Fn), vb, acc)
+	}
+	at, ac := el.elabExp(e, x.Arg)
+	res := types.NewVar(el.level)
+	el.unify(expPos(x.Arg), ft, &types.Arrow{From: at, To: res}, "function application")
+	if tag != nil {
+		return res, &lambda.ExnCon{Tag: tag, Arg: ac}
+	}
+	return res, &lambda.Con{Tag: vb.Con.Tag, Name: vb.Con.Name, Arg: ac}
 }
 
 func falseExp() lambda.Exp { return &lambda.Con{Tag: 0, Name: "false"} }

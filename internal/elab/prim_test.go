@@ -53,7 +53,8 @@ func (s *primShape) walk(t *testing.T, op string, e lambda.Exp) {
 // TestSaturatedPrimIsOnePrim: x + y and ~ x elaborate to one Prim on
 // the operands' variables, with no eta-expansion Fn applied to a Let
 // chain and a tuple. A use that does not saturate the primitive keeps
-// its eta-expansion, applied to the argument.
+// the body of its eta-expansion, with the argument bound to its
+// parameter: no application is left.
 func TestSaturatedPrimIsOnePrim(t *testing.T) {
 	cases := []struct {
 		src, op string
@@ -61,8 +62,8 @@ func TestSaturatedPrimIsOnePrim(t *testing.T) {
 	}{
 		{"val f = fn x => fn y => x + y", "add", primShape{prims: 1}},
 		{"val g = fn x => ~ x", "neg", primShape{prims: 1}},
-		{"val h = fn p => op+ p", "add", primShape{prims: 1, apps: 1, indirect: 2}},
-		{"val k = fn x => fn y => op- {2 = y, 1 = x}", "sub", primShape{prims: 1, apps: 1, indirect: 2}},
+		{"val h = fn p => op+ p", "add", primShape{prims: 1, indirect: 2}},
+		{"val k = fn x => fn y => op- {2 = y, 1 = x}", "sub", primShape{prims: 1, indirect: 2}},
 		{"val op+ = fn (x, y) => x * y  val m = fn x => fn y => x + y", "mul", primShape{prims: 1, apps: 1}},
 	}
 	for _, c := range cases {

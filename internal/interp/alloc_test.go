@@ -74,9 +74,9 @@ func TestExecAllocCeiling(t *testing.T) {
 }
 
 // TestConCellAllocs pins that building a constructor applied to a 2- or
-// 3-field tuple is one allocation: the constructor function's redex
-// (SOME (a, b), N (l, v, r), x :: xs) and a list literal's direct cells,
-// one per element. The cells read back as ordinary constructed values.
+// 3-field tuple is one allocation: SOME (a, b), N (l, v, r), x :: xs,
+// and a list literal's cells, one per element. The cells read back as
+// ordinary constructed values.
 func TestConCellAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts differ under the race detector")

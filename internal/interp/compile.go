@@ -598,8 +598,8 @@ func (c *comp) walk(e lambda.Exp) cnode { return c.exp(e, false) }
 // value is the value of the body of the function it runs in — where a
 // call is a tail call (DESIGN.md §4j, "Tail calls"): its code returns
 // the call to the callFn running the body, whose trampoline makes it. A function's
-// body is in tail position, and so are the body of a Let, Fix or redex,
-// the arms of an If or Switch, and a handler, when they are in it
+// body is in tail position, and so are the body of a Let or Fix, the
+// arms of an If or Switch, and a handler, when they are in it
 // themselves; a handled body never is. Tail position is a property of
 // the term, so the walk's slots and coordinates do not depend on it.
 func (c *comp) exp(e lambda.Exp, tail bool) cnode {
@@ -725,28 +725,6 @@ func (c *comp) exp(e lambda.Exp, tail bool) cnode {
 			return body(m, fr)
 		}
 	case *lambda.App:
-		// Beta-reduce a literal-lambda application at compile time: the
-		// redex becomes a let-binding in the current frame, with no
-		// closure or frame of its own. It is a pure term-shape rewrite,
-		// so CompileFn and LoadFn agree and the section stream stays
-		// aligned.
-		if fn, ok := e.Fn.(*lambda.Fn); ok {
-			if con, n := redexCon(fn, e.Arg); n != 0 {
-				return c.conRedex(fn, con, e.Arg, n)
-			}
-			argc := c.walk(e.Arg)
-			slot := c.alloc()
-			old, had := c.bind(fn.Param, slot)
-			bodyc := c.exp(fn.Body, tail)
-			c.unbind(fn.Param, old, had)
-			if c.shape {
-				return nil
-			}
-			return func(m *Machine, fr *Frame) Value {
-				fr.slots[slot] = argc(m, fr)
-				return bodyc(m, fr)
-			}
-		}
 		if v, ok := e.Fn.(*lambda.Var); ok {
 			if fn := c.joinOf(v.LV); fn != nil {
 				return c.joinCall(v.LV, fn, e.Arg, tail)
@@ -805,7 +783,7 @@ func (c *comp) exp(e lambda.Exp, tail bool) cnode {
 			return func(*Machine, *Frame) Value { return v }
 		}
 		if n := tupleArity(e.Arg); n != 0 {
-			return c.conCell(e, n, c.tuple(e.Arg), -1)
+			return c.conCell(e, n, c.tuple(e.Arg))
 		}
 		tag, name := e.Tag, e.Name
 		argc := c.walk(e.Arg)
@@ -1042,7 +1020,7 @@ func (s *useScan) use(join bool) {
 }
 
 // exp scans e; nested reports whether e runs in a frame other than the
-// binding's (under the body of a function that is not a redex).
+// binding's (under the body of a function).
 func (s *useScan) exp(e lambda.Exp, nested bool) {
 	if s.other {
 		return
@@ -1077,9 +1055,6 @@ func (s *useScan) exp(e lambda.Exp, nested bool) {
 			if f.LV == s.lv {
 				s.use(!nested)
 			}
-		case *lambda.Fn:
-			// A literal-function redex runs its body in this frame.
-			s.fn(f, nested)
 		case *lambda.App:
 			if v, ok := f.Fn.(*lambda.Var); ok && v.LV == s.lv {
 				s.use(false) // the call's result is applied again
@@ -1202,21 +1177,13 @@ func (c *comp) joinCall(lv lambda.LVar, fn *CompiledFn, arg lambda.Exp, tail boo
 
 // chainLen counts the arguments of the application chain e heads: e's
 // own and one per App in function position below it, down to a head
-// that is not an App, or is a literal-function redex (which runs in
-// place). A join call is never such an inner App (isJoin).
+// that is not an App. A join call is never such an inner App (isJoin).
 func chainLen(e *lambda.App) int {
 	k := 1
-	for {
-		in, ok := e.Fn.(*lambda.App)
-		if !ok {
-			return k
-		}
-		if _, redex := in.Fn.(*lambda.Fn); redex {
-			return k
-		}
+	for in, ok := e.Fn.(*lambda.App); ok; in, ok = in.Fn.(*lambda.App) {
 		k++
-		e = in
 	}
+	return k
 }
 
 // chain compiles an application chain of k > 1 arguments,
@@ -1268,37 +1235,23 @@ func (c *comp) chainArgs(e *lambda.App, k int, args []cnode) cnode {
 }
 
 // tupleArity returns the field count of e when e is a 2- or 3-field
-// Record under a chain, possibly empty, of Lets that bind no function —
-// the shape in which the elaborator binds a tuple's fields before
-// building it — else 0.
+// Record, else 0.
 func tupleArity(e lambda.Exp) int {
-	for {
-		switch t := e.(type) {
-		case *lambda.Let:
-			if _, isFn := t.Bind.(*lambda.Fn); isFn {
-				return 0
-			}
-			e = t.Body
-		case *lambda.Record:
-			if n := len(t.Fields); n == 2 || n == 3 {
-				return n
-			}
-			return 0
-		default:
-			return 0
-		}
+	if r, ok := e.(*lambda.Record); ok && (len(r.Fields) == 2 || len(r.Fields) == 3) {
+		return len(r.Fields)
 	}
+	return 0
 }
 
-// filler is a compiled tuple argument: it runs the argument's Lets and
-// writes its fields to dst.
+// filler is a compiled tuple argument: it writes the tuple's fields to
+// dst.
 type filler func(m *Machine, fr *Frame, dst []Value)
 
 // tupleCall compiles f a, where a is a tuple of n fields (tupleArity).
-// The function, the Lets and the fields run in the order plain
-// application runs them. When the callee borrows (CompiledFn.borrows),
-// the fields go into a tuple lent from the machine's pool for the
-// call; otherwise into a new record, as plain application builds it.
+// The function and the fields run in the order plain application runs
+// them. When the callee borrows (CompiledFn.borrows), the fields go
+// into a tuple lent from the machine's pool for the call; otherwise
+// into a new record, as plain application builds it.
 func (c *comp) tupleCall(e *lambda.App, n int, tail bool) cnode {
 	fnc := c.walk(e.Fn)
 	fill := c.tuple(e.Arg)
@@ -1323,23 +1276,9 @@ func (c *comp) tupleCall(e *lambda.App, n int, tail bool) cnode {
 	}
 }
 
-// tuple walks a tuple argument as walk walks its Lets and Record: each
-// Let's binding, its slot and its body, then the fields in order.
+// tuple walks a tuple argument's fields in order, as walk walks its
+// Record.
 func (c *comp) tuple(e lambda.Exp) filler {
-	if l, ok := e.(*lambda.Let); ok {
-		bindc := c.walk(l.Bind)
-		slot := c.alloc()
-		old, had := c.bind(l.LV, slot)
-		body := c.tuple(l.Body)
-		c.unbind(l.LV, old, had)
-		if c.shape {
-			return nil
-		}
-		return func(m *Machine, fr *Frame, dst []Value) {
-			fr.slots[slot] = bindc(m, fr)
-			body(m, fr, dst)
-		}
-	}
 	fs := e.(*lambda.Record).Fields
 	a, b := c.walk(fs[0]), c.walk(fs[1])
 	if len(fs) == 2 {
@@ -1378,41 +1317,9 @@ type (
 	}
 )
 
-// redexCon returns fn's constructor when fn is fn p => Con(t, Var p),
-// the constructor function the elaborator applies to a constructor's
-// argument, with arg's field count when arg is a tuple (tupleArity);
-// else nil and 0.
-func redexCon(fn *lambda.Fn, arg lambda.Exp) (*lambda.Con, int) {
-	con, ok := fn.Body.(*lambda.Con)
-	if !ok {
-		return nil, 0
-	}
-	if v, ok := con.Arg.(*lambda.Var); !ok || v.LV != fn.Param {
-		return nil, 0
-	}
-	return con, tupleArity(arg)
-}
-
-// conRedex compiles the redex (fn p => Con(t, Var p)) a, where a is a
-// tuple of n fields, to one constructor cell. It walks what the plain
-// redex walks, in the same order — a's Lets and fields, p's slot, then
-// the coordinate of the read of p, which must name that slot — so the
-// code section and every later slot are the plain path's. The cell's
-// tuple goes into p's slot, as the plain path's record does.
-func (c *comp) conRedex(fn *lambda.Fn, con *lambda.Con, arg lambda.Exp, n int) cnode {
-	fill := c.tuple(arg)
-	slot := c.alloc()
-	old, had := c.bind(fn.Param, slot)
-	if d, s := c.coord(fn.Param); d != 0 || s != slot {
-		c.fail("code section: constructor argument read at (%d, %d), not its slot (0, %d)", d, s, slot)
-	}
-	c.unbind(fn.Param, old, had)
-	return c.conCell(con, n, fill, slot)
-}
-
 // conCell compiles constructor e applied to the n-field tuple fill
-// writes, built as one cell. A slot of -1 stores the tuple nowhere.
-func (c *comp) conCell(e *lambda.Con, n int, fill filler, slot int) cnode {
+// writes, built as one cell.
+func (c *comp) conCell(e *lambda.Con, n int, fill filler) cnode {
 	if c.shape {
 		return nil
 	}
@@ -1422,9 +1329,6 @@ func (c *comp) conCell(e *lambda.Con, n int, fill filler, slot int) cnode {
 			cell := new(conCell2)
 			fill(m, fr, cell.fields[:])
 			cell.con = ConV{Tag: tag, Name: name, Arg: &cell.fields}
-			if slot >= 0 {
-				fr.slots[slot] = cell.con.Arg
-			}
 			return &cell.con
 		}
 	}
@@ -1432,9 +1336,6 @@ func (c *comp) conCell(e *lambda.Con, n int, fill filler, slot int) cnode {
 		cell := new(conCell3)
 		fill(m, fr, cell.fields[:])
 		cell.con = ConV{Tag: tag, Name: name, Arg: &cell.fields}
-		if slot >= 0 {
-			fr.slots[slot] = cell.con.Arg
-		}
 		return &cell.con
 	}
 }

@@ -186,6 +186,17 @@ func FuzzExecTreeVsClosure(f *testing.F) {
 	f.Add("fun k a b = fn c => a + b + c\nfun t (0, acc) = acc | t (n, acc) = t (n - 1, k 1 2 acc)\nfun u n = if n = 0 then k 0 0 else u (n - 1)\nval r = t (30, 0) + u 5 7\nval s = (fn f => f 3) (u 2)")
 	f.Add("val r = ref (fn (n : int) => n)\nfun g n = if n = 0 then 0 else (!r) (n - 1)\nval _ = r := g\nval a = g 40\nfun keep (0, ks) = ks | keep (n, ks) = let val m = n * 2 in keep (n - 1, (fn () => m) :: ks) end\nval b = foldl (fn (k, s) => k () + s) 0 (keep (10, []))")
 	f.Add("exception E of int\nfun down 0 = raise E 0 | down n = if n mod 7 = 0 then (down (n - 1) handle E k => raise E (k + n)) else down (n - 1)\nval a = down 30 handle E k => k\nfun h (n, acc) = (if n = 0 then acc else raise E n) handle E k => h (k - 1, acc + k)\nval b = h (20, 0)")
+	// Evaluation order of the shapes the elaborator builds in place:
+	// a tuple, a list literal, a constructor and an exception
+	// constructor over their arguments, a record written out of label
+	// order and a literal function applied, each printing as its parts
+	// evaluate, and raising from inside them.
+	f.Add("fun p s n = (print s; n)\nval t = (p \"a\" 1, p \"b\" 2, p \"c\" 3)\nval u = (p \"d\" 4, (p \"e\" 5, p \"f\" 6))\nval v = #2 (p \"g\" 7, p \"h\" 8)")
+	f.Add("fun p s n = (print s; n)\nval l = [p \"a\" 1, p \"b\" 2, p \"c\" 3]\nval m = [[p \"d\" 4], [], [p \"e\" 5, p \"f\" 6]]\nval n = [p \"g\" 7, raise Div, p \"h\" 8] handle Div => [0]")
+	f.Add("fun p s n = (print s; n)\nval s = SOME (p \"a\" 1, p \"b\" 2)\nval t = SOME (p \"c\" 3, SOME (p \"d\" 4, p \"e\" 5))\nval u = SOME (p \"f\" 6, raise Overflow, p \"g\" 7) handle Overflow => NONE")
+	f.Add("fun p s n = (print s; n)\nexception E of int * int\nval a = (raise Fail (p \"a\" \"x\" ^ p \"b\" (raise E (p \"c\" 1, p \"d\" 2)))) handle E (x, y) => x + y | Fail _ => 0\nval b = (raise Fail (p \"e\" \"y\")) handle Fail m => size m\nval c = raise Fail (p \"f\" \"z\" ^ p \"g\" \"w\")")
+	f.Add("fun p s n = (print s; n)\nval r = {b = p \"b\" 1, a = p \"a\" 2}\nval s = {c = p \"c\" 3, a = p \"a\" 4, b = p \"b\" 5}\nval t = #a {b = p \"d\" 6, a = p \"e\" 7} + #b {a = p \"f\" 8, b = p \"g\" 9}\nval u = {2 = p \"h\" 10, 1 = p \"i\" 11}")
+	f.Add("fun p s n = (print s; n)\nval a = (fn x => (print \"body\"; x + 1)) (p \"arg\" 41)\nval b = (fn (x, y) => x - y) (p \"x\" 5, p \"y\" 3)\nval c = (fn f => f (p \"z\" 2)) (fn n => p \"w\" n * 2)\nval d = (fn x => x) (raise Div) handle Div => p \"div\" 0")
 	for _, file := range workload.Generate(workload.Small()).Files {
 		f.Add(file.Source)
 	}

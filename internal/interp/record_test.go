@@ -179,25 +179,17 @@ func selectIn(eng engine, idx int, rec Value) (Value, error) {
 
 // compiledCon builds the constructed value name (vs...) with the closure
 // builder, from the shape the elaborator gives a constructor applied to
-// a tuple: fn p => (fn q => name q) (let a0 = #0 p in ... in (a0, ...)).
-// It fails the test unless the value is a constructor cell, its ConV
-// and tuple in one allocation.
+// a tuple: fn p => name (#0 p, ...). It fails the test unless the value
+// is a constructor cell, its ConV and tuple in one allocation.
 func compiledCon(t *testing.T, name string, vs ...Value) Value {
 	t.Helper()
 	var g lambda.Gen
-	p, q := g.Fresh(), g.Fresh()
-	lets := make([]lambda.LVar, len(vs))
+	p := g.Fresh()
 	fields := make([]lambda.Exp, len(vs))
 	for i := range vs {
-		lets[i] = g.Fresh()
-		fields[i] = &lambda.Var{LV: lets[i]}
+		fields[i] = &lambda.Select{Idx: i, Rec: &lambda.Var{LV: p}}
 	}
-	var arg lambda.Exp = &lambda.Record{Fields: fields}
-	for i := len(vs) - 1; i >= 0; i-- {
-		arg = &lambda.Let{LV: lets[i], Bind: &lambda.Select{Idx: i, Rec: &lambda.Var{LV: p}}, Body: arg}
-	}
-	con := &lambda.Fn{Param: q, Body: &lambda.Con{Tag: 1, Name: name, Arg: &lambda.Var{LV: q}}}
-	fn := &lambda.Fn{Param: p, Body: &lambda.App{Fn: con, Arg: arg}}
+	fn := &lambda.Fn{Param: p, Body: &lambda.Con{Tag: 1, Name: name, Arg: &lambda.Record{Fields: fields}}}
 	cf, _, _, err := CompileFn("record_test", fn)
 	if err != nil {
 		t.Fatal(err)
